@@ -48,7 +48,7 @@ from .lattice import (
 )
 from .matchings import perfect_matchings
 from .model import BLACK, Cell, Dart, DimerModel, ValidationCheck, trace_faces
-from .quiver import Quiver, quiver_of, rep_satisfies_relations
+from .quiver import Quiver, quiver_of, rep_satisfies_relations, spanning_tree
 from .stability import Theta, is_stable, sample_generic_theta
 
 ARROW_CAP = 24  # candidate search branches on every arrow
@@ -184,36 +184,22 @@ def enumerate_fixed_candidates(
     found.sort(key=lambda sup: tuple(sorted(pos[aid] for aid in sup)))
     out = []
     for support in found:
-        out.append(FixedPointCandidate(support, _support_cells(q, support)))
+        # face cells from walking the support, first face at the origin
+        arrows = [aid for aid in q.arrow_ids if aid in support]
+        cells: dict[str, Cell] = {q.vertices[0]: (0, 0)}
+        for aid, sign, parent, child in spanning_tree(q, arrows):
+            c, w = cells[parent], q.shift(aid)
+            cells[child] = (c[0] + sign * w[0], c[1] + sign * w[1])
+        if len(cells) != len(q.vertices):
+            raise InternalConsistencyError("support does not span the quiver")
+        for aid in arrows:  # non-tree closure
+            cs, ct, w = cells[q.source(aid)], cells[q.target(aid)], q.shift(aid)
+            if (ct[0] - cs[0], ct[1] - cs[1]) != w:
+                raise InternalConsistencyError("support cycle shifts do not cancel")
+        out.append(
+            FixedPointCandidate(support, tuple((v, cells[v]) for v in q.vertices))
+        )
     return tuple(out)
-
-
-def _support_cells(
-    q: Quiver, support: frozenset[str]
-) -> tuple[tuple[str, Cell], ...]:
-    """Face cells from walking the support, first face at the origin."""
-    cells: dict[str, Cell] = {q.vertices[0]: (0, 0)}
-    growing = True
-    while growing:
-        growing = False
-        for aid in support:
-            s, t = q.source(aid), q.target(aid)
-            w = q.shift(aid)
-            if s in cells and t not in cells:
-                cs = cells[s]
-                cells[t] = (cs[0] + w[0], cs[1] + w[1])
-                growing = True
-            elif t in cells and s not in cells:
-                ct = cells[t]
-                cells[s] = (ct[0] - w[0], ct[1] - w[1])
-                growing = True
-    if len(cells) != len(q.vertices):
-        raise InternalConsistencyError("support does not span the quiver")
-    for aid in support:  # non-tree closure
-        cs, ct, w = cells[q.source(aid)], cells[q.target(aid)], q.shift(aid)
-        if (ct[0] - cs[0], ct[1] - cs[1]) != w:
-            raise InternalConsistencyError("support cycle shifts do not cancel")
-    return tuple((v, cells[v]) for v in q.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -495,27 +481,21 @@ def chart_characters(
     """
     n = len(q.arrows)
     pos = {aid: i for i, aid in enumerate(q.arrow_ids)}
-    gamma: dict[str, tuple[int, ...]] = {q.vertices[0]: (0,) * n}
-    tree: set[str] = set()
-    growing = True
-    while growing:
-        growing = False
-        for aid in candidate.support:
-            s, t = q.source(aid), q.target(aid)
-            unit = tuple(int(k == pos[aid]) for k in range(n))
-            if s in gamma and t not in gamma:
-                gamma[t] = tuple(g - u for g, u in zip(gamma[s], unit))
-                tree.add(aid)
-                growing = True
-            elif t in gamma and s not in gamma:
-                gamma[s] = tuple(g + u for g, u in zip(gamma[t], unit))
-                tree.add(aid)
-                growing = True
-    if len(gamma) != len(q.vertices):
+    arrows = [aid for aid in q.arrow_ids if aid in candidate.support]
+    steps = spanning_tree(q, arrows)
+    if len(steps) != len(q.vertices) - 1:
         raise InternalConsistencyError("support does not span the quiver")
+    gamma: dict[str, tuple[int, ...]] = {q.vertices[0]: (0,) * n}
+    for aid, sign, parent, child in steps:
+        k = pos[aid]
+        g = gamma[parent]
+        gamma[child] = g[:k] + (g[k] - sign,) + g[k + 1:]
+    tree = {aid for aid, _, _, _ in steps}
 
     w_basis = cochar_lattice(q).w_basis
-    for aid in candidate.support - tree:
+    for aid in arrows:
+        if aid in tree:
+            continue
         s, t = q.source(aid), q.target(aid)
         diff = [
             gs - gt - int(k == pos[aid])
@@ -739,14 +719,15 @@ def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> Certific
         )
     )
 
-    bad_tr = []
-    for i in range(len(smooth)):
-        for j in range(len(smooth)):
-            if i == j:
-                continue
-            tr = chart_transition(smooth[i].rows, smooth[j].rows)
-            if det_int(tr) != 1:
-                bad_tr.append((i, j))
+    # det(M_i M_j^-1) = det M_i / det M_j, and chart_cone admits only
+    # determinants +-1, so a transition is unimodular exactly when the two
+    # determinants agree
+    bad_tr = [
+        (i, j)
+        for i, ci in enumerate(smooth)
+        for j, cj in enumerate(smooth)
+        if ci.cone.det != cj.cone.det
+    ]
     checks.append(
         ValidationCheck(
             "transitions-integral", not bad_tr, "; ".join(map(str, bad_tr))

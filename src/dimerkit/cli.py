@@ -66,7 +66,7 @@ def _load(args) -> DimerModel:
         raise InvalidModelError("a model file (or --example) is required")
     try:
         return load_model(args.model)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InvalidModelError(f"cannot read {args.model!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidModelError(f"{args.model!r} is not JSON: {exc}") from exc
@@ -82,6 +82,19 @@ def _load_valid(args) -> DimerModel:
     return model
 
 
+def _seed(args) -> int:
+    """--seed, else the DIMER_SEED environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("DIMER_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidModelError(
+            f"DIMER_SEED must be an integer, got {raw!r}"
+        ) from None
+
+
 def _theta_for(q, model, args):
     """--theta names a JSON file of vertex weights, or 'auto' to sample."""
     spec = getattr(args, "theta", None) or "auto"
@@ -89,7 +102,7 @@ def _theta_for(q, model, args):
         try:
             with open(spec, encoding="utf-8") as fh:
                 weights = json.load(fh)
-        except FileNotFoundError as exc:
+        except OSError as exc:
             raise InvalidModelError(f"cannot read {spec!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidModelError(f"{spec!r} is not JSON: {exc}") from exc
@@ -97,7 +110,7 @@ def _theta_for(q, model, args):
             raise InvalidModelError("--theta file must hold a JSON object")
         return make_theta(q, weights)
     base = perfect_matchings(model)[0]
-    theta, _, _ = sample_generic_theta(q, base, random.Random(args.seed))
+    theta, _, _ = sample_generic_theta(q, base, random.Random(_seed(args)))
     return theta
 
 
@@ -204,7 +217,7 @@ def _cmd_theta(args) -> int:
             f"--matching {args.matching} out of range 0..{len(pms) - 1}"
         )
     theta, xi, tries = sample_generic_theta(
-        q, pms[args.matching], random.Random(args.seed)
+        q, pms[args.matching], random.Random(_seed(args))
     )
     generic = is_generic(q, theta)
     _emit(
@@ -349,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--seed",
                 type=int,
-                default=int(os.environ.get("DIMER_SEED", "0")),
                 help="random seed (default: DIMER_SEED or 0)",
             )
         if theta:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -34,8 +33,8 @@ from .exceptions import (
     InvalidModelError,
 )
 from .heights import LatticePolygon
-from .model import Cell
-from .quiver import Quiver, check_support, p_minus, relations
+from .model import Cell, per_object
+from .quiver import Quiver, check_support, p_minus, relations, spanning_tree
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Vec3 = tuple[int, int, int]
@@ -289,7 +288,7 @@ class CocharLattice:
     rank: int
 
 
-@lru_cache(maxsize=None)
+@per_object
 def cochar_lattice(q: Quiver) -> CocharLattice:
     nar = len(q.arrows)
     w_basis = kernel_basis(constraint_matrix(q), ncols=nar)
@@ -391,42 +390,20 @@ class Splitting:
         )
 
 
-def _tree_paths(
-    q: Quiver, allowed: list[str]
-) -> tuple[dict[str, tuple[tuple[str, int], ...]], set[str]]:
-    """Spanning tree over the allowed arrows: signed arrow paths to the root."""
-    root = q.vertices[0]
-    reach: dict[str, tuple[tuple[str, int], ...]] = {root: ()}
-    tree: set[str] = set()
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for aid in allowed:
-            if aid in tree:
-                continue
-            s, t = q.source(aid), q.target(aid)
-            if s in reach and t not in reach:
-                reach[t] = ((aid, +1),) + reach[s]
-                tree.add(aid)
-                nxt.append(t)
-            elif t in reach and s not in reach:
-                reach[s] = ((aid, -1),) + reach[t]
-                tree.add(aid)
-                nxt.append(s)
-        if not nxt:
-            break
-    if len(reach) != len(q.vertices):
-        raise DegenerateModelError(
-            "arrows off the matching do not connect all quiver vertices"
-        )
-    return reach, tree
-
-
 def _fundamental_cycles(
     q: Quiver, base: frozenset[str]
 ) -> list[tuple[int, ...]]:
     allowed = [aid for aid in q.arrow_ids if aid not in base]
-    reach, tree = _tree_paths(q, allowed)
+    steps = spanning_tree(q, allowed)
+    if len(steps) != len(q.vertices) - 1:
+        raise DegenerateModelError(
+            "arrows off the matching do not connect all quiver vertices"
+        )
+    # signed arrow paths from each vertex back to the root
+    reach: dict[str, tuple[tuple[str, int], ...]] = {q.vertices[0]: ()}
+    for aid, sign, parent, child in steps:
+        reach[child] = ((aid, sign),) + reach[parent]
+    tree = {aid for aid, _, _, _ in steps}
     pos = {aid: i for i, aid in enumerate(q.arrow_ids)}
     cycles = []
     for aid in allowed:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from .exceptions import (
@@ -50,6 +50,14 @@ class BipartiteGraph:
             if eb not in b or ew not in w:
                 raise InvalidModelError(f"edge {eid!r} has a dangling endpoint")
 
+    # built on first use; cached_property is not a field
+    @cached_property
+    def _by_black(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        out: dict[str, tuple[tuple[str, str], ...]] = {b: () for b in self.blacks}
+        for eid, b, w in self.edges:
+            out[b] = out[b] + ((eid, w),)
+        return out
+
 
 def from_model(model: DimerModel) -> BipartiteGraph:
     return BipartiteGraph(
@@ -57,14 +65,6 @@ def from_model(model: DimerModel) -> BipartiteGraph:
         tuple(v.id for v in model.vertices if v.color == "white"),
         tuple((e.id, e.black, e.white) for e in model.edges),
     )
-
-
-@lru_cache(maxsize=None)
-def _by_black(g: BipartiteGraph) -> dict[str, tuple[tuple[str, str], ...]]:
-    out: dict[str, tuple[tuple[str, str], ...]] = {b: () for b in g.blacks}
-    for eid, b, w in g.edges:
-        out[b] = out[b] + ((eid, w),)
-    return out
 
 
 def enumerate_matchings(
@@ -77,7 +77,7 @@ def enumerate_matchings(
     """
     if len(g.blacks) != len(g.whites):
         return ()
-    by_black = _by_black(g)
+    by_black = g._by_black
     found: list[frozenset[str]] = []
     used_whites: set[str] = set()
     chosen: list[str] = []
@@ -118,7 +118,7 @@ def perfect_matchings(model: DimerModel) -> tuple[frozenset[str], ...]:
 
 def _max_matching(g: BipartiteGraph, skip: frozenset[str]) -> int:
     """Size of a maximum matching avoiding the vertices in ``skip``."""
-    by_black = _by_black(g)
+    by_black = g._by_black
     match_w: dict[str, str] = {}
 
     def augment(b: str, seen: set[str]) -> bool:

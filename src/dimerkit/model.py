@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, wraps
 from math import gcd
 
 from .exceptions import InvalidModelError
@@ -31,6 +31,26 @@ WHITE = "white"
 
 Cell = tuple[int, int]
 Dart = tuple[str, int]  # (edge id, +1 black->white / -1 white->black)
+
+
+def per_object(fn):
+    """Memoize a one-argument function on its argument.
+
+    The result is kept in the argument's instance ``__dict__`` (frozen
+    dataclasses still have one), outside its fields: eq, hash and repr are
+    unchanged, the argument is never hashed, and the result is freed
+    together with it.  Exceptions are not memoized.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memoized(obj):
+        memo = obj.__dict__
+        if key not in memo:
+            memo[key] = fn(obj)
+        return memo[key]
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -65,33 +85,31 @@ class DimerModel:
     # (vertex id, counterclockwise edge ids) pairs, one per vertex
     rotation: tuple[tuple[str, tuple[str, ...]], ...]
 
+    # id indexes, built on first use; cached_property is not a field
+    @cached_property
+    def _vertex_by_id(self) -> dict[str, DimerVertex]:
+        return {v.id: v for v in self.vertices}
+
+    @cached_property
+    def _edge_by_id(self) -> dict[str, DimerEdge]:
+        return {e.id: e for e in self.edges}
+
+    @cached_property
+    def _rotation_by_id(self) -> dict[str, tuple[str, ...]]:
+        return dict(self.rotation)
+
     def vertex(self, vid: str) -> DimerVertex:
-        return _vertex_index(self)[vid]
+        return self._vertex_by_id[vid]
 
     def edge(self, eid: str) -> DimerEdge:
-        return _edge_index(self)[eid]
+        return self._edge_by_id[eid]
 
     def rotation_at(self, vid: str) -> tuple[str, ...]:
-        return _rotation_index(self)[vid]
+        return self._rotation_by_id[vid]
 
     @property
     def faces(self) -> tuple[Face, ...]:
         return trace_faces(self).faces
-
-
-@lru_cache(maxsize=None)
-def _vertex_index(model: DimerModel) -> dict[str, DimerVertex]:
-    return {v.id: v for v in model.vertices}
-
-
-@lru_cache(maxsize=None)
-def _edge_index(model: DimerModel) -> dict[str, DimerEdge]:
-    return {e.id: e for e in model.edges}
-
-
-@lru_cache(maxsize=None)
-def _rotation_index(model: DimerModel) -> dict[str, tuple[str, ...]]:
-    return {vid: eids for vid, eids in model.rotation}
 
 
 def dart_tail(model: DimerModel, dart: Dart) -> str:
@@ -117,25 +135,26 @@ def iter_darts(model: DimerModel):
 
 def _structural_errors(model: DimerModel) -> list[str]:
     errs: list[str] = []
-    seen_v: set[str] = set()
+    color: dict[str, str] = {}  # the first vertex of each id decides
     for v in model.vertices:
         if v.color not in (BLACK, WHITE):
             errs.append(f"vertex {v.id!r} has color {v.color!r}")
-        if v.id in seen_v:
+        if v.id in color:
             errs.append(f"duplicate vertex id {v.id!r}")
-        seen_v.add(v.id)
+        else:
+            color[v.id] = v.color
     seen_e: set[str] = set()
     for e in model.edges:
         if e.id in seen_e:
             errs.append(f"duplicate edge id {e.id!r}")
         seen_e.add(e.id)
         for end, want in ((e.black, BLACK), (e.white, WHITE)):
-            if end not in seen_v:
+            if end not in color:
                 errs.append(f"edge {e.id!r} references missing vertex {end!r}")
-            else:
-                got = next(v.color for v in model.vertices if v.id == end)
-                if got != want:
-                    errs.append(f"edge {e.id!r}: vertex {end!r} is {got}, expected {want}")
+            elif color[end] != want:
+                errs.append(
+                    f"edge {e.id!r}: vertex {end!r} is {color[end]}, expected {want}"
+                )
     return errs
 
 
@@ -194,7 +213,7 @@ def _head_cell(model: DimerModel, dart: Dart, tail_cell: Cell) -> Cell:
     return (tail_cell[0] - off[0], tail_cell[1] - off[1])
 
 
-@lru_cache(maxsize=None)
+@per_object
 def trace_faces(model: DimerModel) -> FaceTrace:
     """Trace all faces of the torus map.
 
@@ -288,28 +307,16 @@ def _adjacency(model: DimerModel) -> dict[str, list[tuple[str, str]]]:
     return adj
 
 
-def _is_connected(model: DimerModel) -> bool:
-    if not model.vertices:
-        return False
-    adj = _adjacency(model)
-    seen = {model.vertices[0].id}
-    stack = [model.vertices[0].id]
-    while stack:
-        for _, other in adj[stack.pop()]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return len(seen) == len(model.vertices)
-
-
-def _cycle_offset_classes(model: DimerModel) -> list[Cell]:
-    """Offset classes of the fundamental cycles of a spanning tree.
+def _cycle_offset_classes(model: DimerModel) -> list[Cell] | None:
+    """Offset classes of the fundamental cycles of a spanning tree, or None
+    when the graph is disconnected (or empty).
 
     Assign each vertex a cover cell by walking a spanning tree (black-to-white
     adds the edge offset, white-to-black subtracts it); every non-tree edge
     then closes a cycle whose total offset is its class in ``Z^2``.
-    Assumes the graph is connected.
     """
+    if not model.vertices:
+        return None
     cell: dict[str, Cell] = {model.vertices[0].id: (0, 0)}
     adj = _adjacency(model)
     tree: set[str] = set()
@@ -327,6 +334,8 @@ def _cycle_offset_classes(model: DimerModel) -> list[Cell]:
                 cell[other] = (c[0] - e.offset[0], c[1] - e.offset[1])
             tree.add(eid)
             stack.append(other)
+    if len(cell) != len(model.vertices):
+        return None
     classes = []
     for e in model.edges:
         if e.id in tree:
@@ -377,13 +386,13 @@ def validate_model(model: DimerModel) -> ValidationReport:
         checks.append(ValidationCheck("rotation", False, "not evaluated"))
         rotation_ok = False
 
+    classes = _cycle_offset_classes(model) if structural_ok else None
+    conn = classes is not None
     if structural_ok:
-        conn = _is_connected(model)
         checks.append(
             ValidationCheck("connected", conn, "" if conn else "graph is disconnected")
         )
     else:
-        conn = False
         checks.append(ValidationCheck("connected", False, "not evaluated"))
 
     if rotation_ok:
@@ -408,8 +417,8 @@ def validate_model(model: DimerModel) -> ValidationReport:
         checks.append(ValidationCheck("euler", False, "not evaluated"))
         checks.append(ValidationCheck("face-offsets", False, "not evaluated"))
 
-    if structural_ok and conn:
-        spans = _spans_lattice(_cycle_offset_classes(model))
+    if conn:
+        spans = _spans_lattice(classes)
         checks.append(
             ValidationCheck(
                 "homology-span",
@@ -459,7 +468,7 @@ def lift_patch(model: DimerModel, radius: int) -> CoverFragment:
 # JSON serialisation
 
 
-def _frac_from_json(x: object, what: str) -> Fraction:
+def rational_from_json(x: object, what: str) -> Fraction:
     if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
@@ -522,7 +531,7 @@ def model_from_dict(data: object) -> DimerModel:
             p = raw["pos"]
             if not isinstance(p, list) or len(p) != 2:
                 raise InvalidModelError(f"{what}: 'pos' must be a pair")
-            pos = (_frac_from_json(p[0], what), _frac_from_json(p[1], what))
+            pos = (rational_from_json(p[0], what), rational_from_json(p[1], what))
         vertices.append(DimerVertex(vid, color, pos))
 
     vids = [v.id for v in vertices]

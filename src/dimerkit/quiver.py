@@ -21,11 +21,11 @@ universal cover, zero exactly for the cycles that bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .exceptions import InternalConsistencyError, InvalidModelError
-from .model import Cell, DimerModel, face_gluing_shifts, trace_faces
+from .model import Cell, DimerModel, face_gluing_shifts, per_object, trace_faces
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,27 @@ class Quiver:
     def arrow_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.arrows)
 
+    # indexes, built on first use; cached_property is not a field
+    @cached_property
+    def _arrow_by_id(self) -> dict[str, Arrow]:
+        return {a.id: a for a in self.arrows}
+
+    @cached_property
+    def _shift_by_id(self) -> dict[str, Cell]:
+        return dict(self.shifts)
+
+    @cached_property
+    def _adjacency(self):
+        out: dict[str, tuple[str, ...]] = {}
+        inc: dict[str, tuple[str, ...]] = {}
+        for a in self.arrows:
+            out[a.source] = out.get(a.source, ()) + (a.id,)
+            inc[a.target] = inc.get(a.target, ()) + (a.id,)
+        return out, inc
+
     def arrow(self, aid: str) -> Arrow:
         try:
-            return _arrow_index(self)[aid]
+            return self._arrow_by_id[aid]
         except KeyError:
             raise InvalidModelError(f"unknown arrow {aid!r}") from None
 
@@ -80,36 +98,16 @@ class Quiver:
         return self.arrow(aid).target
 
     def shift(self, aid: str) -> Cell:
-        return _shift_index(self)[aid]
+        return self._shift_by_id[aid]
 
     def arrows_from(self, v: str) -> tuple[str, ...]:
-        return _adjacency(self)[0].get(v, ())
+        return self._adjacency[0].get(v, ())
 
     def arrows_into(self, v: str) -> tuple[str, ...]:
-        return _adjacency(self)[1].get(v, ())
+        return self._adjacency[1].get(v, ())
 
 
-@lru_cache(maxsize=None)
-def _arrow_index(q: Quiver) -> dict[str, Arrow]:
-    return {a.id: a for a in q.arrows}
-
-
-@lru_cache(maxsize=None)
-def _shift_index(q: Quiver) -> dict[str, Cell]:
-    return dict(q.shifts)
-
-
-@lru_cache(maxsize=None)
-def _adjacency(q: Quiver):
-    out: dict[str, tuple[str, ...]] = {}
-    inc: dict[str, tuple[str, ...]] = {}
-    for a in q.arrows:
-        out[a.source] = out.get(a.source, ()) + (a.id,)
-        inc[a.target] = inc.get(a.target, ()) + (a.id,)
-    return out, inc
-
-
-@lru_cache(maxsize=None)
+@per_object
 def quiver_of(model: DimerModel) -> Quiver:
     """The quiver dual to a dimer model, with its cycle maps and shifts."""
     tr = trace_faces(model)
@@ -192,7 +190,7 @@ def p_minus(q: Quiver, aid: str) -> PathSeq:
     return _complement_cycle_path(q, aid, dict(q.black_next))
 
 
-@lru_cache(maxsize=None)
+@per_object
 def relations(q: Quiver) -> tuple[RelationPair, ...]:
     """One relation pair per arrow, in arrow order."""
     return tuple(RelationPair(a.id, p_plus(q, a.id), p_minus(q, a.id)) for a in q.arrows)
@@ -220,6 +218,34 @@ def check_support(q: Quiver, support: Iterable[str]) -> frozenset[str]:
     for aid in sup:
         q.arrow(aid)
     return sup
+
+
+def spanning_tree(
+    q: Quiver, arrows: Sequence[str]
+) -> list[tuple[str, int, str, str]]:
+    """A spanning tree over ``arrows``, grown from the first quiver vertex.
+
+    Passes over ``arrows`` in the order given, taking every arrow that leads
+    from a reached vertex to a new one, until a pass takes none.  Returns
+    the tree as ``(arrow, sign, parent, child)`` steps in the order taken,
+    sign ``+1`` when the arrow runs parent to child, so every parent comes
+    before its child.  The tree spans the quiver exactly when it has
+    ``len(q.vertices) - 1`` steps.
+    """
+    reached = {q.vertices[0]}
+    steps: list[tuple[str, int, str, str]] = []
+    grew = True
+    while grew:
+        grew = False
+        for aid in arrows:
+            s, t = q.source(aid), q.target(aid)
+            if (s in reached) == (t in reached):
+                continue
+            parent, child, sign = (s, t, +1) if s in reached else (t, s, -1)
+            reached.add(child)
+            steps.append((aid, sign, parent, child))
+            grew = True
+    return steps
 
 
 def rep_satisfies_relations(q: Quiver, support: Iterable[str]) -> bool:

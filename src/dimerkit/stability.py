@@ -17,9 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .exceptions import CapacityError, InvalidModelError
+from .model import rational_from_json
 from .quiver import Quiver, check_support
 
 VERTEX_CAP = 20  # subset enumeration walks 2^|vertices| masks
@@ -43,12 +45,19 @@ class Theta:
 
 
 def make_theta(q: Quiver, weights: Mapping[str, object]) -> Theta:
+    """Weights given as ints, Fractions or ``'p/q'`` strings; floats and
+    bools are refused as inexact or mistaken."""
     if set(weights) != set(q.vertices):
         raise InvalidModelError("weights must cover exactly the quiver vertices")
-    vals = tuple((v, Fraction(weights[v])) for v in q.vertices)
+    vals = []
+    for v in q.vertices:
+        x = weights[v]
+        if not isinstance(x, Fraction):
+            x = rational_from_json(x, f"weight of {v!r}")
+        vals.append((v, x))
     if sum((x for _, x in vals), Fraction(0)) != 0:
         raise InvalidModelError("weights must sum to zero")
-    return Theta(vals)
+    return Theta(tuple(vals))
 
 
 def _guard(q: Quiver) -> None:
@@ -59,34 +68,43 @@ def _guard(q: Quiver) -> None:
         )
 
 
-def _successor_masks(q: Quiver, support: frozenset[str]) -> list[int]:
-    pos = {v: i for i, v in enumerate(q.vertices)}
-    succ = [0] * len(q.vertices)
-    for a in q.arrows:
-        if a.id in support:
-            succ[pos[a.source]] |= 1 << pos[a.target]
-    return succ
+def _closed_masks(
+    q: Quiver, support: Iterable[str] | None, theta: Theta | None = None
+):
+    """``(mask, weight)`` for every nonempty proper vertex subset closed
+    under the supported arrows, in increasing mask order.
 
-
-def _iter_closed_masks(q: Quiver, support: frozenset[str]):
-    """Masks of nonempty proper vertex subsets closed under the support."""
+    Bit ``i`` of a mask is ``q.vertices[i]``.  A support of ``None`` closes
+    every subset.  ``weight`` is the subset's ``theta`` weight times the
+    least common denominator of ``theta``, so it has the same sign; it is 0
+    without ``theta``.
+    """
+    _guard(q)
     n = len(q.vertices)
-    succ = _successor_masks(q, support)
+    pos = {v: i for i, v in enumerate(q.vertices)}
+    succ = [0] * n
+    if support is not None:
+        sup = check_support(q, support)
+        for a in q.arrows:
+            if a.id in sup:
+                succ[pos[a.source]] |= 1 << pos[a.target]
+    tv = [0] * n
+    if theta is not None:
+        vals = dict(theta.values)
+        if set(vals) != set(q.vertices):
+            raise InvalidModelError("weight vertices do not match the quiver")
+        scale = lcm(*(x.denominator for x in vals.values()))
+        tv = [int(vals[v] * scale) for v in q.vertices]
     for mask in range(1, (1 << n) - 1):
-        m = mask
-        ok = True
+        weight, m = 0, mask
         while m:
             i = (m & -m).bit_length() - 1
             if succ[i] & ~mask:
-                ok = False
                 break
+            weight += tv[i]
             m &= m - 1
-        if ok:
-            yield mask
-
-
-def _mask_to_subset(q: Quiver, mask: int) -> frozenset[str]:
-    return frozenset(v for i, v in enumerate(q.vertices) if mask >> i & 1)
+        else:
+            yield mask, weight
 
 
 def successor_closed_subsets(
@@ -97,49 +115,19 @@ def successor_closed_subsets(
     These are the possible supports of proper nonzero subrepresentations of
     the 0/1 representation with the given arrow support.
     """
-    _guard(q)
-    sup = check_support(q, support)
-    return tuple(_mask_to_subset(q, m) for m in _iter_closed_masks(q, sup))
-
-
-def _theta_vector(q: Quiver, theta: Theta) -> list[Fraction]:
-    vals = dict(theta.values)
-    if set(vals) != set(q.vertices):
-        raise InvalidModelError("weight vertices do not match the quiver")
-    return [vals[v] for v in q.vertices]
+    return tuple(
+        frozenset(v for i, v in enumerate(q.vertices) if mask >> i & 1)
+        for mask, _ in _closed_masks(q, support)
+    )
 
 
 def is_stable(q: Quiver, support: Iterable[str], theta: Theta) -> bool:
     """King stability: every closed nonempty proper subset has positive weight."""
-    _guard(q)
-    sup = check_support(q, support)
-    tv = _theta_vector(q, theta)
-    for mask in _iter_closed_masks(q, sup):
-        s = Fraction(0)
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            s += tv[i]
-            m &= m - 1
-        if s <= 0:
-            return False
-    return True
+    return all(w > 0 for _, w in _closed_masks(q, support, theta))
 
 
 def is_semistable(q: Quiver, support: Iterable[str], theta: Theta) -> bool:
-    _guard(q)
-    sup = check_support(q, support)
-    tv = _theta_vector(q, theta)
-    for mask in _iter_closed_masks(q, sup):
-        s = Fraction(0)
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            s += tv[i]
-            m &= m - 1
-        if s < 0:
-            return False
-    return True
+    return all(w >= 0 for _, w in _closed_masks(q, support, theta))
 
 
 def is_generic(q: Quiver, theta: Theta) -> bool:
@@ -148,19 +136,7 @@ def is_generic(q: Quiver, theta: Theta) -> bool:
     Generic weights see no strictly semistable 0/1 representation, whatever
     the arrow support is.
     """
-    _guard(q)
-    tv = _theta_vector(q, theta)
-    n = len(q.vertices)
-    for mask in range(1, (1 << n) - 1):
-        s = Fraction(0)
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            s += tv[i]
-            m &= m - 1
-        if s == 0:
-            return False
-    return True
+    return all(w != 0 for _, w in _closed_masks(q, None, theta))
 
 
 def sardo_infirri_theta(

@@ -6,6 +6,7 @@ from dimerkit import (
     CASE_FOUR,
     CASE_SIX_OPPOSITE,
     CASE_SIX_SAME,
+    Chart,
     InternalConsistencyError,
     Theta,
     assemble_fan,
@@ -13,14 +14,17 @@ from dimerkit import (
     chart_cone,
     chart_rows,
     chart_transition,
+    char_poly,
     classify_chart,
     det_int,
     enumerate_fixed_candidates,
     example,
     fundamental_domain,
+    newton_polygon,
     perfect_matchings,
     quiver_of,
     split_by_reference,
+    verify_crepant,
 )
 from dimerkit.charts import _census_case, _clip_area2
 
@@ -171,6 +175,27 @@ def test_assemble_fan_conifold():
         "triangles-inside", "triangles-disjoint", "area-covered",
         "transitions-integral",
     ]
+
+
+def test_transitions_from_cone_determinants():
+    # hand-built smooth charts of determinant +1 and -1: the detail must be
+    # what pairwise transition matrices give
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    flip = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    cand = _candidates()[0]
+    cls = classify_chart(conifold, cand)
+    charts = [Chart(cand, cls, rows, chart_cone(rows)) for rows in (unit, flip, unit, flip)]
+    poly = newton_polygon(char_poly(conifold))
+    bad = [
+        (i, j)
+        for i, ci in enumerate(charts)
+        for j, cj in enumerate(charts)
+        if i != j and det_int(chart_transition(ci.rows, cj.rows)) != 1
+    ]
+    check = verify_crepant(poly, charts).check("transitions-integral")
+    assert not check.ok
+    assert check.detail == "; ".join(map(str, bad))
+    assert bad == [(0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2)]
 
 
 def test_assemble_fan_honeycomb():

@@ -172,6 +172,33 @@ def test_dimer_seed_env(capsys, monkeypatch):
     assert with_env == with_flag
 
 
+def test_bad_dimer_seed_is_invalid_input(capsys, monkeypatch):
+    monkeypatch.setenv("DIMER_SEED", "abc")
+    assert main(["theta", "--example", "conifold"]) == 2
+    assert "DIMER_SEED" in capsys.readouterr().err
+    # commands that never read a seed are unaffected
+    assert main(["validate", "--example", "conifold"]) == 0
+
+
+def test_directory_as_model_is_invalid_input(capsys, tmp_path):
+    assert main(["validate", str(tmp_path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_directory_as_theta_is_invalid_input(capsys, tmp_path):
+    assert main(["fixed-points", "--example", "conifold",
+                 "--theta", str(tmp_path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f1, f2", [("abc", 0), ([1], 0), (0.1, -0.1)])
+def test_bad_theta_value_is_invalid_input(capsys, tmp_path, f1, f2):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"f1": f1, "f2": f2}))
+    assert main(["fixed-points", "--example", "conifold",
+                 "--theta", str(path)]) == 2
+
+
 def test_fixed_points(capsys, tmp_path):
     svg_dir = tmp_path / "domains"
     code, data = run_json(capsys, "fixed-points", "--example", "conifold",

@@ -228,3 +228,21 @@ def test_face_side_bookkeeping_all_fixtures():
             assert len(f.darts) % 2 == 0
             signs = [s for _, s in f.darts]
             assert all(a != b for a, b in zip(signs, signs[1:] + signs[:1]))
+
+
+def test_duplicate_vertex_id_keeps_first_color():
+    # the first vertex of a repeated id decides the endpoint's color
+    bad = DimerModel(
+        vertices=(
+            DimerVertex("b1", "black"),
+            DimerVertex("w1", "white"),
+            DimerVertex("w1", "black"),
+        ),
+        edges=(DimerEdge("e1", "b1", "w1", (0, 0)), DimerEdge("e2", "w1", "b1", (0, 0))),
+        rotation=(("b1", ("e1", "e2")), ("w1", ("e1", "e2"))),
+    )
+    assert validate_model(bad).check("bipartite").detail == (
+        "duplicate vertex id 'w1'; "
+        "edge 'e2': vertex 'w1' is white, expected black; "
+        "edge 'e2': vertex 'b1' is black, expected white"
+    )

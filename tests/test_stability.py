@@ -116,3 +116,20 @@ def test_sample_generic_theta():
     # deterministic for a fixed seed
     again, _, _ = sample_generic_theta(q, {"e1"}, random.Random(1))
     assert again.values == th.values
+
+
+@pytest.mark.parametrize(
+    "f1, f2",
+    [("abc", 0), ([1], 0), (None, 0), ("1/0", 0), (0.1, -0.1), (True, -1)],
+)
+def test_make_theta_rejects_non_rationals(f1, f2):
+    with pytest.raises(InvalidModelError):
+        make_theta(q, {"f1": f1, "f2": f2})
+
+
+def test_make_theta_accepts_exact_values():
+    th = make_theta(q, {"f1": "-1/2", "f2": Fraction(1, 2)})
+    assert th.values == (("f1", Fraction(-1, 2)), ("f2", Fraction(1, 2)))
+    assert make_theta(q, {"f1": 3, "f2": "-3"}).values == (
+        ("f1", Fraction(3)), ("f2", Fraction(-3)),
+    )
