@@ -5,9 +5,11 @@ satisfies the relations, its support connects all quiver vertices, the
 support lifts consistently to the universal cover (every support cycle has
 zero cover shift), and it is stable for the chosen weight.  Each candidate
 glues the lifted faces of the model into a fundamental domain whose
-translates tile the plane; walking the domain boundary and counting the
-valencies of its corner points classifies the chart around the fixed point
-into exactly three local shapes, two of them singular and one smooth.
+translates tile the plane.  Its boundary runs along the zero edges that
+meet another zero edge; an isolated zero edge lies inside the domain.
+Walking the domain boundary and counting the valencies of its corner
+points classifies the chart around the fixed point into exactly three
+local shapes, two of them singular and one smooth.
 
 The coordinate functions of a chart are read off at the first boundary
 corner: one character per zero edge there, gauge-normalised to vanish on
@@ -16,14 +18,18 @@ the characters become rows of an integer matrix; the chart's cone is
 spanned by the columns of its inverse.  Collecting the cones of all
 candidates and checking that their level-one cross-sections triangulate
 the height polygon certifies that the chamber resolves the cone over the
-polygon crepantly.
+polygon crepantly.  For unimodular cones that is exact integer bookkeeping:
+the triangles' edges must cancel in opposite pairs down to the polygon's
+boundary.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .exceptions import (
@@ -41,6 +47,7 @@ from .heights import (
 from .lattice import (
     Splitting,
     Vec3,
+    adjugate3,
     cochar_lattice,
     det_int,
     express_functional,
@@ -210,9 +217,12 @@ def enumerate_fixed_candidates(
 class FundamentalDomain:
     """Lifted faces of a candidate glued along its support.
 
-    ``boundary`` walks the rim counterclockwise (domain on the left) as
-    ``(dart, tail cell)`` pairs, starting at the least boundary dart.
-    Edge lifts are ``(edge id, cell of the black end)``.
+    ``interior_edges`` are the edge lifts with the domain on both sides:
+    every support edge, and each isolated zero edge (no other zero edge at
+    either end), which the glued faces close around.  ``boundary`` walks
+    the rim counterclockwise (domain on the left) as ``(dart, tail cell)``
+    pairs, starting at the least boundary dart.  Edge lifts are
+    ``(edge id, cell of the black end)``.
     """
 
     face_cells: tuple[tuple[str, Cell], ...]
@@ -248,15 +258,11 @@ def fundamental_domain(
     interior: set[tuple[str, Cell]] = set()
     for e in model.edges:
         plus, minus = edge_lift[(e.id, +1)], edge_lift[(e.id, -1)]
-        if e.id in support:
-            if plus != minus:
-                raise InternalConsistencyError(
-                    f"support edge {e.id!r} fails to glue its face lifts"
-                )
+        if plus == minus:
             interior.add(plus)
-        elif plus == minus:
+        elif e.id in support:
             raise InternalConsistencyError(
-                f"domain touches itself across the zero edge {e.id!r}"
+                f"support edge {e.id!r} fails to glue its face lifts"
             )
 
     edge_pos = {e.id: i for i, e in enumerate(model.edges)}
@@ -527,12 +533,6 @@ def chart_rows(
     return tuple(express_functional(q, split, c) for c in characters)
 
 
-def _adjugate3(m: Sequence[Vec3]) -> list[list[int]]:
-    c = lambda i, j: m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3] - \
-        m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-    return [[c(j, i) for j in range(3)] for i in range(3)]
-
-
 @dataclass(frozen=True)
 class ChartCone:
     """Rays of a smooth chart's cone: columns of the inverse row matrix."""
@@ -549,7 +549,7 @@ def chart_cone(rows: Sequence[Vec3]) -> ChartCone:
         raise InternalConsistencyError(
             f"chart rows are not unimodular (determinant {d})"
         )
-    adj = _adjugate3(rows)
+    adj = adjugate3(rows)
     inv = [[x // d for x in row] for row in adj]
     rays = tuple(tuple(inv[i][j] for i in range(3)) for j in range(3))
     return ChartCone(rays, d)
@@ -560,7 +560,7 @@ def chart_transition(rows_i: Sequence[Vec3], rows_j: Sequence[Vec3]):
     dj = det_int(rows_j)
     if dj not in (1, -1):
         raise InternalConsistencyError("chart rows are not unimodular")
-    adj = _adjugate3(rows_j)
+    adj = adjugate3(rows_j)
     return tuple(
         tuple(
             sum(rows_i[r][k] * adj[k][c] for k in range(3)) // dj
@@ -606,37 +606,25 @@ class FanResult:
     report: CertificateReport
 
 
-def _clip_area2(tri_a: Sequence[Cell], tri_b: Sequence[Cell]) -> Fraction:
-    """Twice the area of the intersection of two counterclockwise triangles."""
-    poly = [(Fraction(x), Fraction(y)) for x, y in tri_a]
-    for i in range(len(tri_b)):
-        a, b = tri_b[i], tri_b[(i + 1) % len(tri_b)]
-        if not poly:
-            break
+def _unit_steps(cycle: Sequence[Cell]):
+    """Directed unit lattice steps around a closed lattice polygon."""
+    for (x0, y0), (x1, y1) in zip(cycle, cycle[1:] + cycle[:1]):
+        g = gcd(x1 - x0, y1 - y0)
+        pts = [(x0 + k * (x1 - x0) // g, y0 + k * (y1 - y0) // g) for k in range(g)]
+        yield from zip(pts, pts[1:] + [(x1, y1)])
 
-        def side(p, a=a, b=b):
-            # positive on the left of a -> b, where the interior lies
-            return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
 
-        kept = []
-        for k, p in enumerate(poly):
-            pn = poly[(k + 1) % len(poly)]
-            sp, sn = side(p), side(pn)
-            if sp >= 0:
-                kept.append(p)
-            if (sp > 0 and sn < 0) or (sp < 0 and sn > 0):
-                t = sp / (sp - sn)
-                kept.append(
-                    (p[0] + t * (pn[0] - p[0]), p[1] + t * (pn[1] - p[1]))
-                )
-        poly = kept
-    if len(poly) < 3:
-        return Fraction(0)
-    s = Fraction(0)
-    for i, (x0, y0) in enumerate(poly):
-        x1, y1 = poly[(i + 1) % len(poly)]
-        s += x0 * y1 - x1 * y0
-    return abs(s)
+def _unpaired_steps(
+    polygon: LatticePolygon, tris: Sequence[Sequence[Cell]]
+) -> list[tuple[Cell, Cell]]:
+    """Unit steps of the triangle boundaries left once opposite steps cancel
+    and the polygon boundary is taken off; none are left exactly when the
+    oriented triangles cover each point of the polygon once, and no other."""
+    net = Counter()
+    for t in tris:
+        net.update(_unit_steps(t))
+    net.update((q, p) for p, q in _unit_steps(polygon.vertices))
+    return sorted(s for s, n in net.items() if n > net[s[::-1]])
 
 
 def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> CertificateReport:
@@ -644,8 +632,15 @@ def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> Certific
 
     Checks, in order: every chart smooth; every cone matrix unimodular with
     positive orientation; all rays at level one; all cross-section triangles
-    inside the polygon; pairwise interior-disjoint; total area equal to the
-    polygon's; all transitions integral of determinant one.
+    inside the polygon; the triangles tile the polygon (``triangles-disjoint``);
+    total area equal to the polygon's; all transitions integral of
+    determinant one.
+
+    Once the second and third checks pass, every triangle is counterclockwise
+    of area2 1 with no lattice point on its edges but the ends, so the
+    triangles tile the polygon exactly when their edges cancel in opposite
+    pairs down to the polygon boundary in unit lattice steps; the failure
+    detail lists the unpaired steps.
     """
     checks: list[ValidationCheck] = []
     rough = [c for c in charts if not c.classification.smooth]
@@ -694,14 +689,12 @@ def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> Certific
         )
     )
 
-    overlaps = []
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            if _clip_area2(tris[i], tris[j]) != 0:
-                overlaps.append((i, j))
+    unpaired = _unpaired_steps(polygon, tris)
     checks.append(
         ValidationCheck(
-            "triangles-disjoint", not overlaps, "; ".join(map(str, overlaps))
+            "triangles-disjoint",
+            not unpaired,
+            "; ".join(f"unpaired {p} -> {q}" for p, q in unpaired),
         )
     )
 

@@ -36,7 +36,7 @@ from .matchings import (
     perfect_matchings,
     r_charge_average,
 )
-from .model import DimerModel, load_model, validate_model
+from .model import DimerModel, load_model, read_json, validate_model
 from .quiver import quiver_of, relations
 from .stability import is_generic, make_theta, sample_generic_theta
 
@@ -64,12 +64,7 @@ def _load(args) -> DimerModel:
         return catalog.example(args.example)
     if args.model is None:
         raise InvalidModelError("a model file (or --example) is required")
-    try:
-        return load_model(args.model)
-    except OSError as exc:
-        raise InvalidModelError(f"cannot read {args.model!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidModelError(f"{args.model!r} is not JSON: {exc}") from exc
+    return load_model(args.model)
 
 
 def _load_valid(args) -> DimerModel:
@@ -99,13 +94,7 @@ def _theta_for(q, model, args):
     """--theta names a JSON file of vertex weights, or 'auto' to sample."""
     spec = getattr(args, "theta", None) or "auto"
     if spec != "auto":
-        try:
-            with open(spec, encoding="utf-8") as fh:
-                weights = json.load(fh)
-        except OSError as exc:
-            raise InvalidModelError(f"cannot read {spec!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidModelError(f"{spec!r} is not JSON: {exc}") from exc
+        weights = read_json(spec)
         if not isinstance(weights, dict):
             raise InvalidModelError("--theta file must hold a JSON object")
         return make_theta(q, weights)

@@ -234,6 +234,18 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def adjugate3(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Adjugate of a 3x3 matrix, ``m @ adj = det(m) I``: divided by a
+    determinant of +-1, the integer inverse."""
+    def cof(i: int, j: int) -> int:
+        return (
+            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+        )
+
+    return [[cof(j, i) for j in range(3)] for i in range(3)]
+
+
 # ---------------------------------------------------------------------------
 # the cocharacter lattice
 
@@ -504,17 +516,12 @@ def express_functional(
         for func in (split.pi_x, split.pi_y, split.level)
     ]
     rhs = [sum(f * n for f, n in zip(fvec, fb)) for fb in lat.free_basis]
-    # solve u . T = rhs by Cramer on T^t; det is +-1 so u is integral
-    tt = [[t_rows[j][i] for j in range(3)] for i in range(3)]
-    d = det_int(tt)
+    # solve u . T = rhs as u = rhs . adj(T) / det T, integral as det is +-1
+    d = det_int(t_rows)
     if d not in (1, -1):
         raise InternalConsistencyError("splitting matrix is not unimodular")
-    u = []
-    for col in range(3):
-        mod = [row[:] for row in tt]
-        for i in range(3):
-            mod[i][col] = rhs[i]
-        u.append(det_int(mod) // d)
+    adj = adjugate3(t_rows)
+    u = [sum(rhs[k] * adj[k][c] for k in range(3)) // d for c in range(3)]
     # full verification on the whole weight lattice
     for wb in lat.w_basis:
         lhs = sum(f * n for f, n in zip(fvec, wb))

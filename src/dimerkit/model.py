@@ -593,13 +593,23 @@ def model_to_dict(model: DimerModel) -> dict:
     return data
 
 
-def load_model(path: str) -> DimerModel:
+def read_json(path: str):
+    """The JSON value in a UTF-8 file.
+
+    A file that cannot be opened, is not UTF-8 or is not JSON is unusable
+    input: :class:`InvalidModelError`.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidModelError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InvalidModelError(f"{path}: not valid JSON ({exc})") from exc
-    return model_from_dict(data)
+        raise InvalidModelError(f"{path!r} is not JSON: {exc}") from exc
+
+
+def load_model(path: str) -> DimerModel:
+    return model_from_dict(read_json(path))
 
 
 def dump_model(model: DimerModel, path: str) -> None:

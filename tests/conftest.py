@@ -1,8 +1,8 @@
-"""Shared test helpers: corpus generator and the acceptance summary."""
+"""Shared test helpers: corpus generators and the acceptance summary."""
 
 import random
 
-from dimerkit import BipartiteGraph
+from dimerkit import BipartiteGraph, DimerEdge, DimerModel, DimerVertex
 
 # one line per acceptance criterion, filled in by tests/test_acceptance.py
 ACCEPTANCE_LINES: list[str] = []
@@ -46,3 +46,45 @@ def random_connected(seed: int) -> BipartiteGraph:
         edges.append((rng.choice(blacks), rng.choice(whites)))
     named = tuple((f"e{i}", b, w) for i, (b, w) in enumerate(edges, start=1))
     return BipartiteGraph(tuple(blacks), tuple(whites), named)
+
+
+def cover(model: DimerModel, a: int, b: int) -> DimerModel:
+    """The cover of a model under the sublattice ``aZ x bZ``.
+
+    Every vertex and edge gets one copy per cell ``(i, j)``, ``0 <= i < a``,
+    ``0 <= j < b``.  An edge lifted at a cell leaves the black copy there and
+    reaches the white copy in the cell its offset points to, reduced mod
+    ``(a, b)``; the quotient is the lifted offset.  Rotations lift edge by
+    edge and positions shrink into the new unit cell.
+    """
+    cells = [(i, j) for i in range(a) for j in range(b)]
+
+    def vid(v: str, c) -> str:
+        return f"{v}_{c[0]}_{c[1]}"
+
+    vertices = tuple(
+        DimerVertex(
+            vid(v.id, c),
+            v.color,
+            None if v.pos is None else ((c[0] + v.pos[0]) / a, (c[1] + v.pos[1]) / b),
+        )
+        for c in cells
+        for v in model.vertices
+    )
+    edges = []
+    lift = {}  # (edge, end vertex, cell of that end) -> lifted edge id
+    for c in cells:
+        for e in model.edges:
+            wx, wy = c[0] + e.offset[0], c[1] + e.offset[1]
+            wc = (wx % a, wy % b)
+            eid = vid(e.id, c)
+            edges.append(
+                DimerEdge(eid, vid(e.black, c), vid(e.white, wc), (wx // a, wy // b))
+            )
+            lift[e.id, e.black, c] = lift[e.id, e.white, wc] = eid
+    rotation = tuple(
+        (vid(v, c), tuple(lift[eid, v, c] for eid in rot))
+        for c in cells
+        for v, rot in model.rotation
+    )
+    return DimerModel(vertices, tuple(edges), rotation)

@@ -1,14 +1,21 @@
 """Torus-fixed candidates, fundamental domains, chart data, fan certificate."""
 
+from fractions import Fraction
+from itertools import combinations, product
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dimerkit import (
     CASE_FOUR,
     CASE_SIX_OPPOSITE,
     CASE_SIX_SAME,
     Chart,
+    ChartCone,
     InternalConsistencyError,
     Theta,
+    area2,
     assemble_fan,
     chart_characters,
     chart_cone,
@@ -16,6 +23,8 @@ from dimerkit import (
     chart_transition,
     char_poly,
     classify_chart,
+    contains_point,
+    convex_hull,
     det_int,
     enumerate_fixed_candidates,
     example,
@@ -26,7 +35,8 @@ from dimerkit import (
     split_by_reference,
     verify_crepant,
 )
-from dimerkit.charts import _census_case, _clip_area2
+from conftest import cover
+from dimerkit.charts import _census_case
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -152,14 +162,99 @@ def test_honeycomb_chart_is_standard():
     assert chart_cone(rows).rays == ((0, 0, 1), (1, 0, 1), (0, 1, 1))
 
 
-def test_clip_area():
-    t1 = ((0, 0), (1, 0), (0, 1))
-    t2 = ((1, 0), (1, 1), (0, 1))
-    t3 = ((0, 0), (2, 0), (0, 2))
-    assert _clip_area2(t1, t2) == 0
-    assert _clip_area2(t1, t3) == 1
-    assert _clip_area2(t3, t1) == 1
-    assert _clip_area2(t2, t3) == 1
+def _clip_area2(tri_a, tri_b):
+    """Twice the area where two counterclockwise triangles overlap (clipping)."""
+    poly = [(Fraction(x), Fraction(y)) for x, y in tri_a]
+    for a, b in zip(tri_b, tri_b[1:] + tri_b[:1]):
+        if not poly:
+            break
+
+        def side(p, a=a, b=b):
+            return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+        kept = []
+        for p, pn in zip(poly, poly[1:] + poly[:1]):
+            sp, sn = side(p), side(pn)
+            if sp >= 0:
+                kept.append(p)
+            if (sp > 0 and sn < 0) or (sp < 0 and sn > 0):
+                t = sp / (sp - sn)
+                kept.append((p[0] + t * (pn[0] - p[0]), p[1] + t * (pn[1] - p[1])))
+        poly = kept
+    if len(poly) < 3:
+        return 0
+    return abs(sum(x0 * y1 - x1 * y0
+                   for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1])))
+
+
+def _tri_area2(t):
+    (x0, y0), (x1, y1), (x2, y2) = t
+    return (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+
+
+def _tiles_by_clipping(poly, tris):
+    """Reference verdict: inside the polygon, pairwise overlap-free by
+    clipping, and covering its area."""
+    inside = all(contains_point(poly, p) for t in tris for p in t)
+    disjoint = all(_clip_area2(s, t) == 0 for s, t in combinations(tris, 2))
+    return inside and disjoint and sum(map(_tri_area2, tris)) == area2(poly)
+
+
+def _unimodular(tri):
+    """Split a counterclockwise lattice triangle at lattice points it holds
+    until every piece has area2 1 (an empty lattice triangle)."""
+    xs, ys = [p[0] for p in tri], [p[1] for p in tri]
+    for p in product(range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1)):
+        if p in tri:
+            continue
+        parts = [(a, b, p) for a, b in zip(tri, tri[1:] + tri[:1])]
+        if all(_tri_area2(t) >= 0 for t in parts):
+            return [u for t in parts if _tri_area2(t) for u in _unimodular(t)]
+    return [tri]
+
+
+def _triangulate(poly):
+    """Fan from the first vertex, each triangle split into unimodular ones."""
+    v = poly.vertices
+    fan = [(v[0], v[i], v[i + 1]) for i in range(1, len(v) - 1)]
+    return [u for t in fan for u in _unimodular(t)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                    min_size=3, max_size=8),
+    perturbation=st.sampled_from(("none", "drop", "duplicate", "stray", "swap")),
+    pick=st.integers(0, 63),
+    stray=st.tuples(st.integers(0, 2), st.integers(-1, 1), st.integers(-1, 1)),
+)
+def test_certificate_matches_clipping(points, perturbation, pick, stray):
+    poly = convex_hull(points)
+    assume(area2(poly) > 0)
+    tris = _triangulate(poly)
+    assert all(_tri_area2(t) == 1 for t in tris)
+    # a stray triangle of area2 1 at a corner of the picked one, with edges
+    # (1, k) and (m, 1 + k m)
+    i = pick % len(tris)
+    corner, k, m = stray
+    x, y = tris[i][corner]
+    extra = ((x, y), (x + 1, y + k), (x + m, y + 1 + k * m))
+    if perturbation == "drop":
+        del tris[i]
+    elif perturbation == "duplicate":
+        tris.append(tris[i])
+    elif perturbation == "stray":
+        tris.append(extra)
+    elif perturbation == "swap":
+        tris[i] = extra
+    cand = _candidates()[0]
+    cls = classify_chart(conifold, cand)
+    charts = [
+        Chart(cand, cls, None, ChartCone(tuple((px, py, 1) for px, py in t), 1))
+        for t in tris
+    ]
+    report = verify_crepant(poly, charts)
+    assert report.ok == _tiles_by_clipping(poly, tris), report.checks
 
 
 def test_assemble_fan_conifold():
@@ -218,6 +313,18 @@ def test_candidate_count_is_normalized_area():
     for name, seed in (("conifold", 0), ("honeycomb", 0), ("fzero", 0)):
         fan = assemble_fan(example(name), seed=seed)
         assert len(fan.charts) == area2(fan.polygon), name
+
+
+@pytest.mark.parametrize("name, a, b", [
+    ("honeycomb", 2, 2), ("conifold", 2, 2), ("fzero", 2, 1),
+])
+def test_certificate_on_covers(name, a, b):
+    # these covers have charts with an isolated zero edge inside the domain
+    model = cover(example(name), a, b)
+    for seed in range(4):
+        fan = assemble_fan(model, seed=seed)
+        assert fan.report.ok, (seed, [c for c in fan.report.checks if not c.ok])
+        assert len(fan.charts) == area2(fan.polygon), seed
 
 
 def test_certificate_across_independent_draws():

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from conftest import cover
 from dimerkit import dump_model, example
 from dimerkit.cli import main
 
@@ -56,6 +57,21 @@ def test_malformed_json_is_invalid_input(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["validate", str(path)]) == 2
+
+
+def test_non_utf8_model_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    assert main(["validate", str(path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_non_utf8_theta_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    assert main(["fixed-points", "--example", "conifold",
+                 "--theta", str(path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_unknown_example_is_invalid_input(capsys):
@@ -213,6 +229,16 @@ def test_fixed_points(capsys, tmp_path):
         assert os.path.isfile(fp["svg"])
     supports = {frozenset(fp["support"]) for fp in data["fixed_points"]}
     assert supports == {frozenset({"e2"}), frozenset({"e4"})}
+
+
+def test_fixed_points_interior_zero_edge(capsys, tmp_path):
+    # C^3/(Z2 x Z2): some charts hold a zero edge strictly inside the domain
+    path = tmp_path / "honeycomb-2x2.json"
+    dump_model(cover(example("honeycomb"), 2, 2), str(path))
+    code, data = run_json(capsys, "fixed-points", str(path), "--seed", "0")
+    assert code == 0
+    assert data["certificate"]["ok"] is True
+    assert len(data["fixed_points"]) == 4
 
 
 def test_fixed_points_theta_file(capsys, tmp_path):
