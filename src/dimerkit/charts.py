@@ -76,8 +76,9 @@ class FixedPointCandidate:
     """A 0/1 representation that can carry a torus-fixed point.
 
     ``cells`` places the canonical lift of each face in the cover, with the
-    first face at the origin; gluing along the support arrows is consistent
-    with these cells by construction.
+    first face at the origin; they are the offsets the search's union-find
+    holds, so gluing along the support arrows is consistent with them by
+    construction.
     """
 
     support: frozenset[str]
@@ -142,7 +143,7 @@ def enumerate_fixed_candidates(
         if t != s:
             undecided[t] += 1
 
-    found: list[frozenset[str]] = []
+    found: list[FixedPointCandidate] = []
     included: list[int] = []
 
     def leaf(uf: _OffsetUnionFind) -> None:
@@ -154,7 +155,13 @@ def enumerate_fixed_candidates(
             return
         if not is_stable(q, support, theta):
             return
-        found.append(support)
+        # one component, so every offset is against the same root
+        c0 = uf.find(0)[1]
+        cells = tuple(
+            (v, (c[0] - c0[0], c[1] - c0[1]))
+            for v, (_, c) in zip(q.vertices, map(uf.find, range(nv)))
+        )
+        found.append(FixedPointCandidate(support, cells))
 
     def dfs(i: int, uf: _OffsetUnionFind) -> None:
         if i == n:
@@ -188,25 +195,8 @@ def enumerate_fixed_candidates(
     dfs(0, _OffsetUnionFind(nv))
 
     pos = {aid: i for i, aid in enumerate(q.arrow_ids)}
-    found.sort(key=lambda sup: tuple(sorted(pos[aid] for aid in sup)))
-    out = []
-    for support in found:
-        # face cells from walking the support, first face at the origin
-        arrows = [aid for aid in q.arrow_ids if aid in support]
-        cells: dict[str, Cell] = {q.vertices[0]: (0, 0)}
-        for aid, sign, parent, child in spanning_tree(q, arrows):
-            c, w = cells[parent], q.shift(aid)
-            cells[child] = (c[0] + sign * w[0], c[1] + sign * w[1])
-        if len(cells) != len(q.vertices):
-            raise InternalConsistencyError("support does not span the quiver")
-        for aid in arrows:  # non-tree closure
-            cs, ct, w = cells[q.source(aid)], cells[q.target(aid)], q.shift(aid)
-            if (ct[0] - cs[0], ct[1] - cs[1]) != w:
-                raise InternalConsistencyError("support cycle shifts do not cancel")
-        out.append(
-            FixedPointCandidate(support, tuple((v, cells[v]) for v in q.vertices))
-        )
-    return tuple(out)
+    found.sort(key=lambda c: tuple(sorted(pos[aid] for aid in c.support)))
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

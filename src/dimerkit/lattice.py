@@ -10,7 +10,10 @@ Three distinguished functionals on ``W`` split ``N``: the *level* (the
 common value of the vertex sums) and two cycle pairings ``pi_x, pi_y``
 built from a reference matching, which reproduce height changes of
 matchings.  Everything is computed exactly over the integers via a
-self-contained Smith normal form.
+self-contained Smith normal form.  Each result is derived once: one Smith
+form of the relation matrix gives ``W`` and the gauge coordinates, a second
+one gives ``N``, both kept on the quiver; the splitting keeps the inverse of
+its matrix, so expressing a functional is one product.
 
 The homology classes of quiver cycles are reported in height coordinates:
 the raw cover shift of a cycle is composed with the fixed quarter turn
@@ -22,7 +25,6 @@ and every chart downstream shears.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -83,6 +85,14 @@ class SNFResult:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d)
+
+    @property
+    def kernel(self) -> tuple[tuple[int, ...], ...]:
+        """Columns ``rank..`` of ``V``: a basis of the integer kernel."""
+        n = len(self.v)
+        return tuple(
+            tuple(self.v[i][j] for i in range(n)) for j in range(self.rank, n)
+        )
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None) -> SNFResult:
@@ -180,11 +190,7 @@ def kernel_basis(
     matrix: Sequence[Sequence[int]], ncols: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Basis of the integer kernel ``{x : M x = 0}`` (a saturated subgroup)."""
-    res = smith_normal_form(matrix, ncols)
-    n = len(res.v)
-    return tuple(
-        tuple(res.v[i][j] for i in range(n)) for j in range(res.rank, n)
-    )
+    return smith_normal_form(matrix, ncols).kernel
 
 
 def solve_integer(
@@ -274,6 +280,7 @@ def constraint_matrix(q: Quiver) -> IntMatrix:
     return tuple(rows)
 
 
+@per_object
 def _gauge_rows(q: Quiver) -> IntMatrix:
     rows = []
     for v in q.vertices:
@@ -303,18 +310,18 @@ class CocharLattice:
 @per_object
 def cochar_lattice(q: Quiver) -> CocharLattice:
     nar = len(q.arrows)
-    w_basis = kernel_basis(constraint_matrix(q), ncols=nar)
-    k = len(w_basis)
-    # gauge vectors expressed in the W basis; they always lie in W
-    basis_cols = tuple(
-        tuple(w_basis[j][i] for j in range(k)) for i in range(nar)
-    )  # (nar x k) matrix as rows
+    w_snf = smith_normal_form(constraint_matrix(q), ncols=nar)
+    w_basis = w_snf.kernel
+    k, r = len(w_basis), w_snf.rank
+    # V^-1 g holds the coordinates of g over the columns of V; g lies in W
+    # exactly when its first `rank` coordinates vanish, and the rest are its
+    # coordinates in the W basis
     coords = []
     for g in _gauge_rows(q):
-        c = solve_integer(basis_cols, g)
-        if c is None:
+        c = [sum(x * y for x, y in zip(row, g)) for row in w_snf.v_inv]
+        if any(c[:r]):
             raise InternalConsistencyError("gauge weight escapes the lattice W")
-        coords.append(c)
+        coords.append(tuple(c[r:]))
     res = smith_normal_form(coords, ncols=k)
     torsion = tuple(d for d in res.diagonal if d > 1)
     rank = k - res.rank
@@ -376,7 +383,9 @@ class Splitting:
 
     The pairings are arrow-indexed integer vectors; applied to the
     cocharacter of a matching they give its height change against ``base``
-    and level 1.
+    and level 1.  ``inverse`` is the integer inverse of the unimodular
+    matrix whose rows are ``pi_x, pi_y, level`` on the lattice's free basis;
+    ``iso_det`` is that matrix's determinant.
     """
 
     base: frozenset[str]
@@ -385,6 +394,7 @@ class Splitting:
     pi_y: tuple[int, ...]
     level: tuple[int, ...]
     iso_det: int
+    inverse: IntMatrix
 
     def _dot(self, functional, weights: Mapping[str, object]):
         return sum(
@@ -431,15 +441,6 @@ def _fundamental_cycles(
             vec[pos[step]] += sign
         cycles.append(tuple(vec))
     return cycles
-
-
-def cycle_class(q: Quiver, vec: Sequence[int]) -> Cell:
-    """Homology class of a cycle vector, in height coordinates."""
-    x = y = 0
-    for aid, c in zip(q.arrow_ids, vec):
-        s = q.shift(aid)
-        x, y = x + c * s[0], y + c * s[1]
-    return turn_class((x, y))
 
 
 def split_by_reference(q: Quiver, base: Iterable[str]) -> Splitting:
@@ -492,7 +493,8 @@ def split_by_reference(q: Quiver, base: Iterable[str]) -> Splitting:
         raise InternalConsistencyError(
             f"splitting is not a lattice isomorphism (determinant {d})"
         )
-    return Splitting(b, q.arrow_ids, pi_x, pi_y, lev, d)
+    inverse = tuple(tuple(x // d for x in row) for row in adjugate3(t))
+    return Splitting(b, q.arrow_ids, pi_x, pi_y, lev, d, inverse)
 
 
 def express_functional(
@@ -511,17 +513,10 @@ def express_functional(
     lat = cochar_lattice(q)
     if lat.rank != 3 or lat.torsion:
         raise DegenerateModelError("cocharacter lattice is not free of rank 3")
-    t_rows = [
-        tuple(sum(f * n for f, n in zip(func, fb)) for fb in lat.free_basis)
-        for func in (split.pi_x, split.pi_y, split.level)
-    ]
     rhs = [sum(f * n for f, n in zip(fvec, fb)) for fb in lat.free_basis]
-    # solve u . T = rhs as u = rhs . adj(T) / det T, integral as det is +-1
-    d = det_int(t_rows)
-    if d not in (1, -1):
-        raise InternalConsistencyError("splitting matrix is not unimodular")
-    adj = adjugate3(t_rows)
-    u = [sum(rhs[k] * adj[k][c] for k in range(3)) // d for c in range(3)]
+    # u . T = rhs for the splitting's matrix T, so u = rhs . T^-1
+    inv = split.inverse
+    u = [sum(rhs[k] * inv[k][c] for k in range(3)) for c in range(3)]
     # full verification on the whole weight lattice
     for wb in lat.w_basis:
         lhs = sum(f * n for f, n in zip(fvec, wb))

@@ -112,11 +112,6 @@ class DimerModel:
         return trace_faces(self).faces
 
 
-def dart_tail(model: DimerModel, dart: Dart) -> str:
-    e = model.edge(dart[0])
-    return e.black if dart[1] > 0 else e.white
-
-
 def dart_head(model: DimerModel, dart: Dart) -> str:
     e = model.edge(dart[0])
     return e.white if dart[1] > 0 else e.black
@@ -191,10 +186,6 @@ class FaceTrace:
 
     def face_of(self, dart: Dart) -> str:
         return self.dart_face[dart]
-
-    def cell_of(self, dart: Dart) -> Cell:
-        """Universal-cover cell of the dart's tail, within its face's trace."""
-        return self.dart_cell[dart]
 
 
 def _next_dart(model: DimerModel, dart: Dart) -> Dart:
@@ -556,7 +547,8 @@ def model_from_dict(data: object) -> DimerModel:
                 raise InvalidModelError(f"{what}: unknown vertex {end!r}")
         edges.append(DimerEdge(eid, b, w, _int_pair(raw["offset"], what)))
     eids = [e.id for e in edges]
-    if len(set(eids)) != len(eids):
+    known_eids = set(eids)
+    if len(known_eids) != len(eids):
         raise InvalidModelError("duplicate edge ids")
 
     rot_raw = data["rotation"]
@@ -570,7 +562,7 @@ def model_from_dict(data: object) -> DimerModel:
         if not isinstance(lst, list) or any(not isinstance(x, str) for x in lst):
             raise InvalidModelError(f"rotation at {vid!r} must be a list of edge ids")
         for x in lst:
-            if x not in set(eids):
+            if x not in known_eids:
                 raise InvalidModelError(f"rotation at {vid!r}: unknown edge {x!r}")
         rotation.append((vid, tuple(lst)))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -39,9 +40,13 @@ class Theta:
                 return x
         raise InvalidModelError(f"unknown vertex {v!r}")
 
-    def subset_sum(self, vs: Iterable[str]) -> Fraction:
-        vals = dict(self.values)
-        return sum((vals[v] for v in vs), Fraction(0))
+    # built on first use; cached_property is not a field
+    @cached_property
+    def _scaled(self) -> dict[str, int]:
+        """Each weight times the least common denominator: same signs, same
+        zero sums, integers only."""
+        scale = lcm(*(x.denominator for _, x in self.values))
+        return {v: int(x * scale) for v, x in self.values}
 
 
 def make_theta(q: Quiver, weights: Mapping[str, object]) -> Theta:
@@ -90,11 +95,10 @@ def _closed_masks(
                 succ[pos[a.source]] |= 1 << pos[a.target]
     tv = [0] * n
     if theta is not None:
-        vals = dict(theta.values)
-        if set(vals) != set(q.vertices):
+        scaled = theta._scaled
+        if scaled.keys() != set(q.vertices):
             raise InvalidModelError("weight vertices do not match the quiver")
-        scale = lcm(*(x.denominator for x in vals.values()))
-        tv = [int(vals[v] * scale) for v in q.vertices]
+        tv = [scaled[v] for v in q.vertices]
     for mask in range(1, (1 << n) - 1):
         weight, m = 0, mask
         while m:

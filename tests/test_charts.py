@@ -1,5 +1,6 @@
 """Torus-fixed candidates, fundamental domains, chart data, fan certificate."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -32,6 +33,7 @@ from dimerkit import (
     newton_polygon,
     perfect_matchings,
     quiver_of,
+    sample_generic_theta,
     split_by_reference,
     verify_crepant,
 )
@@ -325,6 +327,30 @@ def test_certificate_on_covers(name, a, b):
         fan = assemble_fan(model, seed=seed)
         assert fan.report.ok, (seed, [c for c in fan.report.checks if not c.ok])
         assert len(fan.charts) == area2(fan.polygon), seed
+
+
+@pytest.mark.parametrize("name, a, b", [
+    ("honeycomb", 2, 2), ("conifold", 2, 2), ("fzero", 2, 1),
+])
+def test_candidate_cells_glue_along_support(name, a, b):
+    # the cells come straight from the search; every support arrow must
+    # step from its source's cell to its target's cell by its cover shift
+    model = cover(example(name), a, b)
+    quiver = quiver_of(model)
+    base = perfect_matchings(model)[0]
+    for seed in range(4):
+        theta, _, _ = sample_generic_theta(quiver, base, random.Random(seed))
+        candidates = enumerate_fixed_candidates(quiver, theta)
+        assert candidates, seed
+        for cand in candidates:
+            assert [v for v, _ in cand.cells] == list(quiver.vertices)
+            assert cand.cells[0][1] == (0, 0)
+            cells = dict(cand.cells)
+            for aid in cand.support:
+                s, t = cells[quiver.source(aid)], cells[quiver.target(aid)]
+                assert (t[0] - s[0], t[1] - s[1]) == quiver.shift(aid), (
+                    seed, sorted(cand.support), aid,
+                )
 
 
 def test_certificate_across_independent_draws():

@@ -3,16 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cover
 from dimerkit import (
     DegenerateModelError,
+    InvalidModelError,
     char_poly,
     cochar_lattice,
     cone_over_polygon,
+    constraint_matrix,
     convex_hull,
     det_int,
     dual_cone,
     example,
+    example_names,
     express_functional,
     height_change,
     hilbert_basis,
@@ -113,6 +119,71 @@ def test_express_functional():
     assert express_functional(q, sp, dict(zip(sp.arrow_order, sp.pi_x))) == (1, 0, 0)
     comb = tuple(2 * a - 3 * b + c for a, b, c in zip(sp.pi_x, sp.pi_y, sp.level))
     assert express_functional(q, sp, dict(zip(sp.arrow_order, comb))) == (2, -3, 1)
+
+
+LATTICE_MODELS = {name: example(name) for name in example_names()} | {
+    f"{name}-{a}x{b}": cover(example(name), a, b)
+    for name, a, b in (("honeycomb", 2, 2), ("conifold", 2, 2), ("fzero", 2, 1))
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_MODELS))
+def test_cochar_lattice_matches_per_row_solve(name):
+    # reference route: the kernel, then each gauge row solved on its own
+    quiver = quiver_of(LATTICE_MODELS[name])
+    n = len(quiver.arrows)
+    w_basis = kernel_basis(constraint_matrix(quiver), ncols=n)
+    k = len(w_basis)
+    cols = [tuple(wb[i] for wb in w_basis) for i in range(n)]
+    coords = []
+    for v in quiver.vertices:
+        g = tuple((a.target == v) - (a.source == v) for a in quiver.arrows)
+        c = solve_integer(cols, g)
+        assert c is not None, v
+        assert tuple(
+            sum(x * row[j] for x, row in zip(c, w_basis)) for j in range(n)
+        ) == g
+        coords.append(c)
+    res = smith_normal_form(coords, ncols=k)
+    free_basis = tuple(
+        tuple(sum(row[j] * w_basis[j][t] for j in range(k)) for t in range(n))
+        for row in res.v_inv[res.rank:]
+    )
+
+    lat = cochar_lattice(quiver)
+    assert lat.w_basis == w_basis
+    assert lat.free_basis == free_basis
+    assert lat.torsion == tuple(d for d in res.diagonal if d > 1)
+    assert lat.rank == k - res.rank
+
+
+SPLIT_MODELS = [conifold, honeycomb, example("fzero"), cover(conifold, 2, 2)]
+SPLITS = [
+    (quiver_of(m), split_by_reference(quiver_of(m), perfect_matchings(m)[0]))
+    for m in SPLIT_MODELS
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_express_functional_recovers_coefficients(data):
+    quiver, sp = data.draw(st.sampled_from(SPLITS))
+    a, b, c = (data.draw(st.integers(-40, 40)) for _ in range(3))
+    f = [a * x + b * y + c * z for x, y, z in zip(sp.pi_x, sp.pi_y, sp.level)]
+    # relation rows vanish on W and kill the gauge subgroup
+    for row in constraint_matrix(quiver):
+        r = data.draw(st.integers(-3, 3))
+        f = [x + r * y for x, y in zip(f, row)]
+    assert express_functional(quiver, sp, dict(zip(sp.arrow_order, f))) == (a, b, c)
+
+    # a gauge vector does not kill the gauge subgroup, unless it is zero
+    phi = {v: data.draw(st.integers(-3, 3)) for v in quiver.vertices}
+    gauge = [phi[arr.target] - phi[arr.source] for arr in quiver.arrows]
+    if any(gauge):
+        with pytest.raises(InvalidModelError):
+            express_functional(
+                quiver, sp, dict(zip(sp.arrow_order, (x + y for x, y in zip(f, gauge))))
+            )
 
 
 def test_conifold_cone_and_dual():

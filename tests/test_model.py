@@ -206,6 +206,14 @@ def test_schema_rejections():
         model_from_dict(bad)
 
 
+def test_rotation_unknown_edge_named():
+    bad = model_to_dict(conifold)
+    bad["rotation"]["b1"][0] = "zz"
+    with pytest.raises(InvalidModelError) as exc:
+        model_from_dict(bad)
+    assert str(exc.value) == "rotation at 'b1': unknown edge 'zz'"
+
+
 def test_compute_faces_matches_trace():
     assert compute_faces(conifold) == trace_faces(conifold).faces
 

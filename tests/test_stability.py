@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cover
 from dimerkit import (
     InvalidModelError,
     draw_xi,
@@ -132,4 +135,52 @@ def test_make_theta_accepts_exact_values():
     assert th.values == (("f1", Fraction(-1, 2)), ("f2", Fraction(1, 2)))
     assert make_theta(q, {"f1": 3, "f2": "-3"}).values == (
         ("f1", Fraction(3)), ("f2", Fraction(-3)),
+    )
+
+
+ORACLE_QUIVERS = [
+    quiver_of(example("honeycomb")),
+    q,
+    quiver_of(example("fzero")),
+    quiver_of(cover(example("conifold"), 2, 2)),
+    quiver_of(cover(example("fzero"), 2, 1)),
+]
+
+
+def _subset_sums(quiver, support, theta):
+    """Fraction weight of every nonempty proper vertex subset that no
+    supported arrow leaves; a support of None closes every subset."""
+    vs = quiver.vertices
+    sums = []
+    for mask in range(1, (1 << len(vs)) - 1):
+        inside = {v for i, v in enumerate(vs) if mask >> i & 1}
+        if support is not None and any(
+            a.source in inside and a.target not in inside
+            for a in quiver.arrows
+            if a.id in support
+        ):
+            continue
+        sums.append(sum((theta[v] for v in inside), Fraction(0)))
+    return sums
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verdicts_match_fraction_oracle(data):
+    quiver = data.draw(st.sampled_from(ORACLE_QUIVERS))
+    n = len(quiver.vertices)
+    # small numerators over mixed denominators, so zero sums do occur
+    nums = st.integers(-4, 4)
+    dens = st.sampled_from((1, 2, 3, 4, 6, 7))
+    vals = [Fraction(data.draw(nums), data.draw(dens)) for _ in range(n - 1)]
+    vals.append(-sum(vals, Fraction(0)))
+    values = dict(zip(quiver.vertices, vals))
+    theta = make_theta(quiver, values)
+    support = data.draw(st.frozensets(st.sampled_from(quiver.arrow_ids)))
+
+    closed = _subset_sums(quiver, support, values)
+    assert is_stable(quiver, support, theta) == all(w > 0 for w in closed)
+    assert is_semistable(quiver, support, theta) == all(w >= 0 for w in closed)
+    assert is_generic(quiver, theta) == all(
+        w != 0 for w in _subset_sums(quiver, None, values)
     )
