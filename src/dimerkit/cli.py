@@ -90,6 +90,14 @@ def _seed(args) -> int:
         ) from None
 
 
+def _matchings(model: DimerModel) -> tuple[frozenset[str], ...]:
+    """The model's perfect matchings; a model without one is degenerate."""
+    pms = perfect_matchings(model)
+    if not pms:
+        raise DegenerateModelError("no perfect matchings")
+    return pms
+
+
 def _theta_for(q, model, args):
     """--theta names a JSON file of vertex weights, or 'auto' to sample."""
     spec = getattr(args, "theta", None) or "auto"
@@ -98,7 +106,7 @@ def _theta_for(q, model, args):
         if not isinstance(weights, dict):
             raise InvalidModelError("--theta file must hold a JSON object")
         return make_theta(q, weights)
-    base = perfect_matchings(model)[0]
+    base = _matchings(model)[0]
     theta, _, _ = sample_generic_theta(q, base, random.Random(_seed(args)))
     return theta
 
@@ -155,7 +163,7 @@ def _cmd_matchings(args) -> int:
 
 def _cmd_charpoly(args) -> int:
     model = _load_valid(args)
-    pms = perfect_matchings(model)
+    pms = _matchings(model)
     if not 0 <= args.ref < len(pms):
         raise InvalidModelError(
             f"--ref {args.ref} out of range 0..{len(pms) - 1}"
@@ -200,7 +208,7 @@ def _cmd_rcharge(args) -> int:
 def _cmd_theta(args) -> int:
     model = _load_valid(args)
     q = quiver_of(model)
-    pms = perfect_matchings(model)
+    pms = _matchings(model)
     if not 0 <= args.matching < len(pms):
         raise InvalidModelError(
             f"--matching {args.matching} out of range 0..{len(pms) - 1}"
@@ -302,7 +310,7 @@ def _cmd_render(args) -> int:
     if args.what == "model":
         matching = None
         if args.index is not None:
-            pms = perfect_matchings(model)
+            pms = _matchings(model)
             if not 0 <= args.index < len(pms):
                 raise InvalidModelError(
                     f"--index {args.index} out of range 0..{len(pms) - 1}"

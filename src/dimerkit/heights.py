@@ -14,32 +14,37 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exceptions import DegenerateModelError, InvalidModelError
-from .matchings import perfect_matchings
+from .matchings import from_model, matching_positions
 from .model import Cell, DimerModel
 
 
-def _check_matching(model: DimerModel, edges: Iterable[str], what: str) -> frozenset[str]:
+def _check_matching(model: DimerModel, edges: Iterable[str], what: str) -> list[int]:
+    """Positions in ``model.edges`` of a perfect matching given by edge ids."""
     m = frozenset(edges)
     covered: dict[str, int] = {v.id: 0 for v in model.vertices}
     known = {e.id for e in model.edges}
     for eid in m:
         if eid not in known:
             raise InvalidModelError(f"{what}: unknown edge {eid!r}")
-    for e in model.edges:
+    positions = []
+    for p, e in enumerate(model.edges):
         if e.id in m:
             covered[e.black] += 1
             covered[e.white] += 1
+            positions.append(p)
     bad = [v for v, k in covered.items() if k != 1]
     if bad:
         raise InvalidModelError(f"{what}: not a perfect matching (at {bad[0]!r})")
-    return m
+    return positions
 
 
-def _offset_sum(model: DimerModel, m: frozenset[str]) -> Cell:
+def _offset_sum(model: DimerModel, positions: Iterable[int]) -> Cell:
+    """Total offset of the edges at ``positions`` in ``model.edges``."""
+    edges = model.edges
     x = y = 0
-    for e in model.edges:
-        if e.id in m:
-            x, y = x + e.offset[0], y + e.offset[1]
+    for p in positions:
+        dx, dy = edges[p].offset
+        x, y = x + dx, y + dy
     return (x, y)
 
 
@@ -104,13 +109,13 @@ def char_poly(
     base translates every exponent by the same vector.  Raises
     :class:`DegenerateModelError` when the model has no perfect matching.
     """
-    pms = perfect_matchings(model)
-    if not pms:
+    found = matching_positions(from_model(model))
+    if not found:
         raise DegenerateModelError("no perfect matchings")
-    b = pms[0] if base is None else _check_matching(model, base, "base")
+    b = found[0] if base is None else _check_matching(model, base, "base")
     sb = _offset_sum(model, b)
     counts: dict[Cell, int] = {}
-    for m in pms:
+    for m in found:
         sm = _offset_sum(model, m)
         h = (sb[0] - sm[0], sb[1] - sm[1])
         counts[h] = counts.get(h, 0) + 1

@@ -8,6 +8,13 @@ the strict Hall condition on both sides (``strong-marriage``).  On connected
 graphs with both colors present they agree; the enumeration- and
 subset-based tests carry capacity bounds.
 
+Matchings are enumerated once per graph, by one bitmask search, and kept
+on the graph as sorted tuples of edge positions (``matching_positions``).
+``from_model`` is memoized per model, so the matchings, the characteristic
+polynomial, the charges and the fan of one model share that search.
+Edge-id sets are built per call, at ``enumerate_matchings`` and
+``perfect_matchings``, and are not kept.
+
 Everything here works on the abstract bipartite graph, so the tests run on
 arbitrary multigraphs, not just graphs that embed in the torus.
 """
@@ -17,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from .exceptions import (
     CapacityError,
@@ -25,7 +31,7 @@ from .exceptions import (
     InternalConsistencyError,
     InvalidModelError,
 )
-from .model import DimerModel
+from .model import DimerModel, per_object
 
 SUBSET_CAP = 20  # strong-marriage enumerates subsets of one side
 MATCHING_CAP = 200_000  # enumeration bails out beyond this many matchings
@@ -59,6 +65,7 @@ class BipartiteGraph:
         return out
 
 
+@per_object
 def from_model(model: DimerModel) -> BipartiteGraph:
     return BipartiteGraph(
         tuple(v.id for v in model.vertices if v.color == "black"),
@@ -67,49 +74,96 @@ def from_model(model: DimerModel) -> BipartiteGraph:
     )
 
 
+def _too_many(limit: int) -> CapacityError:
+    return CapacityError(
+        f"more than {limit} perfect matchings; raise the limit "
+        "or use a non-enumerating method"
+    )
+
+
+def _search(g: BipartiteGraph, limit: int) -> tuple[tuple[int, ...], ...]:
+    """Every perfect matching as its sorted tuple of edge positions, sorted.
+
+    Blacks and whites are numbered and the free whites are one bitmask.
+    Each step branches on the remaining black with the fewest free
+    neighbours (fail-first) and gives up when some black or free white
+    has no partner left.
+    """
+    n = len(g.blacks)
+    if n != len(g.whites):
+        return ()
+    bpos = {b: i for i, b in enumerate(g.blacks)}
+    wpos = {w: i for i, w in enumerate(g.whites)}
+    choices: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    nbr_mask = [0] * n
+    for p, (_, b, w) in enumerate(g.edges):
+        bit = 1 << wpos[w]
+        choices[bpos[b]].append((p, bit))
+        nbr_mask[bpos[b]] |= bit
+    found: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def extend(remaining: list[int], free: int) -> None:
+        if not remaining:
+            found.append(tuple(sorted(chosen)))
+            if len(found) > limit:
+                raise _too_many(limit)
+            return
+        best, fewest, reach = -1, n + 1, 0
+        for b in remaining:
+            k = (nbr_mask[b] & free).bit_count()
+            reach |= nbr_mask[b]
+            if k < fewest:
+                best, fewest = b, k
+        if fewest == 0 or free & ~reach:
+            return  # a black or a free white can no longer be matched
+        rest = [b for b in remaining if b != best]
+        for p, bit in choices[best]:
+            if free & bit:
+                chosen.append(p)
+                extend(rest, free ^ bit)
+                chosen.pop()
+
+    extend(list(range(n)), (1 << n) - 1)
+    found.sort()
+    return tuple(found)
+
+
+_POSITIONS = f"{__name__}.matching_positions"
+
+
+def matching_positions(
+    g: BipartiteGraph, limit: int = MATCHING_CAP
+) -> tuple[tuple[int, ...], ...]:
+    """All perfect matchings as sorted tuples of edge positions in ``g.edges``,
+    in canonical (lexicographic) order.
+
+    The search runs once per graph; its result is kept in the graph's
+    instance ``__dict__``.  Raises :class:`CapacityError` when more than
+    ``limit`` matchings exist, whether or not the search has run before.
+    """
+    memo = g.__dict__
+    if _POSITIONS not in memo:
+        memo[_POSITIONS] = _search(g, limit)
+    found = memo[_POSITIONS]
+    if len(found) > limit:
+        raise _too_many(limit)
+    return found
+
+
 def enumerate_matchings(
     g: BipartiteGraph, limit: int = MATCHING_CAP
 ) -> tuple[frozenset[str], ...]:
     """All perfect matchings, as edge-id sets, in a canonical order.
 
     Matchings are sorted by their tuple of edge positions.  Raises
-    :class:`CapacityError` when more than ``limit`` matchings exist.
+    :class:`CapacityError` when more than ``limit`` matchings exist.  The
+    sets are built on every call; only the positions are kept.
     """
-    if len(g.blacks) != len(g.whites):
-        return ()
-    by_black = g._by_black
-    found: list[frozenset[str]] = []
-    used_whites: set[str] = set()
-    chosen: list[str] = []
-
-    def extend(remaining: tuple[str, ...]):
-        if not remaining:
-            found.append(frozenset(chosen))
-            if len(found) > limit:
-                raise CapacityError(
-                    f"more than {limit} perfect matchings; raise the limit "
-                    "or use a non-enumerating method"
-                )
-            return
-        # fail-first: branch on the black vertex with fewest free edges
-        best = min(
-            remaining,
-            key=lambda b: sum(1 for _, w in by_black[b] if w not in used_whites),
-        )
-        rest = tuple(b for b in remaining if b != best)
-        for eid, w in by_black[best]:
-            if w in used_whites:
-                continue
-            used_whites.add(w)
-            chosen.append(eid)
-            extend(rest)
-            chosen.pop()
-            used_whites.remove(w)
-
-    extend(g.blacks)
-    pos = {eid: i for i, (eid, _, _) in enumerate(g.edges)}
-    found.sort(key=lambda m: sorted(pos[eid] for eid in m))
-    return tuple(found)
+    ids = [eid for eid, _, _ in g.edges]
+    return tuple(
+        frozenset([ids[p] for p in m]) for m in matching_positions(g, limit)
+    )
 
 
 def perfect_matchings(model: DimerModel) -> tuple[frozenset[str], ...]:
@@ -161,13 +215,16 @@ def r_charge_average(g: BipartiteGraph) -> dict[str, Fraction]:
     checked.  Raises :class:`DegenerateModelError` when the graph has no
     perfect matching at all.
     """
-    pms = enumerate_matchings(g)
-    if not pms:
+    found = matching_positions(g)
+    if not found:
         raise DegenerateModelError("no perfect matchings")
-    total = len(pms)
+    through = [0] * len(g.edges)
+    for m in found:
+        for p in m:
+            through[p] += 1
+    total = len(found)
     charges = {
-        eid: Fraction(2 * sum(1 for m in pms if eid in m), total)
-        for eid, _, _ in g.edges
+        eid: Fraction(2 * k, total) for (eid, _, _), k in zip(g.edges, through)
     }
     sums: dict[str, Fraction] = {v: Fraction(0) for v in g.blacks + g.whites}
     for eid, b, w in g.edges:

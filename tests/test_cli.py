@@ -9,6 +9,10 @@ from conftest import cover
 from dimerkit import dump_model, example
 from dimerkit.cli import main
 
+# the dice lattice: a valid tiling of the torus with two blacks, one white
+# and hence no perfect matching
+DICE = os.path.join(os.path.dirname(__file__), "data", "dice.json")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -256,6 +260,30 @@ def test_fixed_points_degenerate_is_negative(capsys):
                           "--theta", "auto", "--seed", "0")
     assert code == 3
     assert data["certificate"]["ok"] is False
+
+
+def test_dice_is_valid(capsys):
+    code, data = run_json(capsys, "validate", DICE)
+    assert code == 0 and data["ok"] is True
+    code, data = run_json(capsys, "matchings", DICE)
+    assert code == 0 and data == {"count": 0, "matchings": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixed-points"],
+    ["render", "--what", "domain"],
+    ["render", "--index", "0"],
+    ["charpoly", "--ref", "0"],
+    ["theta", "--matching", "0"],
+    ["polygon"],
+    ["toric"],
+    ["rcharge"],
+])
+def test_no_perfect_matching_is_negative(capsys, argv):
+    assert main([argv[0], DICE, *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "degenerate: no perfect matchings\n"
 
 
 def test_toric_payload(capsys):

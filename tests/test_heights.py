@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from conftest import cover
 
 from dimerkit import (
     DegenerateModelError,
@@ -13,6 +14,7 @@ from dimerkit import (
     convex_hull,
     example,
     height_change,
+    laurent_from_counts,
     newton_polygon,
     perfect_matchings,
 )
@@ -113,3 +115,36 @@ def test_polygon_independent_of_reference():
             x0, y0 = verts[0]
             shapes.add(tuple((x - x0, y - y0) for x, y in verts))
         assert len(shapes) == 1, name
+
+
+def _char_poly_by_membership(model, base=None):
+    def offset_sum(m):
+        x = y = 0
+        for e in model.edges:
+            if e.id in m:
+                x, y = x + e.offset[0], y + e.offset[1]
+        return (x, y)
+
+    pms = perfect_matchings(model)
+    sb = offset_sum(pms[0] if base is None else frozenset(base))
+    counts = {}
+    for m in pms:
+        sm = offset_sum(m)
+        h = (sb[0] - sm[0], sb[1] - sm[1])
+        counts[h] = counts.get(h, 0) + 1
+    return laurent_from_counts(counts)
+
+
+@pytest.mark.parametrize("model", [
+    *(example(name) for name in ("conifold", "honeycomb", "fzero", "degenerate")),
+    cover(example("conifold"), 2, 2),
+    cover(example("conifold"), 4, 1),
+    cover(example("honeycomb"), 2, 2),
+    cover(example("honeycomb"), 3, 2),
+    cover(example("fzero"), 2, 1),
+])
+def test_char_poly_matches_membership_sums(model):
+    pms = perfect_matchings(model)
+    assert char_poly(model) == _char_poly_by_membership(model)
+    for base in (pms[-1], sorted(pms[len(pms) // 2])):
+        assert char_poly(model, base=base) == _char_poly_by_membership(model, base)

@@ -3,9 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from conftest import random_connected
+from conftest import cover, random_connected
+from hypothesis import example as hyp_example
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimerkit import (
+    MATCHING_CAP,
     BipartiteGraph,
     CapacityError,
     DegenerateModelError,
@@ -161,3 +165,85 @@ def test_enumeration_agrees_with_permanent():
         except CapacityError:
             continue
         assert count == _permanent_count(g), seed
+
+
+def _recursive_matchings(
+    g: BipartiteGraph, limit: int = MATCHING_CAP
+) -> tuple[frozenset[str], ...]:
+    """The recursive enumerator the bitmask search replaced: the oracle."""
+    if len(g.blacks) != len(g.whites):
+        return ()
+    by_black = {b: [(eid, w) for eid, eb, w in g.edges if eb == b] for b in g.blacks}
+    found: list[frozenset[str]] = []
+    used_whites: set[str] = set()
+    chosen: list[str] = []
+
+    def extend(remaining: tuple[str, ...]):
+        if not remaining:
+            found.append(frozenset(chosen))
+            if len(found) > limit:
+                raise CapacityError(f"more than {limit} perfect matchings")
+            return
+        best = min(
+            remaining,
+            key=lambda b: sum(1 for _, w in by_black[b] if w not in used_whites),
+        )
+        rest = tuple(b for b in remaining if b != best)
+        for eid, w in by_black[best]:
+            if w in used_whites:
+                continue
+            used_whites.add(w)
+            chosen.append(eid)
+            extend(rest)
+            chosen.pop()
+            used_whites.remove(w)
+
+    extend(g.blacks)
+    pos = {eid: i for i, (eid, _, _) in enumerate(g.edges)}
+    found.sort(key=lambda m: sorted(pos[eid] for eid in m))
+    return tuple(found)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**6))
+@hyp_example(seed=1)  # unbalanced
+@hyp_example(seed=13)  # balanced with multi-edges, 10 matchings
+def test_search_matches_recursive_oracle(seed):
+    g = random_connected(seed)
+    want = _recursive_matchings(g)
+    assert enumerate_matchings(g) == want
+    count = len(want)
+    for k in range(max(0, count - 2), count + 2):
+        cold = BipartiteGraph(g.blacks, g.whites, g.edges)
+        for graph in (cold, g):  # a fresh graph, then one searched before
+            if count > k:
+                with pytest.raises(CapacityError):
+                    enumerate_matchings(graph, limit=k)
+            else:
+                assert enumerate_matchings(graph, limit=k) == want
+
+
+def _r_charges_by_membership(g: BipartiteGraph) -> dict[str, Fraction]:
+    pms = enumerate_matchings(g)
+    return {
+        eid: Fraction(2 * sum(1 for m in pms if eid in m), len(pms))
+        for eid, _, _ in g.edges
+    }
+
+
+PINNED_MODELS = [
+    *(example(name) for name in ("conifold", "honeycomb", "fzero", "degenerate")),
+    cover(example("conifold"), 2, 2),
+    cover(example("conifold"), 4, 1),
+    cover(example("honeycomb"), 2, 2),
+    cover(example("honeycomb"), 3, 2),
+    cover(example("fzero"), 2, 1),
+]
+
+
+@pytest.mark.parametrize("model", PINNED_MODELS)
+def test_r_charges_match_membership_counts(model):
+    g = from_model(model)
+    assert list(r_charge_average(g).items()) == list(
+        _r_charges_by_membership(g).items()
+    )

@@ -4,15 +4,21 @@ import gc
 import weakref
 
 from dimerkit import (
+    BipartiteGraph,
     DimerModel,
     Quiver,
     assemble_fan,
+    char_poly,
     cochar_lattice,
     example,
+    from_model,
+    perfect_matchings,
     quiver_of,
+    r_charge_average,
     relations,
     validate_model,
 )
+from dimerkit import matchings
 
 
 def _pipeline(model):
@@ -20,6 +26,8 @@ def _pipeline(model):
     q = quiver_of(model)
     relations(q)
     cochar_lattice(q)
+    char_poly(model)
+    r_charge_average(from_model(model))
     assert assemble_fan(model, seed=0).report.ok
     return q
 
@@ -27,10 +35,10 @@ def _pipeline(model):
 def test_model_and_quiver_freed_after_pipeline():
     model = example("conifold")
     q = _pipeline(model)
-    refs = weakref.ref(model), weakref.ref(q)
+    refs = weakref.ref(model), weakref.ref(q), weakref.ref(from_model(model))
     del model, q
     gc.collect()
-    assert [r() for r in refs] == [None, None]
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_pipeline_never_hashes_model_or_quiver(monkeypatch):
@@ -39,6 +47,26 @@ def test_pipeline_never_hashes_model_or_quiver(monkeypatch):
 
     monkeypatch.setattr(DimerModel, "__hash__", unhashable)
     monkeypatch.setattr(Quiver, "__hash__", unhashable)
+    monkeypatch.setattr(BipartiteGraph, "__hash__", unhashable)
     model = example("conifold")
     q = _pipeline(model)
     assert quiver_of(model) is q
+    assert from_model(model) is from_model(model)
+
+
+def test_one_search_per_model(monkeypatch):
+    graphs = []
+    search = matchings._search
+
+    def spy(g, limit):
+        graphs.append(g)
+        return search(g, limit)
+
+    monkeypatch.setattr(matchings, "_search", spy)
+    model = example("conifold")
+    pms = perfect_matchings(model)
+    char_poly(model)
+    char_poly(model, base=pms[-1])
+    r_charge_average(from_model(model))
+    assert assemble_fan(model, seed=0).report.ok
+    assert len(graphs) == 1 and graphs[0] is from_model(model)
