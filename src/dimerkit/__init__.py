@@ -12,7 +12,6 @@ checked against the polygon as a certificate of crepant resolution.
 
 from .catalog import example, example_names
 from .charts import (
-    ARROW_CAP,
     CASE_FOUR,
     CASE_SIX_OPPOSITE,
     CASE_SIX_SAME,

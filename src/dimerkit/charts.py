@@ -1,15 +1,19 @@
 """Torus-fixed points of the moduli spaces and their toric charts.
 
 A 0/1 representation of the dual quiver is a fixed-point candidate when it
-satisfies the relations, its support connects all quiver vertices, the
-support lifts consistently to the universal cover (every support cycle has
-zero cover shift), and it is stable for the chosen weight.  Each candidate
-glues the lifted faces of the model into a fundamental domain whose
-translates tile the plane.  Its boundary runs along the zero edges that
-meet another zero edge; an isolated zero edge lies inside the domain.
-Walking the domain boundary and counting the valencies of its corner
-points classifies the chart around the fixed point into exactly three
-local shapes, two of them singular and one smooth.
+satisfies the relations, its support lifts consistently to the universal
+cover (every support cycle has zero cover shift), and it is stable for the
+chosen weight, which also makes the support connect all quiver vertices.
+Candidates come from the θ-stable perfect matchings, those whose
+complements are stable: each candidate's support is the complement of
+three of them whose heights span a unit triangle of the height polygon
+(Ishii–Ueda).  Each candidate glues the lifted faces of the model into a
+fundamental domain whose translates tile the plane.  Its boundary runs
+along the zero edges that meet another zero edge; an isolated zero edge
+lies inside the domain.  Walking the domain boundary and counting the
+valencies of its corner points classifies the chart around the fixed
+point into exactly three local shapes, two of them singular and one
+smooth.
 
 The coordinate functions of a chart are read off at the first boundary
 corner: one character per zero edge there, gauge-normalised to vanish on
@@ -29,19 +33,17 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from .exceptions import (
-    CapacityError,
-    InternalConsistencyError,
-    InvalidModelError,
-)
+from .exceptions import InternalConsistencyError, InvalidModelError
 from .heights import (
     LatticePolygon,
     area2,
     char_poly,
     contains_point,
+    height_change,
     newton_polygon,
 )
 from .lattice import (
@@ -57,8 +59,6 @@ from .matchings import perfect_matchings
 from .model import BLACK, Cell, Dart, DimerModel, ValidationCheck, trace_faces
 from .quiver import Quiver, quiver_of, rep_satisfies_relations, spanning_tree
 from .stability import Theta, is_stable, sample_generic_theta
-
-ARROW_CAP = 24  # candidate search branches on every arrow
 
 CASE_SIX_OPPOSITE = "six-trivalent-opposite-colors"
 CASE_SIX_SAME = "six-trivalent-same-colors"
@@ -76,123 +76,62 @@ class FixedPointCandidate:
     """A 0/1 representation that can carry a torus-fixed point.
 
     ``cells`` places the canonical lift of each face in the cover, with the
-    first face at the origin; they are the offsets the search's union-find
-    holds, so gluing along the support arrows is consistent with them by
-    construction.
+    first face at the origin; every support arrow steps from its source's
+    cell to its target's cell by its cover shift.
     """
 
     support: frozenset[str]
     cells: tuple[tuple[str, Cell], ...]
 
 
-class _OffsetUnionFind:
-    """Union-find tracking relative cover cells within components."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.delta = [(0, 0)] * n  # cell(v) - cell(parent(v))
-
-    def copy(self) -> _OffsetUnionFind:
-        uf = _OffsetUnionFind(0)
-        uf.parent = self.parent[:]
-        uf.delta = self.delta[:]
-        return uf
-
-    def find(self, v: int) -> tuple[int, Cell]:
-        if self.parent[v] == v:
-            return v, (0, 0)
-        root, up = self.find(self.parent[v])
-        d = self.delta[v]
-        self.parent[v] = root
-        self.delta[v] = (d[0] + up[0], d[1] + up[1])
-        return root, self.delta[v]
-
-    def union(self, s: int, t: int, shift: Cell) -> bool:
-        """Impose cell(t) = cell(s) + shift; False on contradiction."""
-        rs, ds = self.find(s)
-        rt, dt = self.find(t)
-        if rs == rt:
-            return (dt[0] - ds[0], dt[1] - ds[1]) == shift
-        self.parent[rt] = rs
-        self.delta[rt] = (ds[0] + shift[0] - dt[0], ds[1] + shift[1] - dt[1])
-        return True
-
-
 def enumerate_fixed_candidates(
-    q: Quiver, theta: Theta
+    model: DimerModel, theta: Theta
 ) -> tuple[FixedPointCandidate, ...]:
     """All fixed-point candidates, in canonical support order.
 
-    Branches on each arrow with two prunes: a support cycle whose cover
-    shifts do not cancel kills the branch, as does a vertex left with no
-    possible support arrow.  Raises :class:`CapacityError` past
-    ``ARROW_CAP`` arrows.
+    A perfect matching ``D`` is θ-stable when the 0/1 representation
+    supported on the arrows off ``D`` is.  Every triple of θ-stable
+    matchings whose heights span a triangle of ``area2`` 1 proposes the
+    complement of their union as a support.  It is kept when a spanning
+    tree of it reaches every vertex, every support arrow glues the tree's
+    cells by its shift, and it satisfies the relations and is stable.  The
+    matchings are the model's own enumeration, so ``MATCHING_CAP`` and the
+    ``VERTEX_CAP`` of :func:`is_stable` bound the work; the same recipe
+    serves a non-generic weight.
     """
-    n = len(q.arrows)
-    if n > ARROW_CAP:
-        raise CapacityError(f"{n} arrows exceed the search cap of {ARROW_CAP}")
-    vpos = {v: i for i, v in enumerate(q.vertices)}
-    nv = len(q.vertices)
-    ends = [
-        (vpos[a.source], vpos[a.target], q.shift(a.id)) for a in q.arrows
+    q = quiver_of(model)
+    pms = perfect_matchings(model)
+    arrows = frozenset(q.arrow_ids)
+    stable = [
+        (d, height_change(model, d, pms[0]))
+        for d in pms
+        if is_stable(q, arrows - d, theta)
     ]
-    undecided = [0] * nv
-    chosen = [0] * nv
-    for s, t, _ in ends:
-        undecided[s] += 1
-        if t != s:
-            undecided[t] += 1
-
     found: list[FixedPointCandidate] = []
-    included: list[int] = []
+    for (d1, h1), (d2, h2), (d3, h3) in combinations(stable, 3):
+        (x1, y1), (x2, y2), (x3, y3) = h1, h2, h3
+        if abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)) != 1:
+            continue
+        support = arrows - d1 - d2 - d3
+        steps = spanning_tree(q, [aid for aid in q.arrow_ids if aid in support])
+        if len(steps) != len(q.vertices) - 1:
+            continue
+        cells = {q.vertices[0]: (0, 0)}
+        for aid, sign, parent, child in steps:
+            (x, y), (dx, dy) = cells[parent], q.shift(aid)
+            cells[child] = (x + sign * dx, y + sign * dy)
 
-    def leaf(uf: _OffsetUnionFind) -> None:
-        root0 = uf.find(0)[0]
-        if any(uf.find(v)[0] != root0 for v in range(1, nv)):
-            return
-        support = frozenset(q.arrows[i].id for i in included)
-        if not rep_satisfies_relations(q, support):
-            return
-        if not is_stable(q, support, theta):
-            return
-        # one component, so every offset is against the same root
-        c0 = uf.find(0)[1]
-        cells = tuple(
-            (v, (c[0] - c0[0], c[1] - c0[1]))
-            for v, (_, c) in zip(q.vertices, map(uf.find, range(nv)))
-        )
-        found.append(FixedPointCandidate(support, cells))
+        def glued(aid: str) -> bool:
+            (sx, sy), (tx, ty) = cells[q.source(aid)], cells[q.target(aid)]
+            return (tx - sx, ty - sy) == q.shift(aid)
 
-    def dfs(i: int, uf: _OffsetUnionFind) -> None:
-        if i == n:
-            leaf(uf)
-            return
-        s, t, shift = ends[i]
-        undecided[s] -= 1
-        if t != s:
-            undecided[t] -= 1
-        # include the arrow, unless its cycle shifts clash
-        uf2 = uf.copy()
-        if uf2.union(s, t, shift):
-            chosen[s] += 1
-            if t != s:
-                chosen[t] += 1
-            included.append(i)
-            dfs(i + 1, uf2)
-            included.pop()
-            chosen[s] -= 1
-            if t != s:
-                chosen[t] -= 1
-        # exclude it, unless a vertex just lost its last chance of support
-        if nv == 1 or (
-            (chosen[s] or undecided[s]) and (chosen[t] or undecided[t])
+        if (
+            all(map(glued, support))
+            and rep_satisfies_relations(q, support)
+            and is_stable(q, support, theta)
         ):
-            dfs(i + 1, uf)
-        undecided[s] += 1
-        if t != s:
-            undecided[t] += 1
-
-    dfs(0, _OffsetUnionFind(nv))
+            cand_cells = tuple((v, cells[v]) for v in q.vertices)
+            found.append(FixedPointCandidate(support, cand_cells))
 
     pos = {aid: i for i, aid in enumerate(q.arrow_ids)}
     found.sort(key=lambda c: tuple(sorted(pos[aid] for aid in c.support)))
@@ -734,7 +673,7 @@ def assemble_fan(
     if theta is None:
         theta, _, _ = sample_generic_theta(q, base, random.Random(seed))
     charts = []
-    for cand in enumerate_fixed_candidates(q, theta):
+    for cand in enumerate_fixed_candidates(model, theta):
         cls = classify_chart(model, cand)
         rows = cone = None
         if cls.smooth:

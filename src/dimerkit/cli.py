@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import catalog, render
@@ -109,6 +110,17 @@ def _theta_for(q, model, args):
     base = _matchings(model)[0]
     theta, _, _ = sample_generic_theta(q, base, random.Random(_seed(args)))
     return theta
+
+
+@contextmanager
+def _writing(path: str):
+    """An output path the system refuses is unusable input, not a bug."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidModelError(
+            f"cannot write {path}: {exc.strerror or exc}"
+        ) from None
 
 
 # --- commands ---------------------------------------------------------------
@@ -235,7 +247,8 @@ def _cmd_fixed_points(args) -> int:
     theta = _theta_for(q, model, args)
     fan = assemble_fan(model, theta=theta)
     if args.svg:
-        os.makedirs(args.svg, exist_ok=True)
+        with _writing(args.svg):
+            os.makedirs(args.svg, exist_ok=True)
     payload = {
         "theta": {v: theta.of(v) for v in q.vertices},
         "base": list(fan.base),
@@ -267,7 +280,7 @@ def _cmd_fixed_points(args) -> int:
         }
         if args.svg:
             path = os.path.join(args.svg, f"candidate-{i}.svg")
-            with open(path, "w", encoding="utf-8") as fh:
+            with _writing(path), open(path, "w", encoding="utf-8") as fh:
                 fh.write(render.render_domain(model, c.candidate))
             entry["svg"] = path
         payload["fixed_points"].append(entry)
@@ -322,7 +335,7 @@ def _cmd_render(args) -> int:
     else:  # domain
         q = quiver_of(model)
         theta = _theta_for(q, model, args)
-        cands = enumerate_fixed_candidates(q, theta)
+        cands = enumerate_fixed_candidates(model, theta)
         if not cands:
             raise DegenerateModelError("no fixed points for this weight")
         idx = args.index if args.index is not None else 0
@@ -332,7 +345,7 @@ def _cmd_render(args) -> int:
             )
         svg = render.render_domain(model, cands[idx])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     else:
         sys.stdout.write(svg)

@@ -1,6 +1,7 @@
 """Torus-fixed candidates, fundamental domains, chart data, fan certificate."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -14,6 +15,7 @@ from dimerkit import (
     CASE_SIX_SAME,
     Chart,
     ChartCone,
+    FixedPointCandidate,
     InternalConsistencyError,
     Theta,
     area2,
@@ -30,9 +32,13 @@ from dimerkit import (
     enumerate_fixed_candidates,
     example,
     fundamental_domain,
+    height_change,
+    is_stable,
+    make_theta,
     newton_polygon,
     perfect_matchings,
     quiver_of,
+    rep_satisfies_relations,
     sample_generic_theta,
     split_by_reference,
     verify_crepant,
@@ -48,7 +54,7 @@ THETA = Theta((("f1", 3), ("f2", -3)))
 
 
 def _candidates():
-    return enumerate_fixed_candidates(q, THETA)
+    return enumerate_fixed_candidates(conifold, THETA)
 
 
 def test_conifold_candidates():
@@ -60,12 +66,12 @@ def test_conifold_candidates():
 
 
 def test_opposite_chamber():
-    cands = enumerate_fixed_candidates(q, Theta((("f1", -3), ("f2", 3))))
+    cands = enumerate_fixed_candidates(conifold, Theta((("f1", -3), ("f2", 3))))
     assert [sorted(c.support) for c in cands] == [["e2"], ["e4"]]
 
 
 def test_honeycomb_single_candidate():
-    cands = enumerate_fixed_candidates(qh, Theta((("f1", 0),)))
+    cands = enumerate_fixed_candidates(honeycomb, Theta((("f1", 0),)))
     assert len(cands) == 1
     assert cands[0].support == frozenset()
 
@@ -88,7 +94,7 @@ def test_fundamental_domains():
     assert dom_b.interior_edges == (("e3", (0, 1)),)
     assert dom_b.boundary[0] == (("e1", 1), (0, 0))
 
-    cand_h = enumerate_fixed_candidates(qh, Theta((("f1", 0),)))[0]
+    cand_h = enumerate_fixed_candidates(honeycomb, Theta((("f1", 0),)))[0]
     dom_h = fundamental_domain(honeycomb, cand_h)
     assert dom_h.interior_edges == ()
     assert len(dom_h.boundary) == 6
@@ -107,7 +113,7 @@ def test_classification():
     assert cls_b.corner == ("b1", (0, 0))
     assert cls_b.coordinate_edges == ("e1", "e2", "e4")
 
-    cand_h = enumerate_fixed_candidates(qh, Theta((("f1", 0),)))[0]
+    cand_h = enumerate_fixed_candidates(honeycomb, Theta((("f1", 0),)))[0]
     cls_h = classify_chart(honeycomb, cand_h)
     assert cls_h.case == CASE_SIX_OPPOSITE
     assert cls_h.coordinate_edges == ("e1", "e2", "e3")
@@ -156,7 +162,7 @@ def test_characters_rows_cones():
 
 
 def test_honeycomb_chart_is_standard():
-    cand = enumerate_fixed_candidates(qh, Theta((("f1", 0),)))[0]
+    cand = enumerate_fixed_candidates(honeycomb, Theta((("f1", 0),)))[0]
     cls = classify_chart(honeycomb, cand)
     split = split_by_reference(qh, perfect_matchings(honeycomb)[0])
     rows = chart_rows(qh, split, chart_characters(qh, cand, cls.coordinate_edges))
@@ -333,14 +339,13 @@ def test_certificate_on_covers(name, a, b):
     ("honeycomb", 2, 2), ("conifold", 2, 2), ("fzero", 2, 1),
 ])
 def test_candidate_cells_glue_along_support(name, a, b):
-    # the cells come straight from the search; every support arrow must
-    # step from its source's cell to its target's cell by its cover shift
+    # every support arrow must step from its source's cell to its target's cell by its cover shift
     model = cover(example(name), a, b)
     quiver = quiver_of(model)
     base = perfect_matchings(model)[0]
     for seed in range(4):
         theta, _, _ = sample_generic_theta(quiver, base, random.Random(seed))
-        candidates = enumerate_fixed_candidates(quiver, theta)
+        candidates = enumerate_fixed_candidates(model, theta)
         assert candidates, seed
         for cand in candidates:
             assert [v for v, _ in cand.cells] == list(quiver.vertices)
@@ -376,3 +381,183 @@ def test_fzero_four_charts():
         ((0, 0, 1), (1, 0, 1), (0, 1, 1)),
         ((0, 0, 1), (0, -1, 1), (1, 0, 1)),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the arrow search as oracle: the candidates as every 0/1 support that glues,
+# connects, satisfies the relations and is stable, found by branching on
+# every arrow
+
+
+class _OffsetUnionFind:
+    """Union-find tracking relative cover cells within components."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.delta = [(0, 0)] * n  # cell(v) - cell(parent(v))
+
+    def copy(self):
+        uf = _OffsetUnionFind(0)
+        uf.parent = self.parent[:]
+        uf.delta = self.delta[:]
+        return uf
+
+    def find(self, v):
+        if self.parent[v] == v:
+            return v, (0, 0)
+        root, up = self.find(self.parent[v])
+        d = self.delta[v]
+        self.parent[v] = root
+        self.delta[v] = (d[0] + up[0], d[1] + up[1])
+        return root, self.delta[v]
+
+    def union(self, s, t, shift):
+        """Impose cell(t) = cell(s) + shift; False on contradiction."""
+        rs, ds = self.find(s)
+        rt, dt = self.find(t)
+        if rs == rt:
+            return (dt[0] - ds[0], dt[1] - ds[1]) == shift
+        self.parent[rt] = rs
+        self.delta[rt] = (ds[0] + shift[0] - dt[0], ds[1] + shift[1] - dt[1])
+        return True
+
+
+def _search_candidates(quiver, theta):
+    """Branch on each arrow; a support cycle whose shifts do not cancel, or
+    a vertex left with no possible support arrow, kills the branch."""
+    n = len(quiver.arrows)
+    vpos = {v: i for i, v in enumerate(quiver.vertices)}
+    nv = len(quiver.vertices)
+    ends = [
+        (vpos[a.source], vpos[a.target], quiver.shift(a.id))
+        for a in quiver.arrows
+    ]
+    undecided = [0] * nv
+    chosen = [0] * nv
+    for s, t, _ in ends:
+        undecided[s] += 1
+        if t != s:
+            undecided[t] += 1
+    found = []
+    included = []
+
+    def leaf(uf):
+        root0 = uf.find(0)[0]
+        if any(uf.find(v)[0] != root0 for v in range(1, nv)):
+            return
+        support = frozenset(quiver.arrows[i].id for i in included)
+        if not rep_satisfies_relations(quiver, support):
+            return
+        if not is_stable(quiver, support, theta):
+            return
+        c0 = uf.find(0)[1]
+        cells = tuple(
+            (v, (c[0] - c0[0], c[1] - c0[1]))
+            for v, (_, c) in zip(quiver.vertices, map(uf.find, range(nv)))
+        )
+        found.append(FixedPointCandidate(support, cells))
+
+    def dfs(i, uf):
+        if i == n:
+            leaf(uf)
+            return
+        s, t, shift = ends[i]
+        undecided[s] -= 1
+        if t != s:
+            undecided[t] -= 1
+        uf2 = uf.copy()
+        if uf2.union(s, t, shift):
+            chosen[s] += 1
+            if t != s:
+                chosen[t] += 1
+            included.append(i)
+            dfs(i + 1, uf2)
+            included.pop()
+            chosen[s] -= 1
+            if t != s:
+                chosen[t] -= 1
+        if nv == 1 or (
+            (chosen[s] or undecided[s]) and (chosen[t] or undecided[t])
+        ):
+            dfs(i + 1, uf)
+        undecided[s] += 1
+        if t != s:
+            undecided[t] += 1
+
+    dfs(0, _OffsetUnionFind(nv))
+    pos = {aid: i for i, aid in enumerate(quiver.arrow_ids)}
+    found.sort(key=lambda c: tuple(sorted(pos[aid] for aid in c.support)))
+    return tuple(found)
+
+
+# the catalog's non-degenerate models and every a x b cover of them with at
+# most 16 arrows; weight seeds 0-15 up to 12 arrows, 0-3 beyond
+EDGES = {"conifold": 4, "honeycomb": 3, "fzero": 8}
+CORPUS = {
+    f"{name}-{a}x{b}": cover(example(name), a, b)
+    for name, n in EDGES.items()
+    for a in range(1, 17)
+    for b in range(1, 17)
+    if a * b * n <= 16
+}
+SMALL = sorted(k for k, m in CORPUS.items() if len(m.edges) <= 12)
+
+
+def _sampled_thetas(model):
+    quiver = quiver_of(model)
+    base = perfect_matchings(model)[0]
+    seeds = range(16) if len(model.edges) <= 12 else range(4)
+    for seed in seeds:
+        yield seed, sample_generic_theta(quiver, base, random.Random(seed))[0]
+
+
+@pytest.mark.parametrize("name", ["conifold", "honeycomb", "fzero"] + sorted(CORPUS))
+def test_candidates_match_arrow_search(name):
+    model = CORPUS.get(name) or example(name)
+    quiver = quiver_of(model)
+    for seed, theta in _sampled_thetas(model):
+        assert enumerate_fixed_candidates(model, theta) == _search_candidates(
+            quiver, theta
+        ), seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(SMALL), data=st.data())
+def test_candidates_match_arrow_search_any_weight(name, data):
+    # integer weights in -2..2, generic or not
+    model = CORPUS[name]
+    quiver = quiver_of(model)
+    head = data.draw(
+        st.lists(st.integers(-2, 2), min_size=len(quiver.vertices) - 1,
+                 max_size=len(quiver.vertices) - 1)
+    )
+    assume(-2 <= sum(head) <= 2)
+    theta = make_theta(quiver, dict(zip(quiver.vertices, head + [-sum(head)])))
+    assert enumerate_fixed_candidates(model, theta) == _search_candidates(
+        quiver, theta
+    )
+
+
+@pytest.mark.parametrize("name", ["conifold", "honeycomb", "fzero"] + sorted(CORPUS))
+def test_one_stable_matching_per_lattice_point(name):
+    # the theorem the candidates rest on: for generic weights, each lattice
+    # point of the height polygon carries exactly one stable matching
+    model = CORPUS.get(name) or example(name)
+    quiver = quiver_of(model)
+    pms = perfect_matchings(model)
+    poly = newton_polygon(char_poly(model))
+    xs = [x for x, _ in poly.vertices]
+    ys = [y for _, y in poly.vertices]
+    points = [
+        p
+        for p in product(range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1))
+        if contains_point(poly, p)
+    ]
+    arrows = frozenset(quiver.arrow_ids)
+    for seed, theta in _sampled_thetas(model):
+        heights = Counter(
+            height_change(model, d, pms[0])
+            for d in pms
+            if is_stable(quiver, arrows - d, theta)
+        )
+        assert heights == Counter(points), seed

@@ -245,6 +245,18 @@ def test_fixed_points_interior_zero_edge(capsys, tmp_path):
     assert len(data["fixed_points"]) == 4
 
 
+def test_fixed_points_past_old_arrow_cap(capsys, tmp_path):
+    # 27 arrows: beyond what branching on every arrow could reach
+    path = tmp_path / "honeycomb-3x3.json"
+    dump_model(cover(example("honeycomb"), 3, 3), str(path))
+    for seed in range(4):
+        code, data = run_json(capsys, "fixed-points", str(path),
+                              "--seed", str(seed))
+        assert code == 0, seed
+        assert data["certificate"]["ok"] is True, seed
+        assert len(data["fixed_points"]) == 9, seed
+
+
 def test_fixed_points_theta_file(capsys, tmp_path):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps({"f1": 3, "f2": -3}))
@@ -311,6 +323,20 @@ def test_render_command(capsys, tmp_path):
                      "--what", "polygon")
     assert code == 0
     assert text.startswith("<svg")
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["fixed-points", "--svg"], "a-file"),
+    (["render", "--out"], "."),
+    (["render", "--out"], "missing/x.svg"),
+])
+def test_unusable_output_path_is_invalid_input(capsys, tmp_path, argv, target):
+    (tmp_path / "a-file").write_text("")
+    path = str(tmp_path / target)
+    assert main([argv[0], "--example", "conifold", *argv[1:], path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
 
 
 def test_argparse_errors_exit_2():

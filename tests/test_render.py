@@ -12,7 +12,6 @@ from dimerkit import (
     enumerate_fixed_candidates,
     example,
     newton_polygon,
-    quiver_of,
     render_domain,
     render_model,
     render_polygon,
@@ -70,8 +69,7 @@ def test_render_model_block_size():
 
 
 def test_render_domain():
-    q = quiver_of(conifold)
-    cand = enumerate_fixed_candidates(q, Theta((("f1", 3), ("f2", -3))))[0]
+    cand = enumerate_fixed_candidates(conifold, Theta((("f1", 3), ("f2", -3))))[0]
     svg = render_domain(conifold, cand)
     assert svg.startswith("<svg")
     assert svg == render_domain(conifold, cand)
