@@ -7,13 +7,18 @@ chosen weight, which also makes the support connect all quiver vertices.
 Candidates come from the θ-stable perfect matchings, those whose
 complements are stable: each candidate's support is the complement of
 three of them whose heights span a unit triangle of the height polygon
-(Ishii–Ueda).  Each candidate glues the lifted faces of the model into a
-fundamental domain whose translates tile the plane.  Its boundary runs
-along the zero edges that meet another zero edge; an isolated zero edge
-lies inside the domain.  Walking the domain boundary and counting the
-valencies of its corner points classifies the chart around the fixed
-point into exactly three local shapes, two of them singular and one
-smooth.
+(Ishii–Ueda).  That construction gives the first two conditions for free.
+The complement of a union of matchings keeps both sides of an arrow's
+relation exactly when the arrow lies in all three matchings, and a support
+cycle pairs to zero with two independent height differences, so its cover
+shift vanishes; only stability is tested.
+
+Each candidate glues the lifted faces of the model into a fundamental
+domain whose translates tile the plane.  Its boundary runs along the zero
+edges that meet another zero edge; an isolated zero edge lies inside the
+domain.  Walking the domain boundary and counting the valencies of its
+corner points classifies the chart around the fixed point into exactly
+three local shapes, two of them singular and one smooth.
 
 The coordinate functions of a chart are read off at the first boundary
 corner: one character per zero edge there, gauge-normalised to vanish on
@@ -57,7 +62,7 @@ from .lattice import (
 )
 from .matchings import perfect_matchings
 from .model import BLACK, Cell, Dart, DimerModel, ValidationCheck, trace_faces
-from .quiver import Quiver, quiver_of, rep_satisfies_relations, spanning_tree
+from .quiver import Quiver, quiver_of, tree_cycle, tree_paths, vector_shift
 from .stability import Theta, is_stable, sample_generic_theta
 
 CASE_SIX_OPPOSITE = "six-trivalent-opposite-colors"
@@ -92,12 +97,13 @@ def enumerate_fixed_candidates(
     A perfect matching ``D`` is θ-stable when the 0/1 representation
     supported on the arrows off ``D`` is.  Every triple of θ-stable
     matchings whose heights span a triangle of ``area2`` 1 proposes the
-    complement of their union as a support.  It is kept when a spanning
-    tree of it reaches every vertex, every support arrow glues the tree's
-    cells by its shift, and it satisfies the relations and is stable.  The
-    matchings are the model's own enumeration, so ``MATCHING_CAP`` and the
-    ``VERTEX_CAP`` of :func:`is_stable` bound the work; the same recipe
-    serves a non-generic weight.
+    complement of their union as a support.  It is kept when it spans the
+    quiver and is stable; each face's cell is the cover shift of its tree
+    path.  The relations and the gluing of every support arrow hold by
+    construction (see the module docstring).  The matchings are the model's
+    own enumeration, so ``MATCHING_CAP`` and the ``VERTEX_CAP`` of
+    :func:`is_stable` bound the work; the same recipe serves a non-generic
+    weight.
     """
     q = quiver_of(model)
     pms = perfect_matchings(model)
@@ -113,27 +119,12 @@ def enumerate_fixed_candidates(
         if abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)) != 1:
             continue
         support = arrows - d1 - d2 - d3
-        steps = spanning_tree(q, [aid for aid in q.arrow_ids if aid in support])
-        if len(steps) != len(q.vertices) - 1:
-            continue
-        cells = {q.vertices[0]: (0, 0)}
-        for aid, sign, parent, child in steps:
-            (x, y), (dx, dy) = cells[parent], q.shift(aid)
-            cells[child] = (x + sign * dx, y + sign * dy)
+        paths = tree_paths(q, [aid for aid in q.arrow_ids if aid in support])
+        if paths is not None and is_stable(q, support, theta):
+            cells = tuple((v, vector_shift(q, paths[v])) for v in q.vertices)
+            found.append(FixedPointCandidate(support, cells))
 
-        def glued(aid: str) -> bool:
-            (sx, sy), (tx, ty) = cells[q.source(aid)], cells[q.target(aid)]
-            return (tx - sx, ty - sy) == q.shift(aid)
-
-        if (
-            all(map(glued, support))
-            and rep_satisfies_relations(q, support)
-            and is_stable(q, support, theta)
-        ):
-            cand_cells = tuple((v, cells[v]) for v in q.vertices)
-            found.append(FixedPointCandidate(support, cand_cells))
-
-    pos = {aid: i for i, aid in enumerate(q.arrow_ids)}
+    pos = q.arrow_pos
     found.sort(key=lambda c: tuple(sorted(pos[aid] for aid in c.support)))
     return tuple(found)
 
@@ -242,7 +233,11 @@ def fundamental_domain(
 
 
 def _check_winding(model: DimerModel, walk: Sequence[tuple[Dart, Cell]]) -> None:
-    """Shoelace check: the walk must run counterclockwise (when drawable)."""
+    """Shoelace check: the walk must run counterclockwise (when drawable).
+
+    The walk follows the rotation system, so a clockwise walk means the
+    vertex positions contradict it: bad input, not an internal fault.
+    """
     pts = []
     for d, tc in walk:
         e = model.edge(d[0])
@@ -255,7 +250,10 @@ def _check_winding(model: DimerModel, walk: Sequence[tuple[Dart, Cell]]) -> None
         x1, y1 = pts[(i + 1) % len(pts)]
         s += x0 * y1 - x1 * y0
     if s <= 0:
-        raise InternalConsistencyError("boundary walk is not counterclockwise")
+        raise InvalidModelError(
+            "vertex positions disagree with the rotation system: the boundary "
+            "walk of a fundamental domain runs clockwise at those positions"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -410,48 +408,29 @@ def chart_characters(
     """One arrow-indexed functional per coordinate edge.
 
     Weights are gauge-normalised to vanish on the support; the character of
-    a coordinate edge is the normalised weight of its arrow.  The
-    normalisation must be consistent on the weight lattice ``W``, which is
-    checked on the support's non-tree arrows.
+    a coordinate edge is the normalised weight of its arrow, the cycle the
+    arrow closes through a spanning tree of the support.  The normalisation
+    must be consistent on the weight lattice ``W``, which is checked on the
+    cycles of the support's non-tree arrows.
     """
-    n = len(q.arrows)
-    pos = {aid: i for i, aid in enumerate(q.arrow_ids)}
-    arrows = [aid for aid in q.arrow_ids if aid in candidate.support]
-    steps = spanning_tree(q, arrows)
-    if len(steps) != len(q.vertices) - 1:
+    support = [aid for aid in q.arrow_ids if aid in candidate.support]
+    paths = tree_paths(q, support)
+    if paths is None:
         raise InternalConsistencyError("support does not span the quiver")
-    gamma: dict[str, tuple[int, ...]] = {q.vertices[0]: (0,) * n}
-    for aid, sign, parent, child in steps:
-        k = pos[aid]
-        g = gamma[parent]
-        gamma[child] = g[:k] + (g[k] - sign,) + g[k + 1:]
-    tree = {aid for aid, _, _, _ in steps}
-
     w_basis = cochar_lattice(q).w_basis
-    for aid in arrows:
-        if aid in tree:
-            continue
-        s, t = q.source(aid), q.target(aid)
-        diff = [
-            gs - gt - int(k == pos[aid])
-            for k, (gs, gt) in enumerate(zip(gamma[s], gamma[t]))
-        ]
-        for wb in w_basis:
-            if sum(d * w for d, w in zip(diff, wb)) != 0:
-                raise InternalConsistencyError(
-                    "gauge normalisation is not a functional on the lattice"
-                )
+    for cyc in (tree_cycle(q, paths, aid) for aid in support):
+        if any(cyc) and any(
+            sum(c * w for c, w in zip(cyc, wb)) for wb in w_basis
+        ):
+            raise InternalConsistencyError(
+                "gauge normalisation is not a functional on the lattice"
+            )
 
     out = []
     for eid in coordinate_edges:
         if eid in candidate.support:
             raise InvalidModelError(f"coordinate edge {eid!r} lies in the support")
-        s, t = q.source(eid), q.target(eid)
-        vec = [
-            int(k == pos[eid]) + gt - gs
-            for k, (gt, gs) in enumerate(zip(gamma[t], gamma[s]))
-        ]
-        out.append(dict(zip(q.arrow_ids, vec)))
+        out.append(dict(zip(q.arrow_ids, tree_cycle(q, paths, eid))))
     return tuple(out)
 
 

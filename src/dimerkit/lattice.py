@@ -36,7 +36,15 @@ from .exceptions import (
 )
 from .heights import LatticePolygon
 from .model import Cell, per_object
-from .quiver import Quiver, check_support, p_minus, relations, spanning_tree
+from .quiver import (
+    Quiver,
+    check_support,
+    p_minus,
+    relations,
+    tree_cycle,
+    tree_paths,
+    vector_shift,
+)
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Vec3 = tuple[int, int, int]
@@ -264,12 +272,13 @@ def _vec(q: Quiver, weights: Mapping[str, object]) -> tuple:
 
 def _indicator(q: Quiver, arrows: Iterable[str]) -> list[int]:
     vec = [0] * len(q.arrows)
-    pos = {aid: i for i, aid in enumerate(q.arrow_ids)}
+    pos = q.arrow_pos
     for aid in arrows:
         vec[pos[aid]] += 1
     return vec
 
 
+@per_object
 def constraint_matrix(q: Quiver) -> IntMatrix:
     """One row per arrow: both sides of its relation must weigh the same."""
     rows = []
@@ -416,31 +425,13 @@ def _fundamental_cycles(
     q: Quiver, base: frozenset[str]
 ) -> list[tuple[int, ...]]:
     allowed = [aid for aid in q.arrow_ids if aid not in base]
-    steps = spanning_tree(q, allowed)
-    if len(steps) != len(q.vertices) - 1:
+    paths = tree_paths(q, allowed)
+    if paths is None:
         raise DegenerateModelError(
             "arrows off the matching do not connect all quiver vertices"
         )
-    # signed arrow paths from each vertex back to the root
-    reach: dict[str, tuple[tuple[str, int], ...]] = {q.vertices[0]: ()}
-    for aid, sign, parent, child in steps:
-        reach[child] = ((aid, sign),) + reach[parent]
-    tree = {aid for aid, _, _, _ in steps}
-    pos = {aid: i for i, aid in enumerate(q.arrow_ids)}
-    cycles = []
-    for aid in allowed:
-        if aid in tree:
-            continue
-        vec = [0] * len(q.arrow_ids)
-        vec[pos[aid]] += 1
-        # close up through the tree: t(a) -> root -> s(a), i.e. subtract the
-        # root-to-target chain and add the root-to-source chain
-        for step, sign in reach[q.target(aid)]:
-            vec[pos[step]] -= sign
-        for step, sign in reach[q.source(aid)]:
-            vec[pos[step]] += sign
-        cycles.append(tuple(vec))
-    return cycles
+    cycles = (tree_cycle(q, paths, aid) for aid in allowed)
+    return [c for c in cycles if any(c)]
 
 
 def split_by_reference(q: Quiver, base: Iterable[str]) -> Splitting:
@@ -454,13 +445,7 @@ def split_by_reference(q: Quiver, base: Iterable[str]) -> Splitting:
     b = frozenset(base)
     pm_cocharacter(q, b)  # validates that base really is a matching
     cycles = _fundamental_cycles(q, b)
-    raw = []
-    for vec in cycles:
-        x = y = 0
-        for aid, c in zip(q.arrow_ids, vec):
-            s = q.shift(aid)
-            x, y = x + c * s[0], y + c * s[1]
-        raw.append((x, y))
+    raw = [vector_shift(q, vec) for vec in cycles]
     # 2 x k system: find integer cycle combinations hitting the raw targets
     cols = (tuple(r[0] for r in raw), tuple(r[1] for r in raw))
     pairings = []

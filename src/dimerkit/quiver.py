@@ -16,6 +16,12 @@ Paths are stored in composition order: ``arrows[-1]`` is traversed first.
 Each arrow also carries a shift in ``Z^2`` (the face-gluing shift of its
 edge); summing shifts over a cycle gives the cycle's displacement in the
 universal cover, zero exactly for the cycles that bound.
+
+A set of arrows that connects the quiver is walked once by
+:func:`tree_paths`: a spanning tree gives every vertex the signed arrow
+counts of its path from the first vertex, and :func:`tree_cycle` closes any
+arrow through the tree into a cycle.  Splitting cycles, chart characters
+and the cells of fixed-point candidates are all read off these paths.
 """
 
 from __future__ import annotations
@@ -63,11 +69,16 @@ class Quiver:
     white_next: tuple[tuple[str, str], ...] | None = None
     black_next: tuple[tuple[str, str], ...] | None = None
 
-    @property
+    # indexes, built on first use; cached_property is not a field
+    @cached_property
     def arrow_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.arrows)
 
-    # indexes, built on first use; cached_property is not a field
+    @cached_property
+    def arrow_pos(self) -> dict[str, int]:
+        """Each arrow's position in ``arrows``."""
+        return {aid: i for i, aid in enumerate(self.arrow_ids)}
+
     @cached_property
     def _arrow_by_id(self) -> dict[str, Arrow]:
         return {a.id: a for a in self.arrows}
@@ -213,6 +224,17 @@ def path_class(q: Quiver, path: PathSeq) -> Cell:
     return (x, y)
 
 
+def vector_shift(q: Quiver, counts: Sequence[int]) -> Cell:
+    """Total cover shift of an arrow-indexed count vector (a tree path or
+    cycle); for a cycle, its homology class."""
+    x = y = 0
+    for aid, c in zip(q.arrow_ids, counts):
+        if c:
+            dx, dy = q.shift(aid)
+            x, y = x + c * dx, y + c * dy
+    return (x, y)
+
+
 def check_support(q: Quiver, support: Iterable[str]) -> frozenset[str]:
     sup = frozenset(support)
     for aid in sup:
@@ -220,32 +242,41 @@ def check_support(q: Quiver, support: Iterable[str]) -> frozenset[str]:
     return sup
 
 
-def spanning_tree(
+def tree_paths(
     q: Quiver, arrows: Sequence[str]
-) -> list[tuple[str, int, str, str]]:
-    """A spanning tree over ``arrows``, grown from the first quiver vertex.
+) -> dict[str, tuple[int, ...]] | None:
+    """Signed tree paths over ``arrows``, from the first quiver vertex.
 
-    Passes over ``arrows`` in the order given, taking every arrow that leads
-    from a reached vertex to a new one, until a pass takes none.  Returns
-    the tree as ``(arrow, sign, parent, child)`` steps in the order taken,
-    sign ``+1`` when the arrow runs parent to child, so every parent comes
-    before its child.  The tree spans the quiver exactly when it has
-    ``len(q.vertices) - 1`` steps.
+    Grows a spanning tree in passes over ``arrows`` in the order given,
+    taking every arrow that leads from a reached vertex to a new one, until
+    a pass takes none.  Each vertex gets the arrow-indexed count vector of
+    its tree path from the root, an arrow counting ``-1`` where the path
+    runs against it.  ``None`` when the arrows do not span the quiver.
     """
-    reached = {q.vertices[0]}
-    steps: list[tuple[str, int, str, str]] = []
+    pos = q.arrow_pos
+    paths = {q.vertices[0]: (0,) * len(q.arrows)}
     grew = True
     while grew:
         grew = False
         for aid in arrows:
             s, t = q.source(aid), q.target(aid)
-            if (s in reached) == (t in reached):
+            if (s in paths) == (t in paths):
                 continue
-            parent, child, sign = (s, t, +1) if s in reached else (t, s, -1)
-            reached.add(child)
-            steps.append((aid, sign, parent, child))
+            parent, child, sign = (s, t, +1) if s in paths else (t, s, -1)
+            k, p = pos[aid], paths[parent]
+            paths[child] = p[:k] + (p[k] + sign,) + p[k + 1:]
             grew = True
-    return steps
+    return paths if len(paths) == len(q.vertices) else None
+
+
+def tree_cycle(
+    q: Quiver, paths: Mapping[str, tuple[int, ...]], aid: str
+) -> tuple[int, ...]:
+    """The cycle ``aid`` closes through the tree: the arrow, then back from
+    its target to its source along the tree paths; zero on tree arrows."""
+    k = q.arrow_pos[aid]
+    ps, pt = paths[q.source(aid)], paths[q.target(aid)]
+    return tuple(int(i == k) + a - b for i, (a, b) in enumerate(zip(ps, pt)))
 
 
 def rep_satisfies_relations(q: Quiver, support: Iterable[str]) -> bool:

@@ -45,6 +45,7 @@ from dimerkit import (
 )
 from conftest import cover
 from dimerkit.charts import _census_case
+from dimerkit.quiver import tree_paths, vector_shift
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -536,6 +537,38 @@ def test_candidates_match_arrow_search_any_weight(name, data):
     assert enumerate_fixed_candidates(model, theta) == _search_candidates(
         quiver, theta
     )
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_unit_triple_proposals_satisfy_relations_and_glue(name):
+    # every triple of matchings whose heights span a unit triangle, so every
+    # proposal enumerate_fixed_candidates makes for any weight, before the
+    # stability test: the complement of the union satisfies the relations,
+    # and when it spans, every support arrow steps between the tree's cells
+    # by its shift; neither needs its own check
+    model = CORPUS[name]
+    quiver = quiver_of(model)
+    pms = perfect_matchings(model)
+    arrows = frozenset(quiver.arrow_ids)
+    heights = [(d, height_change(model, d, pms[0])) for d in pms]
+    spanning = 0
+    for (d1, h1), (d2, h2), (d3, h3) in combinations(heights, 3):
+        (x1, y1), (x2, y2), (x3, y3) = h1, h2, h3
+        if abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)) != 1:
+            continue
+        support = arrows - d1 - d2 - d3
+        assert rep_satisfies_relations(quiver, support), sorted(support)
+        paths = tree_paths(quiver, [a for a in quiver.arrow_ids if a in support])
+        if paths is None:
+            continue
+        spanning += 1
+        cells = {v: vector_shift(quiver, p) for v, p in paths.items()}
+        for aid in support:
+            s, t = cells[quiver.source(aid)], cells[quiver.target(aid)]
+            assert (t[0] - s[0], t[1] - s[1]) == quiver.shift(aid), (
+                sorted(support), aid,
+            )
+    assert spanning
 
 
 @pytest.mark.parametrize("name", ["conifold", "honeycomb", "fzero"] + sorted(CORPUS))

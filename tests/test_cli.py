@@ -12,6 +12,9 @@ from dimerkit.cli import main
 # the dice lattice: a valid tiling of the torus with two blacks, one white
 # and hence no perfect matching
 DICE = os.path.join(os.path.dirname(__file__), "data", "dice.json")
+# the honeycomb with e3's offset moved to (2, 1): a valid tiling whose vertex
+# positions wind the fundamental domains clockwise against the rotation system
+WOUND = os.path.join(os.path.dirname(__file__), "data", "honeycomb_wound.json")
 
 
 def run(capsys, *argv):
@@ -296,6 +299,18 @@ def test_no_perfect_matching_is_negative(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "degenerate: no perfect matchings\n"
+
+
+def test_wound_positions_are_invalid_input(capsys):
+    code, data = run_json(capsys, "validate", WOUND)
+    assert code == 0 and data["ok"] is True
+    for argv in (["fixed-points"], ["render", "--what", "domain"]):
+        assert main([argv[0], WOUND, *argv[1:]]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: vertex positions disagree with the rotation system"
+        ), argv
 
 
 def test_toric_payload(capsys):

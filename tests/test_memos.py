@@ -10,6 +10,7 @@ from dimerkit import (
     assemble_fan,
     char_poly,
     cochar_lattice,
+    constraint_matrix,
     example,
     from_model,
     perfect_matchings,
@@ -18,7 +19,7 @@ from dimerkit import (
     relations,
     validate_model,
 )
-from dimerkit import matchings
+from dimerkit import lattice, matchings
 
 
 def _pipeline(model):
@@ -70,3 +71,22 @@ def test_one_search_per_model(monkeypatch):
     r_charge_average(from_model(model))
     assert assemble_fan(model, seed=0).report.ok
     assert len(graphs) == 1 and graphs[0] is from_model(model)
+
+
+def test_quiver_indexes_built_once(monkeypatch):
+    # the relation matrix serves both the lattice and every membership test
+    calls = []
+    rels = lattice.relations
+
+    def spy(q):
+        calls.append(q)
+        return rels(q)
+
+    monkeypatch.setattr(lattice, "relations", spy)
+    model = example("fzero")
+    q = _pipeline(model)
+    assert calls == [q]
+    assert constraint_matrix(q) is constraint_matrix(q)
+    assert q.arrow_ids is q.arrow_ids
+    assert q.arrow_pos is q.arrow_pos
+    assert [q.arrow_pos[aid] for aid in q.arrow_ids] == list(range(len(q.arrows)))

@@ -1,11 +1,16 @@
-"""Dual quiver: arrow cycles, complement paths, relations, 0/1 supports."""
+"""Dual quiver: arrow cycles, complement paths, relations, 0/1 supports,
+tree paths."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cover
 from dimerkit import (
     InvalidModelError,
     allowed_subquiver,
     example,
+    example_names,
     make_path,
     p_minus,
     p_plus,
@@ -15,6 +20,7 @@ from dimerkit import (
     relations,
     rep_satisfies_relations,
 )
+from dimerkit.quiver import tree_cycle, tree_paths, vector_shift
 
 q = quiver_of(example("conifold"))
 hq = quiver_of(example("honeycomb"))
@@ -124,3 +130,111 @@ def test_allowed_subquiver():
     assert sub.white_next is None
     with pytest.raises(InvalidModelError):
         p_plus(sub, "e2")  # subquivers carry no cycle structure
+
+
+# ---------------------------------------------------------------------------
+# the three walks tree_paths replaced, as oracle: one spanning tree, then the
+# splitting's root chains, the chart characters' gauge vectors and the
+# candidates' cells, each derived from it separately
+
+
+def _spanning_tree(quiver, arrows):
+    """``(arrow, sign, parent, child)`` steps in the order taken, sign +1
+    when the arrow runs parent to child; spans when it has one step fewer
+    than the quiver has vertices."""
+    reached = {quiver.vertices[0]}
+    steps = []
+    grew = True
+    while grew:
+        grew = False
+        for aid in arrows:
+            s, t = quiver.source(aid), quiver.target(aid)
+            if (s in reached) == (t in reached):
+                continue
+            parent, child, sign = (s, t, +1) if s in reached else (t, s, -1)
+            reached.add(child)
+            steps.append((aid, sign, parent, child))
+            grew = True
+    return steps
+
+
+def _reach_cycle(quiver, steps, aid):
+    # the splitting's walk: signed chains from each vertex back to the root
+    reach = {quiver.vertices[0]: ()}
+    for step, sign, parent, child in steps:
+        reach[child] = ((step, sign),) + reach[parent]
+    pos = {a: i for i, a in enumerate(quiver.arrow_ids)}
+    vec = [0] * len(quiver.arrow_ids)
+    vec[pos[aid]] += 1
+    for step, sign in reach[quiver.target(aid)]:
+        vec[pos[step]] -= sign
+    for step, sign in reach[quiver.source(aid)]:
+        vec[pos[step]] += sign
+    return tuple(vec)
+
+
+def _gamma_character(quiver, steps, aid):
+    # the chart characters' walk: gauge vectors vanishing on the tree
+    pos = {a: i for i, a in enumerate(quiver.arrow_ids)}
+    gamma = {quiver.vertices[0]: (0,) * len(quiver.arrows)}
+    for step, sign, parent, child in steps:
+        k, g = pos[step], gamma[parent]
+        gamma[child] = g[:k] + (g[k] - sign,) + g[k + 1:]
+    s, t = quiver.source(aid), quiver.target(aid)
+    return tuple(
+        int(k == pos[aid]) + gt - gs
+        for k, (gt, gs) in enumerate(zip(gamma[t], gamma[s]))
+    )
+
+
+def _tree_cells(quiver, steps):
+    # the candidates' walk: cover cells, the first vertex at the origin
+    cells = {quiver.vertices[0]: (0, 0)}
+    for aid, sign, parent, child in steps:
+        (x, y), (dx, dy) = cells[parent], quiver.shift(aid)
+        cells[child] = (x + sign * dx, y + sign * dy)
+    return cells
+
+
+# the catalog and its covers with at most 16 arrows
+TREE_CORPUS = [quiver_of(example(n)) for n in example_names()] + [
+    quiver_of(cover(example(n), a, b))
+    for n, edges in (("conifold", 4), ("honeycomb", 3), ("fzero", 8))
+    for a in range(1, 17)
+    for b in range(1, 17)
+    if 1 < a * b and a * b * edges <= 16
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tree_paths_match_spanning_tree(data):
+    quiver = data.draw(st.sampled_from(TREE_CORPUS))
+    arrows = data.draw(st.lists(st.sampled_from(quiver.arrow_ids), unique=True))
+    steps = _spanning_tree(quiver, arrows)
+    paths = tree_paths(quiver, arrows)
+    assert (paths is None) == (len(steps) != len(quiver.vertices) - 1)
+    if paths is None:
+        return
+    assert list(paths) == [quiver.vertices[0]] + [c for _, _, _, c in steps]
+    cells = _tree_cells(quiver, steps)
+    assert {v: vector_shift(quiver, p) for v, p in paths.items()} == cells
+    tree = {aid for aid, _, _, _ in steps}
+    for aid in quiver.arrow_ids:
+        cyc = tree_cycle(quiver, paths, aid)
+        assert any(cyc) == (aid not in tree), aid
+        assert cyc == _gamma_character(quiver, steps, aid), aid
+        assert cyc == _reach_cycle(quiver, steps, aid), aid
+
+
+def test_tree_paths_pinned():
+    # conifold: e2 runs f1 -> f2, so f2's path is +e2 and e4 closes e4 - e2
+    paths = tree_paths(q, ["e2", "e4"])
+    assert paths == {"f1": (0, 0, 0, 0), "f2": (0, 1, 0, 0)}
+    assert tree_cycle(q, paths, "e4") == (0, -1, 0, 1)
+    assert tree_cycle(q, paths, "e1") == (1, 1, 0, 0)
+    assert tree_cycle(q, paths, "e2") == (0, 0, 0, 0)
+    # e1 runs f2 -> f1: taken against its direction
+    assert tree_paths(q, ["e1"])["f2"] == (-1, 0, 0, 0)
+    assert tree_paths(q, []) is None
+    assert tree_paths(hq, []) == {"f1": (0, 0, 0)}
