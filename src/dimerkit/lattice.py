@@ -15,11 +15,10 @@ form of the relation matrix gives ``W`` and the gauge coordinates, a second
 one gives ``N``, both kept on the quiver; the splitting keeps the inverse of
 its matrix, so expressing a functional is one product.
 
-The homology classes of quiver cycles are reported in height coordinates:
-the raw cover shift of a cycle is composed with the fixed quarter turn
-``TURN``.  That normalisation is frozen by the package's acceptance tests
-(the splitting below must reproduce height changes on the nose); change it
-and every chart downstream shears.
+Height coordinates and the raw cover shifts of quiver cycles differ by a
+fixed quarter turn, which ``unturn_class`` undoes.  That normalisation is
+frozen by the acceptance tests (the splitting must reproduce height changes
+on the nose); change it and every chart downstream shears.
 """
 
 from __future__ import annotations
@@ -49,13 +48,7 @@ from .quiver import (
 IntMatrix = tuple[tuple[int, ...], ...]
 Vec3 = tuple[int, int, int]
 
-TURN = ((0, -1), (1, 0))  # maps raw cover shifts to height coordinates
-
 HILBERT_CAP = 10_000
-
-
-def turn_class(c: Cell) -> Cell:
-    return (-c[1], c[0])
 
 
 def unturn_class(c: Cell) -> Cell:

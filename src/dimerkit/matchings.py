@@ -2,12 +2,13 @@
 
 A dimer model is non-degenerate when every edge lies in some perfect
 matching (and a perfect matching exists).  Three independent tests are
-provided: forcing each edge and completing a matching around it
+provided: one perfect matching, which decides every edge at once
 (``per-edge``), full enumeration with averaged charges (``r-charge``), and
 the strict Hall condition on both sides (``strong-marriage``).  On connected
 graphs with both colors present they agree; the enumeration- and
 subset-based tests carry capacity bounds.
 
+Each graph numbers its two sides once, and all three tests read that.
 Matchings are enumerated once per graph, by one bitmask search, and kept
 on the graph as sorted tuples of edge positions (``matching_positions``).
 ``from_model`` is memoized per model, so the matchings, the characteristic
@@ -58,11 +59,18 @@ class BipartiteGraph:
 
     # built on first use; cached_property is not a field
     @cached_property
-    def _by_black(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        out: dict[str, tuple[tuple[str, str], ...]] = {b: () for b in self.blacks}
-        for eid, b, w in self.edges:
-            out[b] = out[b] + ((eid, w),)
-        return out
+    def _numbered(self) -> tuple[list[list[tuple[int, int]]], list[int], list[int]]:
+        """Each black's (edge position, white bit) pairs; both sides' neighbour masks."""
+        bpos = {b: i for i, b in enumerate(self.blacks)}
+        wpos = {w: i for i, w in enumerate(self.whites)}
+        choices: list[list[tuple[int, int]]] = [[] for _ in self.blacks]
+        black_nbrs, white_nbrs = [0] * len(self.blacks), [0] * len(self.whites)
+        for p, (_, b, w) in enumerate(self.edges):
+            i, j = bpos[b], wpos[w]
+            choices[i].append((p, 1 << j))
+            black_nbrs[i] |= 1 << j
+            white_nbrs[j] |= 1 << i
+        return choices, black_nbrs, white_nbrs
 
 
 @per_object
@@ -92,14 +100,7 @@ def _search(g: BipartiteGraph, limit: int) -> tuple[tuple[int, ...], ...]:
     n = len(g.blacks)
     if n != len(g.whites):
         return ()
-    bpos = {b: i for i, b in enumerate(g.blacks)}
-    wpos = {w: i for i, w in enumerate(g.whites)}
-    choices: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    nbr_mask = [0] * n
-    for p, (_, b, w) in enumerate(g.edges):
-        bit = 1 << wpos[w]
-        choices[bpos[b]].append((p, bit))
-        nbr_mask[bpos[b]] |= bit
+    choices, nbr_mask, _ = g._numbered
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
@@ -138,13 +139,18 @@ def matching_positions(
     """All perfect matchings as sorted tuples of edge positions in ``g.edges``,
     in canonical (lexicographic) order.
 
-    The search runs once per graph; its result is kept in the graph's
-    instance ``__dict__``.  Raises :class:`CapacityError` when more than
-    ``limit`` matchings exist, whether or not the search has run before.
+    The search runs once per graph and is kept in the graph's ``__dict__``.
+    Raises :class:`CapacityError` when more than ``limit`` matchings exist,
+    whether or not the search has run before, or past the recursion limit.
     """
     memo = g.__dict__
     if _POSITIONS not in memo:
-        memo[_POSITIONS] = _search(g, limit)
+        try:
+            memo[_POSITIONS] = _search(g, limit)
+        except RecursionError:
+            raise CapacityError(
+                f"{len(g.blacks)} blacks exceed the matching search's recursion limit"
+            ) from None
     found = memo[_POSITIONS]
     if len(found) > limit:
         raise _too_many(limit)
@@ -170,42 +176,64 @@ def perfect_matchings(model: DimerModel) -> tuple[frozenset[str], ...]:
     return enumerate_matchings(from_model(model))
 
 
-def _max_matching(g: BipartiteGraph, skip: frozenset[str]) -> int:
-    """Size of a maximum matching avoiding the vertices in ``skip``."""
-    by_black = g._by_black
-    match_w: dict[str, str] = {}
+def _max_matching(g: BipartiteGraph) -> list[int] | None:
+    """One perfect matching as each white's black, or ``None`` if there is none."""
+    if len(g.blacks) != len(g.whites):
+        return None
+    _, black_nbrs, _ = g._numbered
+    mate = [-1] * len(g.whites)
+    for b in range(len(g.blacks)):
+        came_from: dict[int, tuple[int, int]] = {}  # white -> (black, its white)
+        todo, seen, end = [(b, -1)], 0, -1
+        while todo and end < 0:
+            x, held = todo.pop()
+            new = black_nbrs[x] & ~seen
+            seen |= new
+            while new:
+                w = (new & -new).bit_length() - 1
+                new &= new - 1
+                came_from[w] = x, held
+                if mate[w] < 0:
+                    end = w
+                else:
+                    todo.append((mate[w], w))
+        if end < 0:
+            return None  # b stays unmatched
+        while end >= 0:  # flip the path: each black on it takes its new white
+            mate[end], end = came_from[end]
+    return mate
 
-    def augment(b: str, seen: set[str]) -> bool:
-        for eid, w in by_black[b]:
-            if w in skip or w in seen:
-                continue
-            seen.add(w)
-            if w not in match_w or augment(match_w[w], seen):
-                match_w[w] = b
-                return True
-        return False
 
-    size = 0
-    for b in g.blacks:
-        if b not in skip and augment(b, set()):
-            size += 1
-    return size
+def _edges_in_perfect_matchings(g: BipartiteGraph) -> dict[int, bool] | None:
+    """By edge position, whether some perfect matching holds the edge: when
+    its black end is reachable from its white end's partner, one step going
+    from a black to the partner of one of its whites (Dulmage–Mendelsohn).
+    ``None`` when there is no perfect matching."""
+    mate = _max_matching(g)
+    if mate is None:
+        return None
+    choices, _, _ = g._numbered
+    # (position, black, partner of the white) per edge, all by number
+    steps = [(p, x, mate[bit.bit_length() - 1])
+             for x, row in enumerate(choices) for p, bit in row]
+    reach = [1 << x for x in range(len(mate))]  # blacks reachable from each
+    while any(reach[y] & ~reach[x] for _, x, y in steps):
+        for _, x, y in steps:
+            reach[x] |= reach[y]
+    return {p: bool(reach[y] >> x & 1) for p, x, y in steps}
 
 
 def has_perfect_matching(g: BipartiteGraph) -> bool:
-    return len(g.blacks) == len(g.whites) and _max_matching(
-        g, frozenset()
-    ) == len(g.blacks)
+    return _max_matching(g) is not None
 
 
 def has_matching_containing(g: BipartiteGraph, eid: str) -> bool:
     """Whether some perfect matching contains the edge ``eid``."""
-    for e, b, w in g.edges:
-        if e == eid:
-            if len(g.blacks) != len(g.whites):
-                return False
-            return _max_matching(g, frozenset({b, w})) == len(g.blacks) - 1
-    raise InvalidModelError(f"unknown edge {eid!r}")
+    ids = [e for e, _, _ in g.edges]
+    if eid not in ids:
+        raise InvalidModelError(f"unknown edge {eid!r}")
+    inside = _edges_in_perfect_matchings(g)
+    return inside is not None and inside[ids.index(eid)]
 
 
 def r_charge_average(g: BipartiteGraph) -> dict[str, Fraction]:
@@ -238,42 +266,25 @@ def r_charge_average(g: BipartiteGraph) -> dict[str, Fraction]:
     return charges
 
 
-def _strict_hall_one_side(
-    side: tuple[str, ...], neighbor_bits: dict[str, int]
-) -> bool:
-    n = len(side)
+def _strong_marriage(g: BipartiteGraph) -> bool:
+    n = len(g.blacks)
+    if n != len(g.whites):
+        return False
     if n > SUBSET_CAP:
         raise CapacityError(
             f"strong-marriage enumerates 2^{n} subsets; "
             f"cap is 2^{SUBSET_CAP}, use method 'per-edge' instead"
         )
-    for mask in range(1, (1 << n) - 1):
-        nb = 0
-        size = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            nb |= neighbor_bits[side[i]]
-            size += 1
-            m &= m - 1
-        if nb.bit_count() <= size:
-            return False
+    _, black_nbrs, white_nbrs = g._numbered
+    for nbrs in (black_nbrs, white_nbrs):  # strict Hall on both sides
+        for mask in range(1, (1 << n) - 1):
+            nb, m = 0, mask
+            while m:
+                nb |= nbrs[(m & -m).bit_length() - 1]
+                m &= m - 1
+            if nb.bit_count() <= mask.bit_count():
+                return False
     return True
-
-
-def _strong_marriage(g: BipartiteGraph) -> bool:
-    if len(g.blacks) != len(g.whites):
-        return False
-    wpos = {w: i for i, w in enumerate(g.whites)}
-    bpos = {b: i for i, b in enumerate(g.blacks)}
-    nb_of_black = {b: 0 for b in g.blacks}
-    nb_of_white = {w: 0 for w in g.whites}
-    for _, b, w in g.edges:
-        nb_of_black[b] |= 1 << wpos[w]
-        nb_of_white[w] |= 1 << bpos[b]
-    return _strict_hall_one_side(g.blacks, nb_of_black) and _strict_hall_one_side(
-        g.whites, nb_of_white
-    )
 
 
 def is_non_degenerate(g: BipartiteGraph, method: str = "per-edge") -> bool:
@@ -284,9 +295,8 @@ def is_non_degenerate(g: BipartiteGraph, method: str = "per-edge") -> bool:
     bound.
     """
     if method == "per-edge":
-        return has_perfect_matching(g) and all(
-            has_matching_containing(g, eid) for eid, _, _ in g.edges
-        )
+        inside = _edges_in_perfect_matchings(g)
+        return inside is not None and all(inside.values())
     if method == "r-charge":
         try:
             charges = r_charge_average(g)

@@ -10,7 +10,8 @@ form a directed cycle, and likewise counterclockwise around every black
 vertex.  Dropping the arrow ``a`` from its white cycle leaves the path
 ``p_plus(a)``, dropping it from its black cycle leaves ``p_minus(a)``; the
 relations of the quiver algebra identify these two paths, one pair per
-arrow.
+arrow.  :func:`relations` walks each cycle once, and ``p_plus`` and
+``p_minus`` read it.
 
 Paths are stored in composition order: ``arrows[-1]`` is traversed first.
 Each arrow also carries a shift in ``Z^2`` (the face-gluing shift of its
@@ -80,10 +81,6 @@ class Quiver:
         return {aid: i for i, aid in enumerate(self.arrow_ids)}
 
     @cached_property
-    def _arrow_by_id(self) -> dict[str, Arrow]:
-        return {a.id: a for a in self.arrows}
-
-    @cached_property
     def _shift_by_id(self) -> dict[str, Cell]:
         return dict(self.shifts)
 
@@ -98,7 +95,7 @@ class Quiver:
 
     def arrow(self, aid: str) -> Arrow:
         try:
-            return self._arrow_by_id[aid]
+            return self.arrows[self.arrow_pos[aid]]
         except KeyError:
             raise InvalidModelError(f"unknown arrow {aid!r}") from None
 
@@ -171,40 +168,42 @@ def make_path(q: Quiver, arrows: Iterable[str]) -> PathSeq:
     return path
 
 
-def _complement_cycle_path(
-    q: Quiver, aid: str, nxt: Mapping[str, str]
-) -> PathSeq:
-    seq = []
-    cur = nxt[aid]
-    while cur != aid:
-        seq.append(cur)
-        if len(seq) > len(q.arrows):
-            raise InternalConsistencyError(f"cycle through {aid!r} does not close")
-        cur = nxt[cur]
-    path = PathSeq(tuple(reversed(seq)), q.target(aid), q.source(aid))
-    return _verify_path(q, path)
-
-
-def p_plus(q: Quiver, aid: str) -> PathSeq:
-    """The white cycle at ``a``'s edge with ``a`` removed: a path t(a) -> s(a)."""
-    if q.white_next is None:
-        raise InvalidModelError("quiver has no cycle structure")
-    q.arrow(aid)
-    return _complement_cycle_path(q, aid, dict(q.white_next))
-
-
-def p_minus(q: Quiver, aid: str) -> PathSeq:
-    """The black cycle at ``a``'s edge with ``a`` removed: a path t(a) -> s(a)."""
-    if q.black_next is None:
-        raise InvalidModelError("quiver has no cycle structure")
-    q.arrow(aid)
-    return _complement_cycle_path(q, aid, dict(q.black_next))
+def _cycle_complements(q: Quiver, nxt: Mapping[str, str]) -> dict[str, PathSeq]:
+    """Each arrow's cycle under ``nxt`` without it, walking every cycle once."""
+    out: dict[str, PathSeq] = {}
+    for start in q.arrow_ids:
+        if start in out:
+            continue
+        cycle = [start]
+        while nxt[cycle[-1]] != start:
+            if len(cycle) == len(q.arrows):
+                raise InternalConsistencyError(f"cycle through {start!r} does not close")
+            cycle.append(nxt[cycle[-1]])
+        for i, aid in enumerate(cycle):
+            rest = cycle[i + 1:] + cycle[:i]  # in walking order
+            path = PathSeq(tuple(reversed(rest)), q.target(aid), q.source(aid))
+            out[aid] = _verify_path(q, path)
+    return out
 
 
 @per_object
 def relations(q: Quiver) -> tuple[RelationPair, ...]:
     """One relation pair per arrow, in arrow order."""
-    return tuple(RelationPair(a.id, p_plus(q, a.id), p_minus(q, a.id)) for a in q.arrows)
+    if q.white_next is None or q.black_next is None:
+        raise InvalidModelError("quiver has no cycle structure")
+    plus = _cycle_complements(q, dict(q.white_next))
+    minus = _cycle_complements(q, dict(q.black_next))
+    return tuple(RelationPair(aid, plus[aid], minus[aid]) for aid in q.arrow_ids)
+
+
+def p_plus(q: Quiver, aid: str) -> PathSeq:
+    """The white cycle at ``a``'s edge with ``a`` removed: a path t(a) -> s(a)."""
+    return relations(q)[q.arrow_pos[q.arrow(aid).id]].plus
+
+
+def p_minus(q: Quiver, aid: str) -> PathSeq:
+    """The black cycle at ``a``'s edge with ``a`` removed: a path t(a) -> s(a)."""
+    return relations(q)[q.arrow_pos[q.arrow(aid).id]].minus
 
 
 def path_weight(path: PathSeq, weights: Mapping[str, object]):

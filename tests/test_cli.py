@@ -186,6 +186,35 @@ def test_theta_command(capsys):
     assert main(["theta", "--example", "conifold", "--matching", "99"]) == 2
 
 
+@pytest.mark.parametrize("uniform_first", [False, True])
+def test_theta_scans_each_draw_once(capsys, monkeypatch, uniform_first):
+    # the sampler only returns a generic weight, so the command does not
+    # scan it again: one 2^faces scan per draw
+    from dimerkit import stability
+
+    scans = []
+    closed_masks = stability._closed_masks
+
+    def spy(q, support, theta=None):
+        scans.append(support)
+        return closed_masks(q, support, theta)
+
+    monkeypatch.setattr(stability, "_closed_masks", spy)
+    if uniform_first:  # all-equal xi on fzero gives a weight-zero face set
+        draw_xi, draws = stability.draw_xi, []
+
+        def first_uniform(q, matching, rng):
+            xi = draw_xi(q, matching, rng)
+            draws.append(xi)
+            return {a: 1 for a in xi} if len(draws) == 1 else xi
+
+        monkeypatch.setattr(stability, "draw_xi", first_uniform)
+    code, data = run_json(capsys, "theta", "--example", "fzero", "--seed", "3")
+    assert code == 0 and data["generic"] is True
+    assert data["tries"] == (2 if uniform_first else 1)
+    assert scans == [None] * data["tries"]
+
+
 def test_dimer_seed_env(capsys, monkeypatch):
     _, with_flag = run_json(capsys, "theta", "--example", "conifold",
                             "--matching", "0", "--seed", "5")
@@ -311,6 +340,16 @@ def test_wound_positions_are_invalid_input(capsys):
         assert captured.err.startswith(
             "error: vertex positions disagree with the rotation system"
         ), argv
+
+
+def test_deep_matching_search_is_invalid_input(capsys, tmp_path):
+    # 1 020 blacks: past the search's recursion depth, before MATCHING_CAP
+    path = tmp_path / "honeycomb-34x30.json"
+    dump_model(cover(example("honeycomb"), 34, 30), str(path))
+    assert main(["matchings", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 1020 blacks exceed the matching search's")
 
 
 def test_toric_payload(capsys):

@@ -1,5 +1,6 @@
 """Perfect matchings and the three non-degeneracy tests."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from dimerkit import (
     BipartiteGraph,
     CapacityError,
     DegenerateModelError,
+    InvalidModelError,
     NON_DEGENERACY_METHODS,
     enumerate_matchings,
     example,
@@ -20,9 +22,12 @@ from dimerkit import (
     has_matching_containing,
     has_perfect_matching,
     is_non_degenerate,
+    load_model,
     perfect_matchings,
     r_charge_average,
 )
+from dimerkit import matchings
+from dimerkit.matchings import matching_positions
 
 FZ_GRAPH = BipartiteGraph(
     ("b1", "b2"),
@@ -247,3 +252,123 @@ def test_r_charges_match_membership_counts(model):
     assert list(r_charge_average(g).items()) == list(
         _r_charges_by_membership(g).items()
     )
+
+
+# ---------------------------------------------------------------------------
+# the forced-edge route per-edge replaced, as oracle: one fresh maximum
+# matching per edge, with the edge's ends left out, plus one for the graph
+
+
+def _forced_max_matching(g: BipartiteGraph, skip: frozenset[str]) -> int:
+    """Size of a maximum matching avoiding the vertices in ``skip``."""
+    by_black = {b: [w for _, eb, w in g.edges if eb == b] for b in g.blacks}
+    match_w: dict[str, str] = {}
+
+    def augment(b: str, seen: set[str]) -> bool:
+        for w in by_black[b]:
+            if w in skip or w in seen:
+                continue
+            seen.add(w)
+            if w not in match_w or augment(match_w[w], seen):
+                match_w[w] = b
+                return True
+        return False
+
+    return sum(1 for b in g.blacks if b not in skip and augment(b, set()))
+
+
+def _forced_perfect(g: BipartiteGraph) -> bool:
+    n = len(g.blacks)
+    return n == len(g.whites) and _forced_max_matching(g, frozenset()) == n
+
+
+def _forced_contains(g: BipartiteGraph, eid: str) -> bool:
+    (b, w), n = [(b, w) for e, b, w in g.edges if e == eid][0], len(g.blacks)
+    return n == len(g.whites) and _forced_max_matching(g, frozenset({b, w})) == n - 1
+
+
+def _assert_matches_forced_route(g: BipartiteGraph) -> None:
+    want = {eid: _forced_contains(g, eid) for eid, _, _ in g.edges}
+    perfect = _forced_perfect(g)
+    assert {eid: has_matching_containing(g, eid) for eid in want} == want
+    assert has_perfect_matching(g) == perfect
+    assert is_non_degenerate(g, "per-edge") == (perfect and all(want.values()))
+
+
+def _tagged(g: BipartiteGraph, tag: str) -> BipartiteGraph:
+    return BipartiteGraph(
+        tuple(tag + b for b in g.blacks),
+        tuple(tag + w for w in g.whites),
+        tuple((tag + e, tag + b, tag + w) for e, b, w in g.edges),
+    )
+
+
+def _disjoint_union(g: BipartiteGraph, h: BipartiteGraph) -> BipartiteGraph:
+    g, h = _tagged(g, "g"), _tagged(h, "h")
+    return BipartiteGraph(g.blacks + h.blacks, g.whites + h.whites, g.edges + h.edges)
+
+
+def _one_white_more(g: BipartiteGraph, seed: int) -> BipartiteGraph:
+    """``g`` with a new white tied to one of its blacks: unbalanced sides."""
+    b = g.blacks[seed % len(g.blacks)]
+    return BipartiteGraph(g.blacks, g.whites + ("w+",), g.edges + (("e+", b, "w+"),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**6), other=st.integers(0, 10**6),
+       shape=st.sampled_from(("one", "union", "unbalanced")))
+@hyp_example(seed=13, other=0, shape="one")  # balanced, 10 matchings
+@hyp_example(seed=13, other=13, shape="union")
+def test_per_edge_matches_forced_route(seed, other, shape):
+    g = random_connected(seed)
+    if shape == "union":
+        g = _disjoint_union(g, random_connected(other))
+    elif shape == "unbalanced":
+        g = _one_white_more(g, other)
+    _assert_matches_forced_route(g)
+
+
+DICE = os.path.join(os.path.dirname(__file__), "data", "dice.json")
+
+FORCED_ROUTE_MODELS = [
+    *PINNED_MODELS,
+    load_model(DICE),
+    cover(example("conifold"), 3, 2),
+    cover(example("honeycomb"), 3, 3),
+    cover(example("fzero"), 2, 2),
+    cover(example("degenerate"), 2, 1),
+]
+
+
+@pytest.mark.parametrize("model", FORCED_ROUTE_MODELS)
+def test_per_edge_matches_forced_route_on_models(model):
+    _assert_matches_forced_route(from_model(model))
+
+
+def test_per_edge_builds_one_matching(monkeypatch):
+    calls = []
+    build = matchings._max_matching
+
+    def spy(g):
+        calls.append(g)
+        return build(g)
+
+    monkeypatch.setattr(matchings, "_max_matching", spy)
+    for g in (FZ_GRAPH, DEG_GRAPH, from_model(load_model(DICE))):
+        calls.clear()
+        is_non_degenerate(g, "per-edge")
+        assert calls == [g]
+
+
+def test_has_matching_containing_unknown_edge():
+    with pytest.raises(InvalidModelError, match="unknown edge 'e9'"):
+        has_matching_containing(FZ_GRAPH, "e9")
+
+
+def test_deep_search_is_a_capacity_error():
+    # 1 020 blacks: the search recurses once per black, past the default
+    # recursion limit, before MATCHING_CAP is reached
+    g = from_model(cover(example("honeycomb"), 34, 30))
+    for _ in range(2):  # nothing half-built is kept
+        with pytest.raises(CapacityError, match="1020 blacks"):
+            matching_positions(g)

@@ -238,3 +238,61 @@ def test_tree_paths_pinned():
     assert tree_paths(q, ["e1"])["f2"] == (-1, 0, 0, 0)
     assert tree_paths(q, []) is None
     assert tree_paths(hq, []) == {"f1": (0, 0, 0)}
+
+
+# ---------------------------------------------------------------------------
+# the per-arrow walk relations replaced, as oracle: for each arrow, follow
+# the next-map from the arrow around its cycle, in a fresh copy of the map
+
+
+def _walked_path(quiver, aid, pairs):
+    nxt = dict(pairs)
+    seq = []
+    cur = nxt[aid]
+    while cur != aid:
+        seq.append(cur)
+        assert len(seq) <= len(quiver.arrows), "cycle does not close"
+        cur = nxt[cur]
+    return tuple(reversed(seq)), quiver.target(aid), quiver.source(aid)
+
+
+def _walked(path):
+    return path.arrows, path.source, path.target
+
+
+# the catalog and its covers up to 24 arrows, as (name, a, b)
+RELATION_CORPUS = [(n, 1, 1) for n in example_names()] + [
+    (n, a, b)
+    for n, edges in (("conifold", 4), ("honeycomb", 3), ("fzero", 8), ("degenerate", 6))
+    for a in range(1, 9)
+    for b in range(1, 9)
+    if 1 < a * b and a * b * edges <= 24
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(RELATION_CORPUS))
+def test_relations_match_per_arrow_walk(case):
+    name, a, b = case
+    model = example(name)
+    quiver = quiver_of(model if a * b == 1 else cover(model, a, b))
+    rels = relations(quiver)
+    assert [r.arrow for r in rels] == list(quiver.arrow_ids)
+    for rel in rels:
+        want_plus = _walked_path(quiver, rel.arrow, quiver.white_next)
+        want_minus = _walked_path(quiver, rel.arrow, quiver.black_next)
+        assert _walked(rel.plus) == want_plus
+        assert _walked(rel.minus) == want_minus
+        assert p_plus(quiver, rel.arrow) == rel.plus
+        assert p_minus(quiver, rel.arrow) == rel.minus
+
+
+def test_relation_errors_unchanged():
+    sub = allowed_subquiver(q, {"e1"})
+    for fn in (p_plus, p_minus):
+        with pytest.raises(InvalidModelError, match="no cycle structure"):
+            fn(sub, "e2")
+        with pytest.raises(InvalidModelError, match="unknown arrow 'e9'"):
+            fn(q, "e9")
+    with pytest.raises(InvalidModelError, match="no cycle structure"):
+        relations(sub)
