@@ -69,7 +69,6 @@ from .lattice import (
     solve_integer,
     split_by_reference,
     torus_dimension,
-    unturn_class,
 )
 from .matchings import (
     MATCHING_CAP,

@@ -7,18 +7,15 @@ a vertex potential are the gauge subgroup ``B`` inside it.  The quotient
 spaces built later; for a dimer model on the torus it is free of rank 3.
 
 Three distinguished functionals on ``W`` split ``N``: the *level* (the
-common value of the vertex sums) and two cycle pairings ``pi_x, pi_y``
-built from a reference matching, which reproduce height changes of
-matchings.  Everything is computed exactly over the integers via a
-self-contained Smith normal form.  Each result is derived once: one Smith
-form of the relation matrix gives ``W`` and the gauge coordinates, a second
-one gives ``N``, both kept on the quiver; the splitting keeps the inverse of
-its matrix, so expressing a functional is one product.
-
-Height coordinates and the raw cover shifts of quiver cycles differ by a
-fixed quarter turn, which ``unturn_class`` undoes.  That normalisation is
-frozen by the acceptance tests (the splitting must reproduce height changes
-on the nose); change it and every chart downstream shears.
+common value of the vertex sums) and two height pairings ``pi_x, pi_y``.
+A matching's height change is its total edge offset against a reference
+matching's, so the pairings are read off the edge offsets in closed form
+and give every matching cocharacter its height change on the nose.
+Everything is computed exactly over the integers via a self-contained
+Smith normal form.  Each result is derived once: one Smith form of the
+relation matrix gives ``W`` and the gauge coordinates, a second one gives
+``N``, both kept on the quiver; the splitting keeps the inverse of its
+matrix, so expressing a functional is one product.
 """
 
 from __future__ import annotations
@@ -34,25 +31,13 @@ from .exceptions import (
     InvalidModelError,
 )
 from .heights import LatticePolygon
-from .model import Cell, per_object
-from .quiver import (
-    Quiver,
-    check_support,
-    p_minus,
-    relations,
-    tree_cycle,
-    tree_paths,
-    vector_shift,
-)
+from .model import per_object
+from .quiver import Quiver, check_support, p_minus, relations
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Vec3 = tuple[int, int, int]
 
 HILBERT_CAP = 10_000
-
-
-def unturn_class(c: Cell) -> Cell:
-    return (c[1], -c[0])
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +278,12 @@ def _gauge_rows(q: Quiver) -> IntMatrix:
     return tuple(rows)
 
 
+def _kills_gauge(q: Quiver, vec: Sequence[int]) -> bool:
+    return not any(
+        sum(x * y for x, y in zip(vec, g)) for g in _gauge_rows(q)
+    )
+
+
 @dataclass(frozen=True)
 class CocharLattice:
     """The lattice ``N = W / B`` with a basis of its free part.
@@ -383,11 +374,11 @@ def level_of(q: Quiver, weights: Mapping[str, object]):
 class Splitting:
     """Coordinates ``(pi_x, pi_y, level)`` identifying ``N`` with ``Z^3``.
 
-    The pairings are arrow-indexed integer vectors; applied to the
-    cocharacter of a matching they give its height change against ``base``
-    and level 1.  ``inverse`` is the integer inverse of the unimodular
-    matrix whose rows are ``pi_x, pi_y, level`` on the lattice's free basis;
-    ``iso_det`` is that matrix's determinant.
+    The pairings are arrow-indexed integer vectors read off the edge
+    offsets; applied to the cocharacter of a matching they give its height
+    change against ``base`` and level 1.  ``inverse`` is the integer inverse
+    of the unimodular matrix whose rows are ``pi_x, pi_y, level`` on the
+    lattice's free basis; ``iso_det`` is that matrix's determinant.
     """
 
     base: frozenset[str]
@@ -414,47 +405,32 @@ class Splitting:
         )
 
 
-def _fundamental_cycles(
-    q: Quiver, base: frozenset[str]
-) -> list[tuple[int, ...]]:
-    allowed = [aid for aid in q.arrow_ids if aid not in base]
-    paths = tree_paths(q, allowed)
-    if paths is None:
-        raise DegenerateModelError(
-            "arrows off the matching do not connect all quiver vertices"
-        )
-    cycles = (tree_cycle(q, paths, aid) for aid in allowed)
-    return [c for c in cycles if any(c)]
-
-
 def split_by_reference(q: Quiver, base: Iterable[str]) -> Splitting:
     """Split ``N`` by a reference matching into ``Z^2 x Z`` (heights, level).
 
-    Builds two cycle pairings from fundamental cycles of the off-matching
-    subquiver whose homology classes are the two height directions, plus the
-    level functional, and certifies that together they identify the
-    cocharacter lattice with ``Z^3``.
+    The pairings come from the edge offsets in closed form,
+    ``pi = offset_sum(base) * level - offset``: on a matching's cocharacter
+    the level is 1 and the offset functional is the matching's total
+    offset, so ``pi`` is its height change against ``base``.  Every face
+    closes up in the cover, so the offset functional kills the gauge
+    subgroup, as the level (a cycle) does; that is checked once here.
+    Together with the level the pairings are then certified to identify
+    the cocharacter lattice with ``Z^3``.
     """
     b = frozenset(base)
     pm_cocharacter(q, b)  # validates that base really is a matching
-    cycles = _fundamental_cycles(q, b)
-    raw = [vector_shift(q, vec) for vec in cycles]
-    # 2 x k system: find integer cycle combinations hitting the raw targets
-    cols = (tuple(r[0] for r in raw), tuple(r[1] for r in raw))
-    pairings = []
-    for target in (unturn_class((1, 0)), unturn_class((0, 1))):
-        z = solve_integer(cols, target)
-        if z is None:
-            raise DegenerateModelError(
-                "cycle classes off the matching do not span the plane"
-            )
-        vec = [0] * len(q.arrow_ids)
-        for zi, cyc in zip(z, cycles):
-            for i, c in enumerate(cyc):
-                vec[i] += zi * c
-        pairings.append(tuple(vec))
-    pi_x, pi_y = pairings
+    if q.offsets is None:
+        raise InvalidModelError("quiver has no edge offsets")
     lev = _level_vector(q)
+    pos = q.arrow_pos
+    sx = sum(q.offsets[pos[aid]][0] for aid in b)
+    sy = sum(q.offsets[pos[aid]][1] for aid in b)
+    pi_x = tuple(sx * l - o[0] for l, o in zip(lev, q.offsets))
+    pi_y = tuple(sy * l - o[1] for l, o in zip(lev, q.offsets))
+    if not all(_kills_gauge(q, f) for f in (pi_x, pi_y, lev)):
+        raise InternalConsistencyError(
+            "splitting does not kill the gauge subgroup"
+        )
 
     lat = cochar_lattice(q)
     if lat.rank != 3 or lat.torsion:
@@ -481,13 +457,13 @@ def express_functional(
     """Coefficients of an N-functional over ``(pi_x, pi_y, level)``.
 
     The input must kill the gauge subgroup; the result ``(a, b, c)``
-    satisfies ``f = a pi_x + b pi_y + c level`` on all of ``W``, which is
-    verified.
+    satisfies ``f = a pi_x + b pi_y + c level`` on all of ``W``.  Both
+    sides kill the gauge subgroup ``B`` and agree on the lattice's free
+    basis, and ``W`` is spanned by that basis and ``B``.
     """
     fvec = _vec(q, functional)
-    for g in _gauge_rows(q):
-        if sum(x * y for x, y in zip(fvec, g)) != 0:
-            raise InvalidModelError("functional does not kill the gauge subgroup")
+    if not _kills_gauge(q, fvec):
+        raise InvalidModelError("functional does not kill the gauge subgroup")
     lat = cochar_lattice(q)
     if lat.rank != 3 or lat.torsion:
         raise DegenerateModelError("cocharacter lattice is not free of rank 3")
@@ -495,18 +471,6 @@ def express_functional(
     # u . T = rhs for the splitting's matrix T, so u = rhs . T^-1
     inv = split.inverse
     u = [sum(rhs[k] * inv[k][c] for k in range(3)) for c in range(3)]
-    # full verification on the whole weight lattice
-    for wb in lat.w_basis:
-        lhs = sum(f * n for f, n in zip(fvec, wb))
-        rhs_val = (
-            u[0] * sum(f * n for f, n in zip(split.pi_x, wb))
-            + u[1] * sum(f * n for f, n in zip(split.pi_y, wb))
-            + u[2] * sum(f * n for f, n in zip(split.level, wb))
-        )
-        if lhs != rhs_val:
-            raise InternalConsistencyError(
-                "functional does not descend to the computed coordinates"
-            )
     return (u[0], u[1], u[2])
 
 

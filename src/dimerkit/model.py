@@ -336,20 +336,33 @@ def _cycle_offset_classes(model: DimerModel) -> list[Cell] | None:
     return classes
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, s, t)`` with ``s * a + t * b == g == gcd(a, b)``."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
 def _spans_lattice(classes: list[Cell]) -> bool:
-    # the rows generate Z^2 iff both Smith invariants are 1: gcd of the
-    # entries and gcd of the 2x2 minors must each be 1
-    d1 = 0
-    for c in classes:
-        d1 = gcd(d1, c[0], c[1])
-    if d1 != 1:
-        return False
-    d2 = 0
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            (a, b), (c, d) = classes[i], classes[j]
-            d2 = gcd(d2, a * d - b * c)
-    return d2 == 1
+    # fold each class into a Hermite basis (a, b), (0, c) of the lattice
+    # the classes so far generate; that lattice is Z^2 iff a == c == 1
+    a = b = c = 0
+    for x, y in classes:
+        if x:
+            # unimodular on the rows (a, b), (x, y): [[s, t], [-x/g, a/g]]
+            g, s, t = _ext_gcd(a, x)
+            a, b, c = g, s * b + t * y, gcd(c, (a // g) * y - (x // g) * b)
+        else:
+            c = gcd(c, y)
+        if c:
+            b %= c
+        if a == c == 1:
+            return True
+    return False
 
 
 def validate_model(model: DimerModel) -> ValidationReport:

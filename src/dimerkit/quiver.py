@@ -16,13 +16,16 @@ arrow.  :func:`relations` walks each cycle once, and ``p_plus`` and
 Paths are stored in composition order: ``arrows[-1]`` is traversed first.
 Each arrow also carries a shift in ``Z^2`` (the face-gluing shift of its
 edge); summing shifts over a cycle gives the cycle's displacement in the
-universal cover, zero exactly for the cycles that bound.
+universal cover, zero exactly for the cycles that bound.  The quiver also
+keeps its edges' offsets, aligned with ``arrows``: summed over a perfect
+matching they give its height, and the lattice splitting is built from
+them.
 
 A set of arrows that connects the quiver is walked once by
 :func:`tree_paths`: a spanning tree gives every vertex the signed arrow
 counts of its path from the first vertex, and :func:`tree_cycle` closes any
-arrow through the tree into a cycle.  Splitting cycles, chart characters
-and the cells of fixed-point candidates are all read off these paths.
+arrow through the tree into a cycle.  Chart characters and the cells of
+fixed-point candidates are both read off these paths.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ class Quiver:
     # at the black endpoint; None on subquivers, which have no cycle structure
     white_next: tuple[tuple[str, str], ...] | None = None
     black_next: tuple[tuple[str, str], ...] | None = None
+    # the dual edge's offset per arrow, aligned with arrows; None on subquivers
+    offsets: tuple[Cell, ...] | None = None
 
     # indexes, built on first use; cached_property is not a field
     @cached_property
@@ -117,7 +122,8 @@ class Quiver:
 
 @per_object
 def quiver_of(model: DimerModel) -> Quiver:
-    """The quiver dual to a dimer model, with its cycle maps and shifts."""
+    """The quiver dual to a dimer model, with its cycle maps, shifts and
+    edge offsets."""
     tr = trace_faces(model)
     arrows = tuple(
         Arrow(e.id, tr.dart_face[(e.id, -1)], tr.dart_face[(e.id, +1)])
@@ -132,7 +138,8 @@ def quiver_of(model: DimerModel) -> Quiver:
         wn.append((e.id, rot_w[i - 1]))
         bn.append((e.id, rot_b[(j + 1) % len(rot_b)]))
     return Quiver(
-        tuple(f.id for f in tr.faces), arrows, shifts, tuple(wn), tuple(bn)
+        tuple(f.id for f in tr.faces), arrows, shifts, tuple(wn), tuple(bn),
+        tuple(e.offset for e in model.edges),
     )
 
 
@@ -294,7 +301,8 @@ def rep_satisfies_relations(q: Quiver, support: Iterable[str]) -> bool:
 def allowed_subquiver(q: Quiver, matching: Iterable[str]) -> Quiver:
     """The subquiver of arrows not dual to the given matching's edges.
 
-    The result keeps vertices and shifts but loses the cycle maps.
+    The result keeps vertices and shifts but loses the cycle maps and the
+    edge offsets.
     """
     m = check_support(q, matching)
     arrows = tuple(a for a in q.arrows if a.id not in m)

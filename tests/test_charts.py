@@ -26,6 +26,7 @@ from dimerkit import (
     chart_transition,
     char_poly,
     classify_chart,
+    cochar_lattice,
     contains_point,
     convex_hull,
     det_int,
@@ -357,6 +358,38 @@ def test_candidate_cells_glue_along_support(name, a, b):
                 assert (t[0] - s[0], t[1] - s[1]) == quiver.shift(aid), (
                     seed, sorted(cand.support), aid,
                 )
+
+
+@pytest.mark.parametrize("name, a, b", [
+    ("conifold", 1, 1), ("honeycomb", 1, 1), ("fzero", 1, 1),
+    ("honeycomb", 2, 2), ("conifold", 2, 2), ("fzero", 2, 1),
+])
+def test_chart_rows_hold_on_weight_lattice(name, a, b):
+    # the check express_functional once ran on every call, as oracle: each
+    # character equals its row's combination of (pi_x, pi_y, level) on every
+    # basis vector of the weight lattice W
+    model = cover(example(name), a, b)
+    quiver = quiver_of(model)
+    w_basis = cochar_lattice(quiver).w_basis
+    split = split_by_reference(quiver, perfect_matchings(model)[0])
+    funcs = (split.pi_x, split.pi_y, split.level)
+    for seed in range(4):
+        fan = assemble_fan(model, seed=seed)
+        assert fan.charts, seed
+        for chart in fan.charts:
+            chars = chart_characters(
+                quiver, chart.candidate, chart.classification.coordinate_edges
+            )
+            assert len(chars) == len(chart.rows) == 3
+            for char, row in zip(chars, chart.rows):
+                cvec = [char[aid] for aid in quiver.arrow_ids]
+                for wb in w_basis:
+                    lhs = sum(c * w for c, w in zip(cvec, wb))
+                    rhs = sum(
+                        u * sum(f * w for f, w in zip(func, wb))
+                        for u, func in zip(row, funcs)
+                    )
+                    assert lhs == rhs, (seed, sorted(chart.candidate.support), wb)
 
 
 def test_certificate_across_independent_draws():

@@ -169,6 +169,19 @@ def test_check_agreement(capsys):
     assert set(data["methods"].values()) == {False}
 
 
+def test_check_past_a_cap_reports_null(capsys, tmp_path):
+    # 21 blacks: strong-marriage would scan 2^21 subsets, so it gives no
+    # verdict; the others agree and per-edge sets the exit code
+    path = tmp_path / "honeycomb-7x3.json"
+    dump_model(cover(example("honeycomb"), 7, 3), str(path))
+    code, data = run_json(capsys, "check", str(path))
+    assert code == 0
+    assert data == {
+        "methods": {"per-edge": True, "r-charge": True, "strong-marriage": None},
+        "agree": True,
+    }
+
+
 def test_rcharge_payload(capsys):
     code, data = run_json(capsys, "rcharge", "--example", "honeycomb")
     assert code == 0

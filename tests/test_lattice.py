@@ -10,6 +10,7 @@ from conftest import cover
 from dimerkit import (
     DegenerateModelError,
     InvalidModelError,
+    Quiver,
     char_poly,
     cochar_lattice,
     cone_over_polygon,
@@ -102,15 +103,11 @@ def test_splitting_frozen():
     assert hsp.pi_y == (0, 0, 1)
 
 
-def test_splitting_reproduces_heights():
-    for model, quiver in ((conifold, q), (honeycomb, hq)):
-        pms = perfect_matchings(model)
-        sp = split_by_reference(quiver, pms[0])
-        for m in pms:
-            w = pm_cocharacter(quiver, m)
-            assert sp.pi(w) == height_change(model, m, pms[0])
-            assert sp.coords(w)[2] == 1
-            assert level_of(quiver, w) == 1
+def test_splitting_needs_edge_offsets():
+    # a quiver built by hand with cycle maps but no offsets has no heights
+    bare = Quiver(q.vertices, q.arrows, q.shifts, q.white_next, q.black_next)
+    with pytest.raises(InvalidModelError, match="no edge offsets"):
+        split_by_reference(bare, {"e1"})
 
 
 def test_express_functional():
@@ -125,6 +122,21 @@ LATTICE_MODELS = {name: example(name) for name in example_names()} | {
     f"{name}-{a}x{b}": cover(example(name), a, b)
     for name, a, b in (("honeycomb", 2, 2), ("conifold", 2, 2), ("fzero", 2, 1))
 }
+
+
+def test_splitting_reproduces_heights():
+    # the catalog, degenerate model included, and three covers; every
+    # matching is the base once, so bases with a nonzero offset sum occur
+    for name, model in sorted(LATTICE_MODELS.items()):
+        quiver = quiver_of(model)
+        pms = perfect_matchings(model)
+        chars = [(m, pm_cocharacter(quiver, m)) for m in pms]
+        for base in pms:
+            sp = split_by_reference(quiver, base)
+            for m, w in chars:
+                assert sp.pi(w) == height_change(model, m, base), (name, sorted(m))
+                assert sp.coords(w)[2] == 1
+                assert level_of(quiver, w) == 1
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_MODELS))

@@ -2,8 +2,11 @@
 
 import json
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimerkit import (
     DimerEdge,
@@ -21,6 +24,7 @@ from dimerkit import (
     trace_faces,
     validate_model,
 )
+from dimerkit.model import _spans_lattice
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -254,3 +258,42 @@ def test_duplicate_vertex_id_keeps_first_color():
         "edge 'e2': vertex 'w1' is white, expected black; "
         "edge 'e2': vertex 'b1' is black, expected white"
     )
+
+
+# the pairwise-minor route _spans_lattice replaced, as oracle: the classes
+# generate Z^2 iff the gcd of their entries and the gcd of their 2x2 minors
+# are both 1
+def _spans_by_minors(classes):
+    d1 = d2 = 0
+    for i, (a, b) in enumerate(classes):
+        d1 = gcd(d1, a, b)
+        for c, d in classes[i + 1:]:
+            d2 = gcd(d2, a * d - b * c)
+    return d1 == 1 and d2 == 1
+
+
+_class = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    classes=st.lists(_class, max_size=8),
+    line=_class,
+    scales=st.lists(st.integers(-4, 4), max_size=4),
+    zeros=st.integers(0, 3),
+    data=st.data(),
+)
+def test_spans_lattice_matches_minors(classes, line, scales, zeros, data):
+    # mix in zero classes and classes collinear with one direction
+    extra = [(k * line[0], k * line[1]) for k in scales] + [(0, 0)] * zeros
+    mixed = data.draw(st.permutations(classes + extra))
+    assert _spans_lattice(mixed) == _spans_by_minors(mixed)
+
+
+def test_spans_lattice_pinned():
+    assert not _spans_lattice([])
+    assert not _spans_lattice([(0, 0), (1, 0), (3, 0)])
+    assert not _spans_lattice([(2, 0), (0, 1), (0, 0)])
+    assert _spans_lattice([(0, 0), (2, 1), (1, 1)])
+    assert _spans_lattice([(2, 0), (3, 0), (0, -1)])
+    assert not _spans_lattice([(2, 4), (1, 3)])
