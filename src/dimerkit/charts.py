@@ -101,9 +101,9 @@ def enumerate_fixed_candidates(
     quiver and is stable; each face's cell is the cover shift of its tree
     path.  The relations and the gluing of every support arrow hold by
     construction (see the module docstring).  The matchings are the model's
-    own enumeration, so ``MATCHING_CAP`` and the ``VERTEX_CAP`` of
-    :func:`is_stable` bound the work; the same recipe serves a non-generic
-    weight.
+    own enumeration, so ``MATCHING_CAP`` bounds the work, and each
+    :func:`is_stable` test is a few min cuts with no cap; the same recipe
+    serves a non-generic weight.
     """
     q = quiver_of(model)
     pms = perfect_matchings(model)

@@ -86,6 +86,11 @@ class Quiver:
         return {aid: i for i, aid in enumerate(self.arrow_ids)}
 
     @cached_property
+    def vertex_pos(self) -> dict[str, int]:
+        """Each vertex's position in ``vertices``."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
     def _shift_by_id(self) -> dict[str, Cell]:
         return dict(self.shifts)
 
@@ -243,8 +248,8 @@ def vector_shift(q: Quiver, counts: Sequence[int]) -> Cell:
 
 def check_support(q: Quiver, support: Iterable[str]) -> frozenset[str]:
     sup = frozenset(support)
-    for aid in sup:
-        q.arrow(aid)
+    for aid in sup - q.arrow_pos.keys():
+        q.arrow(aid)  # raises on the unknown arrow
     return sup
 
 

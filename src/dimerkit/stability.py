@@ -3,9 +3,15 @@
 A weight ``theta`` on the quiver vertices (rational, summing to zero) makes
 a 0/1 representation stable when every nonempty proper subrepresentation has
 positive weight.  For 0/1 representations the subrepresentations are exactly
-the vertex subsets closed under walking the supported arrows forward, so
-both stability and genericity reduce to finite subset checks, guarded by a
-capacity bound.
+the vertex subsets closed under walking the supported arrows forward.  The
+least weight of such a closed subset is a maximal-closure problem, so
+stability and semistability take one integer s-t min cut per source
+component of the support (Picard 1976), solved as a transport over the
+vertices' reach sets, and have no cap.  Genericity, no zero-weight
+nonempty proper subset at all, meets in the middle: it counts the subset
+sums of each half of the vertices, at most 2 * 2^ceil(n/2) masks, and is
+capped at twice ``VERTEX_CAP`` vertices.  Listing the closed subsets
+themselves stays a 2^n walk, capped at ``VERTEX_CAP``.
 
 The weights of interest are built from a perfect matching ``D`` and positive
 rationals ``xi`` on the arrows off ``D``: each vertex receives the ``xi`` it
@@ -15,6 +21,7 @@ absorbs minus the ``xi`` it emits.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +32,7 @@ from .exceptions import CapacityError, InvalidModelError
 from .model import rational_from_json
 from .quiver import Quiver, check_support
 
-VERTEX_CAP = 20  # subset enumeration walks 2^|vertices| masks
+VERTEX_CAP = 20  # a subset walk covers at most 2^VERTEX_CAP masks
 
 
 @dataclass(frozen=True)
@@ -35,12 +42,16 @@ class Theta:
     values: tuple[tuple[str, Fraction], ...]
 
     def of(self, v: str) -> Fraction:
-        for vid, x in self.values:
-            if vid == v:
-                return x
-        raise InvalidModelError(f"unknown vertex {v!r}")
+        try:
+            return self._by_vertex[v]
+        except KeyError:
+            raise InvalidModelError(f"unknown vertex {v!r}") from None
 
     # built on first use; cached_property is not a field
+    @cached_property
+    def _by_vertex(self) -> dict[str, Fraction]:
+        return dict(self.values)
+
     @cached_property
     def _scaled(self) -> dict[str, int]:
         """Each weight times the least common denominator: same signs, same
@@ -65,50 +76,45 @@ def make_theta(q: Quiver, weights: Mapping[str, object]) -> Theta:
     return Theta(tuple(vals))
 
 
-def _guard(q: Quiver) -> None:
-    if len(q.vertices) > VERTEX_CAP:
-        raise CapacityError(
-            f"subset enumeration over {len(q.vertices)} vertices exceeds "
-            f"the cap of {VERTEX_CAP}"
-        )
+def _guard(n: int, cap: int, what: str) -> None:
+    if n > cap:
+        raise CapacityError(f"{what} over {n} vertices exceeds the cap of {cap}")
 
 
-def _closed_masks(
-    q: Quiver, support: Iterable[str] | None, theta: Theta | None = None
-):
-    """``(mask, weight)`` for every nonempty proper vertex subset closed
-    under the supported arrows, in increasing mask order.
+def _successors(q: Quiver, support: Iterable[str]) -> list[int]:
+    """Bitmask of each vertex's supported successors; bit ``i`` of a mask is
+    ``q.vertices[i]``."""
+    pos = q.vertex_pos
+    sup = check_support(q, support)
+    succ = [0] * len(q.vertices)
+    for a in q.arrows:
+        if a.id in sup:
+            succ[pos[a.source]] |= 1 << pos[a.target]
+    return succ
 
-    Bit ``i`` of a mask is ``q.vertices[i]``.  A support of ``None`` closes
-    every subset.  ``weight`` is the subset's ``theta`` weight times the
-    least common denominator of ``theta``, so it has the same sign; it is 0
-    without ``theta``.
-    """
-    _guard(q)
-    n = len(q.vertices)
-    pos = {v: i for i, v in enumerate(q.vertices)}
-    succ = [0] * n
-    if support is not None:
-        sup = check_support(q, support)
-        for a in q.arrows:
-            if a.id in sup:
-                succ[pos[a.source]] |= 1 << pos[a.target]
-    tv = [0] * n
-    if theta is not None:
-        scaled = theta._scaled
-        if scaled.keys() != set(q.vertices):
-            raise InvalidModelError("weight vertices do not match the quiver")
-        tv = [scaled[v] for v in q.vertices]
-    for mask in range(1, (1 << n) - 1):
-        weight, m = 0, mask
+
+def _weights(q: Quiver, theta: Theta) -> list[int]:
+    """``theta._scaled`` in vertex order."""
+    scaled = theta._scaled
+    if scaled.keys() != q.vertex_pos.keys():
+        raise InvalidModelError("weight vertices do not match the quiver")
+    return [scaled[v] for v in q.vertices]
+
+
+def _closed_masks(q: Quiver, support: Iterable[str]):
+    """Every nonempty proper vertex subset closed under the supported
+    arrows, as a bitmask, in increasing order."""
+    _guard(len(q.vertices), VERTEX_CAP, "subset enumeration")
+    succ = _successors(q, support)
+    for mask in range(1, (1 << len(succ)) - 1):
+        m = mask
         while m:
             i = (m & -m).bit_length() - 1
             if succ[i] & ~mask:
                 break
-            weight += tv[i]
             m &= m - 1
         else:
-            yield mask, weight
+            yield mask
 
 
 def successor_closed_subsets(
@@ -121,26 +127,170 @@ def successor_closed_subsets(
     """
     return tuple(
         frozenset(v for i, v in enumerate(q.vertices) if mask >> i & 1)
-        for mask, _ in _closed_masks(q, support)
+        for mask in _closed_masks(q, support)
     )
 
 
+def _reach(succ: list[int]) -> list[int]:
+    """Each vertex's forward reach, itself included: the least closed set
+    holding it.  A bitmask search per vertex, which takes in whole the
+    reach of every earlier vertex it meets."""
+    reach: list[int] = []
+    for i in range(len(succ)):
+        seen = frontier = 1 << i
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                j = low.bit_length() - 1
+                if j < i:
+                    seen |= reach[j]
+                else:
+                    step |= succ[j]
+                frontier ^= low
+            frontier = step & ~seen
+            seen |= frontier
+        reach.append(seen)
+    return reach
+
+
+def _has_negative_closure(reach: list[int], w: list[int], inside: int) -> bool:
+    """Whether some subset of the closed vertex set ``inside``, closed
+    under the arrows, has negative total ``w``.
+
+    Picard's min cut, solved as a transport on the reach sets: each
+    negative vertex ships its deficit to positive vertices it reaches, each
+    of which takes at most its weight, along shortest augmenting paths.  If
+    every deficit ships, each closed set's positive vertices absorb the
+    deficits inside it.  If one cannot, the deficit vertices its search
+    visits reach only full positive vertices, and all they reach is a
+    closed set of negative weight.
+    """
+    pos = neg = 0
+    for i, x in enumerate(w):
+        if inside >> i & 1 and x:
+            if x > 0:
+                pos |= 1 << i
+            else:
+                neg |= 1 << i
+    room = w[:]  # what each positive vertex can still take
+    into: dict[int, dict[int, int]] = {}  # v -> {x: what x ships to v}
+    while neg:
+        low = neg & -neg
+        neg ^= low
+        u = low.bit_length() - 1
+        left = -w[u]
+        while left:
+            came = {u: -1}  # deficit vertex -> the full vertex it was met at
+            via = {}  # positive vertex -> the deficit vertex reaching it
+            queue = [u]
+            end = -1
+            for x in queue:
+                m = reach[x] & pos
+                while m:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
+                    if v in via:
+                        continue
+                    via[v] = x
+                    if room[v]:
+                        end = v
+                        break
+                    for y in into.get(v, ()):
+                        if y not in came:
+                            came[y] = v
+                            queue.append(y)
+                if end >= 0:
+                    break
+            else:
+                return True
+            push, v = min(left, room[end]), end
+            while came[via[v]] >= 0:
+                x = via[v]
+                v = came[x]
+                push = min(push, into[v][x])
+            room[end] -= push
+            left -= push
+            v = end
+            while True:
+                x = via[v]
+                shipped = into.setdefault(v, {})
+                shipped[x] = shipped.get(x, 0) + push
+                v = came[x]
+                if v < 0:
+                    break
+                into[v][x] -= push
+                if not into[v][x]:
+                    del into[v][x]
+    return False
+
+
+def _closures_nonnegative(succ: list[int], w: list[int]) -> bool:
+    """Whether every nonempty proper closed vertex set has ``w`` ≥ 0.
+
+    A closed set holding a vertex of a strongly connected component holds
+    all of it, and one holding every source component holds everything.
+    So each nonempty proper closed set avoids some source component ``C``,
+    and lies in the closed set ``V - C``: one min cut per source component,
+    and none when the support is strongly connected (``V - C`` is empty).
+    """
+    n = len(succ)
+    full = (1 << n) - 1
+    reach = _reach(succ)
+    comps: dict[int, int] = {}  # reach set -> the component it is the reach of
+    for i, r in enumerate(reach):
+        comps[r] = comps.get(r, 0) | 1 << i
+    # the reach sets are closed; the smallest, sink components, fail first
+    for r in sorted(comps, key=int.bit_count):
+        if r != full and sum(w[i] for i in range(n) if r >> i & 1) < 0:
+            return False
+    entered = 0  # vertices reached from outside their component
+    for r, comp in comps.items():
+        entered |= r & ~comp
+    for comp in comps.values():
+        if not comp & entered and _has_negative_closure(reach, w, full & ~comp):
+            return False
+    return True
+
+
 def is_stable(q: Quiver, support: Iterable[str], theta: Theta) -> bool:
-    """King stability: every closed nonempty proper subset has positive weight."""
-    return all(w > 0 for _, w in _closed_masks(q, support, theta))
+    """King stability: every closed nonempty proper subset has positive weight.
+
+    With ``n`` vertices, the weight ``(n + 1) * theta - 1`` (on scaled
+    integer weights) is negative on a nonempty set exactly when ``theta``
+    is not positive there, so one semistability test decides.
+    """
+    n = len(q.vertices)
+    w = [(n + 1) * x - 1 for x in _weights(q, theta)]
+    return _closures_nonnegative(_successors(q, support), w)
 
 
 def is_semistable(q: Quiver, support: Iterable[str], theta: Theta) -> bool:
-    return all(w >= 0 for _, w in _closed_masks(q, support, theta))
+    return _closures_nonnegative(_successors(q, support), _weights(q, theta))
+
+
+def _subset_sums(values: list[int]) -> list[int]:
+    sums = [0]
+    for x in values:
+        sums += [s + x for s in sums]
+    return sums
 
 
 def is_generic(q: Quiver, theta: Theta) -> bool:
     """No nonempty proper vertex subset has weight zero.
 
     Generic weights see no strictly semistable 0/1 representation, whatever
-    the arrow support is.
+    the arrow support is.  Meet in the middle: a subset is a pair of
+    subsets, one from each half of the vertices, whose sums cancel.  The
+    empty pair and the full pair always do; any other is a zero-weight
+    nonempty proper subset.  Each half has at most ``VERTEX_CAP`` vertices.
     """
-    return all(w != 0 for _, w in _closed_masks(q, None, theta))
+    n = len(q.vertices)
+    _guard(n, 2 * VERTEX_CAP, "genericity check")
+    w = _weights(q, theta)
+    left = Counter(_subset_sums(w[: n // 2]))
+    return sum(left[-s] for s in _subset_sums(w[n // 2 :])) == 2
 
 
 def sardo_infirri_theta(

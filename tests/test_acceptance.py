@@ -1,10 +1,11 @@
-"""End-to-end acceptance run: the eight headline guarantees, one per test.
+"""End-to-end acceptance run: the nine headline guarantees, one per test.
 
 Each test prints a single PASS/FAIL line into the terminal summary, so a
 full run reads as a checklist.  The tests only use public package API.
 """
 
 import functools
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -15,6 +16,7 @@ from conftest import random_connected
 from dimerkit import (
     CASE_SIX_OPPOSITE,
     NON_DEGENERACY_METHODS,
+    area2,
     assemble_fan,
     char_poly,
     chart_transition,
@@ -23,6 +25,7 @@ from dimerkit import (
     det_int,
     draw_xi,
     dual_cone,
+    dump_model,
     enumerate_fixed_candidates,
     example,
     from_model,
@@ -43,6 +46,7 @@ from dimerkit import (
     split_by_reference,
     torus_dimension,
 )
+from dimerkit.cli import main
 
 FIXTURES = ("conifold", "honeycomb", "fzero", "degenerate")
 
@@ -236,3 +240,19 @@ def test_toric_generators():
     gens_h = hilbert_basis(dual_cone(cone_h))
     assert len(gens_h) == 3
     assert abs(det_int([list(v) for v in gens_h])) == 1
+
+
+@criterion(9, "covers past 20 faces: generic weight, charts = area2, certified")
+def test_big_covers(capsys, tmp_path):
+    for name, a, b in (("fzero", 3, 2), ("honeycomb", 5, 5)):
+        model = conftest.cover(example(name), a, b)
+        path = str(tmp_path / f"{name}.json")
+        dump_model(model, path)
+        assert main(["fixed-points", path, "--seed", "0"]) == 0, name
+        data = json.loads(capsys.readouterr().out)
+        assert data["certificate"]["ok"], name
+        polygon = newton_polygon(char_poly(model))
+        assert len(data["fixed_points"]) == area2(polygon), name
+    honeycomb = str(tmp_path / "honeycomb.json")  # 25 faces
+    assert main(["theta", honeycomb, "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["generic"] is True

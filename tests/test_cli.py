@@ -6,7 +6,7 @@ import os
 import pytest
 
 from conftest import cover
-from dimerkit import dump_model, example
+from dimerkit import DimerEdge, DimerModel, dump_model, example
 from dimerkit.cli import main
 
 # the dice lattice: a valid tiling of the torus with two blacks, one white
@@ -202,17 +202,17 @@ def test_theta_command(capsys):
 @pytest.mark.parametrize("uniform_first", [False, True])
 def test_theta_scans_each_draw_once(capsys, monkeypatch, uniform_first):
     # the sampler only returns a generic weight, so the command does not
-    # scan it again: one 2^faces scan per draw
+    # test it again: one genericity decision per draw
     from dimerkit import stability
 
-    scans = []
-    closed_masks = stability._closed_masks
+    decisions = []
+    is_generic = stability.is_generic
 
-    def spy(q, support, theta=None):
-        scans.append(support)
-        return closed_masks(q, support, theta)
+    def spy(q, theta):
+        decisions.append(is_generic(q, theta))
+        return decisions[-1]
 
-    monkeypatch.setattr(stability, "_closed_masks", spy)
+    monkeypatch.setattr(stability, "is_generic", spy)
     if uniform_first:  # all-equal xi on fzero gives a weight-zero face set
         draw_xi, draws = stability.draw_xi, []
 
@@ -225,7 +225,35 @@ def test_theta_scans_each_draw_once(capsys, monkeypatch, uniform_first):
     code, data = run_json(capsys, "theta", "--example", "fzero", "--seed", "3")
     assert code == 0 and data["generic"] is True
     assert data["tries"] == (2 if uniform_first else 1)
-    assert scans == [None] * data["tries"]
+    assert decisions == [False] * (data["tries"] - 1) + [True]
+
+
+def _conifold_with_copies(k: int) -> DimerModel:
+    """The conifold with ``k`` more copies of ``e1`` beside it: each copy
+    adds a two-sided face and one perfect matching, so the quiver has
+    ``k + 2`` faces and the model ``k + 4`` matchings."""
+    base = example("conifold")
+    copies = tuple(f"x{i}" for i in range(1, k + 1))
+    return DimerModel(
+        base.vertices,
+        base.edges + tuple(DimerEdge(x, "b1", "w1", (0, 0)) for x in copies),
+        (
+            ("b1", ("e1",) + copies + ("e2", "e3", "e4")),
+            ("w1", ("e3", "e4") + copies[::-1] + ("e1", "e2")),
+        ),
+    )
+
+
+def test_theta_past_the_genericity_cap(capsys, tmp_path):
+    # 41 faces and only 43 matchings: the genericity cap, not the matching
+    # cap, stops the command
+    path = tmp_path / "copies.json"
+    dump_model(_conifold_with_copies(39), str(path))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["theta", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "genericity check over 41 vertices exceeds the cap of 40" in err
 
 
 def test_dimer_seed_env(capsys, monkeypatch):

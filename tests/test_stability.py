@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import cover
 from dimerkit import (
+    VERTEX_CAP,
+    Arrow,
+    CapacityError,
     InvalidModelError,
+    Quiver,
     draw_xi,
     example,
     is_generic,
@@ -29,6 +33,14 @@ def test_matching_weight_frozen():
     th = sardo_infirri_theta(q, {"e1"}, {"e2": 1, "e3": 1, "e4": 1})
     assert th.of("f1") == -1
     assert th.of("f2") == 1
+
+
+def test_unknown_names_are_invalid():
+    th = sardo_infirri_theta(q, {"e1"}, {"e2": 1, "e3": 1, "e4": 1})
+    with pytest.raises(InvalidModelError, match="unknown vertex 'f9'"):
+        th.of("f9")
+    with pytest.raises(InvalidModelError, match="unknown arrow 'e9'"):
+        is_stable(q, {"e2", "e9"}, th)
 
 
 def test_theta_sums_to_zero():
@@ -144,6 +156,8 @@ ORACLE_QUIVERS = [
     quiver_of(example("fzero")),
     quiver_of(cover(example("conifold"), 2, 2)),
     quiver_of(cover(example("fzero"), 2, 1)),
+    quiver_of(cover(example("conifold"), 3, 2)),
+    quiver_of(cover(example("fzero"), 3, 1)),
 ]
 
 
@@ -151,16 +165,20 @@ def _subset_sums(quiver, support, theta):
     """Fraction weight of every nonempty proper vertex subset that no
     supported arrow leaves; a support of None closes every subset."""
     vs = quiver.vertices
+    steps = [(a.source, a.target) for a in quiver.arrows
+             if support is not None and a.id in support]
+    # each subset's weight is that of the subset without its lowest vertex,
+    # plus that vertex's weight
+    weight = [Fraction(0)]
+    for mask in range(1, 1 << len(vs)):
+        low = (mask & -mask).bit_length() - 1
+        weight.append(weight[mask & (mask - 1)] + theta[vs[low]])
     sums = []
     for mask in range(1, (1 << len(vs)) - 1):
         inside = {v for i, v in enumerate(vs) if mask >> i & 1}
-        if support is not None and any(
-            a.source in inside and a.target not in inside
-            for a in quiver.arrows
-            if a.id in support
-        ):
+        if any(s in inside and t not in inside for s, t in steps):
             continue
-        sums.append(sum((theta[v] for v in inside), Fraction(0)))
+        sums.append(weight[mask])
     return sums
 
 
@@ -184,3 +202,165 @@ def test_verdicts_match_fraction_oracle(data):
     assert is_generic(quiver, theta) == all(
         w != 0 for w in _subset_sums(quiver, None, values)
     )
+
+
+def _digraph(n, pairs):
+    """A bare quiver on vertices ``v0 .. v{n-1}``, one arrow ``a{k}`` per
+    ``(source, target)`` index pair."""
+    vs = tuple(f"v{i}" for i in range(n))
+    arrows = tuple(
+        Arrow(f"a{k}", vs[i], vs[j]) for k, (i, j) in enumerate(pairs)
+    )
+    return Quiver(vs, arrows, ())
+
+
+def _tilted(quiver):
+    """Weight ``n - 1`` on the first vertex and ``-1`` on every other."""
+    n = len(quiver.vertices)
+    return dict(zip(quiver.vertices, [n - 1] + [-1] * (n - 1)))
+
+
+def _check_against_oracle(quiver, support, vals):
+    values = dict(zip(quiver.vertices, vals))
+    theta = make_theta(quiver, values)
+    closed = _subset_sums(quiver, support, values)
+    assert is_stable(quiver, support, theta) == all(w > 0 for w in closed)
+    assert is_semistable(quiver, support, theta) == all(w >= 0 for w in closed)
+    assert is_generic(quiver, theta) == all(
+        w != 0 for w in _subset_sums(quiver, None, values)
+    )
+
+
+# three sources v0, v1, v3 feed the sink v2; the closed set {v0, v1, v2}
+# is no vertex's reach, so only a min cut sees its weight
+THREE_SOURCES = _digraph(4, [(0, 2), (1, 2), (3, 2)])
+
+
+@pytest.mark.parametrize(
+    "vals, stable, semistable",
+    [
+        ((-1, -1, 3, -1), True, True),
+        ((-2, -2, 3, 1), False, False),  # {v0, v1, v2} weighs -1
+        ((-1, -2, 3, 0), False, True),  # {v0, v1, v2} weighs 0
+        ((1, 1, -2, 0), False, False),  # the sink alone is negative
+        ((0, 0, 0, 0), False, True),
+    ],
+)
+def test_several_source_components(vals, stable, semistable):
+    support = {a.id for a in THREE_SOURCES.arrows}
+    theta = make_theta(THREE_SOURCES, dict(zip(THREE_SOURCES.vertices, vals)))
+    assert is_stable(THREE_SOURCES, support, theta) is stable
+    assert is_semistable(THREE_SOURCES, support, theta) is semistable
+    _check_against_oracle(THREE_SOURCES, support, vals)
+
+
+def test_empty_support():
+    # every nonempty proper subset is closed, and some singleton or its
+    # complement weighs at most zero: never stable, semistable only at 0
+    quiver = quiver_of(cover(example("conifold"), 2, 2))
+    n = len(quiver.vertices)
+    zero = make_theta(quiver, dict.fromkeys(quiver.vertices, 0))
+    assert not is_stable(quiver, (), zero)
+    assert is_semistable(quiver, (), zero)
+    tilted = make_theta(quiver, _tilted(quiver))
+    assert not is_stable(quiver, (), tilted)
+    assert not is_semistable(quiver, (), tilted)
+    for vals in ([0] * n, [n - 1] + [-1] * (n - 1)):
+        _check_against_oracle(quiver, (), vals)
+
+
+def test_single_vertex():
+    quiver = _digraph(1, [(0, 0)])
+    theta = make_theta(quiver, {"v0": 0})
+    for support in ((), {"a0"}):
+        assert is_stable(quiver, support, theta)
+        assert is_semistable(quiver, support, theta)
+    assert is_generic(quiver, theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verdicts_match_oracle_on_digraphs(data):
+    # small digraphs with loops, parallel arrows and many source components
+    n = data.draw(st.integers(1, 7))
+    index = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=12))
+    quiver = _digraph(n, pairs)
+    vals = data.draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    vals.append(-sum(vals))
+    ids = [a.id for a in quiver.arrows]
+    support = data.draw(
+        st.frozensets(st.sampled_from(ids)) if ids else st.just(frozenset())
+    )
+    _check_against_oracle(quiver, support, vals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verdicts_match_oracle_on_two_layers(data):
+    # negative-weight sources feeding positive-weight sinks, plus one more
+    # source: deficits must be rerouted between shared sinks
+    k = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 4))
+    sink = st.integers(k, k + m - 1)
+    pairs = [(i, data.draw(sink)) for i in range(k)]
+    pairs += data.draw(st.lists(st.tuples(st.integers(0, k - 1), sink), max_size=8))
+    pairs.append((k + m, data.draw(sink)))
+    quiver = _digraph(k + m + 1, pairs)
+    vals = [-data.draw(st.integers(1, 9)) for _ in range(k)]
+    vals += [data.draw(st.integers(1, 9)) for _ in range(m)]
+    vals.append(-sum(vals))
+    support = {a.id for a in quiver.arrows}
+    _check_against_oracle(quiver, support, vals)
+    # the min cut alone, over the whole vertex set, with no reach-set
+    # rejection or split by source component in front of it
+    from dimerkit import stability
+
+    reach = stability._reach(stability._successors(quiver, support))
+    theta = make_theta(quiver, dict(zip(quiver.vertices, vals)))
+    weights = stability._weights(quiver, theta)
+    closed = _subset_sums(quiver, support, dict(zip(quiver.vertices, vals)))
+    assert stability._has_negative_closure(
+        reach, weights, (1 << len(vals)) - 1
+    ) == any(w < 0 for w in closed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_genericity_matches_oracle(data):
+    # repeated values and zeros make zero-weight subsets common
+    n = data.draw(st.integers(1, 12))
+    quiver = _digraph(n, [])
+    pool = data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    vals = [data.draw(st.sampled_from(pool)) for _ in range(n - 1)]
+    vals.append(-sum(vals))
+    values = dict(zip(quiver.vertices, vals))
+    assert is_generic(quiver, make_theta(quiver, values)) == all(
+        w != 0 for w in _subset_sums(quiver, None, values)
+    )
+
+
+def test_genericity_cap(monkeypatch):
+    from dimerkit import stability
+
+    quiver = quiver_of(cover(example("honeycomb"), 7, 6))
+    n = len(quiver.vertices)
+    assert n == 42 > 2 * VERTEX_CAP
+    theta = make_theta(quiver, _tilted(quiver))
+    built = []
+    monkeypatch.setattr(stability, "_subset_sums", built.append)
+    with pytest.raises(CapacityError, match="over 42 vertices exceeds the cap of 40"):
+        is_generic(quiver, theta)
+    assert built == []
+
+
+def test_closed_subsets_keep_their_cap():
+    quiver = quiver_of(cover(example("honeycomb"), 7, 3))
+    assert len(quiver.vertices) == 21 > VERTEX_CAP
+    with pytest.raises(CapacityError, match="over 21 vertices exceeds the cap of 20"):
+        successor_closed_subsets(quiver, ())
+    # stability has no cap: the full support is strongly connected, so
+    # stable; with no arrows some face set weighs at most zero
+    theta = make_theta(quiver, _tilted(quiver))
+    assert not is_stable(quiver, (), theta)
+    assert is_stable(quiver, quiver.arrow_ids, theta)
