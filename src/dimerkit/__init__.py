@@ -26,7 +26,6 @@ from .charts import (
     chart_characters,
     chart_cone,
     chart_rows,
-    chart_transition,
     classify_chart,
     enumerate_fixed_candidates,
     fundamental_domain,
@@ -61,14 +60,9 @@ from .lattice import (
     dual_cone,
     express_functional,
     hilbert_basis,
-    in_weight_lattice,
-    kernel_basis,
-    level_of,
     pm_cocharacter,
     smith_normal_form,
-    solve_integer,
     split_by_reference,
-    torus_dimension,
 )
 from .matchings import (
     MATCHING_CAP,
@@ -94,7 +88,6 @@ from .model import (
     FaceTrace,
     ValidationCheck,
     ValidationReport,
-    compute_faces,
     dump_model,
     face_gluing_shifts,
     lift_patch,
@@ -109,16 +102,11 @@ from .quiver import (
     PathSeq,
     Quiver,
     RelationPair,
-    allowed_subquiver,
     check_support,
-    make_path,
     p_minus,
     p_plus,
-    path_class,
-    path_weight,
     quiver_of,
     relations,
-    rep_satisfies_relations,
 )
 from .render import render_domain, render_model, render_polygon
 from .stability import (
@@ -131,7 +119,6 @@ from .stability import (
     make_theta,
     sample_generic_theta,
     sardo_infirri_theta,
-    successor_closed_subsets,
 )
 
 __version__ = "0.1.0"

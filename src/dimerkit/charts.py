@@ -463,21 +463,6 @@ def chart_cone(rows: Sequence[Vec3]) -> ChartCone:
     return ChartCone(rays, d)
 
 
-def chart_transition(rows_i: Sequence[Vec3], rows_j: Sequence[Vec3]):
-    """Coordinate change between two charts: ``M_i @ M_j^{-1}``, integral."""
-    dj = det_int(rows_j)
-    if dj not in (1, -1):
-        raise InternalConsistencyError("chart rows are not unimodular")
-    adj = adjugate3(rows_j)
-    return tuple(
-        tuple(
-            sum(rows_i[r][k] * adj[k][c] for k in range(3)) // dj
-            for c in range(3)
-        )
-        for r in range(3)
-    )
-
-
 # ---------------------------------------------------------------------------
 # the fan certificate
 

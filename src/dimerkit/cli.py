@@ -183,8 +183,8 @@ def _cmd_charpoly(args) -> int:
     z = char_poly(model, base=pms[args.ref])
     _emit(
         [
-            {"hx": e[0], "hy": e[1], "coeff": z.coefficient(e)}
-            for e in z.exponents
+            {"hx": e[0], "hy": e[1], "coeff": c}
+            for e, c in z.terms
         ]
     )
     return EXIT_OK

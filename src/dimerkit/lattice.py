@@ -53,13 +53,12 @@ class SNFResult:
     """Decomposition ``U @ M @ V == S`` with ``U, V`` unimodular.
 
     ``S`` is diagonal with non-negative entries, each dividing the next.
-    ``u_inv`` and ``v_inv`` are the inverses of ``U`` and ``V``.
+    ``v_inv`` is the inverse of ``V``.
     """
 
     u: IntMatrix
     s: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
     v_inv: IntMatrix
 
     @property
@@ -82,7 +81,8 @@ class SNFResult:
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None) -> SNFResult:
-    """Smith normal form over the integers, with both transforms and inverses.
+    """Smith normal form over the integers, with both transforms and the
+    inverse of the column transform.
 
     Pivoting is deterministic: the entry of least absolute value wins, ties
     broken by row then column.  ``ncols`` is only needed for matrices with
@@ -93,26 +93,20 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
     n = len(a[0]) if a else (ncols if ncols is not None else 0)
     if any(len(row) != n for row in a):
         raise InvalidModelError("ragged matrix")
-    u, uinv = _identity(m), _identity(m)
+    u = _identity(m)
     v, vinv = _identity(n), _identity(n)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
 
     def row_add(i, j, c):  # row i += c * row j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in uinv:
-            r[j] -= c * r[i]
 
     def col_swap(i, j):
         for r in a:
@@ -169,36 +163,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
         t += 1
 
     freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return SNFResult(freeze(u), freeze(a), freeze(v), freeze(uinv), freeze(vinv))
-
-
-def kernel_basis(
-    matrix: Sequence[Sequence[int]], ncols: int | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Basis of the integer kernel ``{x : M x = 0}`` (a saturated subgroup)."""
-    return smith_normal_form(matrix, ncols).kernel
-
-
-def solve_integer(
-    matrix: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[int, ...] | None:
-    """One integer solution of ``M x = rhs``, or None if there is none."""
-    res = smith_normal_form(matrix)
-    m = len(res.u)
-    n = len(res.v)
-    if len(rhs) != m:
-        raise InvalidModelError("right-hand side has the wrong length")
-    c = [sum(res.u[i][k] * rhs[k] for k in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(m):
-        d = res.s[i][i] if i < min(m, n) else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return tuple(sum(res.v[i][k] * y[k] for k in range(n)) for i in range(n))
+    return SNFResult(freeze(u), freeze(a), freeze(v), freeze(vinv))
 
 
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
@@ -331,39 +296,21 @@ def cochar_lattice(q: Quiver) -> CocharLattice:
     )
 
 
-def torus_dimension(q: Quiver) -> int:
-    return cochar_lattice(q).rank
-
-
-def in_weight_lattice(q: Quiver, weights: Mapping[str, int]) -> bool:
-    vec = _vec(q, weights)
-    return all(
-        sum(r * x for r, x in zip(row, vec)) == 0 for row in constraint_matrix(q)
-    )
-
-
 def pm_cocharacter(q: Quiver, matching: Iterable[str]) -> dict[str, int]:
     """Indicator weight of a perfect matching's arrows; always lies in W."""
     m = check_support(q, matching)
-    w = {aid: int(aid in m) for aid in q.arrow_ids}
-    if not in_weight_lattice(q, w):
+    vec = [int(aid in m) for aid in q.arrow_ids]
+    if any(sum(r * x for r, x in zip(row, vec)) for row in constraint_matrix(q)):
         raise InvalidModelError(
             "support is not a perfect matching: relation sums differ"
         )
-    return w
+    return dict(zip(q.arrow_ids, vec))
 
 
 def _level_vector(q: Quiver) -> tuple[int, ...]:
     a0 = q.arrow_ids[0]
     vec = _indicator(q, (a0,) + p_minus(q, a0).arrows)
     return tuple(vec)
-
-
-def level_of(q: Quiver, weights: Mapping[str, object]):
-    """The common vertex sum of a relation-compatible weight (1 on matchings)."""
-    vec = _vec(q, weights)
-    lv = _level_vector(q)
-    return sum(l * x for l, x in zip(lv, vec))
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +484,15 @@ def dual_cone(cone: Cone3) -> Cone3:
     return Cone3(tuple(gens))
 
 
-def hilbert_basis(cone: Cone3, cap: int = HILBERT_CAP) -> tuple[Vec3, ...]:
+def hilbert_basis(cone: Cone3) -> tuple[Vec3, ...]:
     """The unique minimal generating set of the cone's semigroup of
     lattice points.
 
     Candidates are the lattice points of the generators' bounding zonotope
     box; each is kept when no earlier-kept point can be subtracted without
     leaving the cone.  Generation of every candidate by the result is then
-    verified.  Raises :class:`CapacityError` beyond ``cap`` candidates.
+    verified.  Raises :class:`CapacityError` beyond ``HILBERT_CAP``
+    candidates.
     """
     normals = dual_cone(cone).rays
 
@@ -554,9 +502,9 @@ def hilbert_basis(cone: Cone3, cap: int = HILBERT_CAP) -> tuple[Vec3, ...]:
     lo = [sum(min(0, g[k]) for g in cone.rays) for k in range(3)]
     hi = [sum(max(0, g[k]) for g in cone.rays) for k in range(3)]
     count = (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1) * (hi[2] - lo[2] + 1)
-    if count > cap:
+    if count > HILBERT_CAP:
         raise CapacityError(
-            f"{count} candidate points exceed the cap of {cap}"
+            f"{count} candidate points exceed the cap of {HILBERT_CAP}"
         )
     grading = lambda p: sum(_dot3(p, r) for r in cone.rays)
     candidates = sorted(

@@ -82,20 +82,13 @@ def from_model(model: DimerModel) -> BipartiteGraph:
     )
 
 
-def _too_many(limit: int) -> CapacityError:
-    return CapacityError(
-        f"more than {limit} perfect matchings; raise the limit "
-        "or use a non-enumerating method"
-    )
-
-
-def _search(g: BipartiteGraph, limit: int) -> tuple[tuple[int, ...], ...]:
+def _search(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
     """Every perfect matching as its sorted tuple of edge positions, sorted.
 
     Blacks and whites are numbered and the free whites are one bitmask.
     Each step branches on the remaining black with the fewest free
     neighbours (fail-first) and gives up when some black or free white
-    has no partner left.
+    has no partner left.  Stops past ``MATCHING_CAP`` matchings.
     """
     n = len(g.blacks)
     if n != len(g.whites):
@@ -107,8 +100,10 @@ def _search(g: BipartiteGraph, limit: int) -> tuple[tuple[int, ...], ...]:
     def extend(remaining: list[int], free: int) -> None:
         if not remaining:
             found.append(tuple(sorted(chosen)))
-            if len(found) > limit:
-                raise _too_many(limit)
+            if len(found) > MATCHING_CAP:
+                raise CapacityError(
+                    f"more than MATCHING_CAP = {MATCHING_CAP} perfect matchings"
+                )
             return
         best, fewest, reach = -1, n + 1, 0
         for b in remaining:
@@ -130,46 +125,30 @@ def _search(g: BipartiteGraph, limit: int) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
-_POSITIONS = f"{__name__}.matching_positions"
-
-
-def matching_positions(
-    g: BipartiteGraph, limit: int = MATCHING_CAP
-) -> tuple[tuple[int, ...], ...]:
+@per_object
+def matching_positions(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
     """All perfect matchings as sorted tuples of edge positions in ``g.edges``,
-    in canonical (lexicographic) order.
+    in canonical (lexicographic) order, searched once per graph.
 
-    The search runs once per graph and is kept in the graph's ``__dict__``.
-    Raises :class:`CapacityError` when more than ``limit`` matchings exist,
-    whether or not the search has run before, or past the recursion limit.
+    Raises :class:`CapacityError` past ``MATCHING_CAP`` matchings or past
+    the recursion limit.
     """
-    memo = g.__dict__
-    if _POSITIONS not in memo:
-        try:
-            memo[_POSITIONS] = _search(g, limit)
-        except RecursionError:
-            raise CapacityError(
-                f"{len(g.blacks)} blacks exceed the matching search's recursion limit"
-            ) from None
-    found = memo[_POSITIONS]
-    if len(found) > limit:
-        raise _too_many(limit)
-    return found
+    try:
+        return _search(g)
+    except RecursionError:
+        raise CapacityError(
+            f"{len(g.blacks)} blacks exceed the matching search's recursion limit"
+        ) from None
 
 
-def enumerate_matchings(
-    g: BipartiteGraph, limit: int = MATCHING_CAP
-) -> tuple[frozenset[str], ...]:
+def enumerate_matchings(g: BipartiteGraph) -> tuple[frozenset[str], ...]:
     """All perfect matchings, as edge-id sets, in a canonical order.
 
-    Matchings are sorted by their tuple of edge positions.  Raises
-    :class:`CapacityError` when more than ``limit`` matchings exist.  The
-    sets are built on every call; only the positions are kept.
+    Matchings are sorted by their tuple of edge positions.  The sets are
+    built on every call; only the positions are kept.
     """
     ids = [eid for eid, _, _ in g.edges]
-    return tuple(
-        frozenset([ids[p] for p in m]) for m in matching_positions(g, limit)
-    )
+    return tuple(frozenset([ids[p] for p in m]) for m in matching_positions(g))
 
 
 def perfect_matchings(model: DimerModel) -> tuple[frozenset[str], ...]:

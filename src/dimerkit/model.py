@@ -184,9 +184,6 @@ class FaceTrace:
     dart_face: dict[Dart, str] = field(repr=False)
     dart_cell: dict[Dart, Cell] = field(repr=False)
 
-    def face_of(self, dart: Dart) -> str:
-        return self.dart_face[dart]
-
 
 def _next_dart(model: DimerModel, dart: Dart) -> Dart:
     head = dart_head(model, dart)
@@ -240,10 +237,6 @@ def trace_faces(model: DimerModel) -> FaceTrace:
                 break
         faces.append(Face(fid, tuple(darts)))
     return FaceTrace(tuple(faces), dart_face, dart_cell)
-
-
-def compute_faces(model: DimerModel) -> tuple[Face, ...]:
-    return trace_faces(model).faces
 
 
 def face_gluing_shifts(model: DimerModel) -> dict[str, Cell]:

@@ -69,10 +69,11 @@ class Quiver:
     arrows: tuple[Arrow, ...]
     shifts: tuple[tuple[str, Cell], ...]
     # duals of the clockwise-next edge at the white / counterclockwise-next
-    # at the black endpoint; None on subquivers, which have no cycle structure
+    # at the black endpoint; None on a quiver built without a model, which
+    # has no cycle structure
     white_next: tuple[tuple[str, str], ...] | None = None
     black_next: tuple[tuple[str, str], ...] | None = None
-    # the dual edge's offset per arrow, aligned with arrows; None on subquivers
+    # the dual edge's offset per arrow, aligned with arrows; None likewise
     offsets: tuple[Cell, ...] | None = None
 
     # indexes, built on first use; cached_property is not a field
@@ -94,15 +95,6 @@ class Quiver:
     def _shift_by_id(self) -> dict[str, Cell]:
         return dict(self.shifts)
 
-    @cached_property
-    def _adjacency(self):
-        out: dict[str, tuple[str, ...]] = {}
-        inc: dict[str, tuple[str, ...]] = {}
-        for a in self.arrows:
-            out[a.source] = out.get(a.source, ()) + (a.id,)
-            inc[a.target] = inc.get(a.target, ()) + (a.id,)
-        return out, inc
-
     def arrow(self, aid: str) -> Arrow:
         try:
             return self.arrows[self.arrow_pos[aid]]
@@ -117,12 +109,6 @@ class Quiver:
 
     def shift(self, aid: str) -> Cell:
         return self._shift_by_id[aid]
-
-    def arrows_from(self, v: str) -> tuple[str, ...]:
-        return self._adjacency[0].get(v, ())
-
-    def arrows_into(self, v: str) -> tuple[str, ...]:
-        return self._adjacency[1].get(v, ())
 
 
 @per_object
@@ -164,22 +150,6 @@ def _verify_path(q: Quiver, path: PathSeq) -> PathSeq:
     return path
 
 
-def make_path(q: Quiver, arrows: Iterable[str]) -> PathSeq:
-    """Build a path from arrow ids in composition order, checking it composes."""
-    arrows = tuple(arrows)
-    if not arrows:
-        raise InvalidModelError("cannot infer endpoints of an empty path")
-    for aid in arrows:
-        q.arrow(aid)
-    path = PathSeq(arrows, q.source(arrows[-1]), q.target(arrows[0]))
-    at = path.source
-    for aid in reversed(arrows):
-        if q.source(aid) != at:
-            raise InvalidModelError(f"arrows do not compose at {aid!r}")
-        at = q.target(aid)
-    return path
-
-
 def _cycle_complements(q: Quiver, nxt: Mapping[str, str]) -> dict[str, PathSeq]:
     """Each arrow's cycle under ``nxt`` without it, walking every cycle once."""
     out: dict[str, PathSeq] = {}
@@ -216,23 +186,6 @@ def p_plus(q: Quiver, aid: str) -> PathSeq:
 def p_minus(q: Quiver, aid: str) -> PathSeq:
     """The black cycle at ``a``'s edge with ``a`` removed: a path t(a) -> s(a)."""
     return relations(q)[q.arrow_pos[q.arrow(aid).id]].minus
-
-
-def path_weight(path: PathSeq, weights: Mapping[str, object]):
-    """Sum of the weights of the path's arrows, with multiplicity."""
-    total = 0
-    for aid in path.arrows:
-        total = total + weights[aid]
-    return total
-
-
-def path_class(q: Quiver, path: PathSeq) -> Cell:
-    """Total cover shift along the path; for cycles, the homology class."""
-    x = y = 0
-    for aid in path.arrows:
-        s = q.shift(aid)
-        x, y = x + s[0], y + s[1]
-    return (x, y)
 
 
 def vector_shift(q: Quiver, counts: Sequence[int]) -> Cell:
@@ -288,28 +241,3 @@ def tree_cycle(
     k = q.arrow_pos[aid]
     ps, pt = paths[q.source(aid)], paths[q.target(aid)]
     return tuple(int(i == k) + a - b for i, (a, b) in enumerate(zip(ps, pt)))
-
-
-def rep_satisfies_relations(q: Quiver, support: Iterable[str]) -> bool:
-    """Whether the 0/1 representation supported on ``support`` kills no
-    relation on one side only: each relation's two paths must vanish or
-    survive together."""
-    sup = check_support(q, support)
-    for rel in relations(q):
-        plus_zero = any(a not in sup for a in rel.plus.arrows)
-        minus_zero = any(a not in sup for a in rel.minus.arrows)
-        if plus_zero != minus_zero:
-            return False
-    return True
-
-
-def allowed_subquiver(q: Quiver, matching: Iterable[str]) -> Quiver:
-    """The subquiver of arrows not dual to the given matching's edges.
-
-    The result keeps vertices and shifts but loses the cycle maps and the
-    edge offsets.
-    """
-    m = check_support(q, matching)
-    arrows = tuple(a for a in q.arrows if a.id not in m)
-    shifts = tuple((aid, s) for aid, s in q.shifts if aid not in m)
-    return Quiver(q.vertices, arrows, shifts)

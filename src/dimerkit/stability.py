@@ -9,9 +9,8 @@ stability and semistability take one integer s-t min cut per source
 component of the support (Picard 1976), solved as a transport over the
 vertices' reach sets, and have no cap.  Genericity, no zero-weight
 nonempty proper subset at all, meets in the middle: it counts the subset
-sums of each half of the vertices, at most 2 * 2^ceil(n/2) masks, and is
-capped at twice ``VERTEX_CAP`` vertices.  Listing the closed subsets
-themselves stays a 2^n walk, capped at ``VERTEX_CAP``.
+sums of each half of the vertices, at most 2 * 2^ceil(n/2) of them, and is
+capped at twice ``VERTEX_CAP`` vertices.
 
 The weights of interest are built from a perfect matching ``D`` and positive
 rationals ``xi`` on the arrows off ``D``: each vertex receives the ``xi`` it
@@ -32,7 +31,8 @@ from .exceptions import CapacityError, InvalidModelError
 from .model import rational_from_json
 from .quiver import Quiver, check_support
 
-VERTEX_CAP = 20  # a subset walk covers at most 2^VERTEX_CAP masks
+VERTEX_CAP = 20  # each half of the genericity check sums 2^VERTEX_CAP subsets
+_THETA_DRAWS = 1000  # draws before sample_generic_theta gives up
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,6 @@ def make_theta(q: Quiver, weights: Mapping[str, object]) -> Theta:
     return Theta(tuple(vals))
 
 
-def _guard(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise CapacityError(f"{what} over {n} vertices exceeds the cap of {cap}")
-
-
 def _successors(q: Quiver, support: Iterable[str]) -> list[int]:
     """Bitmask of each vertex's supported successors; bit ``i`` of a mask is
     ``q.vertices[i]``."""
@@ -99,36 +94,6 @@ def _weights(q: Quiver, theta: Theta) -> list[int]:
     if scaled.keys() != q.vertex_pos.keys():
         raise InvalidModelError("weight vertices do not match the quiver")
     return [scaled[v] for v in q.vertices]
-
-
-def _closed_masks(q: Quiver, support: Iterable[str]):
-    """Every nonempty proper vertex subset closed under the supported
-    arrows, as a bitmask, in increasing order."""
-    _guard(len(q.vertices), VERTEX_CAP, "subset enumeration")
-    succ = _successors(q, support)
-    for mask in range(1, (1 << len(succ)) - 1):
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            if succ[i] & ~mask:
-                break
-            m &= m - 1
-        else:
-            yield mask
-
-
-def successor_closed_subsets(
-    q: Quiver, support: Iterable[str]
-) -> tuple[frozenset[str], ...]:
-    """Nonempty proper vertex subsets closed under the supported arrows.
-
-    These are the possible supports of proper nonzero subrepresentations of
-    the 0/1 representation with the given arrow support.
-    """
-    return tuple(
-        frozenset(v for i, v in enumerate(q.vertices) if mask >> i & 1)
-        for mask in _closed_masks(q, support)
-    )
 
 
 def _reach(succ: list[int]) -> list[int]:
@@ -270,11 +235,21 @@ def is_semistable(q: Quiver, support: Iterable[str], theta: Theta) -> bool:
     return _closures_nonnegative(_successors(q, support), _weights(q, theta))
 
 
-def _subset_sums(values: list[int]) -> list[int]:
+def _sums(values: list[int]) -> list[int]:
     sums = [0]
     for x in values:
         sums += [s + x for s in sums]
     return sums
+
+
+def _subset_sums(values: list[int]):
+    """Every subset's sum, one at a time: each sum over the first half of
+    ``values`` runs past the listed sums of the second half, so at most
+    2^ceil(n/2) sums are held at once."""
+    k = len(values) // 2
+    tail = _sums(values[k:])
+    for h in _sums(values[:k]):
+        yield from [h + s for s in tail]
 
 
 def is_generic(q: Quiver, theta: Theta) -> bool:
@@ -284,13 +259,18 @@ def is_generic(q: Quiver, theta: Theta) -> bool:
     the arrow support is.  Meet in the middle: a subset is a pair of
     subsets, one from each half of the vertices, whose sums cancel.  The
     empty pair and the full pair always do; any other is a zero-weight
-    nonempty proper subset.  Each half has at most ``VERTEX_CAP`` vertices.
+    nonempty proper subset.  Each half has at most ``VERTEX_CAP`` vertices;
+    only the first half's sums are kept, counted, and the second half's
+    stream past them.
     """
     n = len(q.vertices)
-    _guard(n, 2 * VERTEX_CAP, "genericity check")
+    if n > 2 * VERTEX_CAP:
+        raise CapacityError(
+            f"genericity check over {n} vertices exceeds the cap of {2 * VERTEX_CAP}"
+        )
     w = _weights(q, theta)
     left = Counter(_subset_sums(w[: n // 2]))
-    return sum(left[-s] for s in _subset_sums(w[n // 2 :])) == 2
+    return sum(left.get(-s, 0) for s in _subset_sums(w[n // 2 :])) == 2
 
 
 def sardo_infirri_theta(
@@ -334,15 +314,15 @@ def sample_generic_theta(
     q: Quiver,
     matching: Iterable[str],
     rng: random.Random,
-    max_tries: int = 1000,
 ) -> tuple[Theta, dict[str, Fraction], int]:
-    """Draw ``xi`` until the induced weight is generic.
+    """Draw ``xi`` until the induced weight is generic, at most
+    ``_THETA_DRAWS`` times.
 
     Returns the weight, the accepted ``xi`` and the number of draws used.
     """
-    for tries in range(1, max_tries + 1):
+    for tries in range(1, _THETA_DRAWS + 1):
         xi = draw_xi(q, matching, rng)
         theta = sardo_infirri_theta(q, matching, xi)
         if is_generic(q, theta):
             return theta, xi, tries
-    raise InvalidModelError(f"no generic weight found in {max_tries} draws")
+    raise InvalidModelError(f"no generic weight found in {_THETA_DRAWS} draws")

@@ -1,0 +1,78 @@
+"""Reference routines the tests check the package against.
+
+Each is a plain, independent computation of something the package derives
+another way: an integer solve per right-hand side, each relation tested on
+its own, a chart transition by adjugate, and path sums walked arrow by
+arrow.
+"""
+
+from dimerkit import (
+    InternalConsistencyError,
+    InvalidModelError,
+    det_int,
+    relations,
+    smith_normal_form,
+)
+from dimerkit.lattice import adjugate3
+
+
+def solve_integer(matrix, rhs):
+    """One integer solution of ``M x = rhs``, or None if there is none."""
+    res = smith_normal_form(matrix)
+    m = len(res.u)
+    n = len(res.v)
+    if len(rhs) != m:
+        raise InvalidModelError("right-hand side has the wrong length")
+    c = [sum(res.u[i][k] * rhs[k] for k in range(m)) for i in range(m)]
+    y = [0] * n
+    for i in range(m):
+        d = res.s[i][i] if i < min(m, n) else 0
+        if d:
+            if c[i] % d:
+                return None
+            y[i] = c[i] // d
+        elif c[i]:
+            return None
+    return tuple(sum(res.v[i][k] * y[k] for k in range(n)) for i in range(n))
+
+
+def rep_satisfies_relations(q, support):
+    """Whether the 0/1 representation supported on ``support`` kills no
+    relation on one side only: each relation's two paths must vanish or
+    survive together."""
+    sup = frozenset(support)
+    for rel in relations(q):
+        plus_zero = any(a not in sup for a in rel.plus.arrows)
+        minus_zero = any(a not in sup for a in rel.minus.arrows)
+        if plus_zero != minus_zero:
+            return False
+    return True
+
+
+def chart_transition(rows_i, rows_j):
+    """Coordinate change between two charts: ``M_i @ M_j^{-1}``, integral."""
+    dj = det_int(rows_j)
+    if dj not in (1, -1):
+        raise InternalConsistencyError("chart rows are not unimodular")
+    adj = adjugate3(rows_j)
+    return tuple(
+        tuple(
+            sum(rows_i[r][k] * adj[k][c] for k in range(3)) // dj
+            for c in range(3)
+        )
+        for r in range(3)
+    )
+
+
+def path_weight(path, weights):
+    """Sum of the weights of the path's arrows, with multiplicity."""
+    return sum(weights[aid] for aid in path.arrows)
+
+
+def path_class(q, path):
+    """Total cover shift along the path; for cycles, the homology class."""
+    x = y = 0
+    for aid in path.arrows:
+        s = q.shift(aid)
+        x, y = x + s[0], y + s[1]
+    return (x, y)

@@ -23,7 +23,6 @@ from dimerkit import (
     chart_characters,
     chart_cone,
     chart_rows,
-    chart_transition,
     char_poly,
     classify_chart,
     cochar_lattice,
@@ -39,12 +38,12 @@ from dimerkit import (
     newton_polygon,
     perfect_matchings,
     quiver_of,
-    rep_satisfies_relations,
     sample_generic_theta,
     split_by_reference,
     verify_crepant,
 )
 from conftest import cover
+from oracles import chart_transition, rep_satisfies_relations
 from dimerkit.charts import _census_case
 from dimerkit.quiver import tree_paths, vector_shift
 

@@ -393,6 +393,16 @@ def test_deep_matching_search_is_invalid_input(capsys, tmp_path):
     assert captured.err.startswith("error: 1020 blacks exceed the matching search's")
 
 
+def test_matching_cap_is_named(capsys, monkeypatch):
+    from dimerkit import matchings
+
+    monkeypatch.setattr(matchings, "MATCHING_CAP", 3)
+    assert main(["matchings", "--example", "fzero"]) == 2  # fzero has 8
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: more than MATCHING_CAP = 3 perfect matchings\n"
+
+
 def test_toric_payload(capsys):
     code, data = run_json(capsys, "toric", "--example", "conifold")
     assert code == 0

@@ -59,9 +59,9 @@ def test_one_search_per_model(monkeypatch):
     graphs = []
     search = matchings._search
 
-    def spy(g, limit):
+    def spy(g):
         graphs.append(g)
-        return search(g, limit)
+        return search(g)
 
     monkeypatch.setattr(matchings, "_search", spy)
     model = example("conifold")

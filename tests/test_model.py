@@ -13,7 +13,6 @@ from dimerkit import (
     DimerModel,
     DimerVertex,
     InvalidModelError,
-    compute_faces,
     dump_model,
     example,
     face_gluing_shifts,
@@ -42,8 +41,8 @@ def test_conifold_faces_and_cells():
     assert tr.dart_cell[("e2", -1)] == (-1, 0)
     assert tr.dart_cell[("e3", -1)] == (0, -1)
     assert tr.dart_cell[("e2", 1)] == (1, 0)
-    assert tr.face_of(("e3", 1)) == "f1"
-    assert tr.face_of(("e3", -1)) == "f2"
+    assert tr.dart_face[("e3", 1)] == "f1"
+    assert tr.dart_face[("e3", -1)] == "f2"
 
 
 def test_honeycomb_single_hexagon():
@@ -216,10 +215,6 @@ def test_rotation_unknown_edge_named():
     with pytest.raises(InvalidModelError) as exc:
         model_from_dict(bad)
     assert str(exc.value) == "rotation at 'b1': unknown edge 'zz'"
-
-
-def test_compute_faces_matches_trace():
-    assert compute_faces(conifold) == trace_faces(conifold).faces
 
 
 def test_face_side_bookkeeping_all_fixtures():

@@ -1,8 +1,11 @@
-"""The README names only what the package has."""
+"""The README names only what the package has, and the package exports
+only what its code uses or the README names."""
 
+import ast
 import importlib
 import os
 import re
+import types
 
 import dimerkit
 
@@ -52,3 +55,43 @@ def test_readme_paths_resolve():
         except (AttributeError, ModuleNotFoundError):
             missing.append(path)
     assert missing == []
+
+
+# an identifier inside a one-line backticked span
+SPAN = re.compile(r"`([^`\n]+)`")
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _package_references():
+    """Every name package code outside ``__init__.py`` refers to: AST
+    ``Name`` ids, ``Attribute`` attributes and imported names."""
+    src = os.path.dirname(dimerkit.__file__)
+    seen = set()
+    for fname in os.listdir(src):
+        if not fname.endswith(".py") or fname == "__init__.py":
+            continue
+        with open(os.path.join(src, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.alias):
+                seen.add(node.name)
+    return seen
+
+
+def test_exports_are_used_or_documented():
+    # a public name that no package code uses and the README does not name
+    # belongs in the tests, not the package
+    documented = {
+        name for span in SPAN.findall(_readme()) for name in IDENT.findall(span)
+    }
+    used = _package_references()
+    exported = [
+        name
+        for name in dimerkit.__all__
+        if not isinstance(getattr(dimerkit, name), types.ModuleType)
+    ]
+    assert [n for n in exported if n not in used and n not in documented] == []

@@ -1,4 +1,5 @@
-"""Stability weights: closed subsets, (semi)stability, genericity, sampling."""
+"""Stability weights: (semi)stability and genericity against closed-subset
+sums, sampling."""
 
 import random
 from fractions import Fraction
@@ -23,7 +24,6 @@ from dimerkit import (
     quiver_of,
     sample_generic_theta,
     sardo_infirri_theta,
-    successor_closed_subsets,
 )
 
 q = quiver_of(example("conifold"))
@@ -46,15 +46,6 @@ def test_unknown_names_are_invalid():
 def test_theta_sums_to_zero():
     th = sardo_infirri_theta(q, {"e1"}, {"e2": 2, "e3": Fraction(1, 3), "e4": 5})
     assert th.of("f1") + th.of("f2") == 0
-
-
-def test_closed_subsets():
-    # complement of a matching strongly connects the quiver
-    assert successor_closed_subsets(q, {"e2", "e3", "e4"}) == ()
-    # two parallel arrows f1 -> f2: only {f2} is successor-closed
-    assert successor_closed_subsets(q, {"e2", "e4"}) == (frozenset({"f2"}),)
-    # no arrows: every nonempty proper vertex subset is closed
-    assert len(successor_closed_subsets(q, ())) == 2
 
 
 def test_stability_verdicts():
@@ -131,6 +122,14 @@ def test_sample_generic_theta():
     # deterministic for a fixed seed
     again, _, _ = sample_generic_theta(q, {"e1"}, random.Random(1))
     assert again.values == th.values
+
+
+def test_sampling_stops_at_the_draw_limit(monkeypatch):
+    from dimerkit import stability
+
+    monkeypatch.setattr(stability, "_THETA_DRAWS", 0)
+    with pytest.raises(InvalidModelError, match="no generic weight found in 0 draws"):
+        sample_generic_theta(q, {"e1"}, random.Random(1))
 
 
 @pytest.mark.parametrize(
@@ -354,11 +353,9 @@ def test_genericity_cap(monkeypatch):
     assert built == []
 
 
-def test_closed_subsets_keep_their_cap():
+def test_stability_has_no_cap():
     quiver = quiver_of(cover(example("honeycomb"), 7, 3))
     assert len(quiver.vertices) == 21 > VERTEX_CAP
-    with pytest.raises(CapacityError, match="over 21 vertices exceeds the cap of 20"):
-        successor_closed_subsets(quiver, ())
     # stability has no cap: the full support is strongly connected, so
     # stable; with no arrows some face set weighs at most zero
     theta = make_theta(quiver, _tilted(quiver))
