@@ -68,16 +68,6 @@ class LaurentPoly2:
 
     terms: tuple[tuple[Cell, int], ...]
 
-    def coefficient(self, exp: Cell) -> int:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
-
-    @property
-    def exponents(self) -> tuple[Cell, ...]:
-        return tuple(e for e, _ in self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

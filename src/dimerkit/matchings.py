@@ -9,8 +9,12 @@ graphs with both colors present they agree; the enumeration- and
 subset-based tests carry capacity bounds.
 
 Each graph numbers its two sides once, and all three tests read that.
-Matchings are enumerated once per graph, by one bitmask search, and kept
-on the graph as sorted tuples of edge positions (``matching_positions``).
+Matchings are enumerated once per graph and kept on the graph as sorted
+tuples of edge positions (``matching_positions``).  The search places the
+blacks in an order that keeps the frontier of half-used whites narrow, in
+two halves that meet in the middle; each half is a table from used-white
+bitmasks to what reaches them.  The halves are counted before they are
+built, so ``MATCHING_CAP`` is checked on the exact count.
 ``from_model`` is memoized per model, so the matchings, the characteristic
 polynomial, the charges and the fan of one model share that search.
 Edge-id sets are built per call, at ``enumerate_matchings`` and
@@ -25,6 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import accumulate
+from operator import or_
 
 from .exceptions import (
     CapacityError,
@@ -36,6 +43,7 @@ from .model import DimerModel, per_object
 
 SUBSET_CAP = 20  # strong-marriage enumerates subsets of one side
 MATCHING_CAP = 200_000  # enumeration bails out beyond this many matchings
+STATE_CAP = 200_000  # and the search beyond this many states at one step
 
 NON_DEGENERACY_METHODS = ("per-edge", "r-charge", "strong-marriage")
 
@@ -82,45 +90,106 @@ def from_model(model: DimerModel) -> BipartiteGraph:
     )
 
 
+def _black_order(g: BipartiteGraph) -> list[int]:
+    """The blacks in turn, each the one that widens the frontier least.
+
+    The frontier is the set of touched whites (next to a placed black)
+    that still have an unplaced neighbour; ties go to the lowest index.
+    A black's widening changes only when one of its whites is first
+    touched or left with one unplaced neighbour, so a heap with lazy
+    deletion orders all blacks in O(E log V).
+    """
+    choices, _, _ = g._numbered
+    whites_of = [{bit.bit_length() - 1 for _, bit in row} for row in choices]
+    blacks_of: list[list[int]] = [[] for _ in g.whites]
+    for b, ws in enumerate(whites_of):
+        for w in ws:
+            blacks_of[w].append(b)
+    left = [len(bs) for bs in blacks_of]  # unplaced blacks at each white
+    touched = [False] * len(left)
+
+    def widening(b: int) -> int:
+        return sum(-(left[w] == 1) if touched[w] else left[w] > 1 for w in whites_of[b])
+
+    key: list[int | None] = [widening(b) for b in range(len(choices))]
+    heap = [(k, b) for b, k in enumerate(key)]
+    heapify(heap)
+    order: list[int] = []
+    while heap:
+        k, b = heappop(heap)
+        if k != key[b]:
+            continue  # placed (key None), or a stale entry
+        key[b] = None
+        order.append(b)
+        for w in whites_of[b]:
+            left[w] -= 1
+            if not touched[w] or left[w] == 1:  # w's share in widening changed
+                touched[w] = True
+                for x in blacks_of[w]:
+                    if key[x] is not None:
+                        key[x] = widening(x)
+                        heappush(heap, (key[x], x))
+    return order
+
+
+def _table(
+    choices: list[list[tuple[int, int]]], blacks: list[int], reach: list[int],
+    full: int, build: bool,
+) -> dict[int, int | list[tuple[int, ...]]]:
+    """Place ``blacks`` in turn; map each set of used whites (a bitmask) to
+    the partial matchings that use it when ``build``, else to their count.
+    A state is dropped as soon as a white it leaves free has no neighbour
+    among the blacks still to place (``reach``, one mask per step).  Stops
+    past ``STATE_CAP`` states.
+    """
+    table = {0: [()] if build else 1}
+    for b, rest in zip(blacks, reach):
+        nxt: dict[int, int | list[tuple[int, ...]]] = {}
+        for used, val in table.items():
+            for p, bit in choices[b]:
+                u = used | bit
+                if u != used and u | rest == full:
+                    grown = [t + (p,) for t in val] if build else val
+                    nxt[u] = nxt[u] + grown if u in nxt else grown
+        if len(nxt) > STATE_CAP:
+            raise CapacityError(
+                f"more than STATE_CAP = {STATE_CAP} matching search states at one step"
+            )
+        table = nxt
+    return table
+
+
 def _search(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
     """Every perfect matching as its sorted tuple of edge positions, sorted.
 
-    Blacks and whites are numbered and the free whites are one bitmask.
-    Each step branches on the remaining black with the fewest free
-    neighbours (fail-first) and gives up when some black or free white
-    has no partner left.  Stops past ``MATCHING_CAP`` matchings.
+    A meet in the middle over the frontier order of ``_black_order``: the
+    first half of the blacks is placed forwards, the second backwards, and
+    a first-half state meets the second-half state that uses the other
+    whites.  Both halves are counted first, so past ``MATCHING_CAP`` the
+    search stops on the exact count before any matching is built; then
+    they are built, and only states with a partner are combined.
     """
     n = len(g.blacks)
     if n != len(g.whites):
         return ()
-    choices, nbr_mask, _ = g._numbered
-    found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def extend(remaining: list[int], free: int) -> None:
-        if not remaining:
-            found.append(tuple(sorted(chosen)))
-            if len(found) > MATCHING_CAP:
-                raise CapacityError(
-                    f"more than MATCHING_CAP = {MATCHING_CAP} perfect matchings"
-                )
-            return
-        best, fewest, reach = -1, n + 1, 0
-        for b in remaining:
-            k = (nbr_mask[b] & free).bit_count()
-            reach |= nbr_mask[b]
-            if k < fewest:
-                best, fewest = b, k
-        if fewest == 0 or free & ~reach:
-            return  # a black or a free white can no longer be matched
-        rest = [b for b in remaining if b != best]
-        for p, bit in choices[best]:
-            if free & bit:
-                chosen.append(p)
-                extend(rest, free ^ bit)
-                chosen.pop()
-
-    extend(list(range(n)), (1 << n) - 1)
+    choices, black_nbrs, _ = g._numbered
+    order = _black_order(g)
+    masks = [black_nbrs[b] for b in order]
+    gone = list(accumulate(masks, or_, initial=0))  # [i]: whites next to order[:i]
+    reach = list(accumulate(masks[::-1], or_, initial=0))[::-1]  # next to order[i:]
+    h, full = n // 2, (1 << n) - 1
+    halves = ((order[:h], reach[1:h + 1]), (order[h:][::-1], gone[h:n][::-1]))
+    first, second = (_table(choices, bs, rs, full, False) for bs, rs in halves)
+    total = sum(k * second.get(full ^ u, 0) for u, k in first.items())
+    if total > MATCHING_CAP:
+        raise CapacityError(
+            f"more than MATCHING_CAP = {MATCHING_CAP} perfect matchings"
+        )
+    if not total:
+        return ()
+    first, second = (_table(choices, bs, rs, full, True) for bs, rs in halves)
+    found = [tuple(sorted(a + c)) for u, front in first.items() if full ^ u in second
+             for a in front for c in second[full ^ u]]
     found.sort()
     return tuple(found)
 
@@ -130,15 +199,11 @@ def matching_positions(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
     """All perfect matchings as sorted tuples of edge positions in ``g.edges``,
     in canonical (lexicographic) order, searched once per graph.
 
-    Raises :class:`CapacityError` past ``MATCHING_CAP`` matchings or past
-    the recursion limit.
+    Raises :class:`CapacityError` past ``MATCHING_CAP`` matchings, checked
+    on the exact count before any matching is built, or past ``STATE_CAP``
+    search states at one step.
     """
-    try:
-        return _search(g)
-    except RecursionError:
-        raise CapacityError(
-            f"{len(g.blacks)} blacks exceed the matching search's recursion limit"
-        ) from None
+    return _search(g)
 
 
 def enumerate_matchings(g: BipartiteGraph) -> tuple[frozenset[str], ...]:

@@ -384,13 +384,16 @@ def test_wound_positions_are_invalid_input(capsys):
 
 
 def test_deep_matching_search_is_invalid_input(capsys, tmp_path):
-    # 1 020 blacks: past the search's recursion depth, before MATCHING_CAP
+    # 1 020 blacks: past STATE_CAP search states at one step, before the
+    # count reaches MATCHING_CAP
     path = tmp_path / "honeycomb-34x30.json"
     dump_model(cover(example("honeycomb"), 34, 30), str(path))
     assert main(["matchings", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: 1020 blacks exceed the matching search's")
+    assert captured.err == (
+        "error: more than STATE_CAP = 200000 matching search states at one step\n"
+    )
 
 
 def test_matching_cap_is_named(capsys, monkeypatch):

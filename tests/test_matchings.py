@@ -216,6 +216,7 @@ def _recursive_matchings(
 @given(seed=st.integers(0, 10**6))
 @hyp_example(seed=1)  # unbalanced
 @hyp_example(seed=13)  # balanced with multi-edges, 10 matchings
+@hyp_example(seed=418)  # a search step with more states than matchings
 def test_search_matches_recursive_oracle(seed):
     g = random_connected(seed)
     want = _recursive_matchings(g)
@@ -369,9 +370,46 @@ def test_has_matching_containing_unknown_edge():
 
 
 def test_deep_search_is_a_capacity_error():
-    # 1 020 blacks: the search recurses once per black, past the default
-    # recursion limit, before MATCHING_CAP is reached
+    # 1 020 blacks: the search's tables pass STATE_CAP states at one step
+    # before the count reaches MATCHING_CAP
     g = from_model(cover(example("honeycomb"), 34, 30))
     for _ in range(2):  # nothing half-built is kept
-        with pytest.raises(CapacityError, match="1020 blacks"):
+        with pytest.raises(CapacityError, match="more than STATE_CAP = 200000"):
             matching_positions(g)
+
+
+def test_cap_is_checked_on_the_exact_count(monkeypatch):
+    # one matching (b2-w3, b3-w1, b1-w2), but before b2 is placed b3 may
+    # take w1 or w3: a search step holds more states than there are matchings
+    g = BipartiteGraph(
+        ("b1", "b2", "b3"),
+        ("w1", "w2", "w3"),
+        (
+            ("e1", "b1", "w1"), ("e2", "b1", "w3"), ("e3", "b3", "w3"),
+            ("e4", "b1", "w2"), ("e5", "b2", "w3"), ("e6", "b3", "w1"),
+        ),
+    )
+    monkeypatch.setattr(matchings, "MATCHING_CAP", 1)
+    assert enumerate_matchings(g) == (frozenset({"e4", "e5", "e6"}),)
+    monkeypatch.setattr(matchings, "MATCHING_CAP", 0)
+    with pytest.raises(CapacityError, match="more than MATCHING_CAP = 0 perfect"):
+        enumerate_matchings(BipartiteGraph(g.blacks, g.whites, g.edges))
+
+
+def test_long_cycle_has_two_matchings():
+    # 1 500 blacks on one cycle: past the default recursion limit, so no
+    # search that recurses once per black gets here
+    n = 1500
+    edges = [(f"s{i}", f"b{i}", f"w{i}") for i in range(n)]
+    edges += [(f"t{i}", f"b{(i + 1) % n}", f"w{i}") for i in range(n)]
+    g = BipartiteGraph(
+        tuple(f"b{i}" for i in range(n)), tuple(f"w{i}" for i in range(n)), tuple(edges)
+    )
+    assert matching_positions(g) == (tuple(range(n)), tuple(range(n, 2 * n)))
+
+
+def test_matching_cap_on_a_cover():
+    # 263 640 matchings: refused on the count, before any is built
+    g = from_model(cover(example("honeycomb"), 6, 6))
+    with pytest.raises(CapacityError, match="more than MATCHING_CAP = 200000 perfect"):
+        matching_positions(g)
