@@ -18,18 +18,23 @@ domain whose translates tile the plane.  Its boundary runs along the zero
 edges that meet another zero edge; an isolated zero edge lies inside the
 domain.  Walking the domain boundary and counting the valencies of its
 corner points classifies the chart around the fixed point into exactly
-three local shapes, two of them singular and one smooth.
+three local shapes, two of them singular and one smooth.  The walk runs
+counterclockwise at the vertex positions exactly when the faces' total
+signed area is positive, which is decided once per model.
 
 The coordinate functions of a chart are read off at the first boundary
 corner: one character per zero edge there, gauge-normalised to vanish on
-the support.  Expressed in the coordinates of the cocharacter splitting
-the characters become rows of an integer matrix; the chart's cone is
-spanned by the columns of its inverse.  Collecting the cones of all
-candidates and checking that their level-one cross-sections triangulate
-the height polygon certifies that the chamber resolves the cone over the
-polygon crepantly.  For unimodular cones that is exact integer bookkeeping:
-the triangles' edges must cancel in opposite pairs down to the polygon's
-boundary.
+the support.  That is a functional on the weight lattice ``W`` with no
+check: ``W`` is spanned by the gauge subgroup and the three matchings'
+cocharacters (their classes are a basis of ``N``, which the splitting
+certifies), and a support cycle meets none of their arrows.  Expressed
+in the splitting's coordinates the characters become rows of an integer
+matrix; the chart's cone is spanned by the columns of its inverse.
+Collecting the cones of all candidates and checking that their level-one
+cross-sections triangulate the height polygon certifies that the chamber
+resolves the cone over the polygon crepantly.  For unimodular cones that
+is exact integer bookkeeping: the triangles' edges must cancel in
+opposite pairs down to the polygon's boundary.
 """
 
 from __future__ import annotations
@@ -45,23 +50,23 @@ from typing import Sequence
 from .exceptions import InternalConsistencyError, InvalidModelError
 from .heights import (
     LatticePolygon,
+    _offset_sum,
     area2,
     char_poly,
     contains_point,
-    height_change,
     newton_polygon,
 )
 from .lattice import (
     Splitting,
     Vec3,
     adjugate3,
-    cochar_lattice,
     det_int,
     express_functional,
     split_by_reference,
 )
-from .matchings import perfect_matchings
-from .model import BLACK, Cell, Dart, DimerModel, ValidationCheck, trace_faces
+from .matchings import from_model, matching_positions, perfect_matchings
+from .model import BLACK, Cell, Dart, DimerModel, ValidationCheck
+from .model import per_object, trace_faces
 from .quiver import Quiver, quiver_of, tree_cycle, tree_paths, vector_shift
 from .stability import Theta, is_stable, sample_generic_theta
 
@@ -108,9 +113,11 @@ def enumerate_fixed_candidates(
     q = quiver_of(model)
     pms = perfect_matchings(model)
     arrows = frozenset(q.arrow_ids)
+    # a matching's total offset is its height up to sign and one common
+    # translation, neither of which changes a triangle's area
     stable = [
-        (d, height_change(model, d, pms[0]))
-        for d in pms
+        (d, _offset_sum(model, p))
+        for d, p in zip(pms, matching_positions(from_model(model)))
         if is_stable(q, arrows - d, theta)
     ]
     found: list[FixedPointCandidate] = []
@@ -157,6 +164,11 @@ class FundamentalDomain:
 def fundamental_domain(
     model: DimerModel, candidate: FixedPointCandidate
 ) -> FundamentalDomain:
+    """Glue the candidate's face lifts along its support and walk the rim.
+
+    Raises :class:`InvalidModelError` when the vertex positions wind the
+    walk clockwise, which is decided once per model (:func:`_faces_area2`).
+    """
     tr = trace_faces(model)
     cells = dict(candidate.cells)
     if set(cells) != {f.id for f in tr.faces}:
@@ -185,7 +197,7 @@ def fundamental_domain(
                 f"support edge {e.id!r} fails to glue its face lifts"
             )
 
-    edge_pos = {e.id: i for i, e in enumerate(model.edges)}
+    edge_pos = quiver_of(model).arrow_pos
     boundary_darts = [d for d in edge_lift if edge_lift[d] not in interior]
     if not boundary_darts:
         raise InternalConsistencyError("domain has no boundary")
@@ -224,7 +236,11 @@ def fundamental_domain(
     if len(walk) != len(boundary_darts):
         raise InternalConsistencyError("boundary is not a single circuit")
 
-    _check_winding(model, walk)
+    if (area := _faces_area2(model)) is not None and area <= 0:
+        raise InvalidModelError(
+            "vertex positions disagree with the rotation system: the boundary "
+            "walk of a fundamental domain runs clockwise at those positions"
+        )
     return FundamentalDomain(
         tuple((f.id, cells[f.id]) for f in tr.faces),
         tuple(sorted(interior, key=lambda x: (edge_pos[x[0]], x[1]))),
@@ -232,28 +248,27 @@ def fundamental_domain(
     )
 
 
-def _check_winding(model: DimerModel, walk: Sequence[tuple[Dart, Cell]]) -> None:
-    """Shoelace check: the walk must run counterclockwise (when drawable).
-
-    The walk follows the rotation system, so a clockwise walk means the
-    vertex positions contradict it: bad input, not an internal fault.
-    """
-    pts = []
-    for d, tc in walk:
-        e = model.edge(d[0])
-        v = model.vertex(e.black if d[1] > 0 else e.white)
-        if v.pos is None:
-            return
-        pts.append((v.pos[0] + tc[0], v.pos[1] + tc[1]))
+@per_object
+def _faces_area2(model: DimerModel) -> Fraction | None:
+    """Twice the faces' total signed area at the vertex positions, or None
+    without positions: the shoelace of every domain's boundary walk, since
+    areas add, a domain holds one lift of each face, its interior darts
+    cancel in pairs and a closed face's area ignores translation.  The walk
+    follows the rotation system, so a sum <= 0 means bad positions."""
+    if any(v.pos is None for v in model.vertices):
+        return None
+    tr = trace_faces(model)
     s = Fraction(0)
-    for i, (x0, y0) in enumerate(pts):
-        x1, y1 = pts[(i + 1) % len(pts)]
-        s += x0 * y1 - x1 * y0
-    if s <= 0:
-        raise InvalidModelError(
-            "vertex positions disagree with the rotation system: the boundary "
-            "walk of a fundamental domain runs clockwise at those positions"
-        )
+    for f in tr.faces:
+        pts = []
+        for d in f.darts:
+            e = model.edge(d[0])
+            x, y = model.vertex(e.black if d[1] > 0 else e.white).pos
+            c = tr.dart_cell[d]
+            pts.append((x + c[0], y + c[1]))
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+            s += x0 * y1 - x1 * y0
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +365,11 @@ def classify_chart(
         vid = e.black if d[1] > 0 else e.white
         visits.append((vid, tc, valency(vid)))
     corner_idx = [i for i, (_, _, n) in enumerate(visits) if n >= 3]
-    census: dict[int, int] = {}
-    for i in corner_idx:
-        n = visits[i][2]
-        census[n] = census.get(n, 0) + 1
+    census = dict(Counter(visits[i][2] for i in corner_idx))
     if not corner_idx:
         raise InternalConsistencyError("domain boundary has no corners")
 
-    edge_pos = {e.id: i for i, e in enumerate(model.edges)}
+    edge_pos = quiver_of(model).arrow_pos
     start_i = min(
         corner_idx,
         key=lambda i: (
@@ -410,22 +422,15 @@ def chart_characters(
     Weights are gauge-normalised to vanish on the support; the character of
     a coordinate edge is the normalised weight of its arrow, the cycle the
     arrow closes through a spanning tree of the support.  The normalisation
-    must be consistent on the weight lattice ``W``, which is checked on the
-    cycles of the support's non-tree arrows.
+    is a functional on the weight lattice ``W`` by construction: ``W`` is
+    spanned by the gauge subgroup and the cocharacters of the three
+    matchings whose union the support avoids, and every support cycle
+    pairs to zero with each of them.
     """
     support = [aid for aid in q.arrow_ids if aid in candidate.support]
     paths = tree_paths(q, support)
     if paths is None:
         raise InternalConsistencyError("support does not span the quiver")
-    w_basis = cochar_lattice(q).w_basis
-    for cyc in (tree_cycle(q, paths, aid) for aid in support):
-        if any(cyc) and any(
-            sum(c * w for c, w in zip(cyc, wb)) for wb in w_basis
-        ):
-            raise InternalConsistencyError(
-                "gauge normalisation is not a functional on the lattice"
-            )
-
     out = []
     for eid in coordinate_edges:
         if eid in candidate.support:

@@ -232,21 +232,14 @@ def constraint_matrix(q: Quiver) -> IntMatrix:
     return tuple(rows)
 
 
-@per_object
-def _gauge_rows(q: Quiver) -> IntMatrix:
-    rows = []
-    for v in q.vertices:
-        row = [0] * len(q.arrows)
-        for i, a in enumerate(q.arrows):
-            row[i] = (a.target == v) - (a.source == v)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _kills_gauge(q: Quiver, vec: Sequence[int]) -> bool:
-    return not any(
-        sum(x * y for x, y in zip(vec, g)) for g in _gauge_rows(q)
-    )
+    """Whether the arrow-indexed ``vec`` kills the gauge subgroup: as a
+    flow on the arrows, its net inflow at every vertex is 0."""
+    net = dict.fromkeys(q.vertices, 0)
+    for a, x in zip(q.arrows, vec):
+        net[a.target] += x
+        net[a.source] -= x
+    return not any(net.values())
 
 
 @dataclass(frozen=True)
@@ -275,7 +268,8 @@ def cochar_lattice(q: Quiver) -> CocharLattice:
     # exactly when its first `rank` coordinates vanish, and the rest are its
     # coordinates in the W basis
     coords = []
-    for g in _gauge_rows(q):
+    for v in q.vertices:
+        g = [(a.target == v) - (a.source == v) for a in q.arrows]  # gauge row
         c = [sum(x * y for x, y in zip(row, g)) for row in w_snf.v_inv]
         if any(c[:r]):
             raise InternalConsistencyError("gauge weight escapes the lattice W")

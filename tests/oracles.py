@@ -2,9 +2,11 @@
 
 Each is a plain, independent computation of something the package derives
 another way: an integer solve per right-hand side, each relation tested on
-its own, a chart transition by adjugate, and path sums walked arrow by
-arrow.
+its own, a chart transition by adjugate, path sums walked arrow by arrow,
+and a domain's orientation by the shoelace of its boundary walk.
 """
+
+from fractions import Fraction
 
 from dimerkit import (
     InternalConsistencyError,
@@ -76,3 +78,17 @@ def path_class(q, path):
         s = q.shift(aid)
         x, y = x + s[0], y + s[1]
     return (x, y)
+
+
+def walk_shoelace(model, boundary):
+    """Twice the signed area the ``(dart, tail cell)`` boundary walk of a
+    fundamental domain encloses at the vertex positions."""
+    pts = []
+    for (eid, sign), (cx, cy) in boundary:
+        e = model.edge(eid)
+        x, y = model.vertex(e.black if sign > 0 else e.white).pos
+        pts.append((x + cx, y + cy))
+    return sum(
+        (x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])),
+        Fraction(0),
+    )

@@ -1,5 +1,6 @@
 """Torus-fixed candidates, fundamental domains, chart data, fan certificate."""
 
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +35,7 @@ from dimerkit import (
     fundamental_domain,
     height_change,
     is_stable,
+    load_model,
     make_theta,
     newton_polygon,
     perfect_matchings,
@@ -43,9 +45,11 @@ from dimerkit import (
     verify_crepant,
 )
 from conftest import cover
-from oracles import chart_transition, rep_satisfies_relations
+from oracles import chart_transition, rep_satisfies_relations, walk_shoelace
+from dimerkit import charts
 from dimerkit.charts import _census_case
-from dimerkit.quiver import tree_paths, vector_shift
+from dimerkit.model import per_object
+from dimerkit.quiver import tree_cycle, tree_paths, vector_shift
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -577,9 +581,12 @@ def test_unit_triple_proposals_satisfy_relations_and_glue(name):
     # proposal enumerate_fixed_candidates makes for any weight, before the
     # stability test: the complement of the union satisfies the relations,
     # and when it spans, every support arrow steps between the tree's cells
-    # by its shift; neither needs its own check
+    # by its shift, and every support cycle through the tree pairs to zero
+    # with the weight lattice W, so the chart characters are functionals on
+    # W; none of the three needs its own check
     model = CORPUS[name]
     quiver = quiver_of(model)
+    w_basis = cochar_lattice(quiver).w_basis
     pms = perfect_matchings(model)
     arrows = frozenset(quiver.arrow_ids)
     heights = [(d, height_change(model, d, pms[0])) for d in pms]
@@ -600,7 +607,53 @@ def test_unit_triple_proposals_satisfy_relations_and_glue(name):
             assert (t[0] - s[0], t[1] - s[1]) == quiver.shift(aid), (
                 sorted(support), aid,
             )
+            cyc = tree_cycle(quiver, paths, aid)
+            assert not any(cyc) or not any(
+                sum(c * w for c, w in zip(cyc, wb)) for wb in w_basis
+            ), (sorted(support), aid)
     assert spanning
+
+
+WOUND = os.path.join(os.path.dirname(__file__), "data", "honeycomb_wound.json")
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["honeycomb_wound"])
+def test_domain_walks_enclose_the_faces_area(name, monkeypatch):
+    # the shoelace of each domain's own boundary walk, as oracle: every walk
+    # encloses the model's total face area, twice the torus's on a proper
+    # model and its negative on the wound one, whose domains are only built
+    # with the orientation test switched off
+    model = CORPUS[name] if name in CORPUS else load_model(WOUND)
+    area = charts._faces_area2(model)
+    assert area == (-2 if name == "honeycomb_wound" else 2)
+    monkeypatch.setattr(charts, "_faces_area2", lambda m: None)
+    quiver = quiver_of(model)
+    base = perfect_matchings(model)[0]
+    domains = 0
+    for seed in range(4):
+        theta = sample_generic_theta(quiver, base, random.Random(seed))[0]
+        for cand in enumerate_fixed_candidates(model, theta):
+            dom = fundamental_domain(model, cand)
+            assert walk_shoelace(model, dom.boundary) == area, (
+                seed, sorted(cand.support),
+            )
+            domains += 1
+    assert domains
+
+
+def test_orientation_decided_once_per_model(monkeypatch):
+    calls = []
+    faces_area2 = charts._faces_area2.__wrapped__
+
+    def spy(model):
+        calls.append(model)
+        return faces_area2(model)
+
+    monkeypatch.setattr(charts, "_faces_area2", per_object(spy))
+    model = CORPUS["fzero-2x1"]
+    fan = assemble_fan(model, seed=0)
+    assert len(fan.charts) > 1
+    assert len(calls) == 1 and calls[0] is model
 
 
 @pytest.mark.parametrize("name", ["conifold", "honeycomb", "fzero"] + sorted(CORPUS))

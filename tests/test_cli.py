@@ -1,12 +1,15 @@
 """Command line interface: exit codes, payload shapes, determinism."""
 
+import hashlib
+import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
 from conftest import cover
-from dimerkit import DimerEdge, DimerModel, dump_model, example
+from dimerkit import DimerEdge, DimerModel, dump_model, example, model_to_dict
 from dimerkit.cli import main
 
 # the dice lattice: a valid tiling of the torus with two blacks, one white
@@ -15,6 +18,7 @@ DICE = os.path.join(os.path.dirname(__file__), "data", "dice.json")
 # the honeycomb with e3's offset moved to (2, 1): a valid tiling whose vertex
 # positions wind the fundamental domains clockwise against the rotation system
 WOUND = os.path.join(os.path.dirname(__file__), "data", "honeycomb_wound.json")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 
 
 def run(capsys, *argv):
@@ -473,3 +477,34 @@ def test_emissions_byte_deterministic(capsys):
         second_code, second = run(capsys, *argv)
         assert first_code == second_code
         assert first == second, argv
+
+
+def test_certify_ops_reproduce_recorded_digests(capsys, monkeypatch, tmp_path):
+    # the benchmark's certify ops in process: its own cover generator writes
+    # the models, and for weight seeds 0-3 every op recorded as passing must
+    # print the bytes whose SHA-256 perfbench/digests.json holds
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench stays untouched
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_cover", os.path.join(PERFBENCH, "cover.py")
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    with open(os.path.join(PERFBENCH, "digests.json"), encoding="utf-8") as fh:
+        digests = json.load(fh)
+    checked = 0
+    for name, a, b in bench.CERTIFY:
+        key = bench.cover_name(name, a, b)
+        path = tmp_path / f"{key}.json"
+        data = bench.cover(model_to_dict(example(name)), a, b)
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        for seed in range(4):
+            record = digests[str(seed)][key]
+            if not record["ok"]:
+                continue
+            assert main(["fixed-points", str(path), "--seed", str(seed)]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == record["digest"], (
+                key, seed,
+            )
+            checked += 1
+    assert checked == 72
