@@ -55,7 +55,6 @@ from .lattice import (
     Splitting,
     cochar_lattice,
     cone_over_polygon,
-    constraint_matrix,
     det_int,
     dual_cone,
     express_functional,

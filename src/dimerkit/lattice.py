@@ -11,11 +11,15 @@ common value of the vertex sums) and two height pairings ``pi_x, pi_y``.
 A matching's height change is its total edge offset against a reference
 matching's, so the pairings are read off the edge offsets in closed form
 and give every matching cocharacter its height change on the nose.
-Everything is computed exactly over the integers via a self-contained
-Smith normal form.  Each result is derived once: one Smith form of the
-relation matrix gives ``W`` and the gauge coordinates, a second one gives
-``N``, both kept on the quiver; the splitting keeps the inverse of its
-matrix, so expressing a functional is one product.
+Everything is computed exactly over the integers.  The relation of an
+arrow asks its white and its black vertex cycle to weigh the same, so ``W``
+is read off the tiling's bipartite graph: a spanning forest gives a basis
+of level vectors and fundamental cycles, in which a vector's coordinates
+are its levels and its values at the non-tree arrows.  Each result is
+derived once: the cycle numbering and the lattice are kept on the quiver,
+and one self-contained Smith normal form of the ``F`` gauge rows' coordinates
+gives ``N``; the splitting keeps the inverse of its matrix, so expressing a
+functional is one product.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .exceptions import (
 )
 from .heights import LatticePolygon
 from .model import per_object
-from .quiver import Quiver, check_support, p_minus, relations
+from .quiver import PathSeq, Quiver, check_support, p_minus, relations
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Vec3 = tuple[int, int, int]
@@ -70,14 +74,6 @@ class SNFResult:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d)
-
-    @property
-    def kernel(self) -> tuple[tuple[int, ...], ...]:
-        """Columns ``rank..`` of ``V``: a basis of the integer kernel."""
-        n = len(self.v)
-        return tuple(
-            tuple(self.v[i][j] for i in range(n)) for j in range(self.rank, n)
-        )
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None) -> SNFResult:
@@ -130,6 +126,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
                 val = abs(a[i][j])
                 if val and (best is None or val < best[0]):
                     best = (val, i, j)
+            if best is not None and best[0] == 1:
+                break  # no later entry is smaller than a unit
         if best is None:
             break
         _, pi, pj = best
@@ -152,14 +150,15 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
                     dirty = True
         if dirty:
             continue
-        fix = None
-        for i in range(t + 1, m):
-            if any(a[i][j] % a[t][t] for j in range(t + 1, n)):
-                fix = i
-                break
-        if fix is not None:
-            row_add(t, fix, 1)  # drag the offending row up and keep reducing
-            continue
+        if a[t][t] > 1:  # a unit divides every entry
+            fix = next(
+                (i for i in range(t + 1, m)
+                 if any(a[i][j] % a[t][t] for j in range(t + 1, n))),
+                None,
+            )
+            if fix is not None:
+                row_add(t, fix, 1)  # drag the offending row up and keep reducing
+                continue
         t += 1
 
     freeze = lambda rows: tuple(tuple(r) for r in rows)
@@ -222,14 +221,49 @@ def _indicator(q: Quiver, arrows: Iterable[str]) -> list[int]:
 
 
 @per_object
-def constraint_matrix(q: Quiver) -> IntMatrix:
-    """One row per arrow: both sides of its relation must weigh the same."""
-    rows = []
-    for rel in relations(q):
-        plus = _indicator(q, rel.plus.arrows)
-        minus = _indicator(q, rel.minus.arrows)
-        rows.append(tuple(p - m for p, m in zip(plus, minus)))
-    return tuple(rows)
+def _vertex_cycles(q: Quiver) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """Each arrow's white cycle and black cycle, numbered once per quiver.
+
+    The white cycle at an arrow is the arrow and its ``p_plus`` path, the
+    black cycle the arrow and its ``p_minus`` path; these cycles are the
+    vertices of the tiling, the arrows its edges.  White cycles are numbered
+    ``0..nw-1`` and black cycles from ``nw`` on, each in order of first
+    appearance in arrow order.  Returns the white and the black number per
+    arrow position, ``nw`` and the number of cycles.
+    """
+    rels = relations(q)
+    pos = q.arrow_pos
+
+    def number(paths: list[PathSeq], n: int) -> tuple[tuple[int, ...], int]:
+        num = [-1] * len(paths)
+        for i, path in enumerate(paths):
+            if num[i] < 0:
+                for k in (i, *map(pos.__getitem__, path.arrows)):
+                    num[k] = n
+                n += 1
+        return tuple(num), n
+
+    white, nw = number([r.plus for r in rels], 0)
+    black, n = number([r.minus for r in rels], nw)
+    return white, black, nw, n
+
+
+def _cycle_sums(q: Quiver, vec: Sequence[int]) -> list[int] | None:
+    """The vertex-cycle sums of an arrow-indexed vector if it lies in ``W``,
+    else None.
+
+    The relation of an arrow asks its white cycle and its black cycle to
+    weigh the same: the two sides are these cycles without the arrow.
+    """
+    white, black, _, n = _vertex_cycles(q)
+    sums = [0] * n
+    for w, b, x in zip(white, black, vec):
+        if x:
+            sums[w] += x
+            sums[b] += x
+    if any(sums[w] != sums[b] for w, b in zip(white, black)):
+        return None
+    return sums
 
 
 def _kills_gauge(q: Quiver, vec: Sequence[int]) -> bool:
@@ -249,6 +283,8 @@ class CocharLattice:
     ``w_basis`` spans the relation-compatible weights ``W`` inside
     ``Z^arrows``; ``free_basis`` lifts a basis of the free part of ``N``
     back to ``W``.  ``torsion`` lists the nontrivial invariant factors.
+    Both bases are one choice among many: the lattices they span (``W``,
+    and ``N`` modulo ``B``), the torsion and the rank are the invariants.
     """
 
     arrow_order: tuple[str, ...]
@@ -258,35 +294,105 @@ class CocharLattice:
     rank: int
 
 
+def _forest_basis(q: Quiver) -> tuple[list[list[int]], list[int], list[int]]:
+    """A basis of ``W`` from a spanning forest of the tiling's bipartite
+    graph, with what reads a vector's coordinates in it.
+
+    ``W`` holds the weights whose vertex-cycle sums are equal on each
+    component of the graph, a level that is 0 on a component with unequal
+    numbers of whites and blacks.  A breadth-first forest, scanning each
+    vertex's arrows in arrow order, gives per balanced component one level
+    vector on the tree (leaves peeled towards the root, every vertex sum 1)
+    and per non-tree arrow its alternating fundamental cycle: the cycle runs
+    along the arrow from its white to its black end and back through the
+    tree, and counts an arrow +1 walked from white to black, -1 the other
+    way.
+
+    The incidence matrix of a bipartite graph is totally unimodular, so
+    these span ``W`` over the integers: a vector of ``W`` minus its levels
+    times the level vectors is a cycle, and a cycle is the sum of its values
+    at the non-tree arrows times their fundamental cycles.  Returns the
+    basis (level vectors first), the root of each balanced component and
+    the non-tree arrow positions, in basis order.
+    """
+    white, black, nw, n = _vertex_cycles(q)
+    nar = len(q.arrows)
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, (w, b) in enumerate(zip(white, black)):
+        incident[w].append(i)
+        incident[b].append(i)
+    up = [-1] * n  # the tree arrow to the parent
+    parent = [-1] * n
+    depth = [-1] * n
+    levels, roots = [], []
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        order = [root]
+        for v in order:
+            for i in incident[v]:
+                u = white[i] + black[i] - v
+                if depth[u] < 0:
+                    depth[u], up[u], parent[u] = depth[v] + 1, i, v
+                    order.append(u)
+        # peel: each vertex's tree arrow to its parent takes what its sum
+        # still lacks; the root is left with (whites - blacks) * +-1
+        rest = dict.fromkeys(order, 1)
+        vec = [0] * nar
+        for v in reversed(order[1:]):
+            vec[up[v]] = rest[v]
+            rest[parent[v]] -= rest[v]
+        if rest[root] == 0:
+            levels.append(vec)
+            roots.append(root)
+
+    chords = [i for i in range(nar) if up[white[i]] != i and up[black[i]] != i]
+    cycles = []
+    for i in chords:
+        vec = [0] * nar
+        vec[i] = 1
+        a, b = black[i], white[i]  # back from the black end to the white end
+        while a != b:
+            if depth[a] >= depth[b]:
+                vec[up[a]] += 1 if a < nw else -1  # walked a -> parent
+                a = parent[a]
+            else:
+                vec[up[b]] += 1 if b >= nw else -1  # walked parent -> b
+                b = parent[b]
+        cycles.append(vec)
+    return levels + cycles, roots, chords
+
+
 @per_object
 def cochar_lattice(q: Quiver) -> CocharLattice:
-    nar = len(q.arrows)
-    w_snf = smith_normal_form(constraint_matrix(q), ncols=nar)
-    w_basis = w_snf.kernel
-    k, r = len(w_basis), w_snf.rank
-    # V^-1 g holds the coordinates of g over the columns of V; g lies in W
-    # exactly when its first `rank` coordinates vanish, and the rest are its
-    # coordinates in the W basis
+    """``N = W / B`` from a spanning-forest basis of ``W``.
+
+    A vector of ``W`` has its levels and its values at the non-tree arrows
+    as coordinates in that basis, so every gauge row's coordinates are read
+    off it; one Smith form of those ``F`` rows then gives ``N``.
+    """
+    w_basis, roots, chords = _forest_basis(q)
+    k = len(w_basis)
     coords = []
     for v in q.vertices:
         g = [(a.target == v) - (a.source == v) for a in q.arrows]  # gauge row
-        c = [sum(x * y for x, y in zip(row, g)) for row in w_snf.v_inv]
-        if any(c[:r]):
+        sums = _cycle_sums(q, g)
+        if sums is None:
             raise InternalConsistencyError("gauge weight escapes the lattice W")
-        coords.append(tuple(c[r:]))
+        coords.append([sums[r] for r in roots] + [g[i] for i in chords])
     res = smith_normal_form(coords, ncols=k)
     torsion = tuple(d for d in res.diagonal if d > 1)
     rank = k - res.rank
     free_basis = []
-    for i in range(res.rank, k):
-        row = res.v_inv[i]  # coordinates in the W basis
-        free_basis.append(
-            tuple(
-                sum(row[j] * w_basis[j][t] for j in range(k)) for t in range(nar)
-            )
-        )
+    for row in res.v_inv[res.rank:]:  # coordinates in the W basis
+        vec = [0] * len(q.arrows)
+        for c, wb in zip(row, w_basis):
+            if c:
+                vec = [x + c * y for x, y in zip(vec, wb)]
+        free_basis.append(tuple(vec))
     return CocharLattice(
-        q.arrow_ids, w_basis, tuple(free_basis), torsion, rank
+        q.arrow_ids, tuple(map(tuple, w_basis)), tuple(free_basis), torsion, rank
     )
 
 
@@ -294,7 +400,7 @@ def pm_cocharacter(q: Quiver, matching: Iterable[str]) -> dict[str, int]:
     """Indicator weight of a perfect matching's arrows; always lies in W."""
     m = check_support(q, matching)
     vec = [int(aid in m) for aid in q.arrow_ids]
-    if any(sum(r * x for r, x in zip(row, vec)) for row in constraint_matrix(q)):
+    if _cycle_sums(q, vec) is None:
         raise InvalidModelError(
             "support is not a perfect matching: relation sums differ"
         )

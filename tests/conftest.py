@@ -4,6 +4,16 @@ import random
 
 from dimerkit import BipartiteGraph, DimerEdge, DimerModel, DimerVertex
 
+# every a x b cover of the catalog's non-degenerate models with at most 16
+# arrows: the certify benchmark's corpus
+CERTIFY_COVERS = tuple(
+    (name, a, b)
+    for name, n in {"conifold": 4, "honeycomb": 3, "fzero": 8}.items()
+    for a in range(1, 17)
+    for b in range(1, 17)
+    if a * b * n <= 16
+)
+
 # one line per acceptance criterion, filled in by tests/test_acceptance.py
 ACCEPTANCE_LINES: list[str] = []
 

@@ -1,9 +1,10 @@
 """Reference routines the tests check the package against.
 
 Each is a plain, independent computation of something the package derives
-another way: an integer solve per right-hand side, each relation tested on
-its own, a chart transition by adjugate, path sums walked arrow by arrow,
-and a domain's orientation by the shoelace of its boundary walk.
+another way: the dense relation matrix and its integer kernel, an integer
+solve per right-hand side, each relation tested on its own, a chart
+transition by adjugate, path sums walked arrow by arrow, and a domain's
+orientation by the shoelace of its boundary walk.
 """
 
 from fractions import Fraction
@@ -16,6 +17,31 @@ from dimerkit import (
     smith_normal_form,
 )
 from dimerkit.lattice import adjugate3
+from dimerkit.model import per_object
+
+
+@per_object
+def constraint_matrix(q):
+    """One row per arrow: both sides of its relation must weigh the same."""
+    pos = q.arrow_pos
+    rows = []
+    for rel in relations(q):
+        row = [0] * len(q.arrows)
+        for aid in rel.plus.arrows:
+            row[pos[aid]] += 1
+        for aid in rel.minus.arrows:
+            row[pos[aid]] -= 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def kernel(res):
+    """Columns ``rank..`` of a Smith form's ``V``: a basis of the integer
+    kernel of its matrix."""
+    n = len(res.v)
+    return tuple(
+        tuple(res.v[i][j] for i in range(n)) for j in range(res.rank, n)
+    )
 
 
 def solve_integer(matrix, rhs):

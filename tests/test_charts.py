@@ -44,7 +44,7 @@ from dimerkit import (
     split_by_reference,
     verify_crepant,
 )
-from conftest import cover
+from conftest import CERTIFY_COVERS, cover
 from oracles import chart_transition, rep_satisfies_relations, walk_shoelace
 from dimerkit import charts
 from dimerkit.charts import _census_case
@@ -529,14 +529,7 @@ def _search_candidates(quiver, theta):
 
 # the catalog's non-degenerate models and every a x b cover of them with at
 # most 16 arrows; weight seeds 0-15 up to 12 arrows, 0-3 beyond
-EDGES = {"conifold": 4, "honeycomb": 3, "fzero": 8}
-CORPUS = {
-    f"{name}-{a}x{b}": cover(example(name), a, b)
-    for name, n in EDGES.items()
-    for a in range(1, 17)
-    for b in range(1, 17)
-    if a * b * n <= 16
-}
+CORPUS = {f"{name}-{a}x{b}": cover(example(name), a, b) for name, a, b in CERTIFY_COVERS}
 SMALL = sorted(k for k, m in CORPUS.items() if len(m.edges) <= 12)
 
 

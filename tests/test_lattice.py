@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cover
+from conftest import CERTIFY_COVERS, cover
 from dimerkit import (
     CapacityError,
     DegenerateModelError,
@@ -15,7 +15,6 @@ from dimerkit import (
     char_poly,
     cochar_lattice,
     cone_over_polygon,
-    constraint_matrix,
     convex_hull,
     det_int,
     dual_cone,
@@ -31,7 +30,8 @@ from dimerkit import (
     smith_normal_form,
     split_by_reference,
 )
-from oracles import solve_integer
+from dimerkit import lattice
+from oracles import constraint_matrix, kernel, solve_integer
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -69,7 +69,7 @@ def test_smith_normal_form_invariants():
 
 
 def test_kernel_and_solve():
-    kb = smith_normal_form([[1, 2, 3]]).kernel
+    kb = kernel(smith_normal_form([[1, 2, 3]]))
     assert len(kb) == 2
     assert all(sum(a * b for a, b in zip(v, (1, 2, 3))) == 0 for v in kb)
     assert solve_integer([[2, 0], [0, 3]], (4, 9)) == (2, 3)
@@ -85,6 +85,19 @@ def test_cochar_lattice():
     assert len(lat.w_basis) == 4
     hlat = cochar_lattice(hq)
     assert hlat.rank == 3 and hlat.torsion == ()
+
+
+def test_pm_cocharacter_rejects_non_matchings():
+    # a matching without one of its arrows is not one; the one-white catalog
+    # models are left out, as every arrow there joins the same two vertex
+    # cycles and so every support passes
+    for model in (cover(conifold, 2, 2), cover(honeycomb, 2, 2)):
+        quiver = quiver_of(model)
+        for m in perfect_matchings(model):
+            assert set(pm_cocharacter(quiver, m).values()) == {0, 1}
+            for aid in m:
+                with pytest.raises(InvalidModelError, match="relation sums differ"):
+                    pm_cocharacter(quiver, m - {aid})
 
 
 def test_splitting_frozen():
@@ -133,14 +146,29 @@ def test_splitting_reproduces_heights():
                 assert sp.coords(w)[2] == 1
 
 
-@pytest.mark.parametrize("name", sorted(LATTICE_MODELS))
+# the catalog, the covers above and every cover the certify benchmark runs
+ORACLE_MODELS = LATTICE_MODELS | {
+    f"{name}-{a}x{b}": cover(example(name), a, b) for name, a, b in CERTIFY_COVERS
+}
+
+
+def _in_span(basis, vectors):
+    # every vector is an integer combination of the basis vectors
+    cols = [tuple(b[i] for b in basis) for i in range(len(vectors[0]))]
+    return all(solve_integer(cols, v) is not None for v in vectors)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
 def test_cochar_lattice_matches_per_row_solve(name):
-    # reference route: the kernel, then each gauge row solved on its own
-    quiver = quiver_of(LATTICE_MODELS[name])
+    # reference route: the kernel of the relation matrix, then each gauge
+    # row solved on its own.  A lattice has no canonical basis, so the two
+    # routes must span the same W and the same N modulo the gauge rows
+    quiver = quiver_of(ORACLE_MODELS[name])
     n = len(quiver.arrows)
-    w_basis = smith_normal_form(constraint_matrix(quiver), ncols=n).kernel
+    w_basis = kernel(smith_normal_form(constraint_matrix(quiver), ncols=n))
     k = len(w_basis)
     cols = [tuple(wb[i] for wb in w_basis) for i in range(n)]
+    gauge = []
     coords = []
     for v in quiver.vertices:
         g = tuple((a.target == v) - (a.source == v) for a in quiver.arrows)
@@ -149,6 +177,7 @@ def test_cochar_lattice_matches_per_row_solve(name):
         assert tuple(
             sum(x * row[j] for x, row in zip(c, w_basis)) for j in range(n)
         ) == g
+        gauge.append(g)
         coords.append(c)
     res = smith_normal_form(coords, ncols=k)
     free_basis = tuple(
@@ -157,10 +186,44 @@ def test_cochar_lattice_matches_per_row_solve(name):
     )
 
     lat = cochar_lattice(quiver)
-    assert lat.w_basis == w_basis
-    assert lat.free_basis == free_basis
+    assert len(lat.w_basis) == len(w_basis)
+    assert _in_span(lat.w_basis, w_basis) and _in_span(w_basis, lat.w_basis)
+    ours, theirs = lat.free_basis + tuple(gauge), free_basis + tuple(gauge)
+    assert _in_span(ours, theirs) and _in_span(theirs, ours)
     assert lat.torsion == tuple(d for d in res.diagonal if d > 1)
     assert lat.rank == k - res.rank
+
+
+def test_cochar_lattice_one_smith_form_on_face_rows(monkeypatch):
+    # W and the gauge coordinates come from a spanning forest; only the F
+    # gauge rows meet a Smith form
+    shapes = []
+    snf = lattice.smith_normal_form
+
+    def spy(matrix, ncols=None):
+        shapes.append((len(matrix), ncols))
+        return snf(matrix, ncols)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", spy)
+    quiver = quiver_of(cover(conifold, 2, 3))  # a fresh quiver, nothing memoized
+    lat = cochar_lattice(quiver)
+    assert shapes == [(len(quiver.vertices), len(lat.w_basis))]
+
+
+def test_splitting_at_size():
+    # honeycomb 10x10, 300 arrows: the lifted single-edge matchings
+    model = cover(honeycomb, 10, 10)
+    quiver = quiver_of(model)
+    lifted = {
+        e: frozenset(x.id for x in model.edges if x.id.startswith(f"{e}_"))
+        for e in ("e1", "e2", "e3")
+    }
+    sp = split_by_reference(quiver, lifted["e1"])
+    assert abs(sp.iso_det) == 1
+    for e in ("e2", "e3"):
+        assert sp.pi(pm_cocharacter(quiver, lifted[e])) == height_change(
+            model, lifted[e], lifted["e1"]
+        )
 
 
 SPLIT_MODELS = [conifold, honeycomb, example("fzero"), cover(conifold, 2, 2)]

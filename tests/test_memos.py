@@ -10,7 +10,6 @@ from dimerkit import (
     assemble_fan,
     char_poly,
     cochar_lattice,
-    constraint_matrix,
     example,
     from_model,
     perfect_matchings,
@@ -20,6 +19,7 @@ from dimerkit import (
     validate_model,
 )
 from dimerkit import lattice, matchings
+from oracles import constraint_matrix
 
 
 def _pipeline(model):
@@ -74,7 +74,7 @@ def test_one_search_per_model(monkeypatch):
 
 
 def test_quiver_indexes_built_once(monkeypatch):
-    # the relation matrix serves both the lattice and every membership test
+    # the cycle index serves both the lattice and every membership test
     calls = []
     rels = lattice.relations
 
