@@ -5,7 +5,10 @@ homology class, the *height change*, lands in ``Z^2``.  With the offsets
 recorded on edges it is simply the difference of total offsets, measured
 against a reference matching.  Collecting ``x^h`` over all matchings yields
 the characteristic (Laurent) polynomial, whose Newton polygon is the lattice
-polygon the rest of the package builds cones over.
+polygon the rest of the package builds cones over.  The polynomial needs
+only the number of matchings at each total offset, which one sweep of the
+matching search's tables counts without building a matching, so it does
+not depend on ``MATCHING_CAP``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exceptions import DegenerateModelError, InvalidModelError
-from .matchings import from_model, matching_positions
+from .matchings import _least_matching, _weight_counts, from_model
 from .model import Cell, DimerModel
 
 
@@ -98,18 +101,30 @@ def char_poly(
     ``base`` defaults to the first matching in canonical order.  Changing the
     base translates every exponent by the same vector.  Raises
     :class:`DegenerateModelError` when the model has no perfect matching.
+
+    The matchings are counted by total edge offset in one sweep that builds
+    none of them, so only ``STATE_CAP`` bounds it.  Each offset coordinate
+    is shifted by ``a``, the largest coordinate size, into ``0..2a``, and an
+    offset is packed as the integer ``x * m + y``.  A matching's sum then
+    has coordinates in ``0..m - 1``, with ``m = 2a * blacks + 1``, so it
+    unpacks uniquely, and the shift added ``a * blacks`` to each.
     """
-    found = matching_positions(from_model(model))
-    if not found:
+    g = from_model(model)
+    a = max((abs(c) for e in model.edges for c in e.offset), default=0)
+    shift = a * len(g.blacks)
+    m = 2 * shift + 1
+    counts = _weight_counts(
+        g, [(dx + a) * m + dy + a for dx, dy in (e.offset for e in model.edges)]
+    )
+    if not counts:
         raise DegenerateModelError("no perfect matchings")
-    b = found[0] if base is None else _check_matching(model, base, "base")
-    sb = _offset_sum(model, b)
-    counts: dict[Cell, int] = {}
-    for m in found:
-        sm = _offset_sum(model, m)
-        h = (sb[0] - sm[0], sb[1] - sm[1])
-        counts[h] = counts.get(h, 0) + 1
-    return laurent_from_counts(counts)
+    b = _least_matching(g) if base is None else _check_matching(model, base, "base")
+    bx, by = _offset_sum(model, b)
+    by_height: dict[Cell, int] = {}
+    for key, c in counts.items():
+        x, y = divmod(key, m)
+        by_height[bx + shift - x, by + shift - y] = c
+    return laurent_from_counts(by_height)
 
 
 # ---------------------------------------------------------------------------

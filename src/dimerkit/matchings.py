@@ -3,22 +3,26 @@
 A dimer model is non-degenerate when every edge lies in some perfect
 matching (and a perfect matching exists).  Three independent tests are
 provided: one perfect matching, which decides every edge at once
-(``per-edge``), full enumeration with averaged charges (``r-charge``), and
-the strict Hall condition on both sides (``strong-marriage``).  On connected
-graphs with both colors present they agree; the enumeration- and
-subset-based tests carry capacity bounds.
+(``per-edge``), averaged charges from the number of matchings through each
+edge (``r-charge``), and the strict Hall condition on both sides
+(``strong-marriage``).  On connected graphs with both colors present they
+agree; the count- and subset-based tests carry capacity bounds.
 
-Each graph numbers its two sides once, and all three tests read that.
-Matchings are enumerated once per graph and kept on the graph as sorted
-tuples of edge positions (``matching_positions``).  The search places the
-blacks in an order that keeps the frontier of half-used whites narrow, in
-two halves that meet in the middle; each half is a table from used-white
-bitmasks to what reaches them.  The halves are counted before they are
-built, so ``MATCHING_CAP`` is checked on the exact count.
-``from_model`` is memoized per model, so the matchings, the characteristic
-polynomial, the charges and the fan of one model share that search.
-Edge-id sets are built per call, at ``enumerate_matchings`` and
-``perfect_matchings``, and are not kept.
+Each graph numbers its two sides once and orders its blacks once, so that
+the frontier of half-used whites stays narrow.  One routine, ``_tables``,
+places the blacks in that order, one table per step from used-white
+bitmasks to what reaches them.  Matchings are enumerated once per graph
+and kept on the graph as sorted tuples of edge positions
+(``matching_positions``): two halves meet in the middle, counted before
+they are built, so ``MATCHING_CAP`` is checked on the exact count.  The
+charges (``r_charge_average``) and the matching counts by weight that the
+characteristic polynomial needs come from sweeps of the same tables that
+carry counts and build no matching, so only ``STATE_CAP`` bounds them.
+The first matching in canonical order (``_least_matching``) is found
+without enumerating too, by flipping alternating cycles.  ``from_model``
+is memoized per model, so the matchings and the fan of one model share
+one search.  Edge-id sets are built per call, at ``enumerate_matchings``
+and ``perfect_matchings``, and are not kept.
 
 Everything here works on the abstract bipartite graph, so the tests run on
 arbitrary multigraphs, not just graphs that embed in the torus.
@@ -26,12 +30,14 @@ arbitrary multigraphs, not just graphs that embed in the torus.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import or_
+from typing import Iterator
 
 from .exceptions import (
     CapacityError,
@@ -79,6 +85,17 @@ class BipartiteGraph:
             black_nbrs[i] |= 1 << j
             white_nbrs[j] |= 1 << i
         return choices, black_nbrs, white_nbrs
+
+    @cached_property
+    def _frontier(self) -> tuple[list[int], list[int], list[int]]:
+        """The blacks in ``_black_order``, and by step the whites next to the
+        blacks placed before it (``gone``) and from it on (``reach``)."""
+        _, black_nbrs, _ = self._numbered
+        order = _black_order(self)
+        masks = [black_nbrs[b] for b in order]
+        gone = list(accumulate(masks, or_, initial=0))
+        reach = list(accumulate(masks[::-1], or_, initial=0))[::-1]
+        return order, gone, reach
 
 
 @per_object
@@ -132,31 +149,46 @@ def _black_order(g: BipartiteGraph) -> list[int]:
     return order
 
 
-def _table(
-    choices: list[list[tuple[int, int]]], blacks: list[int], reach: list[int],
-    full: int, build: bool,
-) -> dict[int, int | list[tuple[int, ...]]]:
-    """Place ``blacks`` in turn; map each set of used whites (a bitmask) to
-    the partial matchings that use it when ``build``, else to their count.
-    A state is dropped as soon as a white it leaves free has no neighbour
-    among the blacks still to place (``reach``, one mask per step).  Stops
-    past ``STATE_CAP`` states.
+def _tables(
+    g: BipartiteGraph, blacks: list[int], masks: list[int],
+    lift: list[int] | None = None, build: bool = False,
+) -> Iterator[dict]:
+    """Place ``blacks`` in turn, yielding first the empty table and then the
+    table after each step.  A table maps each state to the number of
+    partial matchings in it, or when ``build`` to the partial matchings
+    themselves (tuples of edge positions, in placing order).  A state is the
+    set of used whites (a bitmask) plus, with ``lift``, the weight so far
+    above the white bits: ``lift[p]`` is edge ``p``'s nonnegative weight
+    shifted past them.  A state is dropped as soon as a white it leaves free
+    has no neighbour among the blacks still to place (``masks``, one per
+    step).  Stops past ``STATE_CAP`` states at one step.
     """
+    choices, _, _ = g._numbered
+    above = ~((1 << len(g.whites)) - 1)
     table = {0: [()] if build else 1}
-    for b, rest in zip(blacks, reach):
-        nxt: dict[int, int | list[tuple[int, ...]]] = {}
-        for used, val in table.items():
-            for p, bit in choices[b]:
-                u = used | bit
-                if u != used and u | rest == full:
-                    grown = [t + (p,) for t in val] if build else val
-                    nxt[u] = nxt[u] + grown if u in nxt else grown
+    yield table
+    for b, rest in zip(blacks, masks):
+        rest |= above  # so u | rest is -1 when no white is stranded
+        nxt: dict = {}
+        for p, bit in choices[b]:
+            step = bit if lift is None else bit + lift[p]
+            for used, val in table.items():
+                if not used & bit:
+                    u = used + step
+                    if u | rest == -1:
+                        grown = [t + (p,) for t in val] if build else val
+                        nxt[u] = nxt[u] + grown if u in nxt else grown
         if len(nxt) > STATE_CAP:
             raise CapacityError(
                 f"more than STATE_CAP = {STATE_CAP} matching search states at one step"
             )
         table = nxt
-    return table
+        yield table
+
+
+def _table(g: BipartiteGraph, blacks: list[int], masks: list[int], **value) -> dict:
+    """The last table of :func:`_tables`."""
+    return deque(_tables(g, blacks, masks, **value), maxlen=1)[0]
 
 
 def _search(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
@@ -172,14 +204,10 @@ def _search(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
     n = len(g.blacks)
     if n != len(g.whites):
         return ()
-    choices, black_nbrs, _ = g._numbered
-    order = _black_order(g)
-    masks = [black_nbrs[b] for b in order]
-    gone = list(accumulate(masks, or_, initial=0))  # [i]: whites next to order[:i]
-    reach = list(accumulate(masks[::-1], or_, initial=0))[::-1]  # next to order[i:]
+    order, gone, reach = g._frontier
     h, full = n // 2, (1 << n) - 1
     halves = ((order[:h], reach[1:h + 1]), (order[h:][::-1], gone[h:n][::-1]))
-    first, second = (_table(choices, bs, rs, full, False) for bs, rs in halves)
+    first, second = (_table(g, bs, ms) for bs, ms in halves)
     total = sum(k * second.get(full ^ u, 0) for u, k in first.items())
     if total > MATCHING_CAP:
         raise CapacityError(
@@ -187,7 +215,7 @@ def _search(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
         )
     if not total:
         return ()
-    first, second = (_table(choices, bs, rs, full, True) for bs, rs in halves)
+    first, second = (_table(g, bs, ms, build=True) for bs, ms in halves)
     found = [tuple(sorted(a + c)) for u, front in first.items() if full ^ u in second
              for a in front for c in second[full ^ u]]
     found.sort()
@@ -220,32 +248,71 @@ def perfect_matchings(model: DimerModel) -> tuple[frozenset[str], ...]:
     return enumerate_matchings(from_model(model))
 
 
+def _augment(black_nbrs: list[int], mate: list[int], b: int, seen: int) -> bool:
+    """Match the black ``b`` along an alternating path to an unmatched white
+    outside ``seen`` (a mask of whites), flipping the path; ``False`` and
+    ``mate`` untouched when there is none."""
+    came_from: dict[int, tuple[int, int]] = {}  # white -> (black, its white)
+    todo, end = [(b, -1)], -1
+    while todo and end < 0:
+        x, held = todo.pop()
+        new = black_nbrs[x] & ~seen
+        seen |= new
+        while new:
+            w = (new & -new).bit_length() - 1
+            new &= new - 1
+            came_from[w] = x, held
+            if mate[w] < 0:
+                end = w
+            else:
+                todo.append((mate[w], w))
+    if end < 0:
+        return False
+    while end >= 0:  # flip the path: each black on it takes its new white
+        mate[end], end = came_from[end]
+    return True
+
+
 def _max_matching(g: BipartiteGraph) -> list[int] | None:
     """One perfect matching as each white's black, or ``None`` if there is none."""
     if len(g.blacks) != len(g.whites):
         return None
     _, black_nbrs, _ = g._numbered
     mate = [-1] * len(g.whites)
-    for b in range(len(g.blacks)):
-        came_from: dict[int, tuple[int, int]] = {}  # white -> (black, its white)
-        todo, seen, end = [(b, -1)], 0, -1
-        while todo and end < 0:
-            x, held = todo.pop()
-            new = black_nbrs[x] & ~seen
-            seen |= new
-            while new:
-                w = (new & -new).bit_length() - 1
-                new &= new - 1
-                came_from[w] = x, held
-                if mate[w] < 0:
-                    end = w
-                else:
-                    todo.append((mate[w], w))
-        if end < 0:
-            return None  # b stays unmatched
-        while end >= 0:  # flip the path: each black on it takes its new white
-            mate[end], end = came_from[end]
-    return mate
+    if all(_augment(black_nbrs, mate, b, 0) for b in range(len(g.blacks))):
+        return mate
+    return None
+
+
+def _least_matching(g: BipartiteGraph) -> tuple[int, ...] | None:
+    """The least perfect matching, ``matching_positions(g)[0]``, without
+    enumerating; ``None`` when there is none.
+
+    The edges are taken in position order, and an edge joins when some
+    perfect matching of the part not yet fixed holds it: when its black end
+    is reachable from its white end's partner (as in
+    ``_edges_in_perfect_matchings``).  Then the alternating cycle is
+    flipped and both ends are fixed.  Fixing only removes matchings, so an
+    edge refused once can never join later.
+    """
+    mate = _max_matching(g)
+    if mate is None:
+        return None
+    choices, black_nbrs, _ = g._numbered
+    fixed, taken = 0, []  # the whites of the taken edges, as a mask
+    for p, x, bit in sorted((p, x, bit) for x, row in enumerate(choices) for p, bit in row):
+        w, u = bit.bit_length() - 1, mate.index(x)  # u: the white x holds
+        if fixed & (bit | 1 << u):
+            continue
+        y = mate[w]
+        if y != x:  # x takes w, and y must reach u around the rest
+            mate[w], mate[u] = x, -1
+            if not _augment(black_nbrs, mate, y, fixed | bit):
+                mate[w], mate[u] = y, x
+                continue
+        fixed |= bit
+        taken.append(p)
+    return tuple(taken)
 
 
 def _edges_in_perfect_matchings(g: BipartiteGraph) -> dict[int, bool] | None:
@@ -280,21 +347,53 @@ def has_matching_containing(g: BipartiteGraph, eid: str) -> bool:
     return inside is not None and inside[ids.index(eid)]
 
 
+def _weight_counts(g: BipartiteGraph, weights: list[int]) -> dict[int, int]:
+    """The number of perfect matchings by the sum of their edges'
+    nonnegative integer ``weights`` (by edge position), from one sweep of
+    :func:`_tables` in frontier order whose states carry the weight so far.
+    Builds no matching; only ``STATE_CAP`` bounds it.
+    """
+    if len(g.blacks) != len(g.whites):
+        return {}
+    order, _, reach = g._frontier
+    shift = len(g.whites)
+    table = _table(g, order, reach[1:], lift=[w << shift for w in weights])
+    return {state >> shift: k for state, k in table.items()}
+
+
 def r_charge_average(g: BipartiteGraph) -> dict[str, Fraction]:
     """Edge charges ``2 * (matchings through e) / (all matchings)``.
 
     Exact rationals; every vertex's incident charges sum to 2, which is
     checked.  Raises :class:`DegenerateModelError` when the graph has no
-    perfect matching at all.
+    perfect matching at all.  No matching is built: the tables of a
+    forward sweep (:func:`_tables`) count the ways to reach each state, a
+    backward pass over them counts the ways to complete it, and the two
+    meet at every edge.  Bounded by ``STATE_CAP`` only.
     """
-    found = matching_positions(g)
-    if not found:
+    n = len(g.blacks)
+    if n != len(g.whites):
         raise DegenerateModelError("no perfect matchings")
+    choices, _, _ = g._numbered
+    order, _, reach = g._frontier
+    tables = list(_tables(g, order, reach[1:]))
     through = [0] * len(g.edges)
-    for m in found:
-        for p in m:
-            through[p] += 1
-    total = len(found)
+    after = dict.fromkeys(tables[n], 1)  # the ways to complete each state
+    for b, table in zip(order[::-1], tables[n - 1::-1]):
+        # no test of u & bit: then u | bit is u, one white short of after's
+        here = dict.fromkeys(table, 0)
+        for p, bit in choices[b]:
+            t = 0
+            for u, k in table.items():
+                m = after.get(u | bit)
+                if m:
+                    t += k * m
+                    here[u] += m
+            through[p] = t
+        after = here
+    total = after[0]
+    if not total:
+        raise DegenerateModelError("no perfect matchings")
     charges = {
         eid: Fraction(2 * k, total) for (eid, _, _), k in zip(g.edges, through)
     }

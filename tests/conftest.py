@@ -1,8 +1,16 @@
 """Shared test helpers: corpus generators and the acceptance summary."""
 
+import os
 import random
 
-from dimerkit import BipartiteGraph, DimerEdge, DimerModel, DimerVertex
+from dimerkit import (
+    BipartiteGraph,
+    DimerEdge,
+    DimerModel,
+    DimerVertex,
+    example,
+    load_model,
+)
 
 # every a x b cover of the catalog's non-degenerate models with at most 16
 # arrows: the certify benchmark's corpus
@@ -12,6 +20,12 @@ CERTIFY_COVERS = tuple(
     for a in range(1, 17)
     for b in range(1, 17)
     if a * b * n <= 16
+)
+
+# the spectrum benchmark's covers, up to 26 752 matchings
+SPECTRUM_COVERS = (
+    ("conifold", 4, 4), ("honeycomb", 5, 5), ("honeycomb", 4, 4),
+    ("fzero", 2, 2), ("conifold", 4, 2),
 )
 
 # one line per acceptance criterion, filled in by tests/test_acceptance.py
@@ -98,3 +112,17 @@ def cover(model: DimerModel, a: int, b: int) -> DimerModel:
         for v, rot in model.rotation
     )
     return DimerModel(vertices, tuple(edges), rotation)
+
+
+def sweep_corpus() -> dict[str, DimerModel]:
+    """By name: the catalog models, ``tests/data/*`` and the certify and
+    spectrum covers, for pinning the matching sweeps to their oracles."""
+    data = os.path.join(os.path.dirname(__file__), "data")
+    names = ("conifold", "honeycomb", "fzero", "degenerate")
+    models = {name: example(name) for name in names}
+    models.update((f, load_model(os.path.join(data, f))) for f in sorted(os.listdir(data)))
+    models.update(
+        (f"{n}-{a}x{b}", cover(example(n), a, b))
+        for n, a, b in CERTIFY_COVERS + SPECTRUM_COVERS
+    )
+    return models

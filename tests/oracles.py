@@ -3,20 +3,26 @@
 Each is a plain, independent computation of something the package derives
 another way: the dense relation matrix and its integer kernel, an integer
 solve per right-hand side, each relation tested on its own, a chart
-transition by adjugate, path sums walked arrow by arrow, and a domain's
-orientation by the shoelace of its boundary walk.
+transition by adjugate, path sums walked arrow by arrow, a domain's
+orientation by the shoelace of its boundary walk, and the characteristic
+polynomial and the edge charges by a loop over the enumerated matchings.
 """
 
 from fractions import Fraction
 
 from dimerkit import (
+    DegenerateModelError,
     InternalConsistencyError,
     InvalidModelError,
     det_int,
+    from_model,
+    laurent_from_counts,
     relations,
     smith_normal_form,
 )
+from dimerkit.heights import _check_matching, _offset_sum
 from dimerkit.lattice import adjugate3
+from dimerkit.matchings import matching_positions
 from dimerkit.model import per_object
 
 
@@ -118,3 +124,41 @@ def walk_shoelace(model, boundary):
         (x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])),
         Fraction(0),
     )
+
+
+def char_poly_by_matchings(model, base=None):
+    """``char_poly`` as one height per enumerated matching."""
+    found = matching_positions(from_model(model))
+    if not found:
+        raise DegenerateModelError("no perfect matchings")
+    b = found[0] if base is None else _check_matching(model, base, "base")
+    sb = _offset_sum(model, b)
+    counts = {}
+    for m in found:
+        sm = _offset_sum(model, m)
+        h = (sb[0] - sm[0], sb[1] - sm[1])
+        counts[h] = counts.get(h, 0) + 1
+    return laurent_from_counts(counts)
+
+
+def weight_counts_by_matchings(g, weights):
+    """The number of enumerated matchings at each sum of edge weights."""
+    counts = {}
+    for m in matching_positions(g):
+        w = sum(weights[p] for p in m)
+        counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+def r_charges_by_matchings(g):
+    """``r_charge_average`` as one pass over the enumerated matchings."""
+    found = matching_positions(g)
+    if not found:
+        raise DegenerateModelError("no perfect matchings")
+    through = [0] * len(g.edges)
+    for m in found:
+        for p in m:
+            through[p] += 1
+    return {
+        eid: Fraction(2 * k, len(found)) for (eid, _, _), k in zip(g.edges, through)
+    }

@@ -365,6 +365,7 @@ def test_dice_is_valid(capsys):
     ["charpoly", "--ref", "0"],
     ["theta", "--matching", "0"],
     ["polygon"],
+    ["render", "--what", "polygon"],
     ["toric"],
     ["rcharge"],
 ])
@@ -398,6 +399,28 @@ def test_deep_matching_search_is_invalid_input(capsys, tmp_path):
     assert captured.err == (
         "error: more than STATE_CAP = 200000 matching search states at one step\n"
     )
+
+
+def test_past_the_matching_cap(capsys, tmp_path):
+    # 263 640 matchings: the polygon and the charges come from sweeps that
+    # build no matching, so only the listing meets MATCHING_CAP
+    path = str(tmp_path / "honeycomb-6x6.json")
+    dump_model(cover(example("honeycomb"), 6, 6), path)
+    code, data = run_json(capsys, "polygon", path)
+    assert code == 0 and data == [[0, 0], [6, 0], [0, 6]]
+    code, data = run_json(capsys, "rcharge", path)
+    assert code == 0 and len(data["r_charges"]) == 108
+    assert set(data["r_charges"].values()) == {"2/3"}
+    code, data = run_json(capsys, "check", path)
+    assert code == 0
+    assert data == {
+        "methods": {"per-edge": True, "r-charge": True, "strong-marriage": None},
+        "agree": True,
+    }
+    assert main(["matchings", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: more than MATCHING_CAP = 200000 perfect matchings\n"
 
 
 def test_matching_cap_is_named(capsys, monkeypatch):

@@ -4,20 +4,24 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from conftest import cover
+from conftest import cover, sweep_corpus
+from oracles import char_poly_by_matchings
 
 from dimerkit import (
     DegenerateModelError,
+    DimerModel,
     area2,
     char_poly,
     contains_point,
     convex_hull,
     example,
+    from_model,
     height_change,
     laurent_from_counts,
     newton_polygon,
     perfect_matchings,
 )
+from dimerkit.matchings import matching_positions
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -149,3 +153,36 @@ def test_char_poly_matches_membership_sums(model):
     assert char_poly(model) == _char_poly_by_membership(model)
     for base in (pms[-1], sorted(pms[len(pms) // 2])):
         assert char_poly(model, base=base) == _char_poly_by_membership(model, base)
+
+
+SWEEP_CORPUS = sweep_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CORPUS))
+def test_char_poly_matches_per_matching_oracle(name):
+    # the default base (the least matching, found without enumerating) and
+    # several enumerated ones
+    model = SWEEP_CORPUS[name]
+    pms = matching_positions(from_model(model))
+    if not pms:
+        for route in (char_poly, char_poly_by_matchings):
+            with pytest.raises(DegenerateModelError, match="no perfect matchings"):
+                route(model)
+        return
+    assert char_poly(model) == char_poly_by_matchings(model)
+    ids = [e.id for e in model.edges]
+    for k in sorted({1, 2, len(pms) // 2, len(pms) - 1} & set(range(len(pms)))):
+        base = [ids[p] for p in pms[k]]
+        assert char_poly(model, base) == char_poly_by_matchings(model, base), k
+
+
+@pytest.mark.parametrize(
+    "name", ["conifold", "degenerate", "honeycomb_wound.json", "honeycomb-5x5"]
+)
+def test_default_base_with_edges_reversed(name):
+    # in reverse order the first matching has a nonzero total offset, so the
+    # default base moves every exponent
+    model = SWEEP_CORPUS[name]
+    rev = DimerModel(model.vertices, model.edges[::-1], model.rotation)
+    assert char_poly(rev) == char_poly_by_matchings(rev)
+    assert char_poly(rev) != char_poly(model)

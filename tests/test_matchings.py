@@ -1,14 +1,16 @@
 """Perfect matchings and the three non-degeneracy tests."""
 
 import os
+import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from conftest import cover, random_connected
+from conftest import cover, random_connected, sweep_corpus
 from hypothesis import example as hyp_example
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import r_charges_by_matchings, weight_counts_by_matchings
 
 from dimerkit import (
     MATCHING_CAP,
@@ -28,7 +30,7 @@ from dimerkit import (
     r_charge_average,
 )
 from dimerkit import matchings
-from dimerkit.matchings import matching_positions
+from dimerkit.matchings import _least_matching, _weight_counts, matching_positions
 
 FZ_GRAPH = BipartiteGraph(
     ("b1", "b2"),
@@ -318,18 +320,59 @@ def _one_white_more(g: BipartiteGraph, seed: int) -> BipartiteGraph:
     return BipartiteGraph(g.blacks, g.whites + ("w+",), g.edges + (("e+", b, "w+"),))
 
 
+def _shaped(seed: int, other: int, shape: str) -> BipartiteGraph:
+    if shape == "empty":
+        return BipartiteGraph((), (), ())
+    g = random_connected(seed)
+    if shape == "union":
+        g = _disjoint_union(g, random_connected(other))
+    elif shape == "unbalanced":
+        g = _one_white_more(g, other)
+    return g
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 10**6), other=st.integers(0, 10**6),
        shape=st.sampled_from(("one", "union", "unbalanced")))
 @hyp_example(seed=13, other=0, shape="one")  # balanced, 10 matchings
 @hyp_example(seed=13, other=13, shape="union")
 def test_per_edge_matches_forced_route(seed, other, shape):
-    g = random_connected(seed)
-    if shape == "union":
-        g = _disjoint_union(g, random_connected(other))
-    elif shape == "unbalanced":
-        g = _one_white_more(g, other)
-    _assert_matches_forced_route(g)
+    _assert_matches_forced_route(_shaped(seed, other, shape))
+
+
+def _assert_sweeps_match_oracles(g: BipartiteGraph, seed: int) -> None:
+    """The least matching, the charges and the counts by weight, none of
+    which enumerates, against the enumerated matchings."""
+    pms = matching_positions(g)
+    assert _least_matching(g) == (pms[0] if pms else None)
+    rng = random.Random(seed)
+    weights = [rng.randrange(5) for _ in g.edges]
+    assert _weight_counts(g, weights) == weight_counts_by_matchings(g, weights)
+    if not pms:
+        for route in (r_charge_average, r_charges_by_matchings):
+            with pytest.raises(DegenerateModelError, match="no perfect matchings"):
+                route(g)
+        return
+    assert list(r_charge_average(g).items()) == list(r_charges_by_matchings(g).items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), other=st.integers(0, 10**6),
+       shape=st.sampled_from(("one", "union", "unbalanced", "empty")))
+@hyp_example(seed=13, other=0, shape="one")  # balanced, 10 matchings
+@hyp_example(seed=13, other=13, shape="union")
+@hyp_example(seed=1, other=0, shape="one")  # unbalanced
+@hyp_example(seed=0, other=0, shape="empty")  # one matching, the empty one
+def test_sweeps_match_per_matching_oracles(seed, other, shape):
+    _assert_sweeps_match_oracles(_shaped(seed, other, shape), seed)
+
+
+SWEEP_CORPUS = sweep_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CORPUS))
+def test_sweeps_match_per_matching_oracles_on_models(name):
+    _assert_sweeps_match_oracles(from_model(SWEEP_CORPUS[name]), len(name))
 
 
 DICE = os.path.join(os.path.dirname(__file__), "data", "dice.json")

@@ -73,6 +73,23 @@ def test_one_search_per_model(monkeypatch):
     assert len(graphs) == 1 and graphs[0] is from_model(model)
 
 
+def test_frontier_order_built_once(monkeypatch):
+    # the search and the sweeps of the polynomial and the charges share it
+    calls = []
+    order = matchings._black_order
+
+    def spy(g):
+        calls.append(g)
+        return order(g)
+
+    monkeypatch.setattr(matchings, "_black_order", spy)
+    model = example("fzero")
+    perfect_matchings(model)
+    char_poly(model)
+    r_charge_average(from_model(model))
+    assert calls == [from_model(model)]
+
+
 def test_quiver_indexes_built_once(monkeypatch):
     # the cycle index serves both the lattice and every membership test
     calls = []
