@@ -7,7 +7,8 @@ Every command prints JSON on stdout (SVG where a drawing is requested).
 Exit codes separate the four ways a run can end: ``0`` success, ``1`` an
 internal cross-check failed (a bug), ``2`` the input was unusable, ``3``
 the computation finished with a negative verdict (failed validation,
-degenerate model, failed certificate, non-generic weight).
+degenerate model, failed certificate, non-generic weight).  A reader that
+closes stdout early, as ``head`` does, ends the run with ``141``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_BUG = 1
 EXIT_BAD_INPUT = 2
 EXIT_NEGATIVE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout closed before the output ended
 
 
 def _json_default(x):
@@ -356,15 +358,77 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every command takes a model file or --example; the rest of its arguments
+# are listed in its entry below as (flag, add_argument keywords).
+_SEED = ("--seed", dict(
+    type=int, help="random seed (default: DIMER_SEED or 0)"
+))
+_THETA = ("--theta", dict(
+    default="auto", help="JSON file of vertex weights, or 'auto' to sample"
+))
+
+# (name, handler, help, arguments), in the order the usage line lists them
+_COMMANDS = (
+    ("validate", _cmd_validate, "run the six structural checks", ()),
+    ("quiver", _cmd_quiver, "dual quiver with its relations", ()),
+    ("matchings", _cmd_matchings, "enumerate perfect matchings", ()),
+    ("charpoly", _cmd_charpoly, "characteristic polynomial of matchings", (
+        ("--ref", dict(type=int, default=0,
+                       help="index of the reference matching (default 0)")),
+    )),
+    ("polygon", _cmd_polygon, "height polygon, counterclockwise", (
+        ("--svg", dict(action="store_true", help="draw instead of JSON")),
+    )),
+    ("check", _cmd_check, "non-degeneracy by all three methods", ()),
+    ("rcharge", _cmd_rcharge, "average matching charge per edge", ()),
+    ("theta", _cmd_theta, "sample a generic stability weight", (
+        _SEED,
+        ("--matching", dict(
+            type=int, default=0,
+            help="index of the matching carrying the positive weights",
+        )),
+    )),
+    ("fixed-points", _cmd_fixed_points,
+     "fixed points, charts, and the fan certificate", (
+         _SEED,
+         _THETA,
+         ("--svg", dict(
+             metavar="DIR",
+             help="also write one fundamental-domain SVG per fixed point",
+         )),
+     )),
+    ("toric", _cmd_toric,
+     "cone over the polygon, dual cone, Hilbert basis", ()),
+    ("render", _cmd_render, "draw the model, polygon, or a domain", (
+        _SEED,
+        _THETA,
+        ("--what", dict(
+            choices=("model", "polygon", "domain"), default="model"
+        )),
+        ("--cells", dict(
+            type=int, default=2,
+            help="side length of the block of fundamental cells (default 2)",
+        )),
+        ("--index", dict(
+            type=int, default=None,
+            help="matching index (model) or fixed-point index (domain)",
+        )),
+        ("--out", dict(help="write to a file instead of stdout")),
+    )),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``dimer`` parser with every command, or with ``command`` alone."""
     ap = argparse.ArgumentParser(
         prog="dimer",
         description="dimer models on the torus: tilings, quivers, matchings, "
         "stability, toric charts",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def cmd(name, fn, help_, seed=False, theta=False):
+    for name, fn, help_, arguments in _COMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_)
         p.add_argument("model", nargs="?", help="model JSON file")
         p.add_argument(
@@ -372,69 +436,33 @@ def build_parser() -> argparse.ArgumentParser:
             choices=catalog.example_names(),
             help="use a built-in model instead of a file",
         )
-        if seed:
-            p.add_argument(
-                "--seed",
-                type=int,
-                help="random seed (default: DIMER_SEED or 0)",
-            )
-        if theta:
-            p.add_argument(
-                "--theta",
-                default="auto",
-                help="JSON file of vertex weights, or 'auto' to sample",
-            )
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
-        return p
-
-    cmd("validate", _cmd_validate, "run the six structural checks")
-    cmd("quiver", _cmd_quiver, "dual quiver with its relations")
-    cmd("matchings", _cmd_matchings, "enumerate perfect matchings")
-    p = cmd("charpoly", _cmd_charpoly,
-            "characteristic polynomial of matchings")
-    p.add_argument(
-        "--ref", type=int, default=0,
-        help="index of the reference matching (default 0)",
-    )
-    p = cmd("polygon", _cmd_polygon, "height polygon, counterclockwise")
-    p.add_argument("--svg", action="store_true", help="draw instead of JSON")
-    cmd("check", _cmd_check, "non-degeneracy by all three methods")
-    cmd("rcharge", _cmd_rcharge, "average matching charge per edge")
-    cmd("theta", _cmd_theta, "sample a generic stability weight", seed=True)
-    sub.choices["theta"].add_argument(
-        "--matching", type=int, default=0,
-        help="index of the matching carrying the positive weights",
-    )
-    p = cmd("fixed-points", _cmd_fixed_points,
-            "fixed points, charts, and the fan certificate",
-            seed=True, theta=True)
-    p.add_argument(
-        "--svg", metavar="DIR",
-        help="also write one fundamental-domain SVG per fixed point",
-    )
-    cmd("toric", _cmd_toric,
-        "cone over the polygon, dual cone, Hilbert basis")
-    p = cmd("render", _cmd_render, "draw the model, polygon, or a domain",
-            seed=True, theta=True)
-    p.add_argument(
-        "--what", choices=("model", "polygon", "domain"), default="model"
-    )
-    p.add_argument(
-        "--cells", type=int, default=2,
-        help="side length of the block of fundamental cells (default 2)",
-    )
-    p.add_argument(
-        "--index", type=int, default=None,
-        help="matching index (model) or fixed-point index (domain)",
-    )
-    p.add_argument("--out", help="write to a file instead of stdout")
     return ap
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named command's parser alone; anything it leaves over
+    goes to the whole parser, whose error and usage line list every
+    command, as does every argv that names no command."""
+    if argv and any(argv[0] == c[0] for c in _COMMANDS):
+        args, rest = build_parser(argv[0]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left: send the interpreter's final flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (InvalidModelError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

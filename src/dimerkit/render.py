@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .charts import FixedPointCandidate, fundamental_domain
-from .exceptions import InvalidModelError
+from .exceptions import CapacityError, InvalidModelError
 from .heights import LatticePolygon
 from .model import BLACK, Cell, DimerModel, lift_patch
 
@@ -29,6 +29,8 @@ _DOMAIN = "#2563a8"
 _INTERIOR = "#2aa15f"
 _GRID = "#b9c0ca"
 _POLY = "#2563a8"
+
+LIFT_CAP = 200_000  # edge lifts drawn by render_model: cells^2 * edges
 
 Layout = dict[str, tuple[Fraction, Fraction]]
 
@@ -111,9 +113,16 @@ def render_model(
     cells: int = 2,
 ) -> str:
     """The tiling on a ``cells x cells`` block of fundamental cells, the
-    base cell outlined, an optional matching drawn on top."""
+    base cell outlined, an optional matching drawn on top.  Raises
+    :class:`CapacityError` past ``LIFT_CAP`` drawn edge lifts."""
     if cells < 1:
         raise InvalidModelError("cells must be at least 1")
+    lifts = cells * cells * len(model.edges)
+    if lifts > LIFT_CAP:
+        raise CapacityError(
+            f"{cells}x{cells} cells of {len(model.edges)} edges draw {lifts} "
+            f"edge lifts, more than LIFT_CAP = {LIFT_CAP}"
+        )
     layout = _layout(model)
     chosen = frozenset(matching) if matching is not None else frozenset()
     unknown = chosen - {e.id for e in model.edges}

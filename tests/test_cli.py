@@ -1,16 +1,19 @@
 """Command line interface: exit codes, payload shapes, determinism."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
+import time
 
 import pytest
 
 from conftest import cover
 from dimerkit import DimerEdge, DimerModel, dump_model, example, model_to_dict
-from dimerkit.cli import main
+from dimerkit.cli import _COMMANDS, build_parser, main
 
 # the dice lattice: a valid tiling of the torus with two blacks, one white
 # and hence no perfect matching
@@ -18,7 +21,8 @@ DICE = os.path.join(os.path.dirname(__file__), "data", "dice.json")
 # the honeycomb with e3's offset moved to (2, 1): a valid tiling whose vertex
 # positions wind the fundamental domains clockwise against the rotation system
 WOUND = os.path.join(os.path.dirname(__file__), "data", "honeycomb_wound.json")
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def run(capsys, *argv):
@@ -472,6 +476,100 @@ def test_unusable_output_path_is_invalid_input(capsys, tmp_path, argv, target):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {path}: ")
+
+
+def test_render_cells_past_the_lift_cap(capsys):
+    # 10^10 edge lifts: refused before the block of cells is built
+    start = time.perf_counter()
+    code = main(["render", "--example", "conifold", "--cells", "100000"])
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "LIFT_CAP" in captured.err
+
+
+@pytest.mark.parametrize("large", [True, False])
+def test_closed_stdout_exits_141(tmp_path, large):
+    # the matchings of the conifold 4x4 cover fill a pipe's buffer many times
+    # over, so a write fails while the command runs; the validation report
+    # of the honeycomb fits in stdout's buffer and fails only when flushed
+    if large:
+        path = tmp_path / "conifold-4x4.json"
+        dump_model(cover(example("conifold"), 4, 4), str(path))
+        argv = ["matchings", str(path)]
+    else:
+        argv = ["validate", "--example", "honeycomb"]
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as on a pipe
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dimerkit.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def _exits(capsys, call):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def _usage_argvs():
+    """Parser-level argvs: no command, help, an unknown command, and per
+    command its help, a bad --example, a bad int option and an extra
+    positional."""
+    yield []
+    yield ["-h"]
+    yield ["bogus"]
+    for name, _, _, arguments in _COMMANDS:
+        yield [name, "-h"]
+        yield [name, "--example", "nope"]
+        for flag, kwargs in arguments:
+            if kwargs.get("type") is int:
+                yield [name, "--example", "conifold", flag, "x"]
+                break
+        yield [name, "model.json", "extra"]
+
+
+@pytest.mark.parametrize("argv", list(_usage_argvs()), ids=" ".join)
+def test_one_command_parser_matches_whole_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    whole = _exits(capsys, lambda: build_parser().parse_args(argv))
+    assert _exits(capsys, lambda: main(argv)) == whole
+
+
+def _count_add_parser(monkeypatch):
+    """The names of the command parsers built from here on."""
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return calls
+
+
+def test_call_builds_only_its_own_command(capsys, monkeypatch):
+    calls = _count_add_parser(monkeypatch)
+    assert main(["fixed-points", "--example", "conifold"]) == 0
+    assert calls == ["fixed-points"]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the path the dimer console script takes
+    calls = _count_add_parser(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["dimer", "validate", "--example", "fzero"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert calls == ["validate"]
 
 
 def test_argparse_errors_exit_2():

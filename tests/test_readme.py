@@ -8,6 +8,7 @@ import re
 import types
 
 import dimerkit
+from dimerkit.cli import _COMMANDS
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -95,3 +96,12 @@ def test_exports_are_used_or_documented():
         if not isinstance(getattr(dimerkit, name), types.ModuleType)
     ]
     assert [n for n in exported if n not in used and n not in documented] == []
+
+
+def test_readme_lists_every_command():
+    # the rows of the subcommand table under "Command-line usage", in order
+    text = _readme()
+    section = text[text.index("## Command-line usage"):]
+    section = section[:section.index("\n## ")]
+    rows = re.findall(r"^\| `([a-z-]+)` +\|", section, re.MULTILINE)
+    assert rows == [name for name, _, _, _ in _COMMANDS]
