@@ -64,7 +64,7 @@ from .lattice import (
     express_functional,
     split_by_reference,
 )
-from .matchings import from_model, matching_positions, perfect_matchings
+from .matchings import perfect_matchings
 from .model import BLACK, Cell, Dart, DimerModel, ValidationCheck
 from .model import per_object, trace_faces
 from .quiver import Quiver, quiver_of, tree_cycle, tree_paths, vector_shift
@@ -116,8 +116,8 @@ def enumerate_fixed_candidates(
     # a matching's total offset is its height up to sign and one common
     # translation, neither of which changes a triangle's area
     stable = [
-        (d, _offset_sum(model, p))
-        for d, p in zip(pms, matching_positions(from_model(model)))
+        (d, _offset_sum(map(model.edge, d)))
+        for d in pms
         if is_stable(q, arrows - d, theta)
     ]
     found: list[FixedPointCandidate] = []

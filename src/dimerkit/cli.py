@@ -33,6 +33,8 @@ from .heights import char_poly, newton_polygon
 from .lattice import cone_over_polygon, dual_cone, hilbert_basis
 from .matchings import (
     NON_DEGENERACY_METHODS,
+    _count,
+    _least_matching,
     from_model,
     is_non_degenerate,
     perfect_matchings,
@@ -227,17 +229,22 @@ def _cmd_rcharge(args) -> int:
 def _cmd_theta(args) -> int:
     model = _load_valid(args)
     q = quiver_of(model)
-    pms = _matchings(model)
-    if not 0 <= args.matching < len(pms):
+    g = from_model(model)
+    count = _count(g)  # a sweep that lists no matching
+    if not count:
+        raise DegenerateModelError("no perfect matchings")
+    if not 0 <= args.matching < count:
         raise InvalidModelError(
-            f"--matching {args.matching} out of range 0..{len(pms) - 1}"
+            f"--matching {args.matching} out of range 0..{count - 1}"
         )
-    theta, xi, tries = sample_generic_theta(
-        q, pms[args.matching], random.Random(_seed(args))
-    )
+    if args.matching:
+        base = perfect_matchings(model)[args.matching]
+    else:  # the first matching, found without enumerating
+        base = frozenset(g.edges[p][0] for p in _least_matching(g))
+    theta, xi, tries = sample_generic_theta(q, base, random.Random(_seed(args)))
     _emit(
         {
-            "matching": sorted(pms[args.matching]),
+            "matching": sorted(base),
             "theta": {v: theta.of(v) for v in q.vertices},
             "xi": {a: str(x) for a, x in sorted(xi.items())},
             "tries": tries,
@@ -454,11 +461,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.fn(args)
-        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-        return code
+        try:
+            args = _parse(sys.argv[1:] if argv is None else argv)
+            return args.fn(args)
+        finally:
+            # a closed pipe fails here, not at interpreter exit, also after
+            # the SystemExit that follows help
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader left: send the interpreter's final flush to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

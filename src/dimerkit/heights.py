@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .exceptions import DegenerateModelError, InvalidModelError
 from .matchings import _least_matching, _weight_counts, from_model
-from .model import Cell, DimerModel
+from .model import Cell, DimerEdge, DimerModel
 
 
 def _check_matching(model: DimerModel, edges: Iterable[str], what: str) -> list[int]:
@@ -41,12 +41,11 @@ def _check_matching(model: DimerModel, edges: Iterable[str], what: str) -> list[
     return positions
 
 
-def _offset_sum(model: DimerModel, positions: Iterable[int]) -> Cell:
-    """Total offset of the edges at ``positions`` in ``model.edges``."""
-    edges = model.edges
+def _offset_sum(edges: Iterable[DimerEdge]) -> Cell:
+    """Total offset of ``edges``."""
     x = y = 0
-    for p in positions:
-        dx, dy = edges[p].offset
+    for e in edges:
+        dx, dy = e.offset
         x, y = x + dx, y + dy
     return (x, y)
 
@@ -61,7 +60,7 @@ def height_change(
     """
     m = _check_matching(model, matching, "matching")
     b = _check_matching(model, base, "base")
-    sm, sb = _offset_sum(model, m), _offset_sum(model, b)
+    sm, sb = (_offset_sum(map(model.edges.__getitem__, p)) for p in (m, b))
     return (sb[0] - sm[0], sb[1] - sm[1])
 
 
@@ -119,7 +118,7 @@ def char_poly(
     if not counts:
         raise DegenerateModelError("no perfect matchings")
     b = _least_matching(g) if base is None else _check_matching(model, base, "base")
-    bx, by = _offset_sum(model, b)
+    bx, by = _offset_sum(map(model.edges.__getitem__, b))
     by_height: dict[Cell, int] = {}
     for key, c in counts.items():
         x, y = divmod(key, m)

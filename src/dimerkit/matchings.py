@@ -12,17 +12,16 @@ Each graph numbers its two sides once and orders its blacks once, so that
 the frontier of half-used whites stays narrow.  One routine, ``_tables``,
 places the blacks in that order, one table per step from used-white
 bitmasks to what reaches them.  Matchings are enumerated once per graph
-and kept on the graph as sorted tuples of edge positions
-(``matching_positions``): two halves meet in the middle, counted before
-they are built, so ``MATCHING_CAP`` is checked on the exact count.  The
-charges (``r_charge_average``) and the matching counts by weight that the
-characteristic polynomial needs come from sweeps of the same tables that
-carry counts and build no matching, so only ``STATE_CAP`` bounds them.
-The first matching in canonical order (``_least_matching``) is found
-without enumerating too, by flipping alternating cycles.  ``from_model``
-is memoized per model, so the matchings and the fan of one model share
-one search.  Edge-id sets are built per call, at ``enumerate_matchings``
-and ``perfect_matchings``, and are not kept.
+and kept on the graph as edge-id sets (``enumerate_matchings``): two
+halves meet in the middle, counted before they are built, so
+``MATCHING_CAP`` is checked on the exact count, and each matching is the
+union of its halves' sets.  The charges (``r_charge_average``) and the
+matching counts by weight that the characteristic polynomial needs come
+from sweeps of the same tables that carry counts and build no matching,
+so only ``STATE_CAP`` bounds them.  The first matching in canonical order
+(``_least_matching``) is found without enumerating too, by flipping
+alternating cycles.  ``from_model`` is memoized per model, so the
+matchings and the fan of one model share one search.
 
 Everything here works on the abstract bipartite graph, so the tests run on
 arbitrary multigraphs, not just graphs that embed in the torus.
@@ -156,27 +155,29 @@ def _tables(
     """Place ``blacks`` in turn, yielding first the empty table and then the
     table after each step.  A table maps each state to the number of
     partial matchings in it, or when ``build`` to the partial matchings
-    themselves (tuples of edge positions, in placing order).  A state is the
-    set of used whites (a bitmask) plus, with ``lift``, the weight so far
-    above the white bits: ``lift[p]`` is edge ``p``'s nonnegative weight
-    shifted past them.  A state is dropped as soon as a white it leaves free
-    has no neighbour among the blacks still to place (``masks``, one per
-    step).  Stops past ``STATE_CAP`` states at one step.
+    themselves, each as the sum of ``2 ** (E - 1 - p)`` over its edge
+    positions ``p`` (see :func:`_search`).  A state is the set of used
+    whites (a bitmask) plus, with ``lift``, the weight so far above the
+    white bits: ``lift[p]`` is edge ``p``'s nonnegative weight shifted past
+    them.  A state is dropped as soon as a white it leaves free has no
+    neighbour among the blacks still to place (``masks``, one per step).
+    Stops past ``STATE_CAP`` states at one step.
     """
     choices, _, _ = g._numbered
-    above = ~((1 << len(g.whites)) - 1)
-    table = {0: [()] if build else 1}
+    above, top = ~((1 << len(g.whites)) - 1), len(g.edges) - 1
+    table = {0: [0] if build else 1}
     yield table
     for b, rest in zip(blacks, masks):
         rest |= above  # so u | rest is -1 when no white is stranded
         nxt: dict = {}
         for p, bit in choices[b]:
             step = bit if lift is None else bit + lift[p]
+            key = 1 << top - p
             for used, val in table.items():
                 if not used & bit:
                     u = used + step
                     if u | rest == -1:
-                        grown = [t + (p,) for t in val] if build else val
+                        grown = [t | key for t in val] if build else val
                         nxt[u] = nxt[u] + grown if u in nxt else grown
         if len(nxt) > STATE_CAP:
             raise CapacityError(
@@ -191,57 +192,77 @@ def _table(g: BipartiteGraph, blacks: list[int], masks: list[int], **value) -> d
     return deque(_tables(g, blacks, masks, **value), maxlen=1)[0]
 
 
-def _search(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
-    """Every perfect matching as its sorted tuple of edge positions, sorted.
-
-    A meet in the middle over the frontier order of ``_black_order``: the
-    first half of the blacks is placed forwards, the second backwards, and
-    a first-half state meets the second-half state that uses the other
-    whites.  Both halves are counted first, so past ``MATCHING_CAP`` the
-    search stops on the exact count before any matching is built; then
-    they are built, and only states with a partner are combined.
-    """
+def _meet(g: BipartiteGraph, **value) -> list[dict]:
+    """The last tables of two halves that meet in the middle: the first
+    half of the frontier order placed forwards, the second backwards.  A
+    first-half state ``u`` meets the second-half state ``full ^ u``."""
     n = len(g.blacks)
-    if n != len(g.whites):
-        return ()
     order, gone, reach = g._frontier
-    h, full = n // 2, (1 << n) - 1
-    halves = ((order[:h], reach[1:h + 1]), (order[h:][::-1], gone[h:n][::-1]))
-    first, second = (_table(g, bs, ms) for bs, ms in halves)
-    total = sum(k * second.get(full ^ u, 0) for u, k in first.items())
+    h = n // 2
+    halves = (order[:h], reach[1:h + 1]), (order[h:][::-1], gone[h:n][::-1])
+    return [_table(g, bs, ms, **value) for bs, ms in halves]
+
+
+def _count(g: BipartiteGraph) -> int:
+    """The number of perfect matchings, from :func:`_meet`'s counts."""
+    if len(g.blacks) != len(g.whites):
+        return 0
+    (first, second), full = _meet(g), (1 << len(g.whites)) - 1
+    return sum(k * second.get(full ^ u, 0) for u, k in first.items())
+
+
+def _search(g: BipartiteGraph) -> tuple[frozenset[str], ...]:
+    """Every perfect matching as its edge-id set, in canonical order.
+
+    Past ``MATCHING_CAP`` it stops on the exact count (:func:`_count`)
+    before any matching is built; then :func:`_meet` builds both halves,
+    each partial matching as its key, the sum of ``2 ** (E - 1 - p)`` over
+    its edge positions ``p``.  The halves' edges are disjoint, so a
+    matching's key is the OR of its halves' keys, and its set the union of
+    theirs.  All matchings have the same size, so the first place where
+    two sorted position tuples differ is the least position in just one
+    of them: the canonical order is the descending order of the keys.
+    """
+    total = _count(g)
     if total > MATCHING_CAP:
         raise CapacityError(
             f"more than MATCHING_CAP = {MATCHING_CAP} perfect matchings"
         )
     if not total:
         return ()
-    first, second = (_table(g, bs, ms, build=True) for bs, ms in halves)
-    found = [tuple(sorted(a + c)) for u, front in first.items() if full ^ u in second
-             for a in front for c in second[full ^ u]]
-    found.sort()
-    return tuple(found)
+    by_bit = [eid for eid, _, _ in reversed(g.edges)]  # key bit -> edge id
+
+    def edge_set(key: int) -> frozenset[str]:
+        found = []
+        while key:
+            b = key.bit_length() - 1
+            found.append(by_bit[b])
+            key ^= 1 << b
+        return frozenset(found)
+
+    (first, second), full = _meet(g, build=True), (1 << len(g.whites)) - 1
+    keys: list[int] = []
+    sets: list[frozenset[str]] = []
+    for u, front in first.items():
+        back = second.get(full ^ u)
+        if back is not None:
+            keys += [a | c for a in front for c in back]
+            back_sets = list(map(edge_set, back))
+            sets += [fa | fc for fa in map(edge_set, front) for fc in back_sets]
+    order = sorted(range(total), key=keys.__getitem__, reverse=True)
+    return tuple(map(sets.__getitem__, order))
 
 
 @per_object
-def matching_positions(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
-    """All perfect matchings as sorted tuples of edge positions in ``g.edges``,
-    in canonical (lexicographic) order, searched once per graph.
+def enumerate_matchings(g: BipartiteGraph) -> tuple[frozenset[str], ...]:
+    """All perfect matchings, as edge-id sets, searched once per graph.
 
-    Raises :class:`CapacityError` past ``MATCHING_CAP`` matchings, checked
-    on the exact count before any matching is built, or past ``STATE_CAP``
-    search states at one step.
+    In canonical order: by the sorted tuple of edge positions in
+    ``g.edges``, lexicographically.  Raises :class:`CapacityError` past
+    ``MATCHING_CAP`` matchings, checked on the exact count before any
+    matching is built, or past ``STATE_CAP`` search states at one step.
     """
     return _search(g)
-
-
-def enumerate_matchings(g: BipartiteGraph) -> tuple[frozenset[str], ...]:
-    """All perfect matchings, as edge-id sets, in a canonical order.
-
-    Matchings are sorted by their tuple of edge positions.  The sets are
-    built on every call; only the positions are kept.
-    """
-    ids = [eid for eid, _, _ in g.edges]
-    return tuple(frozenset([ids[p] for p in m]) for m in matching_positions(g))
 
 
 def perfect_matchings(model: DimerModel) -> tuple[frozenset[str], ...]:
@@ -285,8 +306,9 @@ def _max_matching(g: BipartiteGraph) -> list[int] | None:
 
 
 def _least_matching(g: BipartiteGraph) -> tuple[int, ...] | None:
-    """The least perfect matching, ``matching_positions(g)[0]``, without
-    enumerating; ``None`` when there is none.
+    """The edge positions of the least perfect matching,
+    ``enumerate_matchings(g)[0]``, without enumerating; ``None`` when there
+    is none.
 
     The edges are taken in position order, and an edge joins when some
     perfect matching of the part not yet fixed holds it: when its black end

@@ -5,7 +5,8 @@ another way: the dense relation matrix and its integer kernel, an integer
 solve per right-hand side, each relation tested on its own, a chart
 transition by adjugate, path sums walked arrow by arrow, a domain's
 orientation by the shoelace of its boundary walk, and the characteristic
-polynomial and the edge charges by a loop over the enumerated matchings.
+polynomial and the edge charges by a loop over the enumerated matchings,
+and the canonical order of the matchings by sorting their position tuples.
 """
 
 from fractions import Fraction
@@ -22,7 +23,7 @@ from dimerkit import (
 )
 from dimerkit.heights import _check_matching, _offset_sum
 from dimerkit.lattice import adjugate3
-from dimerkit.matchings import matching_positions
+from dimerkit.matchings import enumerate_matchings
 from dimerkit.model import per_object
 
 
@@ -126,16 +127,33 @@ def walk_shoelace(model, boundary):
     )
 
 
+@per_object
+def matching_positions(g):
+    """Every enumerated matching as its sorted tuple of edge positions in
+    ``g.edges``, the tuples sorted: the canonical order, as the search
+    once kept it."""
+    pos = {eid: p for p, (eid, _, _) in enumerate(g.edges)}
+    return tuple(sorted(
+        tuple(sorted(map(pos.__getitem__, m))) for m in enumerate_matchings(g)
+    ))
+
+
+def matchings_by_positions(g):
+    """The edge-id sets of :func:`matching_positions`, in its order."""
+    ids = [eid for eid, _, _ in g.edges]
+    return tuple(frozenset(ids[p] for p in m) for m in matching_positions(g))
+
+
 def char_poly_by_matchings(model, base=None):
     """``char_poly`` as one height per enumerated matching."""
     found = matching_positions(from_model(model))
     if not found:
         raise DegenerateModelError("no perfect matchings")
     b = found[0] if base is None else _check_matching(model, base, "base")
-    sb = _offset_sum(model, b)
+    sb = _offset_sum(model.edges[p] for p in b)
     counts = {}
     for m in found:
-        sm = _offset_sum(model, m)
+        sm = _offset_sum(model.edges[p] for p in m)
         h = (sb[0] - sm[0], sb[1] - sm[1])
         counts[h] = counts.get(h, 0) + 1
     return laurent_from_counts(counts)

@@ -207,6 +207,23 @@ def test_theta_command(capsys):
     assert main(["theta", "--example", "conifold", "--matching", "99"]) == 2
 
 
+@pytest.mark.parametrize("name", ["conifold", "honeycomb", "fzero"])
+def test_theta_lists_no_matching_by_default(capsys, monkeypatch, name):
+    # the base of --matching 0 is the least matching and the range check
+    # takes a count: no search, and the same base as the listing's first
+    from dimerkit import matchings, perfect_matchings
+
+    def no_search(g):
+        raise AssertionError("searched")
+
+    model = example(name)
+    with monkeypatch.context() as patch:
+        patch.setattr(matchings, "_search", no_search)
+        code, data = run_json(capsys, "theta", "--example", name, "--seed", "4")
+    assert code == 0
+    assert data["matching"] == sorted(perfect_matchings(model)[0])
+
+
 @pytest.mark.parametrize("uniform_first", [False, True])
 def test_theta_scans_each_draw_once(capsys, monkeypatch, uniform_first):
     # the sampler only returns a generic weight, so the command does not
@@ -421,10 +438,35 @@ def test_past_the_matching_cap(capsys, tmp_path):
         "methods": {"per-edge": True, "r-charge": True, "strong-marriage": None},
         "agree": True,
     }
-    assert main(["matchings", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: more than MATCHING_CAP = 200000 perfect matchings\n"
+    # theta's default base, the least matching, needs no list either
+    code, data = run_json(capsys, "theta", path)
+    assert code == 0 and data["generic"] is True
+    assert len(data["matching"]) == 36
+    for argv in (["matchings", path], ["theta", path, "--matching", "1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: more than MATCHING_CAP = 200000 perfect matchings\n"
+        )
+
+
+# sha256 of `dimer matchings` stdout, recorded before the matchings were
+# kept as edge-id sets
+MATCHINGS_DIGESTS = {
+    ("honeycomb", 4, 4): "ed22f1642e0aed9cab96c89bf19f8ab3df4df1a9d1f47482004471c8ca47a335",
+    ("fzero", 2, 2): "2179d72bad0c9249165c7cd5e60aad61f4ed2a1d878878c9c71a02e6fe201e56",
+    ("conifold", 4, 2): "873e2b0f1699b6546f51f9d909ea6686516b5882086fae53eba2221675680fc4",
+}
+
+
+@pytest.mark.parametrize("name, a, b", sorted(MATCHINGS_DIGESTS))
+def test_matchings_stdout_pinned(capsys, tmp_path, name, a, b):
+    path = str(tmp_path / "cover.json")
+    dump_model(cover(example(name), a, b), path)
+    assert main(["matchings", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == MATCHINGS_DIGESTS[name, a, b]
 
 
 def test_matching_cap_is_named(capsys, monkeypatch):
@@ -492,25 +534,27 @@ def test_render_cells_past_the_lift_cap(capsys):
 def test_closed_stdout_exits_141(tmp_path, large):
     # the matchings of the conifold 4x4 cover fill a pipe's buffer many times
     # over, so a write fails while the command runs; the validation report
-    # of the honeycomb fits in stdout's buffer and fails only when flushed
+    # of the honeycomb and the help texts fit in stdout's buffer and fail
+    # only when flushed, the help after argparse's SystemExit
     if large:
         path = tmp_path / "conifold-4x4.json"
         dump_model(cover(example("conifold"), 4, 4), str(path))
-        argv = ["matchings", str(path)]
+        argvs = [["matchings", str(path)]]
     else:
-        argv = ["validate", "--example", "honeycomb"]
+        argvs = [["validate", "--example", "honeycomb"], ["-h"], ["fixed-points", "-h"]]
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as on a pipe
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")]
     )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "dimerkit.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (141, b"")
+    for argv in argvs:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dimerkit.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b""), argv
 
 
 def _exits(capsys, call):

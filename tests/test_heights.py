@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 from conftest import cover, sweep_corpus
-from oracles import char_poly_by_matchings
+from oracles import char_poly_by_matchings, matching_positions
 
 from dimerkit import (
     DegenerateModelError,
@@ -21,7 +21,6 @@ from dimerkit import (
     newton_polygon,
     perfect_matchings,
 )
-from dimerkit.matchings import matching_positions
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")

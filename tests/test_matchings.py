@@ -10,7 +10,12 @@ from conftest import cover, random_connected, sweep_corpus
 from hypothesis import example as hyp_example
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import r_charges_by_matchings, weight_counts_by_matchings
+from oracles import (
+    matching_positions,
+    matchings_by_positions,
+    r_charges_by_matchings,
+    weight_counts_by_matchings,
+)
 
 from dimerkit import (
     MATCHING_CAP,
@@ -30,7 +35,7 @@ from dimerkit import (
     r_charge_average,
 )
 from dimerkit import matchings
-from dimerkit.matchings import _least_matching, _weight_counts, matching_positions
+from dimerkit.matchings import _least_matching, _weight_counts
 
 FZ_GRAPH = BipartiteGraph(
     ("b1", "b2"),
@@ -367,6 +372,19 @@ def test_sweeps_match_per_matching_oracles(seed, other, shape):
     _assert_sweeps_match_oracles(_shaped(seed, other, shape), seed)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), other=st.integers(0, 10**6),
+       shape=st.sampled_from(("one", "union", "unbalanced", "empty")))
+@hyp_example(seed=13, other=0, shape="one")  # balanced with multi-edges
+@hyp_example(seed=13, other=13, shape="union")
+@hyp_example(seed=1, other=0, shape="one")  # unbalanced
+@hyp_example(seed=0, other=0, shape="empty")  # one matching, the empty one
+def test_matchings_in_position_tuple_order(seed, other, shape):
+    # the search orders by integer keys; the oracle sorts position tuples
+    g = _shaped(seed, other, shape)
+    assert enumerate_matchings(g) == matchings_by_positions(g)
+
+
 SWEEP_CORPUS = sweep_corpus()
 
 
@@ -418,7 +436,7 @@ def test_deep_search_is_a_capacity_error():
     g = from_model(cover(example("honeycomb"), 34, 30))
     for _ in range(2):  # nothing half-built is kept
         with pytest.raises(CapacityError, match="more than STATE_CAP = 200000"):
-            matching_positions(g)
+            enumerate_matchings(g)
 
 
 def test_cap_is_checked_on_the_exact_count(monkeypatch):
@@ -455,4 +473,4 @@ def test_matching_cap_on_a_cover():
     # 263 640 matchings: refused on the count, before any is built
     g = from_model(cover(example("honeycomb"), 6, 6))
     with pytest.raises(CapacityError, match="more than MATCHING_CAP = 200000 perfect"):
-        matching_positions(g)
+        enumerate_matchings(g)

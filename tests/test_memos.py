@@ -73,6 +73,14 @@ def test_one_search_per_model(monkeypatch):
     assert len(graphs) == 1 and graphs[0] is from_model(model)
 
 
+def test_matchings_kept_once():
+    # one tuple of edge-id sets per graph, returned by every call
+    model = example("fzero")
+    pms = perfect_matchings(model)
+    assert perfect_matchings(model) is pms
+    assert matchings.enumerate_matchings(from_model(model)) is pms
+
+
 def test_frontier_order_built_once(monkeypatch):
     # the search and the sweeps of the polynomial and the charges share it
     calls = []
