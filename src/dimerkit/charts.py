@@ -19,8 +19,10 @@ edges that meet another zero edge; an isolated zero edge lies inside the
 domain.  Walking the domain boundary and counting the valencies of its
 corner points classifies the chart around the fixed point into exactly
 three local shapes, two of them singular and one smooth.  The walk runs
-counterclockwise at the vertex positions exactly when the faces' total
-signed area is positive, which is decided once per model.
+counterclockwise exactly when the edge offsets wrap the faces once around
+the torus with the rotation's orientation, which one integer per model
+decides: the faces' signed cell area (:func:`~dimerkit.model.faces_area2`),
+the same one that validation's ``homology-span`` reads.
 
 The coordinate functions of a chart are read off at the first boundary
 corner: one character per zero edge there, gauge-normalised to vanish on
@@ -66,7 +68,7 @@ from .lattice import (
 )
 from .matchings import perfect_matchings
 from .model import BLACK, Cell, Dart, DimerModel, ValidationCheck
-from .model import per_object, trace_faces
+from .model import faces_area2, trace_faces
 from .quiver import Quiver, quiver_of, tree_cycle, tree_paths, vector_shift
 from .stability import Theta, is_stable, sample_generic_theta
 
@@ -166,9 +168,15 @@ def fundamental_domain(
 ) -> FundamentalDomain:
     """Glue the candidate's face lifts along its support and walk the rim.
 
-    Raises :class:`InvalidModelError` when the vertex positions wind the
-    walk clockwise, which is decided once per model (:func:`_faces_area2`).
+    Raises :class:`InvalidModelError` unless the edge offsets wrap the
+    faces once counterclockwise around the torus (:func:`faces_area2` is
+    2), as validation's ``homology-span`` demands.
     """
+    if faces_area2(model) != 2:
+        raise InvalidModelError(
+            "edge offsets do not wrap the faces once counterclockwise around "
+            "the torus: the model fails homology-span"
+        )
     tr = trace_faces(model)
     cells = dict(candidate.cells)
     if set(cells) != {f.id for f in tr.faces}:
@@ -236,39 +244,11 @@ def fundamental_domain(
     if len(walk) != len(boundary_darts):
         raise InternalConsistencyError("boundary is not a single circuit")
 
-    if (area := _faces_area2(model)) is not None and area <= 0:
-        raise InvalidModelError(
-            "vertex positions disagree with the rotation system: the boundary "
-            "walk of a fundamental domain runs clockwise at those positions"
-        )
     return FundamentalDomain(
         tuple((f.id, cells[f.id]) for f in tr.faces),
         tuple(sorted(interior, key=lambda x: (edge_pos[x[0]], x[1]))),
         tuple(walk),
     )
-
-
-@per_object
-def _faces_area2(model: DimerModel) -> Fraction | None:
-    """Twice the faces' total signed area at the vertex positions, or None
-    without positions: the shoelace of every domain's boundary walk, since
-    areas add, a domain holds one lift of each face, its interior darts
-    cancel in pairs and a closed face's area ignores translation.  The walk
-    follows the rotation system, so a sum <= 0 means bad positions."""
-    if any(v.pos is None for v in model.vertices):
-        return None
-    tr = trace_faces(model)
-    s = Fraction(0)
-    for f in tr.faces:
-        pts = []
-        for d in f.darts:
-            e = model.edge(d[0])
-            x, y = model.vertex(e.black if d[1] > 0 else e.white).pos
-            c = tr.dart_cell[d]
-            pts.append((x + c[0], y + c[1]))
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
-            s += x0 * y1 - x1 * y0
-    return s
 
 
 # ---------------------------------------------------------------------------

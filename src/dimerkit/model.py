@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
-from math import gcd
 
 from .exceptions import InvalidModelError
 
@@ -283,79 +282,44 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def _adjacency(model: DimerModel) -> dict[str, list[tuple[str, str]]]:
-    adj: dict[str, list[tuple[str, str]]] = {v.id: [] for v in model.vertices}
-    for e in model.edges:
-        adj[e.black].append((e.id, e.white))
-        adj[e.white].append((e.id, e.black))
-    return adj
-
-
-def _cycle_offset_classes(model: DimerModel) -> list[Cell] | None:
-    """Offset classes of the fundamental cycles of a spanning tree, or None
-    when the graph is disconnected (or empty).
-
-    Assign each vertex a cover cell by walking a spanning tree (black-to-white
-    adds the edge offset, white-to-black subtracts it); every non-tree edge
-    then closes a cycle whose total offset is its class in ``Z^2``.
-    """
+def _connected(model: DimerModel) -> bool:
+    """Whether the graph is nonempty and one piece."""
     if not model.vertices:
-        return None
-    cell: dict[str, Cell] = {model.vertices[0].id: (0, 0)}
-    adj = _adjacency(model)
-    tree: set[str] = set()
+        return False
+    adj: dict[str, list[str]] = {v.id: [] for v in model.vertices}
+    for e in model.edges:
+        adj[e.black].append(e.white)
+        adj[e.white].append(e.black)
+    seen = {model.vertices[0].id}
     stack = [model.vertices[0].id]
     while stack:
-        vid = stack.pop()
-        for eid, other in adj[vid]:
-            if other in cell:
-                continue
-            e = model.edge(eid)
-            c = cell[vid]
-            if vid == e.black:
-                cell[other] = (c[0] + e.offset[0], c[1] + e.offset[1])
-            else:
-                cell[other] = (c[0] - e.offset[0], c[1] - e.offset[1])
-            tree.add(eid)
-            stack.append(other)
-    if len(cell) != len(model.vertices):
-        return None
-    classes = []
-    for e in model.edges:
-        if e.id in tree:
-            continue
-        cb, cw = cell[e.black], cell[e.white]
-        classes.append((cb[0] + e.offset[0] - cw[0], cb[1] + e.offset[1] - cw[1]))
-    return classes
+        for other in adj[stack.pop()]:
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return len(seen) == len(adj)
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """``(g, s, t)`` with ``s * a + t * b == g == gcd(a, b)``."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+@per_object
+def faces_area2(model: DimerModel) -> int:
+    """Twice the faces' total signed area, each face drawn through the cells
+    of its darts' tails.
 
-
-def _spans_lattice(classes: list[Cell]) -> bool:
-    # fold each class into a Hermite basis (a, b), (0, c) of the lattice
-    # the classes so far generate; that lattice is Z^2 iff a == c == 1
-    a = b = c = 0
-    for x, y in classes:
-        if x:
-            # unimodular on the rows (a, b), (x, y): [[s, t], [-x/g, a/g]]
-            g, s, t = _ext_gcd(a, x)
-            a, b, c = g, s * b + t * y, gcd(c, (a // g) * y - (x // g) * b)
-        else:
-            c = gcd(c, y)
-        if c:
-            b %= c
-        if a == c == 1:
-            return True
-    return False
+    On a connected torus map whose faces close, this is twice the degree of
+    the map the edge offsets define from the rotation's surface onto the
+    torus: 2 exactly when the offsets wrap the faces once around it with
+    the rotation's orientation, -2 when they wind them clockwise, and of
+    absolute value 2 exactly when the offsets generate ``Z^2``.  Moving a
+    vertex moves the areas of its faces by amounts that cancel, so vertex
+    positions would give the same sum.
+    """
+    tr = trace_faces(model)
+    s = 0
+    for f in tr.faces:
+        pts = [tr.dart_cell[d] for d in f.darts]
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+            s += x0 * y1 - x1 * y0
+    return s
 
 
 def validate_model(model: DimerModel) -> ValidationReport:
@@ -365,9 +329,11 @@ def validate_model(model: DimerModel) -> ValidationReport:
     ``rotation`` (each vertex's cyclic order lists exactly its incident
     edges), ``connected``, ``euler`` (V - E + F = 0, i.e. the map really
     lives on a torus), ``face-offsets`` (every face closes up in the cover),
-    and ``homology-span`` (edge offsets generate ``Z^2``, so the torus
-    directions are genuinely used).  Later checks that depend on a failed
-    earlier one are reported as not evaluated.
+    and ``homology-span`` (the edge offsets wrap the faces once around the
+    torus, counterclockwise: :func:`faces_area2` is 2, so the offsets
+    generate ``Z^2`` and agree with the rotation's orientation).  Later
+    checks that depend on a failed earlier one are reported as not
+    evaluated.
     """
     checks: list[ValidationCheck] = []
 
@@ -383,8 +349,7 @@ def validate_model(model: DimerModel) -> ValidationReport:
         checks.append(ValidationCheck("rotation", False, "not evaluated"))
         rotation_ok = False
 
-    classes = _cycle_offset_classes(model) if structural_ok else None
-    conn = classes is not None
+    conn = structural_ok and _connected(model)
     if structural_ok:
         checks.append(
             ValidationCheck("connected", conn, "" if conn else "graph is disconnected")
@@ -392,6 +357,7 @@ def validate_model(model: DimerModel) -> ValidationReport:
     else:
         checks.append(ValidationCheck("connected", False, "not evaluated"))
 
+    torus = False
     if rotation_ok:
         tr = trace_faces(model)
         v, e, f = len(model.vertices), len(model.edges), len(tr.faces)
@@ -410,19 +376,17 @@ def validate_model(model: DimerModel) -> ValidationReport:
             if end != (0, 0):
                 bad_faces.append(f"{face.id} closes with shift {end}")
         checks.append(ValidationCheck("face-offsets", not bad_faces, "; ".join(bad_faces)))
+        torus = conn and euler == 0 and not bad_faces
     else:
         checks.append(ValidationCheck("euler", False, "not evaluated"))
         checks.append(ValidationCheck("face-offsets", False, "not evaluated"))
 
-    if conn:
-        spans = _spans_lattice(classes)
-        checks.append(
-            ValidationCheck(
-                "homology-span",
-                spans,
-                "" if spans else "edge offsets do not generate Z^2",
-            )
+    if torus:
+        area = faces_area2(model)
+        detail = {2: "", -2: "edge offsets wind the faces clockwise"}.get(
+            area, "edge offsets do not generate Z^2"
         )
+        checks.append(ValidationCheck("homology-span", area == 2, detail))
     else:
         checks.append(ValidationCheck("homology-span", False, "not evaluated"))
 
@@ -469,6 +433,9 @@ def rational_from_json(x: object, what: str) -> Fraction:
     if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
+        # Fraction("1e10000000") builds a ten-million-digit integer
+        if "e" in x or "E" in x:
+            raise InvalidModelError(f"{what}: bad rational {x!r}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

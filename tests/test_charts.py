@@ -18,6 +18,7 @@ from dimerkit import (
     ChartCone,
     FixedPointCandidate,
     InternalConsistencyError,
+    InvalidModelError,
     Theta,
     area2,
     assemble_fan,
@@ -42,13 +43,15 @@ from dimerkit import (
     quiver_of,
     sample_generic_theta,
     split_by_reference,
+    validate_model,
     verify_crepant,
 )
 from conftest import CERTIFY_COVERS, cover
 from oracles import chart_transition, rep_satisfies_relations, walk_shoelace
 from dimerkit import charts
 from dimerkit.charts import _census_case
-from dimerkit.model import per_object
+from dimerkit import model as model_module
+from dimerkit.model import faces_area2, per_object
 from dimerkit.quiver import tree_cycle, tree_paths, vector_shift
 
 conifold = example("conifold")
@@ -612,14 +615,14 @@ WOUND = os.path.join(os.path.dirname(__file__), "data", "honeycomb_wound.json")
 
 @pytest.mark.parametrize("name", sorted(CORPUS) + ["honeycomb_wound"])
 def test_domain_walks_enclose_the_faces_area(name, monkeypatch):
-    # the shoelace of each domain's own boundary walk, as oracle: every walk
-    # encloses the model's total face area, twice the torus's on a proper
-    # model and its negative on the wound one, whose domains are only built
-    # with the orientation test switched off
+    # the shoelace of each domain's own boundary walk at the vertex
+    # positions, as oracle: every walk encloses the faces' signed cell area,
+    # twice the torus's on a proper model and its negative on the wound one,
+    # whose domains are only built with the orientation test switched off
     model = CORPUS[name] if name in CORPUS else load_model(WOUND)
-    area = charts._faces_area2(model)
+    area = faces_area2(model)
     assert area == (-2 if name == "honeycomb_wound" else 2)
-    monkeypatch.setattr(charts, "_faces_area2", lambda m: None)
+    monkeypatch.setattr(charts, "faces_area2", lambda m: 2)
     quiver = quiver_of(model)
     base = perfect_matchings(model)[0]
     domains = 0
@@ -634,16 +637,26 @@ def test_domain_walks_enclose_the_faces_area(name, monkeypatch):
     assert domains
 
 
+def test_domain_refuses_clockwise_offsets():
+    # a library caller that skips validation is still refused
+    model = load_model(WOUND)
+    (cand,) = enumerate_fixed_candidates(model, Theta((("f1", 0),)))
+    with pytest.raises(InvalidModelError, match="homology-span"):
+        fundamental_domain(model, cand)
+
+
 def test_orientation_decided_once_per_model(monkeypatch):
     calls = []
-    faces_area2 = charts._faces_area2.__wrapped__
 
     def spy(model):
         calls.append(model)
         return faces_area2(model)
 
-    monkeypatch.setattr(charts, "_faces_area2", per_object(spy))
+    memo = per_object(spy)
+    monkeypatch.setattr(model_module, "faces_area2", memo)
+    monkeypatch.setattr(charts, "faces_area2", memo)
     model = CORPUS["fzero-2x1"]
+    assert validate_model(model).ok
     fan = assemble_fan(model, seed=0)
     assert len(fan.charts) > 1
     assert len(calls) == 1 and calls[0] is model

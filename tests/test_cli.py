@@ -1,15 +1,21 @@
 """Command line interface: exit codes, payload shapes, determinism."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import example as hyp_example
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cover
 from dimerkit import DimerEdge, DimerModel, dump_model, example, model_to_dict
@@ -18,8 +24,8 @@ from dimerkit.cli import _COMMANDS, build_parser, main
 # the dice lattice: a valid tiling of the torus with two blacks, one white
 # and hence no perfect matching
 DICE = os.path.join(os.path.dirname(__file__), "data", "dice.json")
-# the honeycomb with e3's offset moved to (2, 1): a valid tiling whose vertex
-# positions wind the fundamental domains clockwise against the rotation system
+# the honeycomb with e3's offset moved to (2, 1): its edge offsets wind the
+# faces clockwise around the torus against the rotation system
 WOUND = os.path.join(os.path.dirname(__file__), "data", "honeycomb_wound.json")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -397,16 +403,68 @@ def test_no_perfect_matching_is_negative(capsys, argv):
     assert captured.err == "degenerate: no perfect matchings\n"
 
 
-def test_wound_positions_are_invalid_input(capsys):
-    code, data = run_json(capsys, "validate", WOUND)
-    assert code == 0 and data["ok"] is True
-    for argv in (["fixed-points"], ["render", "--what", "domain"]):
-        assert main([argv[0], WOUND, *argv[1:]]) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "error: vertex positions disagree with the rotation system"
-        ), argv
+def _wound_and_mirrored(tmp_path):
+    """``honeycomb_wound.json`` with and without positions, and the conifold
+    mirrored by swapping the two coordinates of every offset and position:
+    valid tilings but for edge offsets that wind the faces clockwise."""
+    with open(WOUND, encoding="utf-8") as fh:
+        wound = json.load(fh)
+    bare = {**wound, "vertices": [
+        {k: v for k, v in vx.items() if k != "pos"} for vx in wound["vertices"]
+    ]}
+    mirror = model_to_dict(example("conifold"))
+    for e in mirror["edges"]:
+        e["offset"] = e["offset"][::-1]
+    for vx in mirror["vertices"]:
+        vx["pos"] = vx["pos"][::-1]
+    paths = [WOUND]
+    for name, data in (("wound-bare", bare), ("conifold-mirrored", mirror)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    return paths
+
+
+def test_clockwise_offsets_are_invalid_input(capsys, tmp_path):
+    for path in _wound_and_mirrored(tmp_path):
+        code, data = run_json(capsys, "validate", path)
+        assert code == 3 and data["ok"] is False, path
+        assert [c["name"] for c in data["checks"] if not c["ok"]] == [
+            "homology-span"
+        ], path
+        for argv in (["fixed-points"], ["render", "--what", "domain"]):
+            assert main([argv[0], path, *argv[1:]]) == 2, (path, argv)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: model fails validation: homology-span\n"
+            ), (path, argv)
+
+
+def _exponent_rational_is_refused(capsys, argv):
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad rational '1e100000000'" in captured.err
+
+
+def test_exponent_position_is_invalid_input(capsys, tmp_path):
+    # Fraction would build a hundred-million-digit integer
+    data = model_to_dict(example("conifold"))
+    data["vertices"][0]["pos"][1] = "1e100000000"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    _exponent_rational_is_refused(capsys, ["validate", str(path)])
+
+
+def test_exponent_weight_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"f1": "1e100000000", "f2": -1}))
+    _exponent_rational_is_refused(
+        capsys, ["fixed-points", "--example", "conifold", "--theta", str(path)]
+    )
 
 
 def test_deep_matching_search_is_invalid_input(capsys, tmp_path):
@@ -673,3 +731,72 @@ def test_certify_ops_reproduce_recorded_digests(capsys, monkeypatch, tmp_path):
             )
             checked += 1
     assert checked == 72
+
+
+def _value_paths(data, prefix=()):
+    """The key path of every value in a JSON document, the root's first."""
+    yield prefix
+    items = data.items() if isinstance(data, dict) else (
+        enumerate(data) if isinstance(data, list) else ()
+    )
+    for key, value in items:
+        yield from _value_paths(value, prefix + (key,))
+
+
+_CATALOG_JSON = {name: model_to_dict(example(name)) for name in
+                 ("conifold", "honeycomb", "fzero", "degenerate")}
+_LEAF = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4)
+    | st.sampled_from(["1e100000000", "-2E9", "1/0", "b1", "w1", "e1"])
+)
+_NEST = _LEAF | st.lists(_LEAF, max_size=3) | st.dictionaries(
+    st.text(max_size=3), _LEAF, max_size=3
+)
+_JUNK = _NEST | st.lists(_NEST, max_size=2) | st.dictionaries(
+    st.text(max_size=3), _NEST, max_size=2
+)
+
+
+def _replaced(data, path, junk):
+    """The document with the value at ``path`` replaced by ``junk``."""
+    if not path:
+        return junk
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = junk
+    return data
+
+
+def _with_junk(name, path, junk):
+    return _replaced(json.loads(json.dumps(_CATALOG_JSON[name])), path, junk)
+
+
+@st.composite
+def _junk_models(draw):
+    name = draw(st.sampled_from(sorted(_CATALOG_JSON)))
+    data = json.loads(json.dumps(_CATALOG_JSON[name]))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_value_paths(data))
+        path = paths[draw(st.integers(0, len(paths) - 1))]
+        data = _replaced(data, path, draw(_JUNK))
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_junk_models())
+@hyp_example(data=_with_junk("conifold", ("vertices", 1, "pos", 0), "1e100000000"))
+@hyp_example(data=_with_junk("fzero", ("edges", 2, "offset"), [True, 0]))
+@hyp_example(data=_with_junk("honeycomb", ("rotation", "b1"), [["e1"], "e2"]))
+def test_junk_models_end_in_a_verdict(data):
+    # junk anywhere in a model file is invalid input (2) or a negative
+    # verdict (3), never a bug (1) or a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for command in ("validate", "quiver"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, path])
+            assert code in (0, 2, 3), (command, data)

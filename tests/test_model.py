@@ -2,9 +2,9 @@
 
 import json
 from fractions import Fraction as F
-from math import gcd
 
 import pytest
+from hypothesis import example as hyp_example
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,8 @@ from dimerkit import (
     trace_faces,
     validate_model,
 )
-from dimerkit.model import _spans_lattice
+from dimerkit.model import faces_area2
+from conftest import SPECTRUM_COVERS, sweep_corpus
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -94,6 +95,7 @@ def test_wrong_rotation_fails_euler():
     report = validate_model(bad)
     assert not report.ok
     assert not report.check("euler").ok
+    assert report.check("homology-span").detail == "not evaluated"
 
 
 def test_collinear_offsets_fail_homology_span():
@@ -111,6 +113,28 @@ def test_collinear_offsets_fail_homology_span():
     assert not report.check("homology-span").ok
 
 
+def test_two_honeycombs_are_disconnected():
+    # each component lives on its own torus, so euler and face-offsets pass
+    twin = DimerModel(
+        vertices=honeycomb.vertices + tuple(
+            DimerVertex(v.id + "'", v.color, v.pos) for v in honeycomb.vertices
+        ),
+        edges=honeycomb.edges + tuple(
+            DimerEdge(e.id + "'", e.black + "'", e.white + "'", e.offset)
+            for e in honeycomb.edges
+        ),
+        rotation=honeycomb.rotation + tuple(
+            (vid + "'", tuple(eid + "'" for eid in rot))
+            for vid, rot in honeycomb.rotation
+        ),
+    )
+    report = validate_model(twin)
+    assert [(c.name, c.detail) for c in report.checks if not c.ok] == [
+        ("connected", "graph is disconnected"),
+        ("homology-span", "not evaluated"),
+    ]
+
+
 def test_broken_face_offsets():
     bad = DimerModel(
         vertices=conifold.vertices,
@@ -120,6 +144,7 @@ def test_broken_face_offsets():
     report = validate_model(bad)
     assert not report.ok
     assert not report.check("face-offsets").ok
+    assert report.check("homology-span").detail == "not evaluated"
 
 
 def test_monochromatic_edge_fails_bipartite():
@@ -255,40 +280,56 @@ def test_duplicate_vertex_id_keeps_first_color():
     )
 
 
-# the pairwise-minor route _spans_lattice replaced, as oracle: the classes
-# generate Z^2 iff the gcd of their entries and the gcd of their 2x2 minors
-# are both 1
-def _spans_by_minors(classes):
-    d1 = d2 = 0
-    for i, (a, b) in enumerate(classes):
-        d1 = gcd(d1, a, b)
-        for c, d in classes[i + 1:]:
-            d2 = gcd(d2, a * d - b * c)
-    return d1 == 1 and d2 == 1
+def _drop_pos(model):
+    vertices = tuple(DimerVertex(v.id, v.color) for v in model.vertices)
+    return DimerModel(vertices, model.edges, model.rotation)
 
 
-_class = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+def _map_offsets(model, a, b, c, d):
+    edges = tuple(
+        DimerEdge(e.id, e.black, e.white, (a * x + b * y, c * x + d * y))
+        for e in model.edges
+        for x, y in [e.offset]
+    )
+    return DimerModel(model.vertices, edges, model.rotation)
 
 
-@settings(max_examples=400, deadline=None)
+# every catalog model, tests/data/* and the certify covers, by name
+DEGREE_CORPUS = {
+    name: m
+    for name, m in sweep_corpus().items()
+    if name not in {f"{n}-{a}x{b}" for n, a, b in SPECTRUM_COVERS}
+}
+_entry = st.integers(-2, 2)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    classes=st.lists(_class, max_size=8),
-    line=_class,
-    scales=st.lists(st.integers(-4, 4), max_size=4),
-    zeros=st.integers(0, 3),
-    data=st.data(),
+    name=st.sampled_from(sorted(DEGREE_CORPUS)),
+    keep_pos=st.booleans(),
+    matrix=st.tuples(_entry, _entry, _entry, _entry),
 )
-def test_spans_lattice_matches_minors(classes, line, scales, zeros, data):
-    # mix in zero classes and classes collinear with one direction
-    extra = [(k * line[0], k * line[1]) for k in scales] + [(0, 0)] * zeros
-    mixed = data.draw(st.permutations(classes + extra))
-    assert _spans_lattice(mixed) == _spans_by_minors(mixed)
-
-
-def test_spans_lattice_pinned():
-    assert not _spans_lattice([])
-    assert not _spans_lattice([(0, 0), (1, 0), (3, 0)])
-    assert not _spans_lattice([(2, 0), (0, 1), (0, 0)])
-    assert _spans_lattice([(0, 0), (2, 1), (1, 1)])
-    assert _spans_lattice([(2, 0), (3, 0), (0, -1)])
-    assert not _spans_lattice([(2, 4), (1, 3)])
+@hyp_example(name="conifold", keep_pos=True, matrix=(0, 1, 1, 0))
+@hyp_example(name="honeycomb", keep_pos=False, matrix=(2, 0, 0, 1))
+@hyp_example(name="fzero", keep_pos=True, matrix=(1, 2, 2, 4))
+@hyp_example(name="honeycomb_wound.json", keep_pos=False, matrix=(-1, 0, 0, 1))
+def test_faces_area2_is_twice_the_degree(name, keep_pos, matrix):
+    # mapping every offset by A maps every face's cells by A: faces still
+    # close, the signed cell area scales by det A, and the offsets span Z^2
+    # exactly when |det A| is 1
+    model = DEGREE_CORPUS[name]
+    base = -2 if name == "honeycomb_wound.json" else 2
+    assert faces_area2(model) == base
+    a, b, c, d = matrix
+    det = a * d - b * c
+    mapped = _map_offsets(model if keep_pos else _drop_pos(model), a, b, c, d)
+    report = validate_model(mapped)
+    assert report.check("face-offsets").ok
+    assert faces_area2(mapped) == base * det
+    span = report.check("homology-span")
+    assert span.ok == (base * det == 2)
+    if abs(det) != 1:
+        assert span.detail == "edge offsets do not generate Z^2"
+    elif not span.ok:
+        assert "clockwise" in span.detail
+    assert report.ok == span.ok

@@ -105,3 +105,12 @@ def test_readme_lists_every_command():
     section = section[:section.index("\n## ")]
     rows = re.findall(r"^\| `([a-z-]+)` +\|", section, re.MULTILINE)
     assert rows == [name for name, _, _, _ in _COMMANDS]
+
+
+def test_readme_lists_the_validation_checks():
+    # pipeline step 1 names validate_model's checks, in order
+    step = re.search(r"^1\. \*\*Tiling\*\*(.*?)^2\. ", _readme(), re.S | re.M)
+    listed = re.search(r"guard everything downstream:(.*?)\.", step[1], re.S)[1]
+    names = [" ".join(n.split()) for n in listed.split(",")]
+    report = dimerkit.validate_model(dimerkit.example("conifold"))
+    assert names == [c.name for c in report.checks]
