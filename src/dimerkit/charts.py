@@ -299,11 +299,7 @@ def _census_case(
             raise InternalConsistencyError(
                 "trivalent boundary corners do not alternate two vertices"
             )
-        c1 = next(iter(odd))
-        c2 = next(iter(even))
         same = corners[0][1] == corners[1][1]
-        if c1 == c2:
-            raise InternalConsistencyError("trivalent corner vertices coincide")
         return CASE_SIX_SAME if same else CASE_SIX_OPPOSITE
     raise InternalConsistencyError(f"impossible boundary census {census}")
 

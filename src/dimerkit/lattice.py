@@ -13,13 +13,15 @@ matching's, so the pairings are read off the edge offsets in closed form
 and give every matching cocharacter its height change on the nose.
 Everything is computed exactly over the integers.  The relation of an
 arrow asks its white and its black vertex cycle to weigh the same, so ``W``
-is read off the tiling's bipartite graph: a spanning forest gives a basis
-of level vectors and fundamental cycles, in which a vector's coordinates
-are its levels and its values at the non-tree arrows.  Each result is
-derived once: the cycle numbering and the lattice are kept on the quiver,
-and one self-contained Smith normal form of the ``F`` gauge rows' coordinates
-gives ``N``; the splitting keeps the inverse of its matrix, so expressing a
-functional is one product.
+is read off the tiling's bipartite graph, whose vertices are the quiver's
+vertex cycles (``Quiver.cycles``, walked once per quiver): a spanning forest
+gives a basis of level vectors and fundamental cycles, in which a vector's
+coordinates are its levels and its values at the non-tree arrows.  A closed
+walk enters each face as often as it leaves it, so every gauge row has
+level 0 and its chord values as coordinates.  The lattice is kept on the
+quiver, and one self-contained Smith normal form of the ``F`` gauge rows'
+coordinates gives ``N``; the splitting keeps the inverse of its matrix, so
+expressing a functional is one product.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .exceptions import (
 )
 from .heights import LatticePolygon
 from .model import per_object
-from .quiver import PathSeq, Quiver, check_support, p_minus, relations
+from .quiver import Quiver, check_support
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Vec3 = tuple[int, int, int]
@@ -212,60 +214,6 @@ def _vec(q: Quiver, weights: Mapping[str, object]) -> tuple:
     return tuple(weights[aid] for aid in q.arrow_ids)
 
 
-def _indicator(q: Quiver, arrows: Iterable[str]) -> list[int]:
-    vec = [0] * len(q.arrows)
-    pos = q.arrow_pos
-    for aid in arrows:
-        vec[pos[aid]] += 1
-    return vec
-
-
-@per_object
-def _vertex_cycles(q: Quiver) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """Each arrow's white cycle and black cycle, numbered once per quiver.
-
-    The white cycle at an arrow is the arrow and its ``p_plus`` path, the
-    black cycle the arrow and its ``p_minus`` path; these cycles are the
-    vertices of the tiling, the arrows its edges.  White cycles are numbered
-    ``0..nw-1`` and black cycles from ``nw`` on, each in order of first
-    appearance in arrow order.  Returns the white and the black number per
-    arrow position, ``nw`` and the number of cycles.
-    """
-    rels = relations(q)
-    pos = q.arrow_pos
-
-    def number(paths: list[PathSeq], n: int) -> tuple[tuple[int, ...], int]:
-        num = [-1] * len(paths)
-        for i, path in enumerate(paths):
-            if num[i] < 0:
-                for k in (i, *map(pos.__getitem__, path.arrows)):
-                    num[k] = n
-                n += 1
-        return tuple(num), n
-
-    white, nw = number([r.plus for r in rels], 0)
-    black, n = number([r.minus for r in rels], nw)
-    return white, black, nw, n
-
-
-def _cycle_sums(q: Quiver, vec: Sequence[int]) -> list[int] | None:
-    """The vertex-cycle sums of an arrow-indexed vector if it lies in ``W``,
-    else None.
-
-    The relation of an arrow asks its white cycle and its black cycle to
-    weigh the same: the two sides are these cycles without the arrow.
-    """
-    white, black, _, n = _vertex_cycles(q)
-    sums = [0] * n
-    for w, b, x in zip(white, black, vec):
-        if x:
-            sums[w] += x
-            sums[b] += x
-    if any(sums[w] != sums[b] for w, b in zip(white, black)):
-        return None
-    return sums
-
-
 def _kills_gauge(q: Quiver, vec: Sequence[int]) -> bool:
     """Whether the arrow-indexed ``vec`` kills the gauge subgroup: as a
     flow on the arrows, its net inflow at every vertex is 0."""
@@ -294,7 +242,7 @@ class CocharLattice:
     rank: int
 
 
-def _forest_basis(q: Quiver) -> tuple[list[list[int]], list[int], list[int]]:
+def _forest_basis(q: Quiver) -> tuple[list[list[int]], list[int]]:
     """A basis of ``W`` from a spanning forest of the tiling's bipartite
     graph, with what reads a vector's coordinates in it.
 
@@ -312,10 +260,16 @@ def _forest_basis(q: Quiver) -> tuple[list[list[int]], list[int], list[int]]:
     these span ``W`` over the integers: a vector of ``W`` minus its levels
     times the level vectors is a cycle, and a cycle is the sum of its values
     at the non-tree arrows times their fundamental cycles.  Returns the
-    basis (level vectors first), the root of each balanced component and
-    the non-tree arrow positions, in basis order.
+    basis (level vectors first) and the non-tree arrow positions, in basis
+    order.
+
+    The vertex cycles are numbered whites ``0..nw-1``, then blacks, each in
+    the walk's order of first arrow.
     """
-    white, black, nw, n = _vertex_cycles(q)
+    (whites, white), (blacks, black) = q.cycles
+    nw = len(whites)
+    n = nw + len(blacks)
+    black = tuple(nw + k for k in black)
     nar = len(q.arrows)
     incident: list[list[int]] = [[] for _ in range(n)]
     for i, (w, b) in enumerate(zip(white, black)):
@@ -324,7 +278,7 @@ def _forest_basis(q: Quiver) -> tuple[list[list[int]], list[int], list[int]]:
     up = [-1] * n  # the tree arrow to the parent
     parent = [-1] * n
     depth = [-1] * n
-    levels, roots = [], []
+    levels = []
     for root in range(n):
         if depth[root] >= 0:
             continue
@@ -345,7 +299,6 @@ def _forest_basis(q: Quiver) -> tuple[list[list[int]], list[int], list[int]]:
             rest[parent[v]] -= rest[v]
         if rest[root] == 0:
             levels.append(vec)
-            roots.append(root)
 
     chords = [i for i in range(nar) if up[white[i]] != i and up[black[i]] != i]
     cycles = []
@@ -361,7 +314,7 @@ def _forest_basis(q: Quiver) -> tuple[list[list[int]], list[int], list[int]]:
                 vec[up[b]] += 1 if b >= nw else -1  # walked parent -> b
                 b = parent[b]
         cycles.append(vec)
-    return levels + cycles, roots, chords
+    return levels + cycles, chords
 
 
 @per_object
@@ -369,18 +322,19 @@ def cochar_lattice(q: Quiver) -> CocharLattice:
     """``N = W / B`` from a spanning-forest basis of ``W``.
 
     A vector of ``W`` has its levels and its values at the non-tree arrows
-    as coordinates in that basis, so every gauge row's coordinates are read
-    off it; one Smith form of those ``F`` rows then gives ``N``.
+    as coordinates in that basis.  A gauge row sums to 0 over every vertex
+    cycle, a closed walk, so its coordinates are 0 at the levels and its
+    values at the non-tree arrows; one Smith form of those ``F`` rows then
+    gives ``N``.
     """
-    w_basis, roots, chords = _forest_basis(q)
+    w_basis, chords = _forest_basis(q)
     k = len(w_basis)
-    coords = []
-    for v in q.vertices:
-        g = [(a.target == v) - (a.source == v) for a in q.arrows]  # gauge row
-        sums = _cycle_sums(q, g)
-        if sums is None:
-            raise InternalConsistencyError("gauge weight escapes the lattice W")
-        coords.append([sums[r] for r in roots] + [g[i] for i in chords])
+    zeros = [0] * (k - len(chords))
+    chord_arrows = [q.arrows[i] for i in chords]
+    coords = [
+        zeros + [(a.target == v) - (a.source == v) for a in chord_arrows]
+        for v in q.vertices
+    ]
     res = smith_normal_form(coords, ncols=k)
     torsion = tuple(d for d in res.diagonal if d > 1)
     rank = k - res.rank
@@ -397,20 +351,28 @@ def cochar_lattice(q: Quiver) -> CocharLattice:
 
 
 def pm_cocharacter(q: Quiver, matching: Iterable[str]) -> dict[str, int]:
-    """Indicator weight of a perfect matching's arrows; always lies in W."""
+    """Indicator weight of a perfect matching's arrows; lies in W.
+
+    The arrows are a perfect matching exactly when every vertex cycle of
+    the walk meets them once: each cycle is a vertex of the tiling.
+    """
     m = check_support(q, matching)
     vec = [int(aid in m) for aid in q.arrow_ids]
-    if _cycle_sums(q, vec) is None:
-        raise InvalidModelError(
-            "support is not a perfect matching: relation sums differ"
-        )
+    for cycles, _ in q.cycles:
+        for cycle in cycles:
+            if (k := sum(vec[i] for i in cycle)) != 1:
+                raise InvalidModelError(
+                    f"support is not a perfect matching: the vertex cycle "
+                    f"through {q.arrow_ids[cycle[0]]!r} meets it {k} times"
+                )
     return dict(zip(q.arrow_ids, vec))
 
 
 def _level_vector(q: Quiver) -> tuple[int, ...]:
-    a0 = q.arrow_ids[0]
-    vec = _indicator(q, (a0,) + p_minus(q, a0).arrows)
-    return tuple(vec)
+    """The indicator of arrow 0's black cycle, the walk's first."""
+    _, (blacks, _) = q.cycles
+    first = set(blacks[0])
+    return tuple(int(i in first) for i in range(len(q.arrows)))
 
 
 # ---------------------------------------------------------------------------
@@ -435,21 +397,6 @@ class Splitting:
     level: tuple[int, ...]
     iso_det: int
     inverse: IntMatrix
-
-    def _dot(self, functional, weights: Mapping[str, object]):
-        return sum(
-            f * weights[aid] for f, aid in zip(functional, self.arrow_order)
-        )
-
-    def pi(self, weights: Mapping[str, object]) -> tuple:
-        return (self._dot(self.pi_x, weights), self._dot(self.pi_y, weights))
-
-    def coords(self, weights: Mapping[str, object]) -> tuple:
-        return (
-            self._dot(self.pi_x, weights),
-            self._dot(self.pi_y, weights),
-            self._dot(self.level, weights),
-        )
 
 
 def split_by_reference(q: Quiver, base: Iterable[str]) -> Splitting:

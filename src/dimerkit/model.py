@@ -562,14 +562,16 @@ def read_json(path: str):
     """The JSON value in a UTF-8 file.
 
     A file that cannot be opened, is not UTF-8 or is not JSON is unusable
-    input: :class:`InvalidModelError`.
+    input: :class:`InvalidModelError`.  So is JSON the decoder refuses to
+    build, an integer past the interpreter's digit limit (``ValueError``) or
+    nesting past its recursion limit (``RecursionError``).
     """
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidModelError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError among them
         raise InvalidModelError(f"{path!r} is not JSON: {exc}") from exc
 
 

@@ -7,11 +7,13 @@ dart, so that arrows cross their edges with the white vertex on the left.
 
 Around every white vertex the arrows dual to its edges in clockwise order
 form a directed cycle, and likewise counterclockwise around every black
-vertex.  Dropping the arrow ``a`` from its white cycle leaves the path
+vertex.  Each cycle is walked once per quiver (``Quiver.cycles``), which
+checks that it closes and that each arrow's target is the next arrow's
+source.  Dropping the arrow ``a`` from its white cycle leaves the path
 ``p_plus(a)``, dropping it from its black cycle leaves ``p_minus(a)``; the
 relations of the quiver algebra identify these two paths, one pair per
-arrow.  :func:`relations` walks each cycle once, and ``p_plus`` and
-``p_minus`` read it.
+arrow.  :func:`relations` reads them off the walk, and ``p_plus`` and
+``p_minus`` look them up; the weight lattice reads the walk directly.
 
 Paths are stored in composition order: ``arrows[-1]`` is traversed first.
 Each arrow also carries a shift in ``Z^2`` (the face-gluing shift of its
@@ -63,6 +65,11 @@ class RelationPair:
     minus: PathSeq
 
 
+# the cycles of one next-map as arrow positions in walking order, each from
+# its first arrow and in order of first arrow, with each arrow's cycle number
+Cycles = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class Quiver:
     vertices: tuple[str, ...]
@@ -110,6 +117,51 @@ class Quiver:
     def shift(self, aid: str) -> Cell:
         return self._shift_by_id[aid]
 
+    @cached_property
+    def cycles(self) -> tuple[Cycles, Cycles]:
+        """The white and the black vertex cycles, walked once."""
+        return _walk_cycles(self)
+
+
+def _walk_cycles(q: Quiver) -> tuple[Cycles, Cycles]:
+    """Walk each white and each black vertex cycle once.
+
+    Checks once per cycle that it closes and that each arrow's target is the
+    next arrow's source; then every arrow's complement path in its cycle
+    composes and runs from its target to its source.
+    """
+    if q.white_next is None or q.black_next is None:
+        raise InvalidModelError("quiver has no cycle structure")
+    ids, pos = q.arrow_ids, q.arrow_pos
+
+    def walk(pairs: tuple[tuple[str, str], ...]) -> Cycles:
+        nxt = dict(pairs)
+        num = [-1] * len(ids)
+        cycles = []
+        for start in range(len(ids)):
+            if num[start] >= 0:
+                continue
+            cycle, at = [], start
+            while not cycle or at != start:
+                if at < 0 or num[at] >= 0:
+                    raise InternalConsistencyError(
+                        f"cycle through {ids[start]!r} does not close"
+                    )
+                num[at] = len(cycles)
+                cycle.append(at)
+                at = pos.get(nxt.get(ids[at]), -1)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                if q.arrows[a].target != q.arrows[b].source:
+                    raise InternalConsistencyError(
+                        f"cycle through {ids[start]!r} breaks at {ids[b]!r}: "
+                        f"{ids[a]!r} ends at {q.arrows[a].target!r}, "
+                        f"{ids[b]!r} leaves {q.arrows[b].source!r}"
+                    )
+            cycles.append(tuple(cycle))
+        return tuple(cycles), tuple(num)
+
+    return walk(q.white_next), walk(q.black_next)
+
 
 @per_object
 def quiver_of(model: DimerModel) -> Quiver:
@@ -134,48 +186,20 @@ def quiver_of(model: DimerModel) -> Quiver:
     )
 
 
-def _verify_path(q: Quiver, path: PathSeq) -> PathSeq:
-    at = path.source
-    for aid in reversed(path.arrows):
-        if q.source(aid) != at:
-            raise InternalConsistencyError(
-                f"path breaks at {aid!r}: sits at {at!r}, arrow leaves "
-                f"{q.source(aid)!r}"
-            )
-        at = q.target(aid)
-    if at != path.target:
-        raise InternalConsistencyError(
-            f"path ends at {at!r}, expected {path.target!r}"
-        )
-    return path
-
-
-def _cycle_complements(q: Quiver, nxt: Mapping[str, str]) -> dict[str, PathSeq]:
-    """Each arrow's cycle under ``nxt`` without it, walking every cycle once."""
-    out: dict[str, PathSeq] = {}
-    for start in q.arrow_ids:
-        if start in out:
-            continue
-        cycle = [start]
-        while nxt[cycle[-1]] != start:
-            if len(cycle) == len(q.arrows):
-                raise InternalConsistencyError(f"cycle through {start!r} does not close")
-            cycle.append(nxt[cycle[-1]])
-        for i, aid in enumerate(cycle):
-            rest = cycle[i + 1:] + cycle[:i]  # in walking order
-            path = PathSeq(tuple(reversed(rest)), q.target(aid), q.source(aid))
-            out[aid] = _verify_path(q, path)
-    return out
-
-
 @per_object
 def relations(q: Quiver) -> tuple[RelationPair, ...]:
-    """One relation pair per arrow, in arrow order."""
-    if q.white_next is None or q.black_next is None:
-        raise InvalidModelError("quiver has no cycle structure")
-    plus = _cycle_complements(q, dict(q.white_next))
-    minus = _cycle_complements(q, dict(q.black_next))
-    return tuple(RelationPair(aid, plus[aid], minus[aid]) for aid in q.arrow_ids)
+    """One relation pair per arrow, in arrow order: each side is the rest of
+    the arrow's vertex cycle."""
+    ids = q.arrow_ids
+    sides: list[list[PathSeq]] = [[] for _ in ids]  # white side, then black
+    for cycles, _ in q.cycles:
+        for cycle in cycles:
+            for k, i in enumerate(cycle):
+                rest = cycle[k + 1:] + cycle[:k]  # in walking order
+                a = q.arrows[i]
+                path = tuple(ids[j] for j in reversed(rest))
+                sides[i].append(PathSeq(path, a.target, a.source))
+    return tuple(RelationPair(aid, *pm) for aid, pm in zip(ids, sides))
 
 
 def p_plus(q: Quiver, aid: str) -> PathSeq:

@@ -3,10 +3,11 @@
 Each is a plain, independent computation of something the package derives
 another way: the dense relation matrix and its integer kernel, an integer
 solve per right-hand side, each relation tested on its own, a chart
-transition by adjugate, path sums walked arrow by arrow, a domain's
-orientation by the shoelace of its boundary walk, and the characteristic
-polynomial and the edge charges by a loop over the enumerated matchings,
-and the canonical order of the matchings by sorting their position tuples.
+transition by adjugate, a weight's coordinates under a splitting, path
+sums walked arrow by arrow, a domain's orientation by the shoelace of its
+boundary walk, and the characteristic polynomial and the edge charges by a
+loop over the enumerated matchings, and the canonical order of the
+matchings by sorting their position tuples.
 """
 
 from fractions import Fraction
@@ -96,6 +97,14 @@ def chart_transition(rows_i, rows_j):
             for c in range(3)
         )
         for r in range(3)
+    )
+
+
+def split_coords(split, weights):
+    """``(pi_x, pi_y, level)`` of arrow weights under a splitting."""
+    return tuple(
+        sum(f * weights[aid] for f, aid in zip(functional, split.arrow_order))
+        for functional in (split.pi_x, split.pi_y, split.level)
     )
 
 

@@ -80,6 +80,36 @@ def test_malformed_json_is_invalid_input(capsys, tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+def _cli_env() -> dict[str, str]:
+    """The environment of a `python -m dimerkit.cli` run on this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")]
+    )
+    return env
+
+
+@pytest.mark.parametrize("text", [
+    "[" + "1" * 5000 + "]",  # an integer past the interpreter's digit limit
+    "[" * 200_000 + "]" * 200_000,  # nesting past its recursion limit
+], ids=["long-integer", "deep-nesting"])
+@pytest.mark.parametrize("argv", [
+    ["validate", "{}"],
+    ["fixed-points", "--example", "conifold", "--theta", "{}"],
+], ids=["model", "theta"])
+def test_unbuildable_json_is_invalid_input(tmp_path, text, argv):
+    # JSON the decoder refuses to build ends in an error line, no traceback
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dimerkit.cli", *(a.format(path) for a in argv)],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {str(path)!r} is not JSON: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_non_utf8_model_is_invalid_input(capsys, tmp_path):
     path = tmp_path / "bin.json"
     path.write_bytes(b"\xff\xfe\x00garbage")
@@ -600,11 +630,8 @@ def test_closed_stdout_exits_141(tmp_path, large):
         argvs = [["matchings", str(path)]]
     else:
         argvs = [["validate", "--example", "honeycomb"], ["-h"], ["fixed-points", "-h"]]
-    env = dict(os.environ)
+    env = _cli_env()
     env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as on a pipe
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")]
-    )
     for argv in argvs:
         proc = subprocess.Popen(
             [sys.executable, "-m", "dimerkit.cli", *argv],

@@ -1,12 +1,13 @@
 """Integer linear algebra, the cocharacter lattice, cones and Hilbert bases."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CERTIFY_COVERS, cover
+from conftest import CERTIFY_COVERS, cover, sweep_corpus
 from dimerkit import (
     CapacityError,
     DegenerateModelError,
@@ -27,11 +28,12 @@ from dimerkit import (
     perfect_matchings,
     pm_cocharacter,
     quiver_of,
+    relations,
     smith_normal_form,
     split_by_reference,
 )
 from dimerkit import lattice
-from oracles import constraint_matrix, kernel, solve_integer
+from oracles import constraint_matrix, kernel, solve_integer, split_coords
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -88,16 +90,25 @@ def test_cochar_lattice():
 
 
 def test_pm_cocharacter_rejects_non_matchings():
-    # a matching without one of its arrows is not one; the one-white catalog
-    # models are left out, as every arrow there joins the same two vertex
-    # cycles and so every support passes
-    for model in (cover(conifold, 2, 2), cover(honeycomb, 2, 2)):
+    # a matching with one of its arrows dropped or one more arrow added is
+    # not one: a vertex cycle then meets it 0 or 2 times
+    for model in (conifold, honeycomb, example("fzero"), cover(conifold, 2, 2),
+                  cover(honeycomb, 2, 2)):
         quiver = quiver_of(model)
         for m in perfect_matchings(model):
             assert set(pm_cocharacter(quiver, m).values()) == {0, 1}
-            for aid in m:
-                with pytest.raises(InvalidModelError, match="relation sums differ"):
-                    pm_cocharacter(quiver, m - {aid})
+            for aid in quiver.arrow_ids:
+                with pytest.raises(InvalidModelError, match="meets it [02] times"):
+                    pm_cocharacter(quiver, m ^ {aid})
+    for support in ((), ("e1", "e2"), q.arrow_ids):
+        with pytest.raises(InvalidModelError, match="not a perfect matching"):
+            pm_cocharacter(q, support)
+    with pytest.raises(
+        InvalidModelError,
+        match="^support is not a perfect matching: the vertex cycle through "
+        "'e1' meets it 0 times$",
+    ):
+        split_by_reference(q, set())
 
 
 def test_splitting_frozen():
@@ -142,8 +153,8 @@ def test_splitting_reproduces_heights():
         for base in pms:
             sp = split_by_reference(quiver, base)
             for m, w in chars:
-                assert sp.pi(w) == height_change(model, m, base), (name, sorted(m))
-                assert sp.coords(w)[2] == 1
+                want = (*height_change(model, m, base), 1)
+                assert split_coords(sp, w) == want, (name, sorted(m))
 
 
 # the catalog, the covers above and every cover the certify benchmark runs
@@ -221,9 +232,72 @@ def test_splitting_at_size():
     sp = split_by_reference(quiver, lifted["e1"])
     assert abs(sp.iso_det) == 1
     for e in ("e2", "e3"):
-        assert sp.pi(pm_cocharacter(quiver, lifted[e])) == height_change(
-            model, lifted[e], lifted["e1"]
+        w = pm_cocharacter(quiver, lifted[e])
+        want = (*height_change(model, lifted[e], lifted["e1"]), 1)
+        assert split_coords(sp, w) == want
+
+
+# per sweep-corpus model, sha256 prefixes of the repr of its relations, of
+# its lattice (w_basis, free_basis, torsion, rank) and of its splitting by
+# the first matching (pi_x, pi_y, level, iso_det, inverse; None without a
+# matching), recorded while the lattice still read the relation paths
+LATTICE_PINS = {
+    "conifold": ("7a6a0db1da95b2a2", "16b7f182a33f56b6", "7b2e90b665d1f689"),
+    "honeycomb": ("8c631910cd634a03", "8c9326b1e191399e", "f1cf19abdff6aea7"),
+    "fzero": ("8dd08320cc1e7788", "2ed486b5f4a70cb5", "224428e53539be83"),
+    "degenerate": ("9fbc7fe2ced57b99", "391e291f1a327ea6", "74e22123101c6298"),
+    "dice.json": ("64b2c82ec68556db", "e5ceb009432759bb", "dc937b59892604f5"),
+    "honeycomb_wound.json": ("8c631910cd634a03", "8c9326b1e191399e", "da93ce977c9eda03"),
+    "conifold-1x1": ("f59526634bedf1c6", "16b7f182a33f56b6", "7b2e90b665d1f689"),
+    "conifold-1x2": ("5e2b9be50c8e9387", "2d646a946c65f245", "310086540da1aa46"),
+    "conifold-1x3": ("466841ad190c071e", "9753800a9aa52fd0", "52a187b7e3185938"),
+    "conifold-1x4": ("5e954c75a2d27015", "30ab70a03d7d41de", "d6794194dceb62f5"),
+    "conifold-2x1": ("2ff188fe60bd64de", "08c1c84ed4290ffb", "2970b954f5e51cde"),
+    "conifold-2x2": ("176cd0163dde3ec3", "66e8dd02cb51612f", "6e546d84a0e81af3"),
+    "conifold-3x1": ("6fc05ddf38808896", "3a5973ea4cef3e7b", "59a3397da583115f"),
+    "conifold-4x1": ("a41727ef5ae53563", "70a52fe19ce14962", "8b258a092ddab658"),
+    "honeycomb-1x1": ("3354a085cc6575cf", "8c9326b1e191399e", "f1cf19abdff6aea7"),
+    "honeycomb-1x2": ("65a5d6baee492e2f", "f57a50a1943bdf80", "8413e63d623d9c20"),
+    "honeycomb-1x3": ("45a62e26983e34ea", "b447358e1010bb61", "fdb055cacfab425f"),
+    "honeycomb-1x4": ("01103ae134743f92", "5130d2572f70f9e4", "ba81a6136de3ae07"),
+    "honeycomb-1x5": ("f032613d339f1226", "b4484e0d021ffcd6", "134e384bc0f52857"),
+    "honeycomb-2x1": ("48b3c563ff1735f1", "331c778e4eeeb84c", "9aee06da59a26d23"),
+    "honeycomb-2x2": ("10b086420cae86a6", "34a83ebbdd760e07", "6fbc32871b2c8157"),
+    "honeycomb-3x1": ("548ff3bd5302ab63", "8e1de1339ea1cbf7", "16ed5f312145294e"),
+    "honeycomb-4x1": ("1317a2c320c4681a", "f0606b980761a753", "4cc634d4e697b9b8"),
+    "honeycomb-5x1": ("668fb514e25002d7", "fa9bccf7093a7bcd", "d13a4b6b9698cde3"),
+    "fzero-1x1": ("7cdf7c6e348fcdbc", "2ed486b5f4a70cb5", "224428e53539be83"),
+    "fzero-1x2": ("7d780ef83411e997", "34ace3452473e287", "37a9545a24be140e"),
+    "fzero-2x1": ("b13ff017d8e24392", "8151201b7c4107af", "409f6e50c346ca06"),
+    "conifold-4x4": ("ef35ff9c7137f215", "c6242128c93789fd", "be2de36bb0d12cd1"),
+    "honeycomb-5x5": ("ea0e30931efc4612", "11cf72237adfeec2", "ebbd06ea7a742fbe"),
+    "honeycomb-4x4": ("685349ac1ce7867d", "d86c359c9c442d87", "37f018d04bb44199"),
+    "fzero-2x2": ("34f3535af06a97a9", "a384ebe6ed85da5a", "419887c75a2ef613"),
+    "conifold-4x2": ("82c03b2fd306c9b8", "8a8b3ad1cdbba5da", "cddc4b22f78d29e9"),
+}
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def test_lattice_values_pinned():
+    corpus = sweep_corpus()
+    assert list(corpus) == list(LATTICE_PINS)
+    for name, model in corpus.items():
+        quiver = quiver_of(model)
+        lat = cochar_lattice(quiver)
+        pms = perfect_matchings(model)
+        split = None
+        if pms:
+            sp = split_by_reference(quiver, pms[0])
+            split = (sp.pi_x, sp.pi_y, sp.level, sp.iso_det, sp.inverse)
+        got = (
+            _digest(relations(quiver)),
+            _digest((lat.w_basis, lat.free_basis, lat.torsion, lat.rank)),
+            _digest(split),
         )
+        assert got == LATTICE_PINS[name], name
 
 
 SPLIT_MODELS = [conifold, honeycomb, example("fzero"), cover(conifold, 2, 2)]

@@ -1,6 +1,8 @@
 """Derived indexes live on the object they describe and die with it."""
 
+import contextlib
 import gc
+import io
 import weakref
 
 from dimerkit import (
@@ -16,9 +18,10 @@ from dimerkit import (
     quiver_of,
     r_charge_average,
     relations,
+    split_by_reference,
     validate_model,
 )
-from dimerkit import lattice, matchings
+from dimerkit import cli, matchings, quiver
 from oracles import constraint_matrix
 
 
@@ -98,20 +101,48 @@ def test_frontier_order_built_once(monkeypatch):
     assert calls == [from_model(model)]
 
 
-def test_quiver_indexes_built_once(monkeypatch):
-    # the cycle index serves both the lattice and every membership test
-    calls = []
-    rels = lattice.relations
+def _count_walks(monkeypatch) -> list:
+    walks = []
+    walk = quiver._walk_cycles
 
     def spy(q):
-        calls.append(q)
-        return rels(q)
+        walks.append(q)
+        return walk(q)
 
-    monkeypatch.setattr(lattice, "relations", spy)
+    monkeypatch.setattr(quiver, "_walk_cycles", spy)
+    return walks
+
+
+def test_quiver_indexes_built_once(monkeypatch):
+    # one walk of the vertex cycles serves the relations, the lattice, the
+    # splitting and every membership test
+    walks = _count_walks(monkeypatch)
     model = example("fzero")
     q = _pipeline(model)
-    assert calls == [q]
+    split_by_reference(q, perfect_matchings(model)[0])
+    assert walks == [q]
     assert constraint_matrix(q) is constraint_matrix(q)
     assert q.arrow_ids is q.arrow_ids
     assert q.arrow_pos is q.arrow_pos
     assert [q.arrow_pos[aid] for aid in q.arrow_ids] == list(range(len(q.arrows)))
+
+
+def test_fan_builds_no_relation_paths(monkeypatch):
+    # the fan and `dimer fixed-points` read the walk, one per quiver, and
+    # never the relation paths
+    walks = _count_walks(monkeypatch)
+    built = []
+
+    def spy(q):
+        built.append(q)
+        return relations(q)
+
+    for ns in (quiver, cli):
+        monkeypatch.setattr(ns, "relations", spy)
+    model = example("fzero")
+    assert assemble_fan(model, seed=0).report.ok
+    assert walks == [quiver_of(model)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["fixed-points", "--example", "fzero", "--seed", "1"]) == 0
+    assert len(walks) == 2 and built == []

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import cover
 from dimerkit import (
+    InternalConsistencyError,
     InvalidModelError,
     Quiver,
+    cochar_lattice,
     example,
     example_names,
     p_minus,
     p_plus,
+    pm_cocharacter,
     quiver_of,
     relations,
 )
@@ -275,3 +278,22 @@ def test_relation_errors_unchanged():
             fn(q, "e9")
     with pytest.raises(InvalidModelError, match="no cycle structure"):
         relations(sub)
+
+
+@pytest.mark.parametrize("side", ["white", "black"])
+@pytest.mark.parametrize("bad_next, message", [
+    # e1 -> e2 -> e2: the walk from e1 never comes back
+    ((("e1", "e2"), ("e2", "e2"), ("e3", "e4"), ("e4", "e3")),
+     "^cycle through 'e1' does not close$"),
+    # e1 -> e3 -> e1 closes, but e1 ends at f1 and e3 leaves f2
+    ((("e1", "e3"), ("e2", "e4"), ("e3", "e1"), ("e4", "e2")),
+     "^cycle through 'e1' breaks at 'e3': 'e1' ends at 'f1', 'e3' leaves 'f2'$"),
+], ids=["open", "broken"])
+def test_broken_cycle_maps_are_refused(side, bad_next, message):
+    # a quiver built by hand whose white or black cycles do not close or do
+    # not compose: every reader of the walk refuses it
+    maps = {"white": q.white_next, "black": q.black_next, side: bad_next}
+    for fn in (relations, cochar_lattice, lambda b: pm_cocharacter(b, {"e1"})):
+        bad = Quiver(q.vertices, q.arrows, q.shifts, maps["white"], maps["black"], q.offsets)
+        with pytest.raises(InternalConsistencyError, match=message):
+            fn(bad)
