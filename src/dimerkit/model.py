@@ -563,16 +563,22 @@ def read_json(path: str):
 
     A file that cannot be opened, is not UTF-8 or is not JSON is unusable
     input: :class:`InvalidModelError`.  So is JSON the decoder refuses to
-    build, an integer past the interpreter's digit limit (``ValueError``) or
-    nesting past its recursion limit (``RecursionError``).
+    build, an integer past the interpreter's digit limit or nesting past its
+    recursion limit; those messages name the JSON, not the interpreter.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError, a NUL in the path
         raise InvalidModelError(f"cannot read {path!r}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError among them
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise InvalidModelError(f"{path!r} is not JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise InvalidModelError(f"{path!r} holds a JSON integer with too many digits") from exc
+    except RecursionError as exc:
+        raise InvalidModelError(f"{path!r} holds JSON nested too deeply") from exc
 
 
 def load_model(path: str) -> DimerModel:

@@ -199,17 +199,13 @@ def _closures_nonnegative(succ: list[int], w: list[int]) -> bool:
     So each nonempty proper closed set avoids some source component ``C``,
     and lies in the closed set ``V - C``: one min cut per source component,
     and none when the support is strongly connected (``V - C`` is empty).
+    Each proper reach set is such a closed set, so it needs no scan of its own.
     """
-    n = len(succ)
-    full = (1 << n) - 1
+    full = (1 << len(succ)) - 1
     reach = _reach(succ)
     comps: dict[int, int] = {}  # reach set -> the component it is the reach of
     for i, r in enumerate(reach):
         comps[r] = comps.get(r, 0) | 1 << i
-    # the reach sets are closed; the smallest, sink components, fail first
-    for r in sorted(comps, key=int.bit_count):
-        if r != full and sum(w[i] for i in range(n) if r >> i & 1) < 0:
-            return False
     entered = 0  # vertices reached from outside their component
     for r, comp in comps.items():
         entered |= r & ~comp

@@ -16,6 +16,7 @@ from dimerkit import (
     CASE_SIX_SAME,
     Chart,
     ChartCone,
+    DegenerateModelError,
     FixedPointCandidate,
     InternalConsistencyError,
     InvalidModelError,
@@ -46,7 +47,7 @@ from dimerkit import (
     validate_model,
     verify_crepant,
 )
-from conftest import CERTIFY_COVERS, cover
+from conftest import CERTIFY_COVERS, cover, sweep_corpus
 from oracles import chart_transition, rep_satisfies_relations, walk_shoelace
 from dimerkit import charts
 from dimerkit.charts import _census_case
@@ -685,3 +686,45 @@ def test_one_stable_matching_per_lattice_point(name):
             if is_stable(quiver, arrows - d, theta)
         )
         assert heights == Counter(points), seed
+
+
+@pytest.mark.parametrize("name", ["conifold", "honeycomb", "fzero"] + sorted(CORPUS))
+def test_trees_grown_for_returned_candidates_only(name, monkeypatch):
+    # stability implies that a support spans the quiver, so the search
+    # grows one spanning tree per candidate it returns and none for a
+    # proposal it refuses
+    model = CORPUS.get(name) or example(name)
+    grown = []
+
+    def spy(quiver, arrows):
+        grown.append(frozenset(arrows))
+        return tree_paths(quiver, arrows)
+
+    monkeypatch.setattr(charts, "tree_paths", spy)
+    for seed, theta in _sampled_thetas(model):
+        grown.clear()
+        found = enumerate_fixed_candidates(model, theta)
+        assert Counter(grown) == Counter(c.support for c in found), seed
+
+
+SWEEP = sweep_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_chart_census_and_corner_valency(name):
+    # what classify_chart leaves to the census profile, checked from
+    # outside: every chart of a certified fan has four quadrivalent or six
+    # trivalent corners, and as many coordinate edges as its corners'
+    # valency
+    model = SWEEP[name]
+    for seed in range(4):
+        try:
+            fan = assemble_fan(model, seed=seed)
+        except (DegenerateModelError, InvalidModelError):
+            assert name in ("dice.json", "honeycomb_wound.json")
+            return
+        for chart in fan.charts:
+            cls = chart.classification
+            assert cls.census in (((4, 4),), ((3, 6),)), (seed, cls.census)
+            ((valency, _),) = cls.census
+            assert len(cls.coordinate_edges) == valency, seed

@@ -18,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cover
-from dimerkit import DimerEdge, DimerModel, dump_model, example, model_to_dict
+from dimerkit import (
+    DimerEdge, DimerModel, InvalidModelError, dump_model, example, load_model,
+    model_to_dict,
+)
 from dimerkit.cli import _COMMANDS, build_parser, main
 
 # the dice lattice: a valid tiling of the torus with two blacks, one white
@@ -89,16 +92,19 @@ def _cli_env() -> dict[str, str]:
     return env
 
 
-@pytest.mark.parametrize("text", [
-    "[" + "1" * 5000 + "]",  # an integer past the interpreter's digit limit
-    "[" * 200_000 + "]" * 200_000,  # nesting past its recursion limit
+@pytest.mark.parametrize("text, reason", [
+    # an integer past the interpreter's digit limit
+    ("[" + "1" * 5000 + "]", "holds a JSON integer with too many digits"),
+    # nesting past its recursion limit
+    ("[" * 200_000 + "]" * 200_000, "holds JSON nested too deeply"),
 ], ids=["long-integer", "deep-nesting"])
 @pytest.mark.parametrize("argv", [
     ["validate", "{}"],
     ["fixed-points", "--example", "conifold", "--theta", "{}"],
 ], ids=["model", "theta"])
-def test_unbuildable_json_is_invalid_input(tmp_path, text, argv):
-    # JSON the decoder refuses to build ends in an error line, no traceback
+def test_unbuildable_json_is_invalid_input(tmp_path, text, reason, argv):
+    # JSON the decoder refuses to build ends in one error line in the
+    # user's terms: no traceback, and no advice on interpreter settings
     path = tmp_path / "big.json"
     path.write_text(text)
     proc = subprocess.run(
@@ -106,8 +112,46 @@ def test_unbuildable_json_is_invalid_input(tmp_path, text, argv):
         capture_output=True, text=True, env=_cli_env(), timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith(f"error: {str(path)!r} is not JSON: ")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {str(path)!r} {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixed-points", "--seed", "1"], ["matchings"], ["quiver"],
+], ids=["fixed-points", "matchings", "quiver"])
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path, argv):
+    # string hashing is salted per process; no set or dict order it sways
+    # may reach stdout, on a catalog model or on a certify cover
+    path = tmp_path / "fzero-2x1.json"
+    dump_model(cover(example("fzero"), 2, 1), str(path))
+    for model in (["--example", "fzero"], [str(path)]):
+        outs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dimerkit.cli", argv[0], *model, *argv[1:]],
+                capture_output=True, text=True, timeout=60,
+                env={**_cli_env(), "PYTHONHASHSEED": seed},
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), (model, seed)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0], model
+
+
+def test_malformed_json_message_unchanged(capsys, tmp_path):
+    # the decoder's own message, which names the line and column, is kept
+    path = tmp_path / "bad.json"
+    path.write_text('{"a": }')
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {str(path)!r} is not JSON: "
+        "Expecting value: line 1 column 7 (char 6)\n"
+    )
+
+
+def test_unopenable_path_is_unreadable_not_json():
+    # open() refuses a NUL in the path with a ValueError: that is a path
+    # the file system cannot read, not a JSON integer with too many digits
+    with pytest.raises(InvalidModelError, match=r"^cannot read 'a\\x00b\.json': "):
+        load_model("a\0b.json")
 
 
 def test_non_utf8_model_is_invalid_input(capsys, tmp_path):

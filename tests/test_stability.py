@@ -25,6 +25,7 @@ from dimerkit import (
     sample_generic_theta,
     sardo_infirri_theta,
 )
+from dimerkit.quiver import tree_paths
 
 q = quiver_of(example("conifold"))
 
@@ -296,6 +297,43 @@ def test_verdicts_match_oracle_on_digraphs(data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
+def test_stable_supports_span_the_quiver(data):
+    # a weak component K of the support and V - K are both closed, and
+    # theta(K) + theta(V - K) = 0, so a stable support connects the quiver:
+    # the candidate search grows a spanning tree only for stable supports
+    if data.draw(st.booleans()):
+        quiver = data.draw(st.sampled_from(ORACLE_QUIVERS))
+    else:
+        n = data.draw(st.integers(1, 7))
+        index = st.integers(0, n - 1)
+        quiver = _digraph(n, data.draw(st.lists(st.tuples(index, index), max_size=12)))
+    ids = [a.id for a in quiver.arrows]
+    support = data.draw(
+        st.frozensets(st.sampled_from(ids)) if ids else st.just(frozenset())
+    )
+    spans = tree_paths(quiver, [aid for aid in ids if aid in support]) is not None
+    vals = dict.fromkeys(quiver.vertices, 0)
+    induced = data.draw(st.booleans())
+    if induced:
+        # positive weights on the support, absorbed minus emitted: a closed
+        # set weighs what enters it, positive exactly when the support spans
+        for a in quiver.arrows:
+            if a.id in support:
+                x = data.draw(st.integers(1, 5))
+                vals[a.target] += x
+                vals[a.source] -= x
+    else:
+        drawn = [data.draw(st.integers(-3, 3)) for _ in quiver.vertices[1:]]
+        vals.update(zip(quiver.vertices[1:], drawn))
+        vals[quiver.vertices[0]] = -sum(drawn)
+    stable = is_stable(quiver, support, make_theta(quiver, vals))
+    assert spans or not stable
+    if induced:
+        assert stable == spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
 def test_verdicts_match_oracle_on_two_layers(data):
     # negative-weight sources feeding positive-weight sinks, plus one more
     # source: deficits must be rerouted between shared sinks
@@ -311,8 +349,8 @@ def test_verdicts_match_oracle_on_two_layers(data):
     vals.append(-sum(vals))
     support = {a.id for a in quiver.arrows}
     _check_against_oracle(quiver, support, vals)
-    # the min cut alone, over the whole vertex set, with no reach-set
-    # rejection or split by source component in front of it
+    # the min cut alone, over the whole vertex set, with no split by source
+    # component in front of it
     from dimerkit import stability
 
     reach = stability._reach(stability._successors(quiver, support))
