@@ -12,9 +12,7 @@ checked against the polygon as a certificate of crepant resolution.
 
 from .catalog import example, example_names
 from .charts import (
-    CASE_FOUR,
     CASE_SIX_OPPOSITE,
-    CASE_SIX_SAME,
     CertificateReport,
     Chart,
     ChartClassification,

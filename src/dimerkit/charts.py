@@ -16,13 +16,16 @@ shift vanishes; only stability is tested.
 Each candidate glues the lifted faces of the model into a fundamental
 domain whose translates tile the plane.  Its boundary runs along the zero
 edges that meet another zero edge; an isolated zero edge lies inside the
-domain.  Walking the domain boundary and counting the valencies of its
-corner points classifies the chart around the fixed point into exactly
-three local shapes, two of them singular and one smooth.  The walk runs
-counterclockwise exactly when the edge offsets wrap the faces once around
-the torus with the rotation's orientation, which one integer per model
-decides: the faces' signed cell area (:func:`~dimerkit.model.faces_area2`),
-the same one that validation's ``homology-span`` reads.
+domain.  The zero edges are the union of three perfect matchings, so their
+multiplicities sum to 3 at every vertex: one isolated edge, or crowded
+edges of multiplicities 1 and 2, or 1, 1 and 1.  A rim path between two
+corners alternates 1, 2, ..., 1 and joins opposite colours, and Euler's
+formula leaves six trivalent corners: every chart is affine 3-space.  The
+walk runs counterclockwise exactly when the edge offsets wrap the faces
+once around the torus with the rotation's orientation, which one integer
+per model decides: the faces' signed cell area
+(:func:`~dimerkit.model.faces_area2`), the same one that validation's
+``homology-span`` reads.
 
 The coordinate functions of a chart are read off at the first boundary
 corner: one character per zero edge there, gauge-normalised to vanish on
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 from typing import Sequence
@@ -72,14 +75,6 @@ from .quiver import Quiver, quiver_of, tree_cycle, tree_paths, vector_shift
 from .stability import Theta, is_stable, sample_generic_theta
 
 CASE_SIX_OPPOSITE = "six-trivalent-opposite-colors"
-CASE_SIX_SAME = "six-trivalent-same-colors"
-CASE_FOUR = "four-quadrivalent"
-
-_FIXED_LOCUS = {
-    CASE_SIX_OPPOSITE: "a single point; the chart is affine 3-space",
-    CASE_SIX_SAME: "a point and the surface t1*t2*t3 = 1",
-    CASE_FOUR: "a point and the two-torus t1*t3 = t2*t4 = 1",
-}
 
 
 @dataclass(frozen=True)
@@ -88,11 +83,16 @@ class FixedPointCandidate:
 
     ``cells`` places the canonical lift of each face in the cover, with the
     first face at the origin; every support arrow steps from its source's
-    cell to its target's cell by its cover shift.
+    cell to its target's cell by its cover shift.  ``_paths`` keeps the
+    support's spanning-tree paths that placed them, for the chart
+    characters; a hand-built candidate leaves it ``None``.
     """
 
     support: frozenset[str]
     cells: tuple[tuple[str, Cell], ...]
+    _paths: dict[str, tuple[int, ...]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def enumerate_fixed_candidates(
@@ -132,7 +132,7 @@ def enumerate_fixed_candidates(
         if is_stable(q, support, theta):
             paths = tree_paths(q, [aid for aid in q.arrow_ids if aid in support])
             cells = tuple((v, vector_shift(q, paths[v])) for v in q.vertices)
-            found.append(FixedPointCandidate(support, cells))
+            found.append(FixedPointCandidate(support, cells, paths))
 
     pos = q.arrow_pos
     found.sort(key=lambda c: tuple(sorted(pos[aid] for aid in c.support)))
@@ -258,49 +258,27 @@ def fundamental_domain(
 
 @dataclass(frozen=True)
 class ChartClassification:
-    case: str
-    smooth: bool
-    fixed_locus: str
+    """A chart read off its domain boundary.  ``case``, ``smooth`` and
+    ``fixed_locus`` are class constants: the construction allows one case."""
+
+    case = CASE_SIX_OPPOSITE
+    smooth = True
+    fixed_locus = "a single point; the chart is affine 3-space"
     census: tuple[tuple[int, int], ...]  # (valency, count of corners)
     corner: tuple[str, Cell]  # first boundary corner v1
     coordinate_edges: tuple[str, ...]  # zero edges at v1, counterclockwise
 
 
-def _census_case(
-    census: dict[int, int], corners: Sequence[tuple[str, str]]
-) -> str:
-    """Chart case from the corner census and the (vertex id, color) walk.
-
-    A one-tile tiling of the torus leaves two profiles: four quadrivalent
-    corners, or six trivalent ones alternating two vertices.  Both satisfy
-    the Euler count and fill whole vertex orbits, so the profile alone
-    decides, and any other census, the empty one included, is refused.
-    The verdict is the same under any rotation of ``corners``.
-    """
-    if census == {4: 4}:
-        return CASE_FOUR
-    if census == {3: 6}:
-        odd = {corners[i][0] for i in (0, 2, 4)}
-        even = {corners[i][0] for i in (1, 3, 5)}
-        if len(odd) != 1 or len(even) != 1 or odd == even:
-            raise InternalConsistencyError(
-                "trivalent boundary corners do not alternate two vertices"
-            )
-        same = corners[0][1] == corners[1][1]
-        return CASE_SIX_SAME if same else CASE_SIX_OPPOSITE
-    raise InternalConsistencyError(f"impossible boundary census {census}")
-
-
 def classify_chart(
     model: DimerModel, candidate: FixedPointCandidate
 ) -> ChartClassification:
-    """Classify the chart at a fixed-point candidate by its domain boundary.
+    """Read the chart at a fixed-point candidate off its domain boundary.
 
     Verifies on the way that the non-isolated zero edges are exactly the
     boundary edges of the fundamental domain (so its translates really cut
     the plane along the zero locus).  That makes every zero edge at a
     corner a boundary edge, so the coordinate edges at the first corner
-    number its valency, the one the census reports.
+    number its valency, 3: the module docstring derives the one census.
     """
     dom = fundamental_domain(model, candidate)
     support = candidate.support
@@ -326,10 +304,8 @@ def classify_chart(
         visits.append((vid, tc, valency(vid)))
     corner_idx = [i for i, (_, _, n) in enumerate(visits) if n >= 3]
     census = dict(Counter(visits[i][2] for i in corner_idx))
-    case = _census_case(
-        census,
-        [(visits[i][0], model.vertex(visits[i][0]).color) for i in corner_idx],
-    )
+    if census != {3: 6}:
+        raise InternalConsistencyError(f"impossible boundary census {census}")
 
     edge_pos = quiver_of(model).arrow_pos
     start_i = min(
@@ -349,14 +325,7 @@ def classify_chart(
         for eid in (rot[(j + k) % len(rot)] for k in range(len(rot)))
         if eid not in support
     ]
-    return ChartClassification(
-        case,
-        case == CASE_SIX_OPPOSITE,
-        _FIXED_LOCUS[case],
-        tuple(sorted(census.items())),
-        (v1, start_cell),
-        tuple(coord_edges),
-    )
+    return ChartClassification(((3, 6),), (v1, start_cell), tuple(coord_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +343,12 @@ def chart_characters(
     is a functional on the weight lattice ``W`` by construction: ``W`` is
     spanned by the gauge subgroup and the cocharacters of the three
     matchings whose union the support avoids, and every support cycle
-    pairs to zero with each of them.
+    pairs to zero with each of them.  The tree is the candidate's own when
+    it kept one, and grown here otherwise.
     """
-    support = [aid for aid in q.arrow_ids if aid in candidate.support]
-    paths = tree_paths(q, support)
+    paths = candidate._paths
+    if paths is None:
+        paths = tree_paths(q, [aid for aid in q.arrow_ids if aid in candidate.support])
     if paths is None:
         raise InternalConsistencyError("support does not span the quiver")
     out = []
@@ -397,13 +368,15 @@ def chart_rows(
 
 @dataclass(frozen=True)
 class ChartCone:
-    """Rays of a smooth chart's cone: columns of the inverse row matrix."""
+    """Rays of a chart's cone: columns of the inverse row matrix."""
 
     rays: tuple[Vec3, Vec3, Vec3]
     det: int
 
 
 def chart_cone(rows: Sequence[Vec3]) -> ChartCone:
+    """The cone of a chart's three character rows, which are unimodular
+    because every chart is affine 3-space."""
     if len(rows) != 3:
         raise InvalidModelError("a smooth chart has exactly three characters")
     d = det_int(rows)
@@ -425,8 +398,8 @@ def chart_cone(rows: Sequence[Vec3]) -> ChartCone:
 class Chart:
     candidate: FixedPointCandidate
     classification: ChartClassification
-    rows: tuple[Vec3, ...] | None  # None when the chart is not smooth
-    cone: ChartCone | None
+    rows: tuple[Vec3, ...]
+    cone: ChartCone
 
 
 @dataclass(frozen=True)
@@ -477,7 +450,8 @@ def _unpaired_steps(
 def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> CertificateReport:
     """Certify that the chart cones triangulate the cone over the polygon.
 
-    Checks, in order: every chart smooth; every cone matrix unimodular with
+    Checks, in order: some chart at all (``charts-smooth``: every chart is
+    smooth by construction); every cone matrix unimodular with
     positive orientation; all rays at level one; all cross-section triangles
     inside the polygon; the triangles tile the polygon (``triangles-disjoint``);
     total area equal to the polygon's; all transitions integral of
@@ -489,34 +463,24 @@ def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> Certific
     pairs down to the polygon boundary in unit lattice steps; the failure
     detail lists the unpaired steps.
     """
-    checks: list[ValidationCheck] = []
-    rough = [c for c in charts if not c.classification.smooth]
-    checks.append(
+    checks = [
         ValidationCheck(
-            "charts-smooth",
-            not rough and bool(charts),
-            "no charts at all"
-            if not charts
-            else "; ".join(
-                f"{sorted(c.candidate.support)}: {c.classification.case}"
-                for c in rough
-            ),
+            "charts-smooth", bool(charts), "" if charts else "no charts at all"
         )
-    )
-    smooth = [c for c in charts if c.cone is not None]
+    ]
 
-    bad_det = [c for c in smooth if c.cone.det != 1]
+    bad_det = [c for c in charts if c.cone.det != 1]
     checks.append(
         ValidationCheck(
             "cones-unimodular",
-            not bad_det and bool(smooth),
+            not bad_det and bool(charts),
             "no smooth charts"
-            if not smooth
+            if not charts
             else "; ".join(f"determinant {c.cone.det}" for c in bad_det),
         )
     )
     bad_level = [
-        c for c in smooth if any(r[2] != 1 for r in c.cone.rays)
+        c for c in charts if any(r[2] != 1 for r in c.cone.rays)
     ]
     checks.append(
         ValidationCheck(
@@ -526,7 +490,7 @@ def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> Certific
         )
     )
 
-    tris = [tuple((r[0], r[1]) for r in c.cone.rays) for c in smooth]
+    tris = [tuple((r[0], r[1]) for r in c.cone.rays) for c in charts]
     outside = [
         t for t in tris if not all(contains_point(polygon, p) for p in t)
     ]
@@ -554,7 +518,7 @@ def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> Certific
     checks.append(
         ValidationCheck(
             "area-covered",
-            total == want and not rough,
+            total == want,
             f"triangles cover {total}/2, polygon is {want}/2",
         )
     )
@@ -564,8 +528,8 @@ def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> Certific
     # determinants agree
     bad_tr = [
         (i, j)
-        for i, ci in enumerate(smooth)
-        for j, cj in enumerate(smooth)
+        for i, ci in enumerate(charts)
+        for j, cj in enumerate(charts)
         if ci.cone.det != cj.cone.det
     ]
     checks.append(
@@ -593,12 +557,8 @@ def assemble_fan(
     charts = []
     for cand in enumerate_fixed_candidates(model, theta):
         cls = classify_chart(model, cand)
-        rows = cone = None
-        if cls.smooth:
-            chars = chart_characters(q, cand, cls.coordinate_edges)
-            rows = chart_rows(q, split, chars)
-            cone = chart_cone(rows)
-        charts.append(Chart(cand, cls, rows, cone))
+        rows = chart_rows(q, split, chart_characters(q, cand, cls.coordinate_edges))
+        charts.append(Chart(cand, cls, rows, chart_cone(rows)))
     report = verify_crepant(poly, charts)
     return FanResult(
         tuple(sorted(base)), theta, poly, tuple(charts), report

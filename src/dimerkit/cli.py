@@ -105,7 +105,7 @@ def _matchings(model: DimerModel) -> tuple[frozenset[str], ...]:
 
 def _theta_for(q, model, args):
     """--theta names a JSON file of vertex weights, or 'auto' to sample."""
-    spec = getattr(args, "theta", None) or "auto"
+    spec = args.theta
     if spec != "auto":
         weights = read_json(spec)
         if not isinstance(weights, dict):
@@ -288,8 +288,8 @@ def _cmd_fixed_points(args) -> int:
                 list(c.classification.corner[1]),
             ],
             "coordinate_edges": list(c.classification.coordinate_edges),
-            "rows": None if c.rows is None else [list(r) for r in c.rows],
-            "rays": None if c.cone is None else [list(r) for r in c.cone.rays],
+            "rows": [list(r) for r in c.rows],
+            "rays": [list(r) for r in c.cone.rays],
         }
         if args.svg:
             path = os.path.join(args.svg, f"candidate-{i}.svg")

@@ -11,14 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimerkit import (
-    CASE_FOUR,
     CASE_SIX_OPPOSITE,
-    CASE_SIX_SAME,
     Chart,
     ChartCone,
     DegenerateModelError,
     FixedPointCandidate,
-    InternalConsistencyError,
     InvalidModelError,
     Theta,
     area2,
@@ -50,7 +47,6 @@ from dimerkit import (
 from conftest import CERTIFY_COVERS, cover, sweep_corpus
 from oracles import chart_transition, rep_satisfies_relations, walk_shoelace
 from dimerkit import charts
-from dimerkit.charts import _census_case
 from dimerkit import model as model_module
 from dimerkit.model import faces_area2, per_object
 from dimerkit.quiver import tree_cycle, tree_paths, vector_shift
@@ -126,21 +122,6 @@ def test_classification():
     cls_h = classify_chart(honeycomb, cand_h)
     assert cls_h.case == CASE_SIX_OPPOSITE
     assert cls_h.coordinate_edges == ("e1", "e2", "e3")
-
-
-def test_census_cases():
-    alternating = [("x", "black"), ("y", "white")] * 3
-    assert _census_case({3: 6}, alternating) == CASE_SIX_OPPOSITE
-    assert _census_case({3: 6}, [("x", "black"), ("y", "black")] * 3) == CASE_SIX_SAME
-    assert _census_case({4: 4}, [("x", "black")] * 4) == CASE_FOUR
-    for bad in ({3: 3}, {5: 5}, {3: 3, 4: 2}, {6: 6}, {2: 2}, {3: 12}):
-        with pytest.raises(InternalConsistencyError):
-            _census_case(bad, alternating)
-    with pytest.raises(InternalConsistencyError):
-        # corner orbits must each use a single vertex lift
-        _census_case({3: 6}, [("x", "black"), ("y", "white"),
-                              ("z", "black"), ("y", "white"),
-                              ("x", "black"), ("y", "white")])
 
 
 def test_characters_rows_cones():
@@ -692,7 +673,8 @@ def test_one_stable_matching_per_lattice_point(name):
 def test_trees_grown_for_returned_candidates_only(name, monkeypatch):
     # stability implies that a support spans the quiver, so the search
     # grows one spanning tree per candidate it returns and none for a
-    # proposal it refuses
+    # proposal it refuses; the fan reads each chart's characters off that
+    # same tree, so a whole fan grows one tree per chart
     model = CORPUS.get(name) or example(name)
     grown = []
 
@@ -705,18 +687,25 @@ def test_trees_grown_for_returned_candidates_only(name, monkeypatch):
         grown.clear()
         found = enumerate_fixed_candidates(model, theta)
         assert Counter(grown) == Counter(c.support for c in found), seed
+        grown.clear()
+        fan = assemble_fan(model, theta=theta)
+        assert Counter(grown) == Counter(c.candidate.support for c in fan.charts), seed
 
 
 SWEEP = sweep_corpus()
+BRIDGED = {"conifold", "honeycomb", "fzero"} | set(CORPUS)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP))
 def test_chart_census_and_corner_valency(name):
-    # what classify_chart leaves to the census profile, checked from
-    # outside: every chart of a certified fan has four quadrivalent or six
-    # trivalent corners, and as many coordinate edges as its corners'
-    # valency
+    # why classify_chart needs no case table, checked from outside: every
+    # chart has six trivalent corners, alternating in walk order between
+    # two vertices of opposite colours, and three coordinate edges; on the
+    # catalog and the certify covers its zero set holds exactly three
+    # perfect matchings, whose height points are the chart's rays
     model = SWEEP[name]
+    pms = perfect_matchings(model) if name in BRIDGED else ()
+    arrows = frozenset(e.id for e in model.edges)
     for seed in range(4):
         try:
             fan = assemble_fan(model, seed=seed)
@@ -724,7 +713,30 @@ def test_chart_census_and_corner_valency(name):
             assert name in ("dice.json", "honeycomb_wound.json")
             return
         for chart in fan.charts:
-            cls = chart.classification
-            assert cls.census in (((4, 4),), ((3, 6),)), (seed, cls.census)
-            ((valency, _),) = cls.census
-            assert len(cls.coordinate_edges) == valency, seed
+            cls, support = chart.classification, chart.candidate.support
+            assert cls.census == ((3, 6),), (seed, cls.census)
+            assert len(cls.coordinate_edges) == 3, seed
+            dom = fundamental_domain(model, chart.candidate)
+            rim = dom.boundary_edge_ids
+            tails = [
+                model.edge(d[0]).black if d[1] > 0 else model.edge(d[0]).white
+                for d, _ in dom.boundary
+            ]
+            corners = [
+                v for v in tails
+                if sum(eid in rim for eid in model.rotation_at(v)) >= 3
+            ]
+            assert len(corners) == 6, (seed, sorted(support))
+            odd, even = set(corners[0::2]), set(corners[1::2])
+            assert len(odd) == len(even) == 1, (seed, sorted(support))
+            (u,), (v,) = odd, even
+            assert model.vertex(u).color != model.vertex(v).color, seed
+            if name not in BRIDGED:
+                continue
+            zero = arrows - support
+            inside = [d for d in pms if d <= zero]
+            assert len(inside) == 3, (seed, sorted(support))
+            points = {height_change(model, d, pms[0]) for d in inside}
+            assert points == {r[:2] for r in chart.cone.rays}, (
+                seed, sorted(support),
+            )

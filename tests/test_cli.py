@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import cover
 from dimerkit import (
     DimerEdge, DimerModel, InvalidModelError, dump_model, example, load_model,
-    model_to_dict,
+    model_to_dict, quiver_of,
 )
 from dimerkit.cli import _COMMANDS, build_parser, main
 
@@ -387,6 +387,16 @@ def test_directory_as_theta_is_invalid_input(capsys, tmp_path):
     assert main(["fixed-points", "--example", "conifold",
                  "--theta", str(tmp_path)]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixed-points", "--example", "conifold"],
+    ["render", "--example", "conifold", "--what", "domain"],
+])
+def test_empty_theta_path_is_invalid_input(capsys, argv):
+    # an empty path names no file; it is not a request to sample
+    assert main(argv + ["--theta", ""]) == 2
+    assert "cannot read ''" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("f1, f2", [("abc", 0), ([1], 0), (0.1, -0.1)])
@@ -871,3 +881,72 @@ def test_junk_models_end_in_a_verdict(data):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main([command, path])
             assert code in (0, 2, 3), (command, data)
+
+
+_FACES = {name: quiver_of(example(name)).vertices
+          for name in ("conifold", "honeycomb", "fzero")}
+_WEIGHT = (
+    _LEAF | st.integers(-10**30, 10**30) | st.fractions().map(str)
+    | st.floats() | st.sampled_from(["1e3", "1/" + "9" * 400, "-0/5"])
+)
+
+
+@st.composite
+def _junk_thetas(draw):
+    """A catalog model's name and a weight file's text: weights of any kind
+    or small integers summing to zero (generic or not) on its faces, with a
+    face dropped or a stray key added at times, or junk in place of the
+    whole document."""
+    name = draw(st.sampled_from(sorted(_FACES)))
+    faces = _FACES[name]
+    kind = draw(st.sampled_from(["integers", "weights", "junk"]))
+    if kind == "junk":
+        return name, json.dumps(draw(_JUNK))
+    if kind == "integers":
+        head = draw(st.lists(st.integers(-3, 3), min_size=len(faces) - 1,
+                             max_size=len(faces) - 1))
+        doc = dict(zip(faces, head + [-sum(head)]))
+    else:
+        doc = {f: draw(_WEIGHT) for f in faces}
+    if draw(st.booleans()):
+        doc.pop(draw(st.sampled_from(faces)))
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(["x", "b1", "e1", faces[0] + " "]))] = 0
+    return name, json.dumps(doc)
+
+
+def _theta_text(name, value_of):
+    return name, json.dumps({f: value_of(i) for i, f in enumerate(_FACES[name])})
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_junk_thetas())
+@hyp_example(case=_theta_text("fzero", lambda i: 0))
+@hyp_example(case=_theta_text("conifold", lambda i: ["1/0", 0][i]))
+@hyp_example(case=_theta_text("conifold", lambda i: [0.5, -0.5][i]))
+@hyp_example(case=_theta_text("conifold", lambda i: [True, False][i]))
+@hyp_example(case=_theta_text("honeycomb", lambda i: None))
+@hyp_example(case=_theta_text("conifold", lambda i: [[1], [-1]][i]))
+@hyp_example(case=("fzero", json.dumps({"f1": 1, "f2": -1, "f3": 0})))
+@hyp_example(case=("conifold", json.dumps({"f1": 1, "f2": -1, "f3": 0})))
+@hyp_example(case=("conifold", "[1, -1]"))
+@hyp_example(case=_theta_text("conifold", lambda i: [10**300, -10**300][i]))
+@hyp_example(case=("conifold", '{"f1": 1%s, "f2": 0}' % ("0" * 5000)))
+@hyp_example(case=_theta_text("fzero", lambda i: ["1/" + "7" * 300, "-1/" + "7" * 300, 0, 0][i]))
+@hyp_example(case=_theta_text("conifold", lambda i: ["1e3", "-1e3"][i]))
+@hyp_example(case=_theta_text("fzero", lambda i: [3, -1, -1, -1][i]))
+def test_junk_thetas_end_in_a_verdict(case):
+    # a weight file of any content on a catalog model ends in an answer (0),
+    # invalid input (2) or a negative verdict (3), never a bug (1) or a
+    # traceback
+    name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "theta.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["fixed-points"], ["render", "--what", "domain"]):
+            argv = argv + ["--example", name, "--theta", path]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3), (argv, text[:200])
