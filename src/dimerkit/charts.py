@@ -69,8 +69,8 @@ from .lattice import (
     split_by_reference,
 )
 from .matchings import perfect_matchings
-from .model import BLACK, Cell, Dart, DimerModel, ValidationCheck
-from .model import faces_area2, trace_faces
+from .model import Cell, Dart, DimerModel, ValidationCheck
+from .model import _head_cell, faces_area2, trace_faces
 from .quiver import Quiver, quiver_of, tree_cycle, tree_paths, vector_shift
 from .stability import Theta, is_stable, sample_generic_theta
 
@@ -184,17 +184,17 @@ def fundamental_domain(
         raise InvalidModelError("candidate cells do not match the faces")
     support = candidate.support
 
+    def lift(d: Dart, tail: Cell) -> tuple[str, Cell]:  # (edge, black end)
+        return (d[0], tail if d[1] > 0 else _head_cell(model, d, tail))
+
     edge_lift: dict[Dart, tuple[str, Cell]] = {}
     tail_cell: dict[Dart, Cell] = {}
     for f in tr.faces:
         cf = cells[f.id]
         for d in f.darts:
             u = tr.dart_cell[d]
-            tail = (u[0] + cf[0], u[1] + cf[1])
-            off = model.edge(d[0]).offset
-            m = tail if d[1] > 0 else (tail[0] - off[0], tail[1] - off[1])
-            edge_lift[d] = (d[0], m)
-            tail_cell[d] = tail
+            tail_cell[d] = tail = (u[0] + cf[0], u[1] + cf[1])
+            edge_lift[d] = lift(d, tail)
 
     interior: set[tuple[str, Cell]] = set()
     for e in model.edges:
@@ -219,23 +219,13 @@ def fundamental_domain(
     d, tc = start, tail_cell[start]
     while True:
         walk.append((d, tc))
-        e = model.edge(d[0])
-        if d[1] > 0:
-            head, hc = e.white, (tc[0] + e.offset[0], tc[1] + e.offset[1])
-        else:
-            head, hc = e.black, (tc[0] - e.offset[0], tc[1] - e.offset[1])
-        head_black = model.vertex(head).color == BLACK
-        rot = model.rotation_at(head)
-        j = rot.index(d[0])
-        for step in range(1, len(rot) + 1):  # spin clockwise past glued edges
-            e2 = rot[(j - step) % len(rot)]
-            off2 = model.edge(e2).offset
-            m2 = hc if head_black else (hc[0] - off2[0], hc[1] - off2[1])
-            if (e2, m2) not in interior:
+        d, tc = tr.dart_next[d], _head_cell(model, d, tc)
+        for _ in range(len(tr.dart_next)):  # spin clockwise past glued edges
+            if lift(d, tc) not in interior:
                 break
+            d = tr.dart_next[(d[0], -d[1])]
         else:
             raise InternalConsistencyError("walk trapped at an interior vertex")
-        d, tc = (e2, +1 if head_black else -1), hc
         if tail_cell.get(d) != tc:
             raise InternalConsistencyError("boundary walk left the domain")
         if (d, tc) == (start, tail_cell[start]):
@@ -292,16 +282,15 @@ def classify_chart(
                 f"zero edge {e.id!r} disagrees with the boundary translates"
             )
 
-    def valency(vid: str) -> int:
-        return sum(1 for eid in model.rotation_at(vid) if eid in boundary_ids)
-
-    # Valency-2 visits sit inside a straight run of the zero locus; they are
-    # not corners of the tiling, so the census smooths them away.
+    # Past that check a rim vertex's boundary edges are its zero edges, so
+    # its valency is its zero degree.  Valency-2 visits sit inside a
+    # straight run of the zero locus; they are not corners of the tiling,
+    # so the census smooths them away.
     visits: list[tuple[str, Cell, int]] = []
     for d, tc in dom.boundary:
         e = model.edge(d[0])
         vid = e.black if d[1] > 0 else e.white
-        visits.append((vid, tc, valency(vid)))
+        visits.append((vid, tc, zero_deg[vid]))
     corner_idx = [i for i, (_, _, n) in enumerate(visits) if n >= 3]
     census = dict(Counter(visits[i][2] for i in corner_idx))
     if census != {3: 6}:

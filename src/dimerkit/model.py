@@ -8,12 +8,13 @@ cyclic order of its incident edges.  Faces are never stored; they are traced
 from the rotation system.
 
 Darts. A *dart* is an edge with a direction, written ``(edge_id, sign)``:
-sign ``+1`` runs black-to-white, ``-1`` white-to-black.  Face tracing walks
-darts so that the face lies on the left: after arriving at the head of a
-dart, it leaves along the clockwise-next edge at that vertex.  While tracing
-we also accumulate the universal-cover cell of each dart's tail vertex,
-starting at ``(0, 0)``; these cells are what every lifting computation
-downstream is built on.
+sign ``+1`` runs black-to-white, ``-1`` white-to-black.  The turn rule,
+arrive at the head of a dart and leave along the clockwise-next edge there,
+is tabulated once per model as ``FaceTrace.dart_next``: the faces (each on
+the left of its darts), the quiver's vertex cycles and the domain rims all
+follow it.  While tracing we also accumulate the universal-cover cell of
+each dart's tail vertex, starting at ``(0, 0)``; these cells are what every
+lifting computation downstream is built on.
 """
 
 from __future__ import annotations
@@ -111,18 +112,6 @@ class DimerModel:
         return trace_faces(self).faces
 
 
-def dart_head(model: DimerModel, dart: Dart) -> str:
-    e = model.edge(dart[0])
-    return e.white if dart[1] > 0 else e.black
-
-
-def iter_darts(model: DimerModel):
-    """All darts in canonical order: edge order, ``+1`` before ``-1``."""
-    for e in model.edges:
-        yield (e.id, +1)
-        yield (e.id, -1)
-
-
 # ---------------------------------------------------------------------------
 # structural soundness (prerequisite for tracing anything)
 
@@ -179,18 +168,14 @@ def _rotation_errors(model: DimerModel) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class FaceTrace:
+    """Faces, and per dart its face, its tail's cell in that face's trace
+    and its successor under the turn rule: a permutation whose cycles are
+    the faces' dart tuples."""
+
     faces: tuple[Face, ...]
     dart_face: dict[Dart, str] = field(repr=False)
     dart_cell: dict[Dart, Cell] = field(repr=False)
-
-
-def _next_dart(model: DimerModel, dart: Dart) -> Dart:
-    head = dart_head(model, dart)
-    rot = model.rotation_at(head)
-    i = rot.index(dart[0])
-    nxt = rot[i - 1]  # clockwise-next edge at the head vertex
-    sign = +1 if model.vertex(head).color == BLACK else -1
-    return (nxt, sign)
+    dart_next: dict[Dart, Dart] = field(repr=False)
 
 
 def _head_cell(model: DimerModel, dart: Dart, tail_cell: Cell) -> Cell:
@@ -204,9 +189,11 @@ def _head_cell(model: DimerModel, dart: Dart, tail_cell: Cell) -> Cell:
 def trace_faces(model: DimerModel) -> FaceTrace:
     """Trace all faces of the torus map.
 
-    Faces come out sorted by their least dart (edge position in the model,
-    with ``+1`` before ``-1``) and are labelled ``f1, f2, ...`` in that
-    order; each face's dart tuple starts at its least dart.  Raises
+    At a vertex with counterclockwise rotation ``r``, the dart arriving
+    along ``r[i]`` leaves along ``r[i - 1]``.  Faces are the cycles of that
+    turn, sorted by their least dart (edge position in the model, with
+    ``+1`` before ``-1``) and labelled ``f1, f2, ...`` in that order; each
+    face's dart tuple starts at its least dart.  Raises
     :class:`InvalidModelError` if the model is structurally unsound, since
     the trace is meaningless then.
     """
@@ -217,25 +204,29 @@ def trace_faces(model: DimerModel) -> FaceTrace:
         errs = _rotation_errors(model)
     if errs:
         raise InvalidModelError("; ".join(errs))
+    dart_next: dict[Dart, Dart] = {}
+    for v in model.vertices:
+        out = +1 if v.color == BLACK else -1  # sign of the darts leaving v
+        rot = model.rotation_at(v.id)
+        for arrive, leave in zip(rot, rot[-1:] + rot[:-1]):
+            dart_next[(arrive, -out)] = (leave, out)
     faces: list[Face] = []
     dart_face: dict[Dart, str] = {}
     dart_cell: dict[Dart, Cell] = {}
-    for start in iter_darts(model):
+    for start in ((e.id, sign) for e in model.edges for sign in (+1, -1)):
         if start in dart_face:
             continue
         fid = f"f{len(faces) + 1}"
         darts: list[Dart] = []
         d, cell = start, (0, 0)
-        while True:
+        while d not in dart_face:
             darts.append(d)
             dart_face[d] = fid
             dart_cell[d] = cell
             cell = _head_cell(model, d, cell)
-            d = _next_dart(model, d)
-            if d == start:
-                break
+            d = dart_next[d]
         faces.append(Face(fid, tuple(darts)))
-    return FaceTrace(tuple(faces), dart_face, dart_cell)
+    return FaceTrace(tuple(faces), dart_face, dart_cell, dart_next)
 
 
 def face_gluing_shifts(model: DimerModel) -> dict[str, Cell]:

@@ -7,13 +7,16 @@ dart, so that arrows cross their edges with the white vertex on the left.
 
 Around every white vertex the arrows dual to its edges in clockwise order
 form a directed cycle, and likewise counterclockwise around every black
-vertex.  Each cycle is walked once per quiver (``Quiver.cycles``), which
-checks that it closes and that each arrow's target is the next arrow's
-source.  Dropping the arrow ``a`` from its white cycle leaves the path
-``p_plus(a)``, dropping it from its black cycle leaves ``p_minus(a)``; the
-relations of the quiver algebra identify these two paths, one pair per
-arrow.  :func:`relations` reads them off the walk, and ``p_plus`` and
-``p_minus`` look them up; the weight lattice reads the walk directly.
+vertex.  Both next-maps are read off the face trace's dart successor map
+(``FaceTrace.dart_next``): the white one is its turn at the white end, the
+black one the inverse of its turn at the black end.  Each cycle is walked
+once per quiver (``Quiver.cycles``), which checks that it closes and that
+each arrow's target is the next arrow's source.  Dropping the arrow ``a``
+from its white cycle leaves the path ``p_plus(a)``, dropping it from its
+black cycle leaves ``p_minus(a)``; the relations of the quiver algebra
+identify these two paths, one pair per arrow.  :func:`relations` reads them
+off the walk, and ``p_plus`` and ``p_minus`` look them up; the weight
+lattice reads the walk directly.
 
 Paths are stored in composition order: ``arrows[-1]`` is traversed first.
 Each arrow also carries a shift in ``Z^2`` (the face-gluing shift of its
@@ -173,15 +176,12 @@ def quiver_of(model: DimerModel) -> Quiver:
         for e in model.edges
     )
     shifts = tuple(face_gluing_shifts(model).items())
-    wn, bn = [], []
-    for e in model.edges:
-        rot_w = model.rotation_at(e.white)
-        rot_b = model.rotation_at(e.black)
-        i, j = rot_w.index(e.id), rot_b.index(e.id)
-        wn.append((e.id, rot_w[i - 1]))
-        bn.append((e.id, rot_b[(j + 1) % len(rot_b)]))
+    # the face walk turns clockwise at a black vertex, its cycle the other way
+    black_prev = {tr.dart_next[(e.id, -1)][0]: e.id for e in model.edges}
+    wn = tuple((e.id, tr.dart_next[(e.id, +1)][0]) for e in model.edges)
+    bn = tuple((e.id, black_prev[e.id]) for e in model.edges)
     return Quiver(
-        tuple(f.id for f in tr.faces), arrows, shifts, tuple(wn), tuple(bn),
+        tuple(f.id for f in tr.faces), arrows, shifts, wn, bn,
         tuple(e.offset for e in model.edges),
     )
 

@@ -4,7 +4,7 @@ Every function returns the complete SVG document as a string built from
 sorted, explicit iteration; rendering the same object twice produces
 byte-identical output.  Vertex positions are taken from the model when
 present; otherwise a plain grid layout is substituted and a warning is
-printed, so drawing never fails on a position-free model.
+printed once per model, so drawing never fails on a position-free model.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable
 from .charts import FixedPointCandidate, fundamental_domain
 from .exceptions import CapacityError, InvalidModelError
 from .heights import LatticePolygon
-from .model import BLACK, Cell, DimerModel, lift_patch
+from .model import BLACK, Cell, DimerModel, lift_patch, per_object
 
 _SCALE = 120.0
 _EDGE = "#5b6470"
@@ -40,6 +40,7 @@ def _fmt(x: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
+@per_object
 def _layout(model: DimerModel) -> Layout:
     """Vertex positions for drawing, auto-gridded when the model has none."""
     if all(v.pos is not None for v in model.vertices):

@@ -5,7 +5,8 @@ another way: the dense relation matrix and its integer kernel, an integer
 solve per right-hand side, each relation tested on its own, a chart
 transition by adjugate, a weight's coordinates under a splitting, path
 sums walked arrow by arrow, a domain's orientation by the shoelace of its
-boundary walk, and the characteristic polynomial and the edge charges by a
+boundary walk, the face walk's turn and the quiver's cycle maps looked up
+in the rotation, and the characteristic polynomial and the edge charges by a
 loop over the enumerated matchings, and the canonical order of the
 matchings by sorting their position tuples.
 """
@@ -25,7 +26,7 @@ from dimerkit import (
 from dimerkit.heights import _check_matching, _offset_sum
 from dimerkit.lattice import adjugate3
 from dimerkit.matchings import enumerate_matchings
-from dimerkit.model import per_object
+from dimerkit.model import BLACK, per_object
 
 
 @per_object
@@ -134,6 +135,28 @@ def walk_shoelace(model, boundary):
         (x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])),
         Fraction(0),
     )
+
+
+def next_dart_by_rotation(model, dart):
+    """The dart after ``dart`` in its face: it leaves the head along the
+    clockwise-next edge there, signed by the head's colour."""
+    e = model.edge(dart[0])
+    head = e.white if dart[1] > 0 else e.black
+    rot = model.rotation_at(head)
+    nxt = rot[rot.index(dart[0]) - 1]
+    return (nxt, +1 if model.vertex(head).color == BLACK else -1)
+
+
+def cycle_maps_by_rotation(model):
+    """The quiver's white and black next-maps: each edge's clockwise-next
+    edge at its white end and counterclockwise-next edge at its black end."""
+    wn, bn = [], []
+    for e in model.edges:
+        rot_w, rot_b = model.rotation_at(e.white), model.rotation_at(e.black)
+        i, j = rot_w.index(e.id), rot_b.index(e.id)
+        wn.append((e.id, rot_w[i - 1]))
+        bn.append((e.id, rot_b[(j + 1) % len(rot_b)]))
+    return tuple(wn), tuple(bn)
 
 
 @per_object

@@ -648,6 +648,23 @@ def test_render_command(capsys, tmp_path):
     assert text.startswith("<svg")
 
 
+def test_grid_layout_warning_once_per_model(capsys, tmp_path):
+    # a model without positions is drawn on a grid layout, and each command
+    # says so once, however many domains it draws
+    data = model_to_dict(cover(example("conifold"), 2, 1))
+    for vertex in data["vertices"]:
+        del vertex["pos"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    svg = tmp_path / "svg"
+    warning = "warning: model carries no vertex positions; using a grid layout\n"
+    for argv in (["fixed-points", str(path), "--svg", str(svg)],
+                 ["render", str(path), "--what", "domain"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().err.count(warning) == 1, argv
+    assert len(os.listdir(svg)) == 4
+
+
 @pytest.mark.parametrize("argv, target", [
     (["fixed-points", "--svg"], "a-file"),
     (["render", "--out"], "."),
@@ -881,6 +898,92 @@ def test_junk_models_end_in_a_verdict(data):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main([command, path])
             assert code in (0, 2, 3), (command, data)
+
+
+# every command that reads a model past validation, each --what of render
+_MODEL_COMMANDS = (
+    ["matchings"], ["charpoly"], ["polygon"], ["check"], ["rcharge"],
+    ["theta"], ["fixed-points"], ["toric"],
+    ["render", "--what", "model"], ["render", "--what", "polygon"],
+    ["render", "--what", "domain"],
+)
+_MUTATED_BASES = dict(_CATALOG_JSON, **{
+    f"{name}-{a}x{b}": model_to_dict(cover(example(name), a, b))
+    for name, a, b in (("conifold", 2, 1), ("honeycomb", 2, 2), ("fzero", 2, 1))
+})
+
+
+def _mutated(name, *mutations):
+    """A base model's document under schema-valid mutations, each one of
+    ``("offset", edge id, offset)``, ``("rotation", vertex id, order)``,
+    ``("delete", edge id)`` or ``("colour", vertex id)``; a mutation of an
+    edge deleted before it, or a rotation naming one, changes nothing."""
+    data = json.loads(json.dumps(_MUTATED_BASES[name]))
+    for kind, where, *value in mutations:
+        edges = {e["id"]: e for e in data["edges"]}
+        if kind == "offset" and where in edges:
+            edges[where]["offset"] = value[0]
+        elif kind == "rotation" and set(value[0]) <= set(edges):
+            data["rotation"][where] = value[0]
+        elif kind == "delete" and where in edges:
+            data["edges"].remove(edges[where])
+            data["rotation"] = {
+                vid: [x for x in rot if x != where] for vid, rot in data["rotation"].items()
+            }
+        elif kind == "colour":
+            vertex = next(v for v in data["vertices"] if v["id"] == where)
+            vertex["color"] = "white" if vertex["color"] == "black" else "black"
+    return data
+
+
+@st.composite
+def _mutated_models(draw):
+    """A catalog model or a small cover under one to three mutations that
+    keep the schema: an offset moved within -2..2, a rotation permuted, an
+    edge deleted from the edges and the rotations, or a colour swapped."""
+    name = draw(st.sampled_from(sorted(_MUTATED_BASES)))
+    base = _MUTATED_BASES[name]
+    eids = [e["id"] for e in base["edges"]]
+    mutations = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["offset", "rotation", "delete", "colour"]))
+        if kind == "offset":
+            offset = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+            mutations.append((kind, draw(st.sampled_from(eids)), offset))
+        elif kind == "rotation":
+            vid = draw(st.sampled_from(sorted(base["rotation"])))
+            mutations.append((kind, vid, draw(st.permutations(base["rotation"][vid]))))
+        elif kind == "delete":
+            mutations.append((kind, draw(st.sampled_from(eids))))
+        else:
+            vids = [v["id"] for v in base["vertices"]]
+            mutations.append((kind, draw(st.sampled_from(vids))))
+    return name, mutations
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_mutated_models())
+@hyp_example(case=("conifold-2x1", [("delete", "e1_0_0")]))
+@hyp_example(case=("honeycomb-2x2", [("delete", "e1_0_0"), ("delete", "e2_1_1")]))
+@hyp_example(case=("fzero", [("rotation", "b1", ["e1", "e2", "e5", "e6"])]))
+@hyp_example(case=("honeycomb", [("offset", "e1", [2, -1])]))
+@hyp_example(case=("conifold", [("colour", "b1")]))
+def test_mutated_models_end_in_a_verdict(case):
+    # a well-formed model file that is not a valid tiling, or is a different
+    # one, ends in an answer (0), invalid input (2) or a negative verdict (3)
+    # under every command, never a bug (1) or a traceback
+    name, mutations = case
+    data = _mutated(name, *mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for command in _MODEL_COMMANDS:
+            argv = [*command, path]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3), (argv, name, mutations)
 
 
 _FACES = {name: quiver_of(example(name)).vertices

@@ -15,16 +15,19 @@ from dimerkit import (
     InvalidModelError,
     dump_model,
     example,
+    example_names,
     face_gluing_shifts,
     lift_patch,
     load_model,
     model_from_dict,
     model_to_dict,
+    quiver_of,
     trace_faces,
     validate_model,
 )
 from dimerkit.model import faces_area2
-from conftest import SPECTRUM_COVERS, sweep_corpus
+from conftest import SPECTRUM_COVERS, cover, sweep_corpus
+from oracles import cycle_maps_by_rotation, next_dart_by_rotation
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -294,10 +297,11 @@ def _map_offsets(model, a, b, c, d):
     return DimerModel(model.vertices, edges, model.rotation)
 
 
+SWEEP_CORPUS = sweep_corpus()
 # every catalog model, tests/data/* and the certify covers, by name
 DEGREE_CORPUS = {
     name: m
-    for name, m in sweep_corpus().items()
+    for name, m in SWEEP_CORPUS.items()
     if name not in {f"{n}-{a}x{b}" for n, a, b in SPECTRUM_COVERS}
 }
 _entry = st.integers(-2, 2)
@@ -333,3 +337,52 @@ def test_faces_area2_is_twice_the_degree(name, keep_pos, matrix):
     elif not span.ok:
         assert "clockwise" in span.detail
     assert report.ok == span.ok
+
+
+# ---------------------------------------------------------------------------
+# the turn table against the rotation lookups it replaced
+
+
+def _assert_turn_table(model):
+    # dart_next is the rotation's turn dart by dart, a permutation of all
+    # 2E darts whose cycles are exactly the faces; the quiver's cycle maps
+    # read off it are the rotation's
+    tr = trace_faces(model)
+    darts = [(e.id, sign) for e in model.edges for sign in (+1, -1)]
+    assert tr.dart_next == {d: next_dart_by_rotation(model, d) for d in darts}
+    assert sorted(tr.dart_next.values()) == sorted(darts)
+    assert sorted(d for f in tr.faces for d in f.darts) == sorted(darts)
+    for f in tr.faces:
+        assert [tr.dart_next[d] for d in f.darts] == list(f.darts[1:] + f.darts[:1])
+    q = quiver_of(model)
+    assert (q.white_next, q.black_next) == cycle_maps_by_rotation(model)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CORPUS))
+def test_turn_table_matches_rotation(name):
+    _assert_turn_table(SWEEP_CORPUS[name])
+
+
+# the catalog and its covers up to 24 edges, as (name, a, b)
+SHUFFLE_CORPUS = [
+    (n, a, b)
+    for n in example_names()
+    for a in range(1, 4)
+    for b in range(1, 4)
+    if a * b * len(example(n).edges) <= 24
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(SHUFFLE_CORPUS), data=st.data())
+def test_turn_table_on_shuffled_rotations(case, data):
+    # any rotation passes the bipartite and rotation checks, which is all
+    # trace_faces needs, though most such tilings fail euler
+    name, a, b = case
+    model = cover(example(name), a, b)
+    rotation = tuple(
+        (vid, tuple(data.draw(st.permutations(rot)))) for vid, rot in model.rotation
+    )
+    shuffled = DimerModel(model.vertices, model.edges, rotation)
+    assert validate_model(shuffled).check("rotation").ok
+    _assert_turn_table(shuffled)
