@@ -144,8 +144,8 @@ def _structural_errors(model: DimerModel) -> list[str]:
 def _rotation_errors(model: DimerModel) -> list[str]:
     errs: list[str] = []
     rot = dict(model.rotation)
-    vids = {v.id for v in model.vertices}
-    if set(rot) != vids or len(rot) != len(model.rotation):
+    vids = [v.id for v in model.vertices]  # distinct here; errors in vertex order
+    if rot.keys() != set(vids) or len(rot) != len(model.rotation):
         errs.append("rotation keys do not match the vertex set exactly")
         return errs
     incident: dict[str, list[str]] = {vid: [] for vid in vids}
@@ -160,6 +160,14 @@ def _rotation_errors(model: DimerModel) -> list[str]:
         if not rot[vid]:
             errs.append(f"vertex {vid!r} has no incident edges")
     return errs
+
+
+@per_object
+def _soundness(model: DimerModel) -> tuple[list[str], list[str] | None]:
+    """The structural errors, and the rotation errors when there are none
+    (the rotation checks index vertices by id), found once per model."""
+    errs = _structural_errors(model)
+    return errs, None if errs else _rotation_errors(model)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +205,16 @@ def trace_faces(model: DimerModel) -> FaceTrace:
     :class:`InvalidModelError` if the model is structurally unsound, since
     the trace is meaningless then.
     """
-    errs = _structural_errors(model)
-    if not errs:
-        # rotation checks index vertices by id, so only run them on a
-        # structurally sound model
-        errs = _rotation_errors(model)
-    if errs:
-        raise InvalidModelError("; ".join(errs))
+    errs, rerrs = _soundness(model)
+    if errs or rerrs:
+        raise InvalidModelError("; ".join(errs or rerrs))
     dart_next: dict[Dart, Dart] = {}
     for v in model.vertices:
         out = +1 if v.color == BLACK else -1  # sign of the darts leaving v
         rot = model.rotation_at(v.id)
         for arrive, leave in zip(rot, rot[-1:] + rot[:-1]):
             dart_next[(arrive, -out)] = (leave, out)
+    offset = {e.id: e.offset for e in model.edges}
     faces: list[Face] = []
     dart_face: dict[Dart, str] = {}
     dart_cell: dict[Dart, Cell] = {}
@@ -218,12 +223,13 @@ def trace_faces(model: DimerModel) -> FaceTrace:
             continue
         fid = f"f{len(faces) + 1}"
         darts: list[Dart] = []
-        d, cell = start, (0, 0)
+        d, x, y = start, 0, 0
         while d not in dart_face:
             darts.append(d)
             dart_face[d] = fid
-            dart_cell[d] = cell
-            cell = _head_cell(model, d, cell)
+            dart_cell[d] = (x, y)
+            dx, dy = offset[d[0]]
+            x, y = (x + dx, y + dy) if d[1] > 0 else (x - dx, y - dy)
             d = dart_next[d]
         faces.append(Face(fid, tuple(darts)))
     return FaceTrace(tuple(faces), dart_face, dart_cell, dart_next)
@@ -328,12 +334,11 @@ def validate_model(model: DimerModel) -> ValidationReport:
     """
     checks: list[ValidationCheck] = []
 
-    errs = _structural_errors(model)
+    errs, rerrs = _soundness(model)
     checks.append(ValidationCheck("bipartite", not errs, "; ".join(errs)))
     structural_ok = not errs
 
     if structural_ok:
-        rerrs = _rotation_errors(model)
         checks.append(ValidationCheck("rotation", not rerrs, "; ".join(rerrs)))
         rotation_ok = not rerrs
     else:
@@ -420,9 +425,28 @@ def lift_patch(model: DimerModel, radius: int) -> CoverFragment:
 # JSON serialisation
 
 
-def rational_from_json(x: object, what: str) -> Fraction:
+def _rational(x: object) -> Fraction | None:
+    """An int, or a ``p/q`` string of ASCII digits with an optional leading
+    ``-`` and a denominator without a leading zero (what :func:`dump_model`
+    writes), as a Fraction read without ``Fraction(str)``'s regular
+    expression; None for anything else, which :func:`rational_from_json`
+    decides."""
     if type(x) is int:
         return Fraction(x)
+    if type(x) is str and x.isascii():
+        p, _, q = x.partition("/")
+        if q.isdigit() and q[0] != "0" and p.removeprefix("-").isdigit():
+            try:
+                return Fraction(int(p), int(q))
+            except ValueError:  # past the interpreter's digit limit
+                return None
+    return None
+
+
+def rational_from_json(x: object, what: str) -> Fraction:
+    r = _rational(x)
+    if r is not None:
+        return r
     if isinstance(x, str):
         # Fraction("1e10000000") builds a ten-million-digit integer
         if "e" in x or "E" in x:
@@ -438,36 +462,42 @@ def _frac_to_json(q: Fraction) -> int | str:
     return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], what: str) -> None:
+_MODEL_KEYS = frozenset({"vertices", "edges", "rotation"})
+_VERTEX_KEYS = (frozenset({"id", "color"}), frozenset({"id", "color", "pos"}))
+_EDGE_KEYS = frozenset({"id", "black", "white", "offset"})
+
+
+def _what(kind: str, raw: object) -> str:
+    """How an error names a vertex or edge entry: by its id, if it has one."""
+    return f"{kind} {raw.get('id')!r}" if isinstance(raw, dict) else kind
+
+
+def _bad(kind: str, raw: object, problem: str) -> InvalidModelError:
+    return InvalidModelError(f"{_what(kind, raw)}: {problem}")
+
+
+def _key_problem(obj: object, required: frozenset, allowed: frozenset) -> str:
+    """Why ``obj`` is not an object with every ``required`` and only ``allowed`` keys."""
     if not isinstance(obj, dict):
-        raise InvalidModelError(f"{what}: expected an object")
-    keys = set(obj)
-    if missing := required - keys:
-        raise InvalidModelError(f"{what}: missing {sorted(missing)}")
-    if unknown := keys - required - optional:
-        raise InvalidModelError(f"{what}: unknown fields {sorted(unknown)}")
+        return "expected an object"
+    if missing := required - obj.keys():
+        return f"missing {sorted(missing)}"
+    return f"unknown fields {sorted(obj.keys() - allowed)}"
 
 
-def _str_field(obj: dict, key: str, what: str) -> str:
-    val = obj[key]
-    if not isinstance(val, str) or not val:
-        raise InvalidModelError(f"{what}: {key!r} must be a non-empty string")
-    return val
-
-
-def _int_pair(val: object, what: str) -> Cell:
-    if (
-        not isinstance(val, list)
-        or len(val) != 2
-        or any(type(x) is not int for x in val)
-    ):
-        raise InvalidModelError(f"{what}: expected a pair of integers")
-    return (val[0], val[1])
+def _str_problem(obj: dict, keys: tuple[str, ...]) -> str:
+    key = next(k for k in keys if not isinstance(obj[k], str) or not obj[k])
+    return f"{key!r} must be a non-empty string"
 
 
 def model_from_dict(data: object) -> DimerModel:
-    """Build a model from plain JSON data, rejecting anything off-schema."""
-    _require_keys(data, {"vertices", "edges", "rotation"}, set(), "model")
+    """Build a model from plain JSON data, rejecting anything off-schema.
+
+    Each entry is checked once, field by field; an error names the entry
+    and its first bad field.
+    """
+    if not isinstance(data, dict) or data.keys() != _MODEL_KEYS:
+        raise InvalidModelError(f"model: {_key_problem(data, _MODEL_KEYS, _MODEL_KEYS)}")
     if not isinstance(data["vertices"], list) or not data["vertices"]:
         raise InvalidModelError("model: 'vertices' must be a non-empty list")
     if not isinstance(data["edges"], list):
@@ -475,58 +505,69 @@ def model_from_dict(data: object) -> DimerModel:
 
     vertices = []
     for raw in data["vertices"]:
-        what = f"vertex {raw.get('id')!r}" if isinstance(raw, dict) else "vertex"
-        _require_keys(raw, {"id", "color"}, {"pos"}, what)
-        vid = _str_field(raw, "id", what)
-        color = _str_field(raw, "color", what)
+        if not isinstance(raw, dict) or raw.keys() not in _VERTEX_KEYS:
+            raise _bad("vertex", raw, _key_problem(raw, *_VERTEX_KEYS))
+        vid, color = raw["id"], raw["color"]
+        if not (isinstance(vid, str) and vid and isinstance(color, str) and color):
+            raise _bad("vertex", raw, _str_problem(raw, ("id", "color")))
         if color not in (BLACK, WHITE):
-            raise InvalidModelError(f"{what}: color must be 'black' or 'white'")
+            raise _bad("vertex", raw, "color must be 'black' or 'white'")
         pos = None
         if "pos" in raw:
             p = raw["pos"]
             if not isinstance(p, list) or len(p) != 2:
-                raise InvalidModelError(f"{what}: 'pos' must be a pair")
-            pos = (rational_from_json(p[0], what), rational_from_json(p[1], what))
+                raise _bad("vertex", raw, "'pos' must be a pair")
+            x, y = _rational(p[0]), _rational(p[1])
+            if x is None or y is None:
+                what = _what("vertex", raw)
+                x, y = rational_from_json(p[0], what), rational_from_json(p[1], what)
+            pos = (x, y)
         vertices.append(DimerVertex(vid, color, pos))
 
     vids = [v.id for v in vertices]
-    if len(set(vids)) != len(vids):
+    known_vids = set(vids)
+    if len(known_vids) != len(vids):
         raise InvalidModelError("duplicate vertex ids")
-    with_pos = [v for v in vertices if v.pos is not None]
+    with_pos = [v.pos for v in vertices if v.pos is not None]
     if with_pos and len(with_pos) != len(vertices):
         raise InvalidModelError("either all vertices carry 'pos' or none do")
-    if len({v.pos for v in with_pos}) != len(with_pos):
+    # as int quadruples: hashing a Fraction takes a modular inverse
+    distinct = {(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in with_pos}
+    if len(distinct) != len(with_pos):
         raise InvalidModelError("vertex positions must be pairwise distinct")
 
-    vcolor = {v.id: v.color for v in vertices}
     edges = []
     for raw in data["edges"]:
-        what = f"edge {raw.get('id')!r}" if isinstance(raw, dict) else "edge"
-        _require_keys(raw, {"id", "black", "white", "offset"}, set(), what)
-        eid = _str_field(raw, "id", what)
-        b = _str_field(raw, "black", what)
-        w = _str_field(raw, "white", what)
-        for end in (b, w):
-            if end not in vcolor:
-                raise InvalidModelError(f"{what}: unknown vertex {end!r}")
-        edges.append(DimerEdge(eid, b, w, _int_pair(raw["offset"], what)))
-    eids = [e.id for e in edges]
-    known_eids = set(eids)
-    if len(known_eids) != len(eids):
+        if not isinstance(raw, dict) or raw.keys() != _EDGE_KEYS:
+            raise _bad("edge", raw, _key_problem(raw, _EDGE_KEYS, _EDGE_KEYS))
+        eid, b, w, off = raw["id"], raw["black"], raw["white"], raw["offset"]
+        if not (isinstance(eid, str) and eid and isinstance(b, str) and b
+                and isinstance(w, str) and w):
+            raise _bad("edge", raw, _str_problem(raw, ("id", "black", "white")))
+        if b not in known_vids or w not in known_vids:
+            raise _bad("edge", raw, f"unknown vertex {w if b in known_vids else b!r}")
+        if not (isinstance(off, list) and len(off) == 2 and type(off[0]) is type(off[1]) is int):
+            raise _bad("edge", raw, "expected a pair of integers")
+        edges.append(DimerEdge(eid, b, w, (off[0], off[1])))
+    known_eids = {e.id for e in edges}
+    if len(known_eids) != len(edges):
         raise InvalidModelError("duplicate edge ids")
 
     rot_raw = data["rotation"]
     if not isinstance(rot_raw, dict):
         raise InvalidModelError("model: 'rotation' must be an object")
-    if set(rot_raw) != set(vids):
+    if rot_raw.keys() != known_vids:
         raise InvalidModelError("rotation keys must be exactly the vertex ids")
     rotation = []
     for vid in vids:
         lst = rot_raw[vid]
-        if not isinstance(lst, list) or any(not isinstance(x, str) for x in lst):
+        if not isinstance(lst, list):
             raise InvalidModelError(f"rotation at {vid!r} must be a list of edge ids")
         for x in lst:
-            if x not in known_eids:
+            if not isinstance(x, str) or x not in known_eids:
+                # a non-string anywhere in the list is named before an unknown id
+                if not all(isinstance(y, str) for y in lst):
+                    raise InvalidModelError(f"rotation at {vid!r} must be a list of edge ids")
                 raise InvalidModelError(f"rotation at {vid!r}: unknown edge {x!r}")
         rotation.append((vid, tuple(lst)))
 

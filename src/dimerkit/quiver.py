@@ -136,6 +136,7 @@ def _walk_cycles(q: Quiver) -> tuple[Cycles, Cycles]:
     if q.white_next is None or q.black_next is None:
         raise InvalidModelError("quiver has no cycle structure")
     ids, pos = q.arrow_ids, q.arrow_pos
+    source, target = [a.source for a in q.arrows], [a.target for a in q.arrows]
 
     def walk(pairs: tuple[tuple[str, str], ...]) -> Cycles:
         nxt = dict(pairs)
@@ -154,11 +155,10 @@ def _walk_cycles(q: Quiver) -> tuple[Cycles, Cycles]:
                 cycle.append(at)
                 at = pos.get(nxt.get(ids[at]), -1)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                if q.arrows[a].target != q.arrows[b].source:
+                if target[a] != source[b]:
                     raise InternalConsistencyError(
                         f"cycle through {ids[start]!r} breaks at {ids[b]!r}: "
-                        f"{ids[a]!r} ends at {q.arrows[a].target!r}, "
-                        f"{ids[b]!r} leaves {q.arrows[b].source!r}"
+                        f"{ids[a]!r} ends at {target[a]!r}, {ids[b]!r} leaves {source[b]!r}"
                     )
             cycles.append(tuple(cycle))
         return tuple(cycles), tuple(num)
@@ -190,16 +190,19 @@ def quiver_of(model: DimerModel) -> Quiver:
 def relations(q: Quiver) -> tuple[RelationPair, ...]:
     """One relation pair per arrow, in arrow order: each side is the rest of
     the arrow's vertex cycle."""
-    ids = q.arrow_ids
-    sides: list[list[PathSeq]] = [[] for _ in ids]  # white side, then black
+    ids, arrows = q.arrow_ids, q.arrows
+    sides = []  # the plus sides, then the minus sides, in arrow order
     for cycles, _ in q.cycles:
+        side = [None] * len(ids)
         for cycle in cycles:
+            # in composition order, twice: the rest of the cycle after its
+            # k-th arrow is the n - 1 arrows from position n - k
+            n, back = len(cycle), tuple(ids[i] for i in reversed(cycle)) * 2
             for k, i in enumerate(cycle):
-                rest = cycle[k + 1:] + cycle[:k]  # in walking order
-                a = q.arrows[i]
-                path = tuple(ids[j] for j in reversed(rest))
-                sides[i].append(PathSeq(path, a.target, a.source))
-    return tuple(RelationPair(aid, *pm) for aid, pm in zip(ids, sides))
+                a = arrows[i]
+                side[i] = PathSeq(back[n - k:2 * n - k - 1], a.target, a.source)
+        sides.append(side)
+    return tuple(map(RelationPair, ids, *sides))
 
 
 def p_plus(q: Quiver, aid: str) -> PathSeq:

@@ -28,6 +28,11 @@ SPECTRUM_COVERS = (
     ("fzero", 2, 2), ("conifold", 4, 2),
 )
 
+# the tiling benchmark's covers, 216 to 300 edges
+TILING_COVERS = (
+    ("honeycomb", 10, 10), ("honeycomb", 12, 6), ("conifold", 8, 8), ("fzero", 6, 6),
+)
+
 # one line per acceptance criterion, filled in by tests/test_acceptance.py
 ACCEPTANCE_LINES: list[str] = []
 

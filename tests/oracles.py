@@ -6,9 +6,10 @@ solve per right-hand side, each relation tested on its own, a chart
 transition by adjugate, a weight's coordinates under a splitting, path
 sums walked arrow by arrow, a domain's orientation by the shoelace of its
 boundary walk, the face walk's turn and the quiver's cycle maps looked up
-in the rotation, and the characteristic polynomial and the edge charges by a
-loop over the enumerated matchings, and the canonical order of the
-matchings by sorting their position tuples.
+in the rotation, each relation cut out of its cycle arrow by arrow, a JSON
+rational read by ``Fraction(str)`` alone, and the characteristic polynomial
+and the edge charges by a loop over the enumerated matchings, and the
+canonical order of the matchings by sorting their position tuples.
 """
 
 from fractions import Fraction
@@ -17,6 +18,8 @@ from dimerkit import (
     DegenerateModelError,
     InternalConsistencyError,
     InvalidModelError,
+    PathSeq,
+    RelationPair,
     det_int,
     from_model,
     laurent_from_counts,
@@ -84,6 +87,37 @@ def rep_satisfies_relations(q, support):
         if plus_zero != minus_zero:
             return False
     return True
+
+
+def relations_arrow_by_arrow(q):
+    """The relation pairs, each side cut out of the arrow's walked cycle on
+    its own: the rest of the cycle after the arrow, reversed into
+    composition order."""
+    ids = q.arrow_ids
+    sides = [[] for _ in ids]  # white side, then black
+    for cycles, _ in q.cycles:
+        for cycle in cycles:
+            for k, i in enumerate(cycle):
+                rest = cycle[k + 1:] + cycle[:k]  # in walking order
+                a = q.arrows[i]
+                path = tuple(ids[j] for j in reversed(rest))
+                sides[i].append(PathSeq(path, a.target, a.source))
+    return tuple(RelationPair(aid, *pm) for aid, pm in zip(ids, sides))
+
+
+def rational_by_fraction_str(x, what):
+    """A JSON rational: an int, or any string ``Fraction`` reads that has no
+    exponent."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise InvalidModelError(f"{what}: bad rational {x!r}")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidModelError(f"{what}: bad rational {x!r}") from None
+    raise InvalidModelError(f"{what}: expected int or 'p/q' string, got {x!r}")
 
 
 def chart_transition(rows_i, rows_j):

@@ -25,9 +25,10 @@ from dimerkit import (
     trace_faces,
     validate_model,
 )
-from dimerkit.model import faces_area2
+from dimerkit.model import faces_area2, rational_from_json
+from dimerkit.stability import make_theta
 from conftest import SPECTRUM_COVERS, cover, sweep_corpus
-from oracles import cycle_maps_by_rotation, next_dart_by_rotation
+from oracles import cycle_maps_by_rotation, next_dart_by_rotation, rational_by_fraction_str
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -175,6 +176,51 @@ def test_trace_rejects_dangling_edges():
         trace_faces(bad)
 
 
+def test_soundness_checks_run_once(monkeypatch):
+    # validate_model and the face trace it starts read one memo, so quiver_of
+    # after validate_model runs neither structural check again
+    import dimerkit.model as model_module
+
+    calls = []
+    for name in ("_structural_errors", "_rotation_errors"):
+        def spy(model, real=getattr(model_module, name), name=name):
+            calls.append(name)
+            return real(model)
+
+        monkeypatch.setattr(model_module, name, spy)
+    fresh = model_from_dict(model_to_dict(cover(honeycomb, 2, 2)))
+    assert validate_model(fresh).ok
+    quiver_of(fresh)
+    assert sorted(calls) == ["_rotation_errors", "_structural_errors"]
+
+
+@pytest.mark.parametrize("edges, rotation, message", [
+    # structurally unsound: the rotation is never checked
+    (
+        (DimerEdge("e1", "b1", "w1", (0, 0)), DimerEdge("e1", "w1", "b1", (0, 0))),
+        (("b1", ("e1",)), ("w1", ("e1", "e2"))),
+        "duplicate edge id 'e1'; edge 'e1': vertex 'w1' is white, expected black; "
+        "edge 'e1': vertex 'b1' is black, expected white",
+    ),
+    # sound, but the rotations do not list the incident edges
+    (
+        (DimerEdge("e1", "b1", "w1", (0, 0)), DimerEdge("e2", "b1", "w1", (1, 0))),
+        (("b1", ("e1",)), ("w1", ("e1", "e2", "e2"))),
+        "rotation at 'b1' is not a cyclic order of its incident edges; "
+        "rotation at 'w1' is not a cyclic order of its incident edges",
+    ),
+], ids=["structure", "rotation"])
+def test_unsound_models_name_every_error(edges, rotation, message):
+    vertices = (DimerVertex("b1", "black"), DimerVertex("w1", "white"))
+    bad = DimerModel(vertices, edges, rotation)
+    for _ in range(2):  # the second trace reads the memoized errors
+        with pytest.raises(InvalidModelError) as err:
+            trace_faces(bad)
+        assert str(err.value) == message
+    report = validate_model(bad)
+    assert message in (report.check("bipartite").detail, report.check("rotation").detail)
+
+
 def test_lift_patch_counts():
     patch = lift_patch(conifold, 1)
     assert len(patch.vertex_lifts) == 2 * 9
@@ -198,43 +244,121 @@ def test_json_round_trip(tmp_path):
         )
 
 
+_DELETE = object()
+
+# (where in conifold's JSON data, what to put there or _DELETE, the message);
+# the path () replaces the whole document
+SCHEMA_REJECTIONS = [
+    ((), [], "model: expected an object"),
+    (("extra",), 1, "model: unknown fields ['extra']"),
+    (("rotation",), _DELETE, "model: missing ['rotation']"),
+    (("vertices",), [], "model: 'vertices' must be a non-empty list"),
+    (("vertices",), {}, "model: 'vertices' must be a non-empty list"),
+    (("edges",), {}, "model: 'edges' must be a list"),
+    (("vertices", 0), 5, "vertex: expected an object"),
+    (("vertices", 0), ["b1"], "vertex: expected an object"),
+    (("vertices", 0, "color"), _DELETE, "vertex 'b1': missing ['color']"),
+    (("vertices", 0, "id"), _DELETE, "vertex None: missing ['id']"),
+    (("vertices", 0, "size"), 1, "vertex 'b1': unknown fields ['size']"),
+    (("vertices", 0, "id"), "", "vertex '': 'id' must be a non-empty string"),
+    (("vertices", 0, "id"), None, "vertex None: 'id' must be a non-empty string"),
+    (("vertices", 0, "color"), 1, "vertex 'b1': 'color' must be a non-empty string"),
+    (("vertices", 0, "color"), "BLACK", "vertex 'b1': color must be 'black' or 'white'"),
+    (("vertices", 0, "pos"), [0, 0, 0], "vertex 'b1': 'pos' must be a pair"),
+    (("vertices", 0, "pos"), "0 0", "vertex 'b1': 'pos' must be a pair"),
+    (("vertices", 0, "pos", 0), True, "vertex 'b1': expected int or 'p/q' string, got True"),
+    (("vertices", 0, "pos", 1), 0.5, "vertex 'b1': expected int or 'p/q' string, got 0.5"),
+    (("vertices", 1, "pos", 0), "1/0", "vertex 'w1': bad rational '1/0'"),
+    (("vertices", 1, "pos", 0), "1e3", "vertex 'w1': bad rational '1e3'"),
+    (("vertices", 0, "pos"), _DELETE, "either all vertices carry 'pos' or none do"),
+    (("vertices", 1, "pos"), [0, 0], "vertex positions must be pairwise distinct"),
+    (("vertices", 1, "pos"), ["0/3", "-0"], "vertex positions must be pairwise distinct"),
+    (("vertices", 1, "id"), "b1", "duplicate vertex ids"),
+    (("edges", 0), "e1", "edge: expected an object"),
+    (("edges", 0, "offset"), _DELETE, "edge 'e1': missing ['offset']"),
+    (("edges", 0, "weight"), 1, "edge 'e1': unknown fields ['weight']"),
+    (("edges", 0, "black"), 7, "edge 'e1': 'black' must be a non-empty string"),
+    (("edges", 0, "white"), "", "edge 'e1': 'white' must be a non-empty string"),
+    (("edges", 0, "black"), "ghost", "edge 'e1': unknown vertex 'ghost'"),
+    (("edges", 0, "white"), "ghost", "edge 'e1': unknown vertex 'ghost'"),
+    (("edges", 0, "offset"), [True, 0], "edge 'e1': expected a pair of integers"),
+    (("edges", 0, "offset"), [0], "edge 'e1': expected a pair of integers"),
+    (("edges", 0, "offset"), [0, 0.0], "edge 'e1': expected a pair of integers"),
+    (("edges", 1, "id"), "e1", "duplicate edge ids"),
+    (("rotation",), ["b1", "w1"], "model: 'rotation' must be an object"),
+    (("rotation", "ghost"), ["e1"], "rotation keys must be exactly the vertex ids"),
+    (("rotation", "w1"), _DELETE, "rotation keys must be exactly the vertex ids"),
+    (("rotation", "b1"), "e1", "rotation at 'b1' must be a list of edge ids"),
+    (("rotation", "b1", 0), 1, "rotation at 'b1' must be a list of edge ids"),
+    (("rotation", "b1", 0), "e9", "rotation at 'b1': unknown edge 'e9'"),
+]
+
+
 def test_schema_rejections():
-    good = model_to_dict(conifold)
+    # every rejection's whole message, first problem first
+    for path, value, message in SCHEMA_REJECTIONS:
+        data = model_to_dict(conifold)
+        if path:
+            *head, last = path
+            target = data
+            for key in head:
+                target = target[key]
+            if value is _DELETE:
+                del target[last]
+            else:
+                target[last] = value
+        else:
+            data = value
+        with pytest.raises(InvalidModelError) as err:
+            model_from_dict(data)
+        assert str(err.value) == message, path
 
-    bad = json.loads(json.dumps(good))
-    bad["extra"] = 1
-    with pytest.raises(InvalidModelError):
-        model_from_dict(bad)
 
-    bad = json.loads(json.dumps(good))
-    bad["vertices"][0]["color"] = "BLACK"
-    with pytest.raises(InvalidModelError):
-        model_from_dict(bad)
+def _read(fn, x, what):
+    try:
+        return fn(x, what)
+    except InvalidModelError as exc:
+        return f"error: {exc}"
 
-    bad = json.loads(json.dumps(good))
-    bad["vertices"][0]["pos"] = [True, 0]
-    with pytest.raises(InvalidModelError):
-        model_from_dict(bad)
 
-    bad = json.loads(json.dumps(good))
-    del bad["vertices"][0]["pos"]  # all-or-nothing positions
-    with pytest.raises(InvalidModelError):
-        model_from_dict(bad)
+def _check_rational(x):
+    # rational_from_json and make_theta agree with Fraction(str) alone: the
+    # same value, or the same message
+    want = _read(rational_by_fraction_str, x, "pos")
+    got = _read(rational_from_json, x, "pos")
+    assert (type(got), got) == (type(want), want)
+    want = _read(rational_by_fraction_str, x, "weight of 'f1'")
+    q = quiver_of(conifold)  # faces f1, f2
+    if isinstance(want, F):
+        assert make_theta(q, {"f1": x, "f2": -want}).values == (("f1", want), ("f2", -want))
+    else:
+        assert _read(lambda y, _: make_theta(q, {"f1": y, "f2": 0}), x, "") == want
 
-    bad = json.loads(json.dumps(good))
-    bad["vertices"][1]["pos"] = bad["vertices"][0]["pos"]
-    with pytest.raises(InvalidModelError):
-        model_from_dict(bad)
 
-    bad = json.loads(json.dumps(good))
-    bad["rotation"]["ghost"] = ["e1"]
-    with pytest.raises(InvalidModelError):
-        model_from_dict(bad)
+@pytest.mark.parametrize("x", [
+    "03/4", "3/04", "3/0", "-0/5", "+1/2", " 1/2 ", "1_0/3",
+    "\u0661/2",  # an Arabic-Indic one
+    "0.5", "1e3", "7", "-/3", "1/-2", "1/2/3", 0, -5, True, 0.5, None,
+])
+def test_rational_spellings_match_fraction(x):
+    _check_rational(x)
 
-    bad = json.loads(json.dumps(good))
-    bad["edges"][0]["offset"] = [0]
-    with pytest.raises(InvalidModelError):
-        model_from_dict(bad)
+
+def test_rational_past_the_digit_limit_is_bad():
+    # int() refuses it as Fraction(str) does, and the message says so
+    x = "1" * 5000 + "/3"
+    _check_rational(x)
+    assert _read(rational_from_json, x, "pos") == f"error: pos: bad rational {x!r}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(),
+    st.builds("{}/{}".format, st.integers(), st.integers(min_value=0)),
+    st.text(alphabet="0123456789-+/_. eE\u0661\u00b2", max_size=8),
+))
+def test_rationals_match_fraction(x):
+    _check_rational(x)
 
 
 def test_rotation_unknown_edge_named():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cover
+from conftest import TILING_COVERS, cover, sweep_corpus
 from dimerkit import (
     InternalConsistencyError,
     InvalidModelError,
@@ -19,7 +19,12 @@ from dimerkit import (
     quiver_of,
     relations,
 )
-from oracles import path_class, path_weight, rep_satisfies_relations
+from oracles import (
+    path_class,
+    path_weight,
+    relations_arrow_by_arrow,
+    rep_satisfies_relations,
+)
 from dimerkit.quiver import tree_cycle, tree_paths, vector_shift
 
 q = quiver_of(example("conifold"))
@@ -267,6 +272,15 @@ def test_relations_match_per_arrow_walk(case):
         assert _walked(rel.minus) == want_minus
         assert p_plus(quiver, rel.arrow) == rel.plus
         assert p_minus(quiver, rel.arrow) == rel.minus
+
+
+def test_relations_match_arrow_by_arrow_cuts():
+    # each side a slice of its doubled cycle, as the cut arrow by arrow gives
+    models = sweep_corpus()
+    models.update((f"{n}-{a}x{b}", cover(example(n), a, b)) for n, a, b in TILING_COVERS)
+    for name, model in models.items():
+        quiver = quiver_of(model)
+        assert relations(quiver) == relations_arrow_by_arrow(quiver), name
 
 
 def test_relation_errors_unchanged():
