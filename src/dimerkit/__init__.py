@@ -53,7 +53,6 @@ from .lattice import (
     Splitting,
     cochar_lattice,
     cone_over_polygon,
-    det_int,
     dual_cone,
     express_functional,
     hilbert_basis,

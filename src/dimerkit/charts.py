@@ -11,7 +11,10 @@ three of them whose heights span a unit triangle of the height polygon
 The complement of a union of matchings keeps both sides of an arrow's
 relation exactly when the arrow lies in all three matchings, and a support
 cycle pairs to zero with two independent height differences, so its cover
-shift vanishes; only stability is tested.
+shift vanishes; only stability is tested.  The faces' cells and the chart
+characters are read off a spanning forest of the support
+(``model._spanning_forest``); a support cycle has no cover shift and pairs
+to zero with ``W``, so any other tree gives the same.
 
 Each candidate glues the lifted faces of the model into a fundamental
 domain whose translates tile the plane.  Its boundary runs along the zero
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from typing import Sequence
@@ -63,15 +66,14 @@ from .heights import (
 from .lattice import (
     Splitting,
     Vec3,
-    adjugate3,
-    det_int,
+    _unimodular_inverse,
     express_functional,
     split_by_reference,
 )
 from .matchings import perfect_matchings
 from .model import Cell, Dart, DimerModel, ValidationCheck
-from .model import _head_cell, faces_area2, trace_faces
-from .quiver import Quiver, quiver_of, tree_cycle, tree_paths, vector_shift
+from .model import _add_forest_path, _head_cell, _spanning_forest, faces_area2, trace_faces
+from .quiver import Quiver, quiver_of
 from .stability import Theta, is_stable, sample_generic_theta
 
 CASE_SIX_OPPOSITE = "six-trivalent-opposite-colors"
@@ -83,16 +85,22 @@ class FixedPointCandidate:
 
     ``cells`` places the canonical lift of each face in the cover, with the
     first face at the origin; every support arrow steps from its source's
-    cell to its target's cell by its cover shift.  ``_paths`` keeps the
-    support's spanning-tree paths that placed them, for the chart
-    characters; a hand-built candidate leaves it ``None``.
+    cell to its target's cell by its cover shift.
     """
 
     support: frozenset[str]
     cells: tuple[tuple[str, Cell], ...]
-    _paths: dict[str, tuple[int, ...]] | None = field(
-        default=None, compare=False, repr=False
-    )
+
+
+def _support_forest(q: Quiver, support: frozenset[str]):
+    """The arrows as ``(source, target)`` vertex positions, ``None`` off the
+    support, and the spanning forest of the support they grow."""
+    vpos = q.vertex_pos
+    ends = [
+        (vpos[a.source], vpos[a.target]) if a.id in support else None
+        for a in q.arrows
+    ]
+    return ends, _spanning_forest(len(vpos), ends)
 
 
 def enumerate_fixed_candidates(
@@ -105,8 +113,9 @@ def enumerate_fixed_candidates(
     matchings whose heights span a triangle of ``area2`` 1 proposes the
     complement of their union as a support.  It is kept when it is stable,
     which implies that it spans the quiver (a component and its complement
-    would both be closed, of weights summing to zero), so the tree whose
-    paths give each face's cell is grown for kept supports only.  The
+    would both be closed, of weights summing to zero), so the tree that
+    places the faces is grown for kept supports only: each face's cell is
+    its parent's plus or minus its tree arrow's cover shift.  The
     relations and the gluing of every support arrow hold by construction
     (see the module docstring).  The matchings are the model's own
     enumeration, so ``MATCHING_CAP`` bounds the work, and each
@@ -130,9 +139,13 @@ def enumerate_fixed_candidates(
             continue
         support = arrows - d1 - d2 - d3
         if is_stable(q, support, theta):
-            paths = tree_paths(q, [aid for aid in q.arrow_ids if aid in support])
-            cells = tuple((v, vector_shift(q, paths[v])) for v in q.vertices)
-            found.append(FixedPointCandidate(support, cells, paths))
+            ends, (up, rank) = _support_forest(q, support)
+            cells = [(0, 0)] * len(up)
+            for v in sorted(range(len(up)), key=rank.__getitem__)[1:]:
+                s, t = ends[up[v]]
+                (x, y), (dx, dy) = cells[s + t - v], q.shift(q.arrow_ids[up[v]])
+                cells[v] = (x + dx, y + dy) if v == t else (x - dx, y - dy)
+            found.append(FixedPointCandidate(support, tuple(zip(q.vertices, cells))))
 
     pos = q.arrow_pos
     found.sort(key=lambda c: tuple(sorted(pos[aid] for aid in c.support)))
@@ -332,19 +345,21 @@ def chart_characters(
     is a functional on the weight lattice ``W`` by construction: ``W`` is
     spanned by the gauge subgroup and the cocharacters of the three
     matchings whose union the support avoids, and every support cycle
-    pairs to zero with each of them.  The tree is the candidate's own when
-    it kept one, and grown here otherwise.
+    pairs to zero with each of them, so any spanning tree gives the same
+    functional.
     """
-    paths = candidate._paths
-    if paths is None:
-        paths = tree_paths(q, [aid for aid in q.arrow_ids if aid in candidate.support])
-    if paths is None:
+    ends, (up, rank) = _support_forest(q, candidate.support)
+    if up.count(-1) != 1:
         raise InternalConsistencyError("support does not span the quiver")
+    vpos = q.vertex_pos
     out = []
     for eid in coordinate_edges:
         if eid in candidate.support:
             raise InvalidModelError(f"coordinate edge {eid!r} lies in the support")
-        out.append(dict(zip(q.arrow_ids, tree_cycle(q, paths, eid))))
+        a, cyc = q.arrow(eid), [0] * len(ends)
+        cyc[q.arrow_pos[eid]] = 1  # then back from its target to its source
+        _add_forest_path(ends, up, rank, vpos[a.target], vpos[a.source], cyc)
+        out.append(dict(zip(q.arrow_ids, cyc)))
     return tuple(out)
 
 
@@ -368,13 +383,13 @@ def chart_cone(rows: Sequence[Vec3]) -> ChartCone:
     because every chart is affine 3-space."""
     if len(rows) != 3:
         raise InvalidModelError("a smooth chart has exactly three characters")
-    d = det_int(rows)
-    if d not in (1, -1):
+    if any(len(r) != 3 for r in rows):
+        raise InvalidModelError("matrix is not square")
+    d, inv = _unimodular_inverse(rows)
+    if inv is None:
         raise InternalConsistencyError(
             f"chart rows are not unimodular (determinant {d})"
         )
-    adj = adjugate3(rows)
-    inv = [[x // d for x in row] for row in adj]
     rays = tuple(tuple(inv[i][j] for i in range(3)) for j in range(3))
     return ChartCone(rays, d)
 

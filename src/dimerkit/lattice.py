@@ -15,7 +15,9 @@ Everything is computed exactly over the integers.  The relation of an
 arrow asks its white and its black vertex cycle to weigh the same, so ``W``
 is read off the tiling's bipartite graph, whose vertices are the quiver's
 vertex cycles (``Quiver.cycles``, walked once per quiver): a spanning forest
-gives a basis of level vectors and fundamental cycles, in which a vector's
+(the package's one breadth-first forest, ``model._spanning_forest``, with
+its path walk ``model._add_forest_path``) gives a basis of level vectors and
+fundamental cycles, in which a vector's
 coordinates are its levels and its values at the non-tree arrows.  A closed
 walk enters each face as often as it leaves it, so every gauge row has
 level 0 and its chord values as coordinates.  The lattice is kept on the
@@ -37,7 +39,7 @@ from .exceptions import (
     InvalidModelError,
 )
 from .heights import LatticePolygon
-from .model import per_object
+from .model import _add_forest_path, _spanning_forest, per_object
 from .quiver import Quiver, check_support
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -167,31 +169,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
     return SNFResult(freeze(u), freeze(a), freeze(v), freeze(vinv))
 
 
-def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free elimination)."""
-    n = len(matrix)
-    if any(len(r) != n for r in matrix):
-        raise InvalidModelError("matrix is not square")
-    if n == 0:
-        return 1
-    a = [list(map(int, r)) for r in matrix]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def adjugate3(m: Sequence[Sequence[int]]) -> list[list[int]]:
     """Adjugate of a 3x3 matrix, ``m @ adj = det(m) I``: divided by a
     determinant of +-1, the integer inverse."""
@@ -202,6 +179,16 @@ def adjugate3(m: Sequence[Sequence[int]]) -> list[list[int]]:
         )
 
     return [[cof(j, i) for j in range(3)] for i in range(3)]
+
+
+def _unimodular_inverse(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix | None]:
+    """The determinant of a 3x3 integer matrix, read off its adjugate, and
+    its integer inverse when that determinant is +-1 (None otherwise)."""
+    adj = adjugate3(m)
+    d = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
+    if d not in (1, -1):
+        return d, None
+    return d, tuple(tuple(x * d for x in row) for row in adj)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +235,11 @@ def _forest_basis(q: Quiver) -> tuple[list[list[int]], list[int]]:
 
     ``W`` holds the weights whose vertex-cycle sums are equal on each
     component of the graph, a level that is 0 on a component with unequal
-    numbers of whites and blacks.  A breadth-first forest, scanning each
-    vertex's arrows in arrow order, gives per balanced component one level
-    vector on the tree (leaves peeled towards the root, every vertex sum 1)
-    and per non-tree arrow its alternating fundamental cycle: the cycle runs
+    numbers of whites and blacks.  The breadth-first forest of
+    :func:`~dimerkit.model._spanning_forest`, scanning each vertex's arrows
+    in arrow order, gives per balanced component one level vector on the
+    tree (leaves peeled towards the root, every vertex sum 1) and per
+    non-tree arrow its alternating fundamental cycle: the cycle runs
     along the arrow from its white to its black end and back through the
     tree, and counts an arrow +1 walked from white to black, -1 the other
     way.
@@ -269,51 +257,28 @@ def _forest_basis(q: Quiver) -> tuple[list[list[int]], list[int]]:
     (whites, white), (blacks, black) = q.cycles
     nw = len(whites)
     n = nw + len(blacks)
-    black = tuple(nw + k for k in black)
-    nar = len(q.arrows)
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, (w, b) in enumerate(zip(white, black)):
-        incident[w].append(i)
-        incident[b].append(i)
-    up = [-1] * n  # the tree arrow to the parent
-    parent = [-1] * n
-    depth = [-1] * n
-    levels = []
-    for root in range(n):
-        if depth[root] >= 0:
-            continue
-        depth[root] = 0
-        order = [root]
-        for v in order:
-            for i in incident[v]:
-                u = white[i] + black[i] - v
-                if depth[u] < 0:
-                    depth[u], up[u], parent[u] = depth[v] + 1, i, v
-                    order.append(u)
-        # peel: each vertex's tree arrow to its parent takes what its sum
-        # still lacks; the root is left with (whites - blacks) * +-1
-        rest = dict.fromkeys(order, 1)
-        vec = [0] * nar
-        for v in reversed(order[1:]):
+    ends = [(w, nw + b) for w, b in zip(white, black)]  # white -> black
+    up, rank = _spanning_forest(n, ends)
+    # peel each tree, its vertices ranked after its root: each vertex's tree
+    # arrow to its parent takes what its sum still lacks, and the root is
+    # left with (whites - blacks) * +-1
+    levels, rest, vec = [], [1] * n, [0] * len(ends)
+    for v in sorted(range(n), key=rank.__getitem__, reverse=True):
+        if up[v] >= 0:
             vec[up[v]] = rest[v]
-            rest[parent[v]] -= rest[v]
-        if rest[root] == 0:
-            levels.append(vec)
+            rest[sum(ends[up[v]]) - v] -= rest[v]
+            continue
+        if rest[v] == 0:
+            levels.insert(0, vec)
+        vec = [0] * len(ends)
 
-    chords = [i for i in range(nar) if up[white[i]] != i and up[black[i]] != i]
+    chords = [i for i, (w, b) in enumerate(ends) if up[w] != i and up[b] != i]
     cycles = []
     for i in chords:
-        vec = [0] * nar
-        vec[i] = 1
-        a, b = black[i], white[i]  # back from the black end to the white end
-        while a != b:
-            if depth[a] >= depth[b]:
-                vec[up[a]] += 1 if a < nw else -1  # walked a -> parent
-                a = parent[a]
-            else:
-                vec[up[b]] += 1 if b >= nw else -1  # walked parent -> b
-                b = parent[b]
-        cycles.append(vec)
+        cyc = [0] * len(ends)
+        cyc[i] = 1
+        _add_forest_path(ends, up, rank, ends[i][1], ends[i][0], cyc)
+        cycles.append(cyc)
     return levels + cycles, chords
 
 
@@ -436,12 +401,11 @@ def split_by_reference(q: Quiver, base: Iterable[str]) -> Splitting:
         tuple(sum(f * n for f, n in zip(func, fb)) for fb in lat.free_basis)
         for func in (pi_x, pi_y, lev)
     )
-    d = det_int(t)
-    if d not in (1, -1):
+    d, inverse = _unimodular_inverse(t)
+    if inverse is None:
         raise InternalConsistencyError(
             f"splitting is not a lattice isomorphism (determinant {d})"
         )
-    inverse = tuple(tuple(x // d for x in row) for row in adjugate3(t))
     return Splitting(b, q.arrow_ids, pi_x, pi_y, lev, d, inverse)
 
 

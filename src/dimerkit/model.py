@@ -20,9 +20,11 @@ lifting computation downstream is built on.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
+from typing import Sequence
 
 from .exceptions import InvalidModelError
 
@@ -279,22 +281,67 @@ class ValidationReport:
         raise KeyError(name)
 
 
+def _spanning_forest(
+    n: int, ends: Sequence[tuple[int, int] | None]
+) -> tuple[list[int], list[int]]:
+    """A breadth-first spanning forest of the graph on ``0..n-1`` whose edge
+    ``i`` joins ``ends[i] = (tail, head)``; ``None`` leaves edge ``i`` out.
+
+    Roots are taken in vertex order and each vertex's edges are scanned in
+    edge order.  Returns each vertex's parent edge (-1 at a root) and its
+    rank in the search; a parent ranks before its children.  Every spanning
+    tree the package walks is grown here, and :func:`_add_forest_path`
+    walks it.
+    """
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(ends):
+        if e is not None:
+            incident[e[0]].append(i)
+            incident[e[1]].append(i)
+    up, rank = [-1] * n, [-1] * n
+    found = 0
+    for root in range(n):
+        if rank[root] >= 0:
+            continue
+        rank[root], found = found, found + 1
+        queue = [root]
+        for v in queue:
+            for i in incident[v]:
+                t, h = ends[i]
+                u = t + h - v
+                if rank[u] < 0:
+                    rank[u], up[u], found = found, i, found + 1
+                    queue.append(u)
+    return up, rank
+
+
+def _add_forest_path(
+    ends: Sequence[tuple[int, int] | None], up: Sequence[int], rank: Sequence[int],
+    a: int, b: int, vec: list[int],
+) -> None:
+    """Add to ``vec`` the signed path from ``a`` to ``b`` in a forest of
+    :func:`_spanning_forest`, both in one tree: +1 on an edge walked from
+    tail to head, -1 the other way.  Each step leaves whichever end ranks
+    later, which cannot be the two ends' nearest common ancestor."""
+    while a != b:
+        if rank[a] > rank[b]:
+            t, h = ends[up[a]]
+            vec[up[a]] += 1 if a == t else -1  # walked a -> parent
+            a = t + h - a
+        else:
+            t, h = ends[up[b]]
+            vec[up[b]] += 1 if b == h else -1  # walked parent -> b
+            b = t + h - b
+
+
 def _connected(model: DimerModel) -> bool:
-    """Whether the graph is nonempty and one piece."""
-    if not model.vertices:
-        return False
-    adj: dict[str, list[str]] = {v.id: [] for v in model.vertices}
-    for e in model.edges:
-        adj[e.black].append(e.white)
-        adj[e.white].append(e.black)
-    seen = {model.vertices[0].id}
-    stack = [model.vertices[0].id]
-    while stack:
-        for other in adj[stack.pop()]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return len(seen) == len(adj)
+    """Whether the graph is nonempty and one piece: its spanning forest has
+    one root."""
+    index = {v.id: k for k, v in enumerate(model.vertices)}
+    up, _ = _spanning_forest(
+        len(index), [(index[e.black], index[e.white]) for e in model.edges]
+    )
+    return up.count(-1) == 1
 
 
 @per_object
@@ -425,12 +472,16 @@ def lift_patch(model: DimerModel, radius: int) -> CoverFragment:
 # JSON serialisation
 
 
+# Python 3.10's ``fractions`` grammar without its exponent: a sign, then
+# digits with an optional ``/q`` or decimal part, whitespace only around it
+_RATIONAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?)\s*")
+
+
 def _rational(x: object) -> Fraction | None:
     """An int, or a ``p/q`` string of ASCII digits with an optional leading
     ``-`` and a denominator without a leading zero (what :func:`dump_model`
-    writes), as a Fraction read without ``Fraction(str)``'s regular
-    expression; None for anything else, which :func:`rational_from_json`
-    decides."""
+    writes), read without a regular expression; None for anything else,
+    which :func:`rational_from_json` decides."""
     if type(x) is int:
         return Fraction(x)
     if type(x) is str and x.isascii():
@@ -444,16 +495,23 @@ def _rational(x: object) -> Fraction | None:
 
 
 def rational_from_json(x: object, what: str) -> Fraction:
+    """A JSON rational: an int, or a string in one fixed grammar on every
+    Python (``_RATIONAL``); an exponent, digit-group underscores and spaces
+    around the ``/`` are refused."""
     r = _rational(x)
     if r is not None:
         return r
     if isinstance(x, str):
-        # Fraction("1e10000000") builds a ten-million-digit integer
-        if "e" in x or "E" in x:
-            raise InvalidModelError(f"{what}: bad rational {x!r}")
+        m = _RATIONAL.fullmatch(x)
         try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
+            if m is None:
+                raise ValueError(x)
+            sign, num, den, dec = m.groups()
+            p, q = int(num or "0"), int(den or "1")
+            if dec:
+                p, q = p * 10 ** len(dec) + int(dec), 10 ** len(dec)
+            return Fraction(-p if sign == "-" else p, q)
+        except (ValueError, ZeroDivisionError) as exc:  # past the digit limit, q = 0
             raise InvalidModelError(f"{what}: bad rational {x!r}") from exc
     raise InvalidModelError(f"{what}: expected int or 'p/q' string, got {x!r}")
 

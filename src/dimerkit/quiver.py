@@ -25,19 +25,13 @@ universal cover, zero exactly for the cycles that bound.  The quiver also
 keeps its edges' offsets, aligned with ``arrows``: summed over a perfect
 matching they give its height, and the lattice splitting is built from
 them.
-
-A set of arrows that connects the quiver is walked once by
-:func:`tree_paths`: a spanning tree gives every vertex the signed arrow
-counts of its path from the first vertex, and :func:`tree_cycle` closes any
-arrow through the tree into a cycle.  Chart characters and the cells of
-fixed-point candidates are both read off these paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .exceptions import InternalConsistencyError, InvalidModelError
 from .model import Cell, DimerModel, face_gluing_shifts, per_object, trace_faces
@@ -215,56 +209,8 @@ def p_minus(q: Quiver, aid: str) -> PathSeq:
     return relations(q)[q.arrow_pos[q.arrow(aid).id]].minus
 
 
-def vector_shift(q: Quiver, counts: Sequence[int]) -> Cell:
-    """Total cover shift of an arrow-indexed count vector (a tree path or
-    cycle); for a cycle, its homology class."""
-    x = y = 0
-    for aid, c in zip(q.arrow_ids, counts):
-        if c:
-            dx, dy = q.shift(aid)
-            x, y = x + c * dx, y + c * dy
-    return (x, y)
-
-
 def check_support(q: Quiver, support: Iterable[str]) -> frozenset[str]:
     sup = frozenset(support)
     for aid in sup - q.arrow_pos.keys():
         q.arrow(aid)  # raises on the unknown arrow
     return sup
-
-
-def tree_paths(
-    q: Quiver, arrows: Sequence[str]
-) -> dict[str, tuple[int, ...]] | None:
-    """Signed tree paths over ``arrows``, from the first quiver vertex.
-
-    Grows a spanning tree in passes over ``arrows`` in the order given,
-    taking every arrow that leads from a reached vertex to a new one, until
-    a pass takes none.  Each vertex gets the arrow-indexed count vector of
-    its tree path from the root, an arrow counting ``-1`` where the path
-    runs against it.  ``None`` when the arrows do not span the quiver.
-    """
-    pos = q.arrow_pos
-    paths = {q.vertices[0]: (0,) * len(q.arrows)}
-    grew = True
-    while grew:
-        grew = False
-        for aid in arrows:
-            s, t = q.source(aid), q.target(aid)
-            if (s in paths) == (t in paths):
-                continue
-            parent, child, sign = (s, t, +1) if s in paths else (t, s, -1)
-            k, p = pos[aid], paths[parent]
-            paths[child] = p[:k] + (p[k] + sign,) + p[k + 1:]
-            grew = True
-    return paths if len(paths) == len(q.vertices) else None
-
-
-def tree_cycle(
-    q: Quiver, paths: Mapping[str, tuple[int, ...]], aid: str
-) -> tuple[int, ...]:
-    """The cycle ``aid`` closes through the tree: the arrow, then back from
-    its target to its source along the tree paths; zero on tree arrows."""
-    k = q.arrow_pos[aid]
-    ps, pt = paths[q.source(aid)], paths[q.target(aid)]
-    return tuple(int(i == k) + a - b for i, (a, b) in enumerate(zip(ps, pt)))

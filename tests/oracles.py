@@ -2,16 +2,20 @@
 
 Each is a plain, independent computation of something the package derives
 another way: the dense relation matrix and its integer kernel, an integer
-solve per right-hand side, each relation tested on its own, a chart
-transition by adjugate, a weight's coordinates under a splitting, path
-sums walked arrow by arrow, a domain's orientation by the shoelace of its
-boundary walk, the face walk's turn and the quiver's cycle maps looked up
-in the rotation, each relation cut out of its cycle arrow by arrow, a JSON
-rational read by ``Fraction(str)`` alone, and the characteristic polynomial
-and the edge charges by a loop over the enumerated matchings, and the
-canonical order of the matchings by sorting their position tuples.
+solve per right-hand side, each relation tested on its own, a determinant by
+elimination and a chart transition by adjugate, a weight's coordinates
+under a splitting, path sums walked arrow by arrow, a domain's orientation
+by the shoelace of its boundary walk, the face walk's turn and the quiver's
+cycle maps looked up in the rotation, each relation cut out of its cycle
+arrow by arrow, a JSON rational read by ``Fraction(str)`` on the spellings
+every Python reads alike, the characteristic polynomial and the edge
+charges by a loop over the enumerated matchings, the canonical order of the
+matchings by sorting their position tuples, spanning trees grown in passes
+with one path tuple per face, the weight lattice's forest with a depth
+array, and connectivity by a depth-first search.
 """
 
+import re
 from fractions import Fraction
 
 from dimerkit import (
@@ -20,7 +24,6 @@ from dimerkit import (
     InvalidModelError,
     PathSeq,
     RelationPair,
-    det_int,
     from_model,
     laurent_from_counts,
     relations,
@@ -106,18 +109,44 @@ def relations_arrow_by_arrow(q):
 
 
 def rational_by_fraction_str(x, what):
-    """A JSON rational: an int, or any string ``Fraction`` reads that has no
-    exponent."""
+    """A JSON rational: an int, or a string ``Fraction`` reads with no
+    exponent, no digit-group underscore and no space next to the ``/``:
+    Python 3.10's grammar, which later versions widen by those two."""
     if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
-        if "e" in x or "E" in x:
+        if any(c in x for c in "eE_") or re.search(r"\s/|/\s", x):
             raise InvalidModelError(f"{what}: bad rational {x!r}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise InvalidModelError(f"{what}: bad rational {x!r}") from None
     raise InvalidModelError(f"{what}: expected int or 'p/q' string, got {x!r}")
+
+
+def det_int(matrix):
+    """Determinant of a square integer matrix (fraction-free elimination)."""
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
+        raise InvalidModelError("matrix is not square")
+    if n == 0:
+        return 1
+    a = [list(map(int, r)) for r in matrix]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def chart_transition(rows_i, rows_j):
@@ -246,3 +275,115 @@ def r_charges_by_matchings(g):
     return {
         eid: Fraction(2 * k, len(found)) for (eid, _, _), k in zip(g.edges, through)
     }
+
+
+def tree_paths(q, arrows):
+    """Signed tree paths over ``arrows``, from the first quiver vertex.
+
+    Grows a spanning tree in passes over ``arrows`` in the order given,
+    taking every arrow that leads from a reached vertex to a new one, until
+    a pass takes none.  Each vertex gets the arrow-indexed count vector of
+    its tree path from the root, an arrow counting ``-1`` where the path
+    runs against it.  ``None`` when the arrows do not span the quiver.
+    """
+    pos = q.arrow_pos
+    paths = {q.vertices[0]: (0,) * len(q.arrows)}
+    grew = True
+    while grew:
+        grew = False
+        for aid in arrows:
+            s, t = q.source(aid), q.target(aid)
+            if (s in paths) == (t in paths):
+                continue
+            parent, child, sign = (s, t, +1) if s in paths else (t, s, -1)
+            k, p = pos[aid], paths[parent]
+            paths[child] = p[:k] + (p[k] + sign,) + p[k + 1:]
+            grew = True
+    return paths if len(paths) == len(q.vertices) else None
+
+
+def tree_cycle(q, paths, aid):
+    """The cycle ``aid`` closes through the tree: the arrow, then back from
+    its target to its source along the tree paths; zero on tree arrows."""
+    k = q.arrow_pos[aid]
+    ps, pt = paths[q.source(aid)], paths[q.target(aid)]
+    return tuple(int(i == k) + a - b for i, (a, b) in enumerate(zip(ps, pt)))
+
+
+def vector_shift(q, counts):
+    """Total cover shift of an arrow-indexed count vector (a tree path or
+    cycle); for a cycle, its homology class."""
+    x = y = 0
+    for aid, c in zip(q.arrow_ids, counts):
+        if c:
+            dx, dy = q.shift(aid)
+            x, y = x + c * dx, y + c * dy
+    return (x, y)
+
+
+def forest_basis_by_depth(q):
+    """``lattice._forest_basis`` as a breadth-first search per root with a
+    depth array, and each chord's cycle by stepping the deeper end up."""
+    (whites, white), (blacks, black) = q.cycles
+    nw = len(whites)
+    n = nw + len(blacks)
+    black = tuple(nw + k for k in black)
+    nar = len(q.arrows)
+    incident = [[] for _ in range(n)]
+    for i, (w, b) in enumerate(zip(white, black)):
+        incident[w].append(i)
+        incident[b].append(i)
+    up, parent, depth = [-1] * n, [-1] * n, [-1] * n
+    levels = []
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        order = [root]
+        for v in order:
+            for i in incident[v]:
+                u = white[i] + black[i] - v
+                if depth[u] < 0:
+                    depth[u], up[u], parent[u] = depth[v] + 1, i, v
+                    order.append(u)
+        rest = dict.fromkeys(order, 1)
+        vec = [0] * nar
+        for v in reversed(order[1:]):
+            vec[up[v]] = rest[v]
+            rest[parent[v]] -= rest[v]
+        if rest[root] == 0:
+            levels.append(vec)
+    chords = [i for i in range(nar) if up[white[i]] != i and up[black[i]] != i]
+    cycles = []
+    for i in chords:
+        vec = [0] * nar
+        vec[i] = 1
+        a, b = black[i], white[i]
+        while a != b:
+            if depth[a] >= depth[b]:
+                vec[up[a]] += 1 if a < nw else -1
+                a = parent[a]
+            else:
+                vec[up[b]] += 1 if b >= nw else -1
+                b = parent[b]
+        cycles.append(vec)
+    return levels + cycles, chords
+
+
+def connected_by_dfs(model):
+    """Whether the model's graph is nonempty and one piece, by a DFS over
+    vertex ids."""
+    if not model.vertices:
+        return False
+    adj = {v.id: [] for v in model.vertices}
+    for e in model.edges:
+        adj[e.black].append(e.white)
+        adj[e.white].append(e.black)
+    seen = {model.vertices[0].id}
+    stack = [model.vertices[0].id]
+    while stack:
+        for other in adj[stack.pop()]:
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return len(seen) == len(adj)

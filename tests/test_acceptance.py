@@ -22,7 +22,6 @@ from dimerkit import (
     char_poly,
     cochar_lattice,
     cone_over_polygon,
-    det_int,
     draw_xi,
     dual_cone,
     dump_model,
@@ -45,7 +44,7 @@ from dimerkit import (
     split_by_reference,
 )
 from dimerkit.cli import main
-from oracles import chart_transition, split_coords
+from oracles import chart_transition, det_int, split_coords
 
 FIXTURES = ("conifold", "honeycomb", "fzero", "degenerate")
 

@@ -1,5 +1,6 @@
 """Torus-fixed candidates, fundamental domains, chart data, fan certificate."""
 
+import functools
 import os
 import random
 from collections import Counter
@@ -16,6 +17,7 @@ from dimerkit import (
     ChartCone,
     DegenerateModelError,
     FixedPointCandidate,
+    InternalConsistencyError,
     InvalidModelError,
     Theta,
     area2,
@@ -28,9 +30,9 @@ from dimerkit import (
     cochar_lattice,
     contains_point,
     convex_hull,
-    det_int,
     enumerate_fixed_candidates,
     example,
+    express_functional,
     fundamental_domain,
     height_change,
     is_stable,
@@ -45,11 +47,18 @@ from dimerkit import (
     verify_crepant,
 )
 from conftest import CERTIFY_COVERS, cover, sweep_corpus
-from oracles import chart_transition, rep_satisfies_relations, walk_shoelace
+from oracles import (
+    chart_transition,
+    det_int,
+    rep_satisfies_relations,
+    tree_cycle,
+    tree_paths,
+    vector_shift,
+    walk_shoelace,
+)
 from dimerkit import charts
 from dimerkit import model as model_module
-from dimerkit.model import faces_area2, per_object
-from dimerkit.quiver import tree_cycle, tree_paths, vector_shift
+from dimerkit.model import _add_forest_path, _spanning_forest, faces_area2, per_object
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -289,6 +298,16 @@ def test_transitions_from_cone_determinants():
     assert not check.ok
     assert check.detail == "; ".join(map(str, bad))
     assert bad == [(0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2)]
+
+
+def test_chart_cone_refusals():
+    assert chart_cone(((0, 1, 0), (1, 0, 0), (0, 0, 1))).det == -1
+    with pytest.raises(InvalidModelError, match="exactly three characters"):
+        chart_cone(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(InvalidModelError, match="not square"):
+        chart_cone(((1, 0, 0), (0, 1), (0, 0, 1)))
+    with pytest.raises(InternalConsistencyError, match=r"not unimodular \(determinant 2\)"):
+        chart_cone(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_assemble_fan_honeycomb():
@@ -672,28 +691,35 @@ def test_one_stable_matching_per_lattice_point(name):
 @pytest.mark.parametrize("name", ["conifold", "honeycomb", "fzero"] + sorted(CORPUS))
 def test_trees_grown_for_returned_candidates_only(name, monkeypatch):
     # stability implies that a support spans the quiver, so the search
-    # grows one spanning tree per candidate it returns and none for a
-    # proposal it refuses; the fan reads each chart's characters off that
-    # same tree, so a whole fan grows one tree per chart
+    # grows one spanning forest per candidate it returns and none for a
+    # proposal it refuses; the fan grows one more per chart, for its
+    # characters
     model = CORPUS.get(name) or example(name)
+    ids = quiver_of(model).arrow_ids
     grown = []
 
-    def spy(quiver, arrows):
-        grown.append(frozenset(arrows))
-        return tree_paths(quiver, arrows)
+    def spy(n, ends):
+        grown.append(frozenset(aid for aid, e in zip(ids, ends) if e is not None))
+        return _spanning_forest(n, ends)
 
-    monkeypatch.setattr(charts, "tree_paths", spy)
+    monkeypatch.setattr(charts, "_spanning_forest", spy)
     for seed, theta in _sampled_thetas(model):
         grown.clear()
         found = enumerate_fixed_candidates(model, theta)
         assert Counter(grown) == Counter(c.support for c in found), seed
         grown.clear()
         fan = assemble_fan(model, theta=theta)
-        assert Counter(grown) == Counter(c.candidate.support for c in fan.charts), seed
+        supports = Counter(c.candidate.support for c in fan.charts)
+        assert Counter(grown) == supports + supports, seed
 
 
 SWEEP = sweep_corpus()
 BRIDGED = {"conifold", "honeycomb", "fzero"} | set(CORPUS)
+
+
+@functools.cache
+def _sweep_fan(name, seed):
+    return assemble_fan(SWEEP[name], seed=seed)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP))
@@ -708,7 +734,7 @@ def test_chart_census_and_corner_valency(name):
     arrows = frozenset(e.id for e in model.edges)
     for seed in range(4):
         try:
-            fan = assemble_fan(model, seed=seed)
+            fan = _sweep_fan(name, seed)
         except (DegenerateModelError, InvalidModelError):
             assert name in ("dice.json", "honeycomb_wound.json")
             return
@@ -740,3 +766,51 @@ def test_chart_census_and_corner_valency(name):
             assert points == {r[:2] for r in chart.cone.rays}, (
                 seed, sorted(support),
             )
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_cells_and_rows_do_not_depend_on_the_tree(name):
+    # the tree paths the shared forest replaced, as oracle: each candidate's
+    # cells are its faces' path shifts, and each chart's rows express the
+    # cycles its coordinate arrows close through the path tree; a forest
+    # grown from the support's arrows and faces in shuffled order, another
+    # tree with another root, gives every character the same row
+    model = SWEEP[name]
+    quiver = quiver_of(model)
+    ids, vpos = quiver.arrow_ids, quiver.vertex_pos
+    for seed in range(4):
+        try:
+            fan = _sweep_fan(name, seed)
+        except (DegenerateModelError, InvalidModelError):
+            assert name in ("dice.json", "honeycomb_wound.json")
+            return
+        split = split_by_reference(quiver, perfect_matchings(model)[0])
+        rng = random.Random(seed)
+        for chart in fan.charts:
+            cand, edges = chart.candidate, chart.classification.coordinate_edges
+            paths = tree_paths(quiver, [a for a in ids if a in cand.support])
+            assert cand.cells == tuple(
+                (v, vector_shift(quiver, paths[v])) for v in quiver.vertices
+            ), (seed, sorted(cand.support))
+            chars = [dict(zip(ids, tree_cycle(quiver, paths, e))) for e in edges]
+            assert chart_rows(quiver, split, chars) == chart.rows, seed
+
+            order = [i for i, a in enumerate(ids) if a in cand.support]
+            relabel = list(range(len(vpos)))
+            rng.shuffle(order)
+            rng.shuffle(relabel)
+            ends = [
+                (relabel[vpos[quiver.arrows[i].source]], relabel[vpos[quiver.arrows[i].target]])
+                for i in order
+            ]
+            up, rank = _spanning_forest(len(relabel), ends)
+            for eid, row in zip(edges, chart.rows):
+                a, cyc = quiver.arrow(eid), [0] * len(order)
+                _add_forest_path(
+                    ends, up, rank, relabel[vpos[a.target]], relabel[vpos[a.source]], cyc
+                )
+                char = dict.fromkeys(ids, 0)
+                char[eid] = 1
+                for i, c in zip(order, cyc):
+                    char[ids[i]] += c
+                assert express_functional(quiver, split, char) == row, (seed, eid)

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 from conftest import cover
 from dimerkit import (
     DimerEdge, DimerModel, InvalidModelError, dump_model, example, load_model,
-    model_to_dict, quiver_of,
+    model_from_dict, model_to_dict, quiver_of,
 )
 from dimerkit.cli import _COMMANDS, build_parser, main
+from dimerkit.model import _connected
+from oracles import connected_by_dfs
 
 # the dice lattice: a valid tiling of the torus with two blacks, one white
 # and hence no perfect matching
@@ -984,6 +986,18 @@ def test_mutated_models_end_in_a_verdict(case):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 2, 3), (argv, name, mutations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_mutated_models())
+@hyp_example(case=("honeycomb", [("delete", "e1"), ("delete", "e2"), ("delete", "e3")]))
+@hyp_example(case=("conifold-2x1", [("delete", "e1_0_0"), ("colour", "w1_1_0")]))
+def test_connected_matches_depth_first_search(case):
+    # the depth-first search the shared forest replaced, as oracle, on the
+    # fuzz's mutated models, the first example disconnected
+    name, mutations = case
+    model = model_from_dict(_mutated(name, *mutations))
+    assert _connected(model) == connected_by_dfs(model), (name, mutations)
 
 
 _FACES = {name: quiver_of(example(name)).vertices

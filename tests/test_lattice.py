@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CERTIFY_COVERS, cover, sweep_corpus
+from conftest import CERTIFY_COVERS, TILING_COVERS, cover, sweep_corpus
 from dimerkit import (
     CapacityError,
     DegenerateModelError,
@@ -17,7 +17,6 @@ from dimerkit import (
     cochar_lattice,
     cone_over_polygon,
     convex_hull,
-    det_int,
     dual_cone,
     example,
     example_names,
@@ -33,7 +32,14 @@ from dimerkit import (
     split_by_reference,
 )
 from dimerkit import lattice
-from oracles import constraint_matrix, kernel, solve_integer, split_coords
+from oracles import (
+    constraint_matrix,
+    det_int,
+    forest_basis_by_depth,
+    kernel,
+    solve_integer,
+    split_coords,
+)
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -50,6 +56,20 @@ def _matmul(a, b):
 
 def test_smith_normal_form_frozen():
     assert smith_normal_form([[2, 4], [6, 8]]).diagonal == (2, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=3, max_size=3))
+def test_unimodular_inverse_matches_elimination(m):
+    # the determinant read off the adjugate is the eliminated one, and the
+    # inverse is given exactly when it is a unit
+    d, inv = lattice._unimodular_inverse(m)
+    assert d == det_int(m)
+    if d not in (1, -1):
+        assert inv is None
+        return
+    product = [[sum(m[i][k] * inv[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    assert product == [[int(i == j) for j in range(3)] for i in range(3)]
 
 
 def test_smith_normal_form_invariants():
@@ -298,6 +318,23 @@ def test_lattice_values_pinned():
             _digest(split),
         )
         assert got == LATTICE_PINS[name], name
+
+
+FOREST_MODELS = dict(sweep_corpus(), **{
+    f"{name}-{a}x{b}": cover(example(name), a, b) for name, a, b in TILING_COVERS
+})
+
+
+@pytest.mark.parametrize("name", sorted(FOREST_MODELS))
+def test_forest_basis_matches_depth_search(name, monkeypatch):
+    # the per-root breadth-first search with a depth array that the shared
+    # forest replaced, as oracle: the same basis and chords, and so the
+    # same lattice
+    quiver = quiver_of(FOREST_MODELS[name])
+    assert lattice._forest_basis(quiver) == forest_basis_by_depth(quiver)
+    lat = cochar_lattice(quiver)
+    monkeypatch.setattr(lattice, "_forest_basis", forest_basis_by_depth)
+    assert cochar_lattice.__wrapped__(quiver) == lat
 
 
 SPLIT_MODELS = [conifold, honeycomb, example("fzero"), cover(conifold, 2, 2)]

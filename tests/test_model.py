@@ -25,10 +25,21 @@ from dimerkit import (
     trace_faces,
     validate_model,
 )
-from dimerkit.model import faces_area2, rational_from_json
+from dimerkit.model import (
+    _add_forest_path,
+    _connected,
+    _spanning_forest,
+    faces_area2,
+    rational_from_json,
+)
 from dimerkit.stability import make_theta
 from conftest import SPECTRUM_COVERS, cover, sweep_corpus
-from oracles import cycle_maps_by_rotation, next_dart_by_rotation, rational_by_fraction_str
+from oracles import (
+    connected_by_dfs,
+    cycle_maps_by_rotation,
+    next_dart_by_rotation,
+    rational_by_fraction_str,
+)
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -137,6 +148,41 @@ def test_two_honeycombs_are_disconnected():
         ("connected", "graph is disconnected"),
         ("homology-span", "not evaluated"),
     ]
+    assert _connected(twin) is connected_by_dfs(twin) is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_spanning_forest_and_path_walk(data):
+    # on any multigraph with loops, some edges left out: one root per
+    # component, its least vertex; every parent edge joins its vertex to one
+    # ranked earlier; and the walk between two vertices of one tree adds a
+    # unit flow from the first to the second along tree edges only
+    n = data.draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    ends = data.draw(st.lists(st.none() | st.tuples(vertex, vertex), max_size=14))
+    up, rank = _spanning_forest(n, ends)
+    assert sorted(rank) == list(range(n))
+    least = list(range(n))  # each vertex's least vertex in its component
+    for _ in range(n):
+        for e in filter(None, ends):
+            least[e[0]] = least[e[1]] = min(least[e[0]], least[e[1]])
+    assert [v for v in range(n) if up[v] < 0] == sorted(set(least))
+    for v in range(n):
+        if up[v] >= 0:
+            t, h = ends[up[v]]
+            assert v in (t, h) and t != h and rank[t + h - v] < rank[v]
+    a, b = data.draw(vertex), data.draw(vertex)
+    if least[a] == least[b]:
+        vec = [0] * len(ends)
+        _add_forest_path(ends, up, rank, a, b, vec)
+        net = [0] * n
+        for i, x in enumerate(vec):
+            if x:
+                assert i in up, i
+                net[ends[i][0]] -= x
+                net[ends[i][1]] += x
+        assert net == [(v == b) - (v == a) for v in range(n)]
 
 
 def test_broken_face_offsets():
@@ -322,8 +368,9 @@ def _read(fn, x, what):
 
 
 def _check_rational(x):
-    # rational_from_json and make_theta agree with Fraction(str) alone: the
-    # same value, or the same message
+    # rational_from_json and make_theta agree with Fraction(str) on the
+    # spellings every Python reads alike: the same value, or the same
+    # message
     want = _read(rational_by_fraction_str, x, "pos")
     got = _read(rational_from_json, x, "pos")
     assert (type(got), got) == (type(want), want)
@@ -339,9 +386,17 @@ def _check_rational(x):
     "03/4", "3/04", "3/0", "-0/5", "+1/2", " 1/2 ", "1_0/3",
     "\u0661/2",  # an Arabic-Indic one
     "0.5", "1e3", "7", "-/3", "1/-2", "1/2/3", 0, -5, True, 0.5, None,
+    "1 / 2", "1/ 2", "1 /2", "1_000/3",
 ])
 def test_rational_spellings_match_fraction(x):
     _check_rational(x)
+
+
+@pytest.mark.parametrize("x", ["1 / 2", "1/\t2", "1_000/3", "1_0/30", "1e3", "1E-2"])
+def test_rationals_later_pythons_widen_are_refused(x):
+    # Python 3.11 reads underscores and 3.12 spaces around the slash; a
+    # model file loads the same on every Python
+    assert _read(rational_from_json, x, "pos") == f"error: pos: bad rational {x!r}"
 
 
 def test_rational_past_the_digit_limit_is_bad():

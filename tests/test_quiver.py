@@ -24,8 +24,10 @@ from oracles import (
     path_weight,
     relations_arrow_by_arrow,
     rep_satisfies_relations,
+    tree_cycle,
+    tree_paths,
+    vector_shift,
 )
-from dimerkit.quiver import tree_cycle, tree_paths, vector_shift
 
 q = quiver_of(example("conifold"))
 hq = quiver_of(example("honeycomb"))

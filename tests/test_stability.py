@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cover
+from oracles import tree_paths
 from dimerkit import (
     VERTEX_CAP,
     Arrow,
@@ -25,7 +26,6 @@ from dimerkit import (
     sample_generic_theta,
     sardo_infirri_theta,
 )
-from dimerkit.quiver import tree_paths
 
 q = quiver_of(example("conifold"))
 
