@@ -119,8 +119,8 @@ def enumerate_fixed_candidates(
     relations and the gluing of every support arrow hold by construction
     (see the module docstring).  The matchings are the model's own
     enumeration, so ``MATCHING_CAP`` bounds the work, and each
-    :func:`is_stable` test is a few min cuts with no cap; the same recipe
-    serves a non-generic weight.
+    :func:`is_stable` test is one flow with no cap; the same recipe serves
+    a non-generic weight.
     """
     q = quiver_of(model)
     pms = perfect_matchings(model)

@@ -3,14 +3,14 @@
 A weight ``theta`` on the quiver vertices (rational, summing to zero) makes
 a 0/1 representation stable when every nonempty proper subrepresentation has
 positive weight.  For 0/1 representations the subrepresentations are exactly
-the vertex subsets closed under walking the supported arrows forward.  The
-least weight of such a closed subset is a maximal-closure problem, so
-stability and semistability take one integer s-t min cut per source
-component of the support (Picard 1976), solved as a transport over the
-vertices' reach sets, and have no cap.  Genericity, no zero-weight
-nonempty proper subset at all, meets in the middle: it counts the subset
-sums of each half of the vertices, at most 2 * 2^ceil(n/2) of them, and is
-capped at twice ``VERTEX_CAP`` vertices.
+the vertex subsets closed under walking the supported arrows forward.  Every
+closed set weighs at least 0 exactly when the negative vertices can ship
+their deficits to the positive ones along the supported arrows (Gale 1957),
+so semistability is one flow; stability is that flow plus one
+strong-connectivity test, two searches from one vertex.  Neither has a cap.
+Genericity, no zero-weight nonempty proper subset at all, meets in the
+middle: it counts the subset sums of each half of the vertices, at most
+2 * 2^ceil(n/2) of them, and is capped at twice ``VERTEX_CAP`` vertices.
 
 The weights of interest are built from a perfect matching ``D`` and positive
 rationals ``xi`` on the arrows off ``D``: each vertex receives the ``xi`` it
@@ -76,15 +76,15 @@ def make_theta(q: Quiver, weights: Mapping[str, object]) -> Theta:
     return Theta(tuple(vals))
 
 
-def _successors(q: Quiver, support: Iterable[str]) -> list[int]:
-    """Bitmask of each vertex's supported successors; bit ``i`` of a mask is
-    ``q.vertices[i]``."""
+def _successors(q: Quiver, support: Iterable[str]) -> list[list[int]]:
+    """Each vertex's supported successors, by vertex position, once per
+    supported arrow."""
     pos = q.vertex_pos
     sup = check_support(q, support)
-    succ = [0] * len(q.vertices)
+    succ: list[list[int]] = [[] for _ in q.vertices]
     for a in q.arrows:
         if a.id in sup:
-            succ[pos[a.source]] |= 1 << pos[a.target]
+            succ[pos[a.source]].append(pos[a.target])
     return succ
 
 
@@ -96,139 +96,101 @@ def _weights(q: Quiver, theta: Theta) -> list[int]:
     return [scaled[v] for v in q.vertices]
 
 
-def _reach(succ: list[int]) -> list[int]:
-    """Each vertex's forward reach, itself included: the least closed set
-    holding it.  A bitmask search per vertex, which takes in whole the
-    reach of every earlier vertex it meets."""
-    reach: list[int] = []
-    for i in range(len(succ)):
-        seen = frontier = 1 << i
-        while frontier:
-            step = 0
-            while frontier:
-                low = frontier & -frontier
-                j = low.bit_length() - 1
-                if j < i:
-                    seen |= reach[j]
-                else:
-                    step |= succ[j]
-                frontier ^= low
-            frontier = step & ~seen
-            seen |= frontier
-        reach.append(seen)
-    return reach
+def _flow(succ: list[list[int]], w: list[int]) -> list[dict[int, int]] | None:
+    """A flow along the arcs ``succ`` whose inflow minus outflow is ``w`` at
+    every vertex, or None when there is none.
 
-
-def _has_negative_closure(reach: list[int], w: list[int], inside: int) -> bool:
-    """Whether some subset of the closed vertex set ``inside``, closed
-    under the arrows, has negative total ``w``.
-
-    Picard's min cut, solved as a transport on the reach sets: each
-    negative vertex ships its deficit to positive vertices it reaches, each
-    of which takes at most its weight, along shortest augmenting paths.  If
-    every deficit ships, each closed set's positive vertices absorb the
-    deficits inside it.  If one cannot, the deficit vertices its search
-    visits reach only full positive vertices, and all they reach is a
-    closed set of negative weight.
+    Every arc has unbounded capacity.  Each negative vertex ships its
+    deficit to positive vertices, each of which takes at most its weight,
+    along shortest augmenting paths: an arc is walked forwards, or
+    backwards against the flow it carries.  When a deficit cannot ship,
+    what its search visits is closed under the arcs, no flow enters it and
+    its positive vertices are full, so that closed set weighs less than 0
+    (Gale 1957); otherwise every closed set weighs the flow entering it.
+    Returns, per vertex ``v``, what each arc ``x -> v`` carries, by ``x``.
     """
-    pos = neg = 0
-    for i, x in enumerate(w):
-        if inside >> i & 1 and x:
-            if x > 0:
-                pos |= 1 << i
-            else:
-                neg |= 1 << i
     room = w[:]  # what each positive vertex can still take
-    into: dict[int, dict[int, int]] = {}  # v -> {x: what x ships to v}
-    while neg:
-        low = neg & -neg
-        neg ^= low
-        u = low.bit_length() - 1
-        left = -w[u]
-        while left:
-            came = {u: -1}  # deficit vertex -> the full vertex it was met at
-            via = {}  # positive vertex -> the deficit vertex reaching it
+    into: list[dict[int, int]] = [{} for _ in w]
+    for u, deficit in enumerate(w):
+        left = -deficit
+        while left > 0:
+            came = {u: (u, True)}  # vertex -> (where it was met from, forwards)
             queue = [u]
-            end = -1
-            for x in queue:
-                m = reach[x] & pos
-                while m:
-                    low = m & -m
-                    m ^= low
-                    v = low.bit_length() - 1
-                    if v in via:
-                        continue
-                    via[v] = x
-                    if room[v]:
-                        end = v
-                        break
-                    for y in into.get(v, ()):
-                        if y not in came:
-                            came[y] = v
-                            queue.append(y)
-                if end >= 0:
+            for end in queue:
+                if room[end] > 0:
                     break
+                for y in succ[end]:
+                    if y not in came:
+                        came[y] = (end, True)
+                        queue.append(y)
+                for y in into[end]:
+                    if y not in came:
+                        came[y] = (end, False)
+                        queue.append(y)
             else:
-                return True
-            push, v = min(left, room[end]), end
-            while came[via[v]] >= 0:
-                x = via[v]
-                v = came[x]
-                push = min(push, into[v][x])
+                return None
+            push, y = min(left, room[end]), end
+            while y != u:
+                x, forwards = came[y]
+                if not forwards:
+                    push = min(push, into[x][y])
+                y = x
             room[end] -= push
             left -= push
-            v = end
-            while True:
-                x = via[v]
-                shipped = into.setdefault(v, {})
-                shipped[x] = shipped.get(x, 0) + push
-                v = came[x]
-                if v < 0:
-                    break
-                into[v][x] -= push
-                if not into[v][x]:
-                    del into[v][x]
-    return False
+            y = end
+            while y != u:
+                x, forwards = came[y]
+                if forwards:
+                    into[y][x] = into[y].get(x, 0) + push
+                elif into[x][y] == push:
+                    del into[x][y]
+                else:
+                    into[x][y] -= push
+                y = x
+    return into
 
 
-def _closures_nonnegative(succ: list[int], w: list[int]) -> bool:
-    """Whether every nonempty proper closed vertex set has ``w`` ≥ 0.
-
-    A closed set holding a vertex of a strongly connected component holds
-    all of it, and one holding every source component holds everything.
-    So each nonempty proper closed set avoids some source component ``C``,
-    and lies in the closed set ``V - C``: one min cut per source component,
-    and none when the support is strongly connected (``V - C`` is empty).
-    Each proper reach set is such a closed set, so it needs no scan of its own.
-    """
-    full = (1 << len(succ)) - 1
-    reach = _reach(succ)
-    comps: dict[int, int] = {}  # reach set -> the component it is the reach of
-    for i, r in enumerate(reach):
-        comps[r] = comps.get(r, 0) | 1 << i
-    entered = 0  # vertices reached from outside their component
-    for r, comp in comps.items():
-        entered |= r & ~comp
-    for comp in comps.values():
-        if not comp & entered and _has_negative_closure(reach, w, full & ~comp):
-            return False
-    return True
+def _reaches_all(arcs: list[int]) -> bool:
+    """Whether vertex 0 reaches every vertex along ``arcs``, each vertex's
+    bitmask of heads (true of no vertices at all)."""
+    full = (1 << len(arcs)) - 1
+    seen = frontier = 1 & full
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        step = arcs[low.bit_length() - 1] & ~seen
+        seen |= step
+        frontier |= step
+    return seen == full
 
 
 def is_stable(q: Quiver, support: Iterable[str], theta: Theta) -> bool:
     """King stability: every closed nonempty proper subset has positive weight.
 
-    With ``n`` vertices, the weight ``(n + 1) * theta - 1`` (on scaled
-    integer weights) is negative on a nonempty set exactly when ``theta``
-    is not positive there, so one semistability test decides.
+    Take a flow from :func:`_flow`.  No supported arrow leaves a closed set
+    ``S``, so ``theta(S)`` is exactly the flow entering ``S``.  A proper
+    closed ``S`` of weight 0 has no flow entering it, so it is also closed
+    under the reversed arrows that carry flow, and the supported arrows
+    with those reversed ones do not connect the quiver strongly.
+    Conversely, when they do not, some vertex does not reach every vertex
+    along them, and what it reaches is such an ``S``.  So one search
+    forwards and one backwards from the first vertex decide.
     """
-    n = len(q.vertices)
-    w = [(n + 1) * x - 1 for x in _weights(q, theta)]
-    return _closures_nonnegative(_successors(q, support), w)
+    succ = _successors(q, support)
+    into = _flow(succ, _weights(q, theta))
+    if into is None:
+        return False
+    forwards = [0] * len(succ)
+    backwards = [0] * len(succ)
+    for x, heads in enumerate(succ):
+        for y in heads + list(into[x]):
+            forwards[x] |= 1 << y
+            backwards[y] |= 1 << x
+    return _reaches_all(forwards) and _reaches_all(backwards)
 
 
 def is_semistable(q: Quiver, support: Iterable[str], theta: Theta) -> bool:
-    return _closures_nonnegative(_successors(q, support), _weights(q, theta))
+    return _flow(_successors(q, support), _weights(q, theta)) is not None
 
 
 def _sums(values: list[int]) -> list[int]:
@@ -254,8 +216,9 @@ def is_generic(q: Quiver, theta: Theta) -> bool:
     Generic weights see no strictly semistable 0/1 representation, whatever
     the arrow support is.  Meet in the middle: a subset is a pair of
     subsets, one from each half of the vertices, whose sums cancel.  The
-    empty pair and the full pair always do; any other is a zero-weight
-    nonempty proper subset.  Each half has at most ``VERTEX_CAP`` vertices;
+    empty pair and the full pair always do, and they are one pair when
+    there are no vertices; any other is a zero-weight nonempty proper
+    subset.  Each half has at most ``VERTEX_CAP`` vertices;
     only the first half's sums are kept, counted, and the second half's
     stream past them.
     """
@@ -266,7 +229,7 @@ def is_generic(q: Quiver, theta: Theta) -> bool:
         )
     w = _weights(q, theta)
     left = Counter(_subset_sums(w[: n // 2]))
-    return sum(left.get(-s, 0) for s in _subset_sums(w[n // 2 :])) == 2
+    return sum(left.get(-s, 0) for s in _subset_sums(w[n // 2 :])) <= 2
 
 
 def sardo_infirri_theta(

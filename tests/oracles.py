@@ -12,7 +12,8 @@ every Python reads alike, the characteristic polynomial and the edge
 charges by a loop over the enumerated matchings, the canonical order of the
 matchings by sorting their position tuples, spanning trees grown in passes
 with one path tuple per face, the weight lattice's forest with a depth
-array, and connectivity by a depth-first search.
+array, connectivity by a depth-first search, and King stability by one
+min cut per source component of the support over dense reach sets.
 """
 
 import re
@@ -387,3 +388,138 @@ def connected_by_dfs(model):
                 seen.add(other)
                 stack.append(other)
     return len(seen) == len(adj)
+
+
+def _reach(succ):
+    """Each vertex's forward reach along the bitmask arcs ``succ``, itself
+    included: the least closed set holding it.  A bitmask search per
+    vertex, which takes in whole the reach of every earlier vertex it
+    meets."""
+    reach = []
+    for i in range(len(succ)):
+        seen = frontier = 1 << i
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                j = low.bit_length() - 1
+                if j < i:
+                    seen |= reach[j]
+                else:
+                    step |= succ[j]
+                frontier ^= low
+            frontier = step & ~seen
+            seen |= frontier
+        reach.append(seen)
+    return reach
+
+
+def _has_negative_closure(reach, w, inside):
+    """Whether some subset of the closed vertex set ``inside``, closed
+    under the arrows, has negative total ``w``.
+
+    Picard's min cut, solved as a transport on the reach sets: each
+    negative vertex ships its deficit to positive vertices it reaches, each
+    of which takes at most its weight, along shortest augmenting paths.  If
+    every deficit ships, each closed set's positive vertices absorb the
+    deficits inside it.  If one cannot, the deficit vertices its search
+    visits reach only full positive vertices, and all they reach is a
+    closed set of negative weight.
+    """
+    pos = neg = 0
+    for i, x in enumerate(w):
+        if inside >> i & 1 and x:
+            if x > 0:
+                pos |= 1 << i
+            else:
+                neg |= 1 << i
+    room = w[:]  # what each positive vertex can still take
+    into = {}  # v -> {x: what x ships to v}
+    while neg:
+        low = neg & -neg
+        neg ^= low
+        u = low.bit_length() - 1
+        left = -w[u]
+        while left:
+            came = {u: -1}  # deficit vertex -> the full vertex it was met at
+            via = {}  # positive vertex -> the deficit vertex reaching it
+            queue = [u]
+            end = -1
+            for x in queue:
+                m = reach[x] & pos
+                while m:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
+                    if v in via:
+                        continue
+                    via[v] = x
+                    if room[v]:
+                        end = v
+                        break
+                    for y in into.get(v, ()):
+                        if y not in came:
+                            came[y] = v
+                            queue.append(y)
+                if end >= 0:
+                    break
+            else:
+                return True
+            push, v = min(left, room[end]), end
+            while came[via[v]] >= 0:
+                x = via[v]
+                v = came[x]
+                push = min(push, into[v][x])
+            room[end] -= push
+            left -= push
+            v = end
+            while True:
+                x = via[v]
+                shipped = into.setdefault(v, {})
+                shipped[x] = shipped.get(x, 0) + push
+                v = came[x]
+                if v < 0:
+                    break
+                into[v][x] -= push
+                if not into[v][x]:
+                    del into[v][x]
+    return False
+
+
+def _closures_nonnegative(succ, w):
+    """Whether every nonempty proper closed vertex set has ``w`` ≥ 0.
+
+    A closed set holding a vertex of a strongly connected component holds
+    all of it, and one holding every source component holds everything.
+    So each nonempty proper closed set avoids some source component ``C``,
+    and lies in the closed set ``V - C``: one min cut per source component.
+    """
+    full = (1 << len(succ)) - 1
+    reach = _reach(succ)
+    comps = {}  # reach set -> the component it is the reach of
+    for i, r in enumerate(reach):
+        comps[r] = comps.get(r, 0) | 1 << i
+    entered = 0  # vertices reached from outside their component
+    for r, comp in comps.items():
+        entered |= r & ~comp
+    return not any(
+        not comp & entered and _has_negative_closure(reach, w, full & ~comp)
+        for comp in comps.values()
+    )
+
+
+def king_by_reach_sets(q, support, theta, strict=True):
+    """King stability of a 0/1 representation, or semistability when not
+    ``strict``, by one min cut per source component of the support over
+    dense reach sets.  Stability is semistability of ``(n + 1) * theta - 1``
+    on the scaled integer weights, which is negative on a nonempty set
+    exactly when ``theta`` is not positive there."""
+    pos = q.vertex_pos
+    succ = [0] * len(q.vertices)
+    for a in q.arrows:
+        if a.id in support:
+            succ[pos[a.source]] |= 1 << pos[a.target]
+    w = [theta._scaled[v] for v in q.vertices]
+    if strict:
+        w = [(len(w) + 1) * x - 1 for x in w]
+    return _closures_nonnegative(succ, w)

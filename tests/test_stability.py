@@ -1,5 +1,5 @@
 """Stability weights: (semi)stability and genericity against closed-subset
-sums, sampling."""
+sums and the reach-set route, the flow's own invariants, sampling."""
 
 import random
 from fractions import Fraction
@@ -8,23 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cover
-from oracles import tree_paths
+from conftest import cover, sweep_corpus
+from oracles import king_by_reach_sets, tree_paths
 from dimerkit import (
     VERTEX_CAP,
     Arrow,
     CapacityError,
     InvalidModelError,
     Quiver,
+    charts,
     draw_xi,
+    enumerate_fixed_candidates,
     example,
     is_generic,
     is_semistable,
     is_stable,
     make_theta,
+    perfect_matchings,
     quiver_of,
     sample_generic_theta,
     sardo_infirri_theta,
+    stability,
 )
 
 q = quiver_of(example("conifold"))
@@ -103,8 +107,6 @@ def test_full_support_always_stable():
 
 
 def test_base_rep_stable_on_every_fixture():
-    from dimerkit import perfect_matchings
-
     for name in ("conifold", "honeycomb", "fzero", "degenerate"):
         model = example(name)
         quiver = quiver_of(model)
@@ -126,8 +128,6 @@ def test_sample_generic_theta():
 
 
 def test_sampling_stops_at_the_draw_limit(monkeypatch):
-    from dimerkit import stability
-
     monkeypatch.setattr(stability, "_THETA_DRAWS", 0)
     with pytest.raises(InvalidModelError, match="no generic weight found in 0 draws"):
         sample_generic_theta(q, {"e1"}, random.Random(1))
@@ -232,7 +232,7 @@ def _check_against_oracle(quiver, support, vals):
 
 
 # three sources v0, v1, v3 feed the sink v2; the closed set {v0, v1, v2}
-# is no vertex's reach, so only a min cut sees its weight
+# is no vertex's reach, so no search from one vertex sees its weight
 THREE_SOURCES = _digraph(4, [(0, 2), (1, 2), (3, 2)])
 
 
@@ -267,6 +267,15 @@ def test_empty_support():
     assert not is_semistable(quiver, (), tilted)
     for vals in ([0] * n, [n - 1] + [-1] * (n - 1)):
         _check_against_oracle(quiver, (), vals)
+
+
+def test_empty_quiver():
+    # no nonempty proper subset exists, so every verdict holds vacuously
+    quiver = Quiver((), (), ())
+    theta = make_theta(quiver, {})
+    assert is_stable(quiver, (), theta)
+    assert is_semistable(quiver, (), theta)
+    assert is_generic(quiver, theta)
 
 
 def test_single_vertex():
@@ -349,17 +358,104 @@ def test_verdicts_match_oracle_on_two_layers(data):
     vals.append(-sum(vals))
     support = {a.id for a in quiver.arrows}
     _check_against_oracle(quiver, support, vals)
-    # the min cut alone, over the whole vertex set, with no split by source
-    # component in front of it
-    from dimerkit import stability
-
-    reach = stability._reach(stability._successors(quiver, support))
+    # the flow alone, with no strong-connectivity test after it
     theta = make_theta(quiver, dict(zip(quiver.vertices, vals)))
-    weights = stability._weights(quiver, theta)
+    flow = stability._flow(
+        stability._successors(quiver, support), stability._weights(quiver, theta)
+    )
     closed = _subset_sums(quiver, support, dict(zip(quiver.vertices, vals)))
-    assert stability._has_negative_closure(
-        reach, weights, (1 << len(vals)) - 1
-    ) == any(w < 0 for w in closed)
+    assert (flow is None) == any(w < 0 for w in closed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_flow_ships_every_deficit_or_none(data):
+    # a flow carries positive amounts on supported arrows only and meets
+    # every scaled weight; there is none exactly when a closed set is
+    # negative
+    if data.draw(st.booleans()):
+        quiver = data.draw(st.sampled_from(ORACLE_QUIVERS))
+    else:
+        n = data.draw(st.integers(1, 7))
+        index = st.integers(0, n - 1)
+        quiver = _digraph(n, data.draw(st.lists(st.tuples(index, index), max_size=12)))
+    nums = st.integers(-4, 4)
+    dens = st.sampled_from((1, 2, 3, 6))
+    vals = [Fraction(data.draw(nums), data.draw(dens)) for _ in quiver.vertices[1:]]
+    vals.insert(0, -sum(vals, Fraction(0)))
+    values = dict(zip(quiver.vertices, vals))
+    ids = [a.id for a in quiver.arrows]
+    support = data.draw(
+        st.frozensets(st.sampled_from(ids)) if ids else st.just(frozenset())
+    )
+    succ = stability._successors(quiver, support)
+    w = stability._weights(quiver, make_theta(quiver, values))
+    flow = stability._flow(succ, w)
+    closed = _subset_sums(quiver, support, values)
+    assert (flow is None) == any(x < 0 for x in closed)
+    if flow is not None:
+        arcs = {(x, y) for x, heads in enumerate(succ) for y in heads}
+        net = [0] * len(w)
+        for v, carried in enumerate(flow):
+            for x, amount in carried.items():
+                assert amount > 0 and (x, v) in arcs
+                net[v] += amount
+                net[x] -= amount
+        assert net == w
+
+
+def test_stability_matches_reach_sets_on_candidate_supports(monkeypatch):
+    # every support enumerate_fixed_candidates tests over the sweep corpus,
+    # seeds 0-3, with the weight assemble_fan samples; the two covers with
+    # over 10 000 matchings take a seeded sample of matching complements
+    tested = []
+
+    def spy(quiver, support, theta):
+        verdict = is_stable(quiver, support, theta)
+        tested.append((quiver, support, theta, verdict))
+        return verdict
+
+    monkeypatch.setattr(charts, "is_stable", spy)
+    for name, model in sweep_corpus().items():
+        pms = perfect_matchings(model)
+        if not pms:
+            continue
+        quiver = quiver_of(model)
+        arrows = frozenset(quiver.arrow_ids)
+        for seed in range(4):
+            theta, _, _ = sample_generic_theta(quiver, pms[0], random.Random(seed))
+            if len(pms) <= 10_000:
+                enumerate_fixed_candidates(model, theta)
+            else:
+                for d in random.Random(seed).sample(pms, 100):
+                    spy(quiver, arrows - d, theta)
+    assert len(tested) > 8000
+    for quiver, support, theta, verdict in tested:
+        assert verdict == king_by_reach_sets(quiver, support, theta)
+
+
+@pytest.mark.parametrize("name", ["honeycomb", "conifold"])
+def test_verdicts_match_reach_sets_at_six_by_six(name):
+    # past the subset oracle's reach: 36 and 72 faces, a Sardo-Infirri
+    # weight from a lifted matching, whose complement then loses a few
+    # arrows at random
+    model = cover(example(name), 6, 6)
+    quiver = quiver_of(model)
+    base = perfect_matchings(example(name))[0]
+    d = {e.id for e in model.edges if e.id.rsplit("_", 2)[0] in base}
+    off = sorted(set(quiver.arrow_ids) - d)
+    rng = random.Random(6)
+    verdicts = set()
+    for _ in range(80):
+        theta = sardo_infirri_theta(quiver, d, draw_xi(quiver, d, rng))
+        support = set(off) - set(rng.sample(off, rng.choice((0, 1, 2, 4, 8, 16))))
+        verdict = is_stable(quiver, support, theta)
+        assert verdict == king_by_reach_sets(quiver, support, theta)
+        assert is_semistable(quiver, support, theta) == king_by_reach_sets(
+            quiver, support, theta, strict=False
+        )
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,8 +474,6 @@ def test_genericity_matches_oracle(data):
 
 
 def test_genericity_cap(monkeypatch):
-    from dimerkit import stability
-
     quiver = quiver_of(cover(example("honeycomb"), 7, 6))
     n = len(quiver.vertices)
     assert n == 42 > 2 * VERTEX_CAP
