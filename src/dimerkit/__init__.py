@@ -13,7 +13,6 @@ checked against the polygon as a certificate of crepant resolution.
 from .catalog import example, example_names
 from .charts import (
     CASE_SIX_OPPOSITE,
-    CertificateReport,
     Chart,
     ChartClassification,
     ChartCone,
@@ -49,7 +48,6 @@ from .heights import (
 from .lattice import (
     Cone3,
     CocharLattice,
-    SNFResult,
     Splitting,
     cochar_lattice,
     cone_over_polygon,
@@ -57,7 +55,6 @@ from .lattice import (
     express_functional,
     hilbert_basis,
     pm_cocharacter,
-    smith_normal_form,
     split_by_reference,
 )
 from .matchings import (

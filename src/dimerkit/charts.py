@@ -71,7 +71,7 @@ from .lattice import (
     split_by_reference,
 )
 from .matchings import perfect_matchings
-from .model import Cell, Dart, DimerModel, ValidationCheck
+from .model import Cell, Dart, DimerModel, ValidationCheck, ValidationReport
 from .model import _add_forest_path, _head_cell, _spanning_forest, faces_area2, trace_faces
 from .quiver import Quiver, quiver_of
 from .stability import Theta, is_stable, sample_generic_theta
@@ -407,27 +407,12 @@ class Chart:
 
 
 @dataclass(frozen=True)
-class CertificateReport:
-    checks: tuple[ValidationCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def check(self, name: str) -> ValidationCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise InternalConsistencyError(f"no certificate check named {name!r}")
-
-
-@dataclass(frozen=True)
 class FanResult:
     base: tuple[str, ...]
     theta: Theta
     polygon: LatticePolygon
     charts: tuple[Chart, ...]
-    report: CertificateReport
+    report: ValidationReport
 
 
 def _unit_steps(cycle: Sequence[Cell]):
@@ -451,7 +436,7 @@ def _unpaired_steps(
     return sorted(s for s, n in net.items() if n > net[s[::-1]])
 
 
-def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> CertificateReport:
+def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> ValidationReport:
     """Certify that the chart cones triangulate the cone over the polygon.
 
     Checks, in order: some chart at all (``charts-smooth``: every chart is
@@ -541,7 +526,7 @@ def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> Certific
             "transitions-integral", not bad_tr, "; ".join(map(str, bad_tr))
         )
     )
-    return CertificateReport(tuple(checks))
+    return ValidationReport(tuple(checks))
 
 
 def assemble_fan(

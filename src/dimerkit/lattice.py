@@ -1,4 +1,4 @@
-"""Integer linear algebra and the cocharacter lattice of a dimer quiver.
+"""The cocharacter lattice of a dimer quiver, its splitting, and cones.
 
 Arrow weights that give both sides of every relation the same total form a
 subgroup ``W`` of ``Z^arrows``; weights of the form "target minus source" of
@@ -11,19 +11,23 @@ common value of the vertex sums) and two height pairings ``pi_x, pi_y``.
 A matching's height change is its total edge offset against a reference
 matching's, so the pairings are read off the edge offsets in closed form
 and give every matching cocharacter its height change on the nose.
-Everything is computed exactly over the integers.  The relation of an
+Everything is computed exactly over the integers, and nothing is
+eliminated: both lattices come from spanning forests.  The relation of an
 arrow asks its white and its black vertex cycle to weigh the same, so ``W``
 is read off the tiling's bipartite graph, whose vertices are the quiver's
 vertex cycles (``Quiver.cycles``, walked once per quiver): a spanning forest
 (the package's one breadth-first forest, ``model._spanning_forest``, with
 its path walk ``model._add_forest_path``) gives a basis of level vectors and
-fundamental cycles, in which a vector's
-coordinates are its levels and its values at the non-tree arrows.  A closed
-walk enters each face as often as it leaves it, so every gauge row has
-level 0 and its chord values as coordinates.  The lattice is kept on the
-quiver, and one self-contained Smith normal form of the ``F`` gauge rows'
-coordinates gives ``N``; the splitting keeps the inverse of its matrix, so
-expressing a functional is one product.
+fundamental cycles, in which a vector's coordinates are its levels and its
+values at the non-tree arrows, the chords.  A closed walk enters each face
+as often as it leaves it, so every gauge row has level 0 and its chord
+values as coordinates: the gauge rows are the incidence matrix of the
+directed graph on the faces whose edges are the chords.  An incidence
+matrix is totally unimodular, so ``N`` has no torsion, and a second
+spanning forest, grown over the faces along the chords, gives its basis:
+the level vectors and the cycles of the chords that forest leaves out.
+The lattice is kept on the quiver; the splitting keeps the inverse of its
+matrix, so expressing a functional is one product.
 """
 
 from __future__ import annotations
@@ -49,124 +53,7 @@ HILBERT_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form and friends
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-@dataclass(frozen=True)
-class SNFResult:
-    """Decomposition ``U @ M @ V == S`` with ``U, V`` unimodular.
-
-    ``S`` is diagonal with non-negative entries, each dividing the next.
-    ``v_inv`` is the inverse of ``V``.
-    """
-
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
-    v_inv: IntMatrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(
-            self.s[i][i] for i in range(min(len(self.s), len(self.s[0]) if self.s else 0))
-        )
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d)
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None) -> SNFResult:
-    """Smith normal form over the integers, with both transforms and the
-    inverse of the column transform.
-
-    Pivoting is deterministic: the entry of least absolute value wins, ties
-    broken by row then column.  ``ncols`` is only needed for matrices with
-    no rows.
-    """
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if a else (ncols if ncols is not None else 0)
-    if any(len(row) != n for row in a):
-        raise InvalidModelError("ragged matrix")
-    u = _identity(m)
-    v, vinv = _identity(n), _identity(n)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def row_add(i, j, c):  # row i += c * row j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def col_add(i, j, c):  # col i += c * col j
-        for r in a:
-            r[i] += c * r[j]
-        for r in v:
-            r[i] += c * r[j]
-        vinv[j] = [x - c * y for x, y in zip(vinv[j], vinv[i])]
-
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                val = abs(a[i][j])
-                if val and (best is None or val < best[0]):
-                    best = (val, i, j)
-            if best is not None and best[0] == 1:
-                break  # no later entry is smaller than a unit
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        if a[t][t] < 0:
-            row_neg(t)
-        dirty = False
-        for i in range(t + 1, m):
-            if a[i][t]:
-                row_add(i, t, -(a[i][t] // a[t][t]))
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if a[t][j]:
-                col_add(j, t, -(a[t][j] // a[t][t]))
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        if a[t][t] > 1:  # a unit divides every entry
-            fix = next(
-                (i for i in range(t + 1, m)
-                 if any(a[i][j] % a[t][t] for j in range(t + 1, n))),
-                None,
-            )
-            if fix is not None:
-                row_add(t, fix, 1)  # drag the offending row up and keep reducing
-                continue
-        t += 1
-
-    freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return SNFResult(freeze(u), freeze(a), freeze(v), freeze(vinv))
+# 3x3 integer inverses
 
 
 def adjugate3(m: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -213,13 +100,16 @@ def _kills_gauge(q: Quiver, vec: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class CocharLattice:
-    """The lattice ``N = W / B`` with a basis of its free part.
+    """The lattice ``N = W / B`` with a basis.
 
     ``w_basis`` spans the relation-compatible weights ``W`` inside
-    ``Z^arrows``; ``free_basis`` lifts a basis of the free part of ``N``
-    back to ``W``.  ``torsion`` lists the nontrivial invariant factors.
+    ``Z^arrows``; ``free_basis`` lifts a basis of ``N`` back to ``W``.
     Both bases are one choice among many: the lattices they span (``W``,
-    and ``N`` modulo ``B``), the torsion and the rank are the invariants.
+    and ``N`` modulo ``B``) and the rank are the invariants.  ``torsion``
+    lists the nontrivial invariant factors of ``N`` and is always empty:
+    in the forest coordinates of ``W`` the gauge rows are the incidence
+    matrix of a directed graph, which is totally unimodular, so every
+    invariant factor is 0 or 1.
     """
 
     arrow_order: tuple[str, ...]
@@ -284,35 +174,36 @@ def _forest_basis(q: Quiver) -> tuple[list[list[int]], list[int]]:
 
 @per_object
 def cochar_lattice(q: Quiver) -> CocharLattice:
-    """``N = W / B`` from a spanning-forest basis of ``W``.
+    """``N = W / B`` from two spanning forests.
 
-    A vector of ``W`` has its levels and its values at the non-tree arrows
-    as coordinates in that basis.  A gauge row sums to 0 over every vertex
-    cycle, a closed walk, so its coordinates are 0 at the levels and its
-    values at the non-tree arrows; one Smith form of those ``F`` rows then
-    gives ``N``.
+    A vector of ``W`` has its levels and its values at the chords as
+    coordinates in the basis of :func:`_forest_basis`.  A gauge row sums to
+    0 over every vertex cycle, a closed walk, so its coordinates are 0 at
+    the levels and, at the chords, the incidence row of its face in the
+    directed graph on the faces whose edges are the chords.  Incidence
+    matrices are totally unimodular, so the quotient is free, and a
+    spanning forest of that graph gives its basis.  The chord values of
+    any vector are matched on the forest's chords by a face potential,
+    built root outwards along each tree, which leaves a vector on the
+    chords the forest leaves out; and a sum of gauge rows that vanishes on
+    the forest's chords has a potential constant on each tree, so it is 0.
+    ``N`` is therefore free on the level vectors and the cycles of the
+    left-out chords, with no torsion.
     """
     w_basis, chords = _forest_basis(q)
-    k = len(w_basis)
-    zeros = [0] * (k - len(chords))
-    chord_arrows = [q.arrows[i] for i in chords]
-    coords = [
-        zeros + [(a.target == v) - (a.source == v) for a in chord_arrows]
-        for v in q.vertices
-    ]
-    res = smith_normal_form(coords, ncols=k)
-    torsion = tuple(d for d in res.diagonal if d > 1)
-    rank = k - res.rank
-    free_basis = []
-    for row in res.v_inv[res.rank:]:  # coordinates in the W basis
-        vec = [0] * len(q.arrows)
-        for c, wb in zip(row, w_basis):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, wb)]
-        free_basis.append(tuple(vec))
-    return CocharLattice(
-        q.arrow_ids, tuple(map(tuple, w_basis)), tuple(free_basis), torsion, rank
+    vpos = q.vertex_pos
+    ends: list[tuple[int, int] | None] = [None] * len(q.arrows)
+    for i in chords:
+        a = q.arrows[i]
+        ends[i] = (vpos[a.source], vpos[a.target])
+    up, _ = _spanning_forest(len(q.vertices), ends)
+    spanned = set(up)
+    basis = tuple(map(tuple, w_basis))
+    levels = len(basis) - len(chords)
+    free_basis = basis[:levels] + tuple(
+        cyc for i, cyc in zip(chords, basis[levels:]) if i not in spanned
     )
+    return CocharLattice(q.arrow_ids, basis, free_basis, (), len(free_basis))
 
 
 def pm_cocharacter(q: Quiver, matching: Iterable[str]) -> dict[str, int]:
@@ -392,7 +283,7 @@ def split_by_reference(q: Quiver, base: Iterable[str]) -> Splitting:
         )
 
     lat = cochar_lattice(q)
-    if lat.rank != 3 or lat.torsion:
+    if lat.rank != 3:
         raise DegenerateModelError(
             f"cocharacter lattice is not free of rank 3 "
             f"(rank {lat.rank}, torsion {lat.torsion})"
@@ -414,16 +305,20 @@ def express_functional(
 ) -> Vec3:
     """Coefficients of an N-functional over ``(pi_x, pi_y, level)``.
 
-    The input must kill the gauge subgroup; the result ``(a, b, c)``
-    satisfies ``f = a pi_x + b pi_y + c level`` on all of ``W``.  Both
-    sides kill the gauge subgroup ``B`` and agree on the lattice's free
-    basis, and ``W`` is spanned by that basis and ``B``.
+    The input must kill the gauge subgroup, and the splitting must be one
+    of ``q``'s (its arrow order is checked): its inverse is taken on
+    ``q``'s free basis.  The result ``(a, b, c)`` satisfies
+    ``f = a pi_x + b pi_y + c level`` on all of ``W``.  Both sides kill the
+    gauge subgroup ``B`` and agree on the lattice's free basis, and ``W`` is
+    spanned by that basis and ``B``.
     """
+    if split.arrow_order != q.arrow_ids:
+        raise InvalidModelError("splitting belongs to another quiver")
     fvec = _vec(q, functional)
     if not _kills_gauge(q, fvec):
         raise InvalidModelError("functional does not kill the gauge subgroup")
     lat = cochar_lattice(q)
-    if lat.rank != 3 or lat.torsion:
+    if lat.rank != 3:
         raise DegenerateModelError("cocharacter lattice is not free of rank 3")
     rhs = [sum(f * n for f, n in zip(fvec, fb)) for fb in lat.free_basis]
     # u . T = rhs for the splitting's matrix T, so u = rhs . T^-1

@@ -1,5 +1,6 @@
 """Shared test helpers: corpus generators and the acceptance summary."""
 
+import functools
 import os
 import random
 
@@ -9,7 +10,10 @@ from dimerkit import (
     DimerModel,
     DimerVertex,
     example,
+    from_model,
+    is_non_degenerate,
     load_model,
+    validate_model,
 )
 
 # every a x b cover of the catalog's non-degenerate models with at most 16
@@ -31,6 +35,12 @@ SPECTRUM_COVERS = (
 # the tiling benchmark's covers, 216 to 300 edges
 TILING_COVERS = (
     ("honeycomb", 10, 10), ("honeycomb", 12, 6), ("conifold", 8, 8), ("fzero", 6, 6),
+)
+
+# the covers the edge-deletion corpus draws from, 40 seeds each
+DELETION_COVERS = (
+    ("conifold", 2, 2), ("conifold", 3, 2), ("honeycomb", 3, 2),
+    ("honeycomb", 2, 2), ("fzero", 2, 1),
 )
 
 # one line per acceptance criterion, filled in by tests/test_acceptance.py
@@ -130,4 +140,43 @@ def sweep_corpus() -> dict[str, DimerModel]:
         (f"{n}-{a}x{b}", cover(example(n), a, b))
         for n, a, b in CERTIFY_COVERS + SPECTRUM_COVERS
     )
+    return models
+
+
+def delete_edges(model: DimerModel, k: int, rng: random.Random) -> DimerModel | None:
+    """The model with ``k`` edges drawn by ``rng`` deleted, or None unless
+    the result is a dimer model in the paper's sense.
+
+    The edges leave ``edges`` and the rotations at both their ends; deleting
+    an edge merges the two faces on its sides.  The result is kept only if
+    it passes :func:`validate_model` and every edge lies in a perfect
+    matching (per-edge non-degeneracy).
+    """
+    gone = {e.id for e in rng.sample(model.edges, k)}
+    cut = DimerModel(
+        model.vertices,
+        tuple(e for e in model.edges if e.id not in gone),
+        tuple(
+            (v, tuple(eid for eid in rot if eid not in gone))
+            for v, rot in model.rotation
+        ),
+    )
+    if not validate_model(cut).ok or not is_non_degenerate(from_model(cut), "per-edge"):
+        return None
+    return cut
+
+
+@functools.cache
+def deletion_corpus() -> dict[str, DimerModel]:
+    """By name: the distinct models :func:`delete_edges` keeps from 40
+    seeded draws of 1-4 edges on each of ``DELETION_COVERS``; tilings that
+    are not covers, many with more faces than twice the polygon's area."""
+    models, seen = {}, set()
+    for name, a, b in DELETION_COVERS:
+        base = cover(example(name), a, b)
+        for seed in range(40):
+            cut = delete_edges(base, 1 + seed % 4, random.Random(seed))
+            if cut is not None and cut.edges not in seen:
+                seen.add(cut.edges)
+                models[f"{name}-{a}x{b}-del{seed}"] = cut
     return models

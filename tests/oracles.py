@@ -1,22 +1,24 @@
 """Reference routines the tests check the package against.
 
 Each is a plain, independent computation of something the package derives
-another way: the dense relation matrix and its integer kernel, an integer
-solve per right-hand side, each relation tested on its own, a determinant by
-elimination and a chart transition by adjugate, a weight's coordinates
-under a splitting, path sums walked arrow by arrow, a domain's orientation
-by the shoelace of its boundary walk, the face walk's turn and the quiver's
-cycle maps looked up in the rotation, each relation cut out of its cycle
-arrow by arrow, a JSON rational read by ``Fraction(str)`` on the spellings
-every Python reads alike, the characteristic polynomial and the edge
-charges by a loop over the enumerated matchings, the canonical order of the
-matchings by sorting their position tuples, spanning trees grown in passes
-with one path tuple per face, the weight lattice's forest with a depth
-array, connectivity by a depth-first search, and King stability by one
-min cut per source component of the support over dense reach sets.
+another way: a general Smith normal form, the dense relation matrix and its
+integer kernel, an integer solve per right-hand side, each relation tested
+on its own, a determinant by elimination and a chart transition by
+adjugate, a weight's coordinates under a splitting, path sums walked arrow
+by arrow, a domain's orientation by the shoelace of its boundary walk, the
+face walk's turn and the quiver's cycle maps looked up in the rotation,
+each relation cut out of its cycle arrow by arrow, a JSON rational read by
+``Fraction(str)`` on the spellings every Python reads alike, the
+characteristic polynomial and the edge charges by a loop over the
+enumerated matchings, the canonical order of the matchings by sorting their
+position tuples, spanning trees grown in passes with one path tuple per
+face, the weight lattice's forest with a depth array, connectivity by a
+depth-first search, and King stability by one min cut per source component
+of the support over dense reach sets.
 """
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from dimerkit import (
@@ -28,12 +30,128 @@ from dimerkit import (
     from_model,
     laurent_from_counts,
     relations,
-    smith_normal_form,
 )
 from dimerkit.heights import _check_matching, _offset_sum
 from dimerkit.lattice import adjugate3
 from dimerkit.matchings import enumerate_matchings
 from dimerkit.model import BLACK, per_object
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@dataclass(frozen=True)
+class SNFResult:
+    """Decomposition ``U @ M @ V == S`` with ``U, V`` unimodular.
+
+    ``S`` is diagonal with non-negative entries, each dividing the next.
+    ``v_inv`` is the inverse of ``V``.
+    """
+
+    u: tuple
+    s: tuple
+    v: tuple
+    v_inv: tuple
+
+    @property
+    def diagonal(self):
+        return tuple(
+            self.s[i][i] for i in range(min(len(self.s), len(self.s[0]) if self.s else 0))
+        )
+
+    @property
+    def rank(self):
+        return sum(1 for d in self.diagonal if d)
+
+
+def smith_normal_form(matrix, ncols=None):
+    """Smith normal form over the integers, with both transforms and the
+    inverse of the column transform.
+
+    Pivoting is deterministic: the entry of least absolute value wins, ties
+    broken by row then column.  ``ncols`` is only needed for matrices with
+    no rows.
+    """
+    a = [list(map(int, row)) for row in matrix]
+    m = len(a)
+    n = len(a[0]) if a else (ncols if ncols is not None else 0)
+    if any(len(row) != n for row in a):
+        raise InvalidModelError("ragged matrix")
+    u = _identity(m)
+    v, vinv = _identity(n), _identity(n)
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def row_add(i, j, c):  # row i += c * row j
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def col_add(i, j, c):  # col i += c * col j
+        for r in a:
+            r[i] += c * r[j]
+        for r in v:
+            r[i] += c * r[j]
+        vinv[j] = [x - c * y for x, y in zip(vinv[j], vinv[i])]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                val = abs(a[i][j])
+                if val and (best is None or val < best[0]):
+                    best = (val, i, j)
+            if best is not None and best[0] == 1:
+                break  # no later entry is smaller than a unit
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        if a[t][t] < 0:
+            row_neg(t)
+        dirty = False
+        for i in range(t + 1, m):
+            if a[i][t]:
+                row_add(i, t, -(a[i][t] // a[t][t]))
+                if a[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if a[t][j]:
+                col_add(j, t, -(a[t][j] // a[t][t]))
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        if a[t][t] > 1:  # a unit divides every entry
+            fix = next(
+                (i for i in range(t + 1, m)
+                 if any(a[i][j] % a[t][t] for j in range(t + 1, n))),
+                None,
+            )
+            if fix is not None:
+                row_add(t, fix, 1)  # drag the offending row up and keep reducing
+                continue
+        t += 1
+
+    freeze = lambda rows: tuple(tuple(r) for r in rows)
+    return SNFResult(freeze(u), freeze(a), freeze(v), freeze(vinv))
 
 
 @per_object

@@ -46,7 +46,7 @@ from dimerkit import (
     validate_model,
     verify_crepant,
 )
-from conftest import CERTIFY_COVERS, cover, sweep_corpus
+from conftest import CERTIFY_COVERS, cover, deletion_corpus, sweep_corpus
 from oracles import (
     chart_transition,
     det_int,
@@ -342,6 +342,20 @@ def test_certificate_on_covers(name, a, b):
         fan = assemble_fan(model, seed=seed)
         assert fan.report.ok, (seed, [c for c in fan.report.checks if not c.ok])
         assert len(fan.charts) == area2(fan.polygon), seed
+
+
+def test_certificate_on_edge_deletions():
+    # tilings that are not covers: the theorem still gives charts = area2,
+    # also where the tiling has more faces than that
+    corpus = deletion_corpus()
+    assert len(corpus) > 100
+    more_faces = 0
+    for name, model in corpus.items():
+        fan = assemble_fan(model, seed=0)
+        assert fan.report.ok, (name, [c for c in fan.report.checks if not c.ok])
+        assert len(fan.charts) == area2(fan.polygon), name
+        more_faces += len(quiver_of(model).vertices) > area2(fan.polygon)
+    assert more_faces > 50
 
 
 @pytest.mark.parametrize("name, a, b", [

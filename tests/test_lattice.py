@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CERTIFY_COVERS, TILING_COVERS, cover, sweep_corpus
+from conftest import CERTIFY_COVERS, TILING_COVERS, cover, deletion_corpus, sweep_corpus
 from dimerkit import (
     CapacityError,
     DegenerateModelError,
@@ -28,15 +28,16 @@ from dimerkit import (
     pm_cocharacter,
     quiver_of,
     relations,
-    smith_normal_form,
     split_by_reference,
 )
 from dimerkit import lattice
+from dimerkit.model import _spanning_forest
 from oracles import (
     constraint_matrix,
     det_int,
     forest_basis_by_depth,
     kernel,
+    smith_normal_form,
     solve_integer,
     split_coords,
 )
@@ -157,6 +158,19 @@ def test_express_functional():
     assert express_functional(q, sp, dict(zip(sp.arrow_order, comb))) == (2, -3, 1)
 
 
+def test_express_functional_rejects_another_quivers_splitting():
+    # a splitting's inverse is taken on its own quiver's free basis, so
+    # another quiver's splitting is refused rather than misread
+    own = split_by_reference(q, perfect_matchings(conifold)[0])
+    pi_y = dict(zip(q.arrow_ids, own.pi_y))
+    assert express_functional(q, own, pi_y) == (0, 1, 0)
+    for name in ("honeycomb", "fzero"):
+        model = example(name)
+        other = split_by_reference(quiver_of(model), perfect_matchings(model)[0])
+        with pytest.raises(InvalidModelError, match="^splitting belongs to another quiver$"):
+            express_functional(q, other, pi_y)
+
+
 LATTICE_MODELS = {name: example(name) for name in example_names()} | {
     f"{name}-{a}x{b}": cover(example(name), a, b)
     for name, a, b in (("honeycomb", 2, 2), ("conifold", 2, 2), ("fzero", 2, 1))
@@ -181,6 +195,8 @@ def test_splitting_reproduces_heights():
 ORACLE_MODELS = LATTICE_MODELS | {
     f"{name}-{a}x{b}": cover(example(name), a, b) for name, a, b in CERTIFY_COVERS
 }
+# and the tilings that are not covers
+SOLVE_MODELS = ORACLE_MODELS | deletion_corpus()
 
 
 def _in_span(basis, vectors):
@@ -189,12 +205,14 @@ def _in_span(basis, vectors):
     return all(solve_integer(cols, v) is not None for v in vectors)
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+@pytest.mark.parametrize("name", sorted(SOLVE_MODELS))
 def test_cochar_lattice_matches_per_row_solve(name):
     # reference route: the kernel of the relation matrix, then each gauge
-    # row solved on its own.  A lattice has no canonical basis, so the two
-    # routes must span the same W and the same N modulo the gauge rows
-    quiver = quiver_of(ORACLE_MODELS[name])
+    # row solved on its own and one Smith form of their coordinates.  A
+    # lattice has no canonical basis, so the two routes must span the same
+    # W and the same N modulo the gauge rows; the Smith form finds no
+    # torsion, as total unimodularity says
+    quiver = quiver_of(SOLVE_MODELS[name])
     n = len(quiver.arrows)
     w_basis = kernel(smith_normal_form(constraint_matrix(quiver), ncols=n))
     k = len(w_basis)
@@ -221,24 +239,53 @@ def test_cochar_lattice_matches_per_row_solve(name):
     assert _in_span(lat.w_basis, w_basis) and _in_span(w_basis, lat.w_basis)
     ours, theirs = lat.free_basis + tuple(gauge), free_basis + tuple(gauge)
     assert _in_span(ours, theirs) and _in_span(theirs, ours)
-    assert lat.torsion == tuple(d for d in res.diagonal if d > 1)
+    assert set(res.diagonal) <= {0, 1}
+    assert lat.torsion == ()
     assert lat.rank == k - res.rank
 
 
-def test_cochar_lattice_one_smith_form_on_face_rows(monkeypatch):
-    # W and the gauge coordinates come from a spanning forest; only the F
-    # gauge rows meet a Smith form
-    shapes = []
-    snf = lattice.smith_normal_form
+def test_cochar_lattice_grows_two_forests(monkeypatch):
+    # no elimination: one forest of the tiling's graph gives W, one of the
+    # faces along its chords gives N, and N's basis is part of W's
+    grown = []
 
-    def spy(matrix, ncols=None):
-        shapes.append((len(matrix), ncols))
-        return snf(matrix, ncols)
+    def spy(n, ends):
+        grown.append((n, sum(e is not None for e in ends)))
+        return _spanning_forest(n, ends)
 
-    monkeypatch.setattr(lattice, "smith_normal_form", spy)
+    monkeypatch.setattr(lattice, "_spanning_forest", spy)
     quiver = quiver_of(cover(conifold, 2, 3))  # a fresh quiver, nothing memoized
     lat = cochar_lattice(quiver)
-    assert shapes == [(len(quiver.vertices), len(lat.w_basis))]
+    (whites, _), (blacks, _) = quiver.cycles
+    chords = len(lat.w_basis) - 1  # one level vector
+    assert grown == [
+        (len(whites) + len(blacks), len(quiver.arrows)),
+        (len(quiver.vertices), chords),
+    ]
+    assert lat.free_basis[0] == lat.w_basis[0] and lat.rank == 3
+    assert set(lat.free_basis) <= set(lat.w_basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14),
+)))
+def test_forest_leaves_out_a_basis_of_the_incidence_quotient(graph):
+    # a directed multigraph, loops, parallel arcs and several components
+    # allowed: its incidence matrix has Smith diagonal 0/1 only, and the
+    # unit vectors of the arcs a spanning forest leaves out complete its
+    # rows to Z^arcs, as cochar_lattice relies on for the faces and chords
+    n, arcs = graph
+    e = len(arcs)
+    incidence = [[(h == v) - (t == v) for t, h in arcs] for v in range(n)]
+    res = smith_normal_form(incidence, ncols=e)
+    assert set(res.diagonal) <= {0, 1}
+    up, _ = _spanning_forest(n, arcs)
+    units = [[int(j == i) for j in range(e)] for i in range(e) if i not in up]
+    both = smith_normal_form(incidence + units, ncols=e)
+    assert both.rank == e and set(both.diagonal) <= {1}
+    assert res.rank + len(units) == e  # and none of them is spare
 
 
 def test_splitting_at_size():
@@ -258,42 +305,141 @@ def test_splitting_at_size():
 
 
 # per sweep-corpus model, sha256 prefixes of the repr of its relations, of
-# its lattice (w_basis, free_basis, torsion, rank) and of its splitting by
-# the first matching (pi_x, pi_y, level, iso_det, inverse; None without a
-# matching), recorded while the lattice still read the relation paths
+# the lattice's invariants (w_basis, torsion, rank) and of its splitting by
+# the first matching's pairings (pi_x, pi_y, level), recorded while the
+# lattice still came from a Smith normal form; then of the parts that
+# depend on the choice of basis of N, free_basis and the splitting's
+# (iso_det, inverse), recorded when a spanning forest chose it.  A
+# splitting is None without a matching
 LATTICE_PINS = {
-    "conifold": ("7a6a0db1da95b2a2", "16b7f182a33f56b6", "7b2e90b665d1f689"),
-    "honeycomb": ("8c631910cd634a03", "8c9326b1e191399e", "f1cf19abdff6aea7"),
-    "fzero": ("8dd08320cc1e7788", "2ed486b5f4a70cb5", "224428e53539be83"),
-    "degenerate": ("9fbc7fe2ced57b99", "391e291f1a327ea6", "74e22123101c6298"),
-    "dice.json": ("64b2c82ec68556db", "e5ceb009432759bb", "dc937b59892604f5"),
-    "honeycomb_wound.json": ("8c631910cd634a03", "8c9326b1e191399e", "da93ce977c9eda03"),
-    "conifold-1x1": ("f59526634bedf1c6", "16b7f182a33f56b6", "7b2e90b665d1f689"),
-    "conifold-1x2": ("5e2b9be50c8e9387", "2d646a946c65f245", "310086540da1aa46"),
-    "conifold-1x3": ("466841ad190c071e", "9753800a9aa52fd0", "52a187b7e3185938"),
-    "conifold-1x4": ("5e954c75a2d27015", "30ab70a03d7d41de", "d6794194dceb62f5"),
-    "conifold-2x1": ("2ff188fe60bd64de", "08c1c84ed4290ffb", "2970b954f5e51cde"),
-    "conifold-2x2": ("176cd0163dde3ec3", "66e8dd02cb51612f", "6e546d84a0e81af3"),
-    "conifold-3x1": ("6fc05ddf38808896", "3a5973ea4cef3e7b", "59a3397da583115f"),
-    "conifold-4x1": ("a41727ef5ae53563", "70a52fe19ce14962", "8b258a092ddab658"),
-    "honeycomb-1x1": ("3354a085cc6575cf", "8c9326b1e191399e", "f1cf19abdff6aea7"),
-    "honeycomb-1x2": ("65a5d6baee492e2f", "f57a50a1943bdf80", "8413e63d623d9c20"),
-    "honeycomb-1x3": ("45a62e26983e34ea", "b447358e1010bb61", "fdb055cacfab425f"),
-    "honeycomb-1x4": ("01103ae134743f92", "5130d2572f70f9e4", "ba81a6136de3ae07"),
-    "honeycomb-1x5": ("f032613d339f1226", "b4484e0d021ffcd6", "134e384bc0f52857"),
-    "honeycomb-2x1": ("48b3c563ff1735f1", "331c778e4eeeb84c", "9aee06da59a26d23"),
-    "honeycomb-2x2": ("10b086420cae86a6", "34a83ebbdd760e07", "6fbc32871b2c8157"),
-    "honeycomb-3x1": ("548ff3bd5302ab63", "8e1de1339ea1cbf7", "16ed5f312145294e"),
-    "honeycomb-4x1": ("1317a2c320c4681a", "f0606b980761a753", "4cc634d4e697b9b8"),
-    "honeycomb-5x1": ("668fb514e25002d7", "fa9bccf7093a7bcd", "d13a4b6b9698cde3"),
-    "fzero-1x1": ("7cdf7c6e348fcdbc", "2ed486b5f4a70cb5", "224428e53539be83"),
-    "fzero-1x2": ("7d780ef83411e997", "34ace3452473e287", "37a9545a24be140e"),
-    "fzero-2x1": ("b13ff017d8e24392", "8151201b7c4107af", "409f6e50c346ca06"),
-    "conifold-4x4": ("ef35ff9c7137f215", "c6242128c93789fd", "be2de36bb0d12cd1"),
-    "honeycomb-5x5": ("ea0e30931efc4612", "11cf72237adfeec2", "ebbd06ea7a742fbe"),
-    "honeycomb-4x4": ("685349ac1ce7867d", "d86c359c9c442d87", "37f018d04bb44199"),
-    "fzero-2x2": ("34f3535af06a97a9", "a384ebe6ed85da5a", "419887c75a2ef613"),
-    "conifold-4x2": ("82c03b2fd306c9b8", "8a8b3ad1cdbba5da", "cddc4b22f78d29e9"),
+    'conifold': (
+        '7a6a0db1da95b2a2', 'b39fa46626ecdce1', '32a0c612a77650c7',
+        'fb53abdbe75436c9', 'a7f00f9d9270de00',
+    ),
+    'honeycomb': (
+        '8c631910cd634a03', '74a6906f3425654b', 'c5b11da68dfacb04',
+        'a7d442dbc8f2bb37', '8a803a9e0dd2785c',
+    ),
+    'fzero': (
+        '8dd08320cc1e7788', 'fb9b50825b5cab03', '6b71bda48a422b9d',
+        '5fd1d45d164394f7', '3fe5c06b5a9bb0a1',
+    ),
+    'degenerate': (
+        '9fbc7fe2ced57b99', 'a2a412c8e439ef0e', '47bf9269cc8dbbfc',
+        '532826c184481dfd', '3fe5c06b5a9bb0a1',
+    ),
+    'dice.json': (
+        '64b2c82ec68556db', 'a5e8d62cc20205f9', 'dc937b59892604f5',
+        'a2bc7c941cbee187', 'dc937b59892604f5',
+    ),
+    'honeycomb_wound.json': (
+        '8c631910cd634a03', '74a6906f3425654b', '3e876b15b2dada1b',
+        'a7d442dbc8f2bb37', 'f30f0c9e5100b373',
+    ),
+    'conifold-1x1': (
+        'f59526634bedf1c6', 'b39fa46626ecdce1', '32a0c612a77650c7',
+        'fb53abdbe75436c9', 'a7f00f9d9270de00',
+    ),
+    'conifold-1x2': (
+        '5e2b9be50c8e9387', '1d8f972c67a8d816', '6f125ea9ad640d81',
+        '75bf10b2474cee65', 'c075813bb91bc73e',
+    ),
+    'conifold-1x3': (
+        '466841ad190c071e', '0581e8e8f0cdbd00', 'feb35904bd99763d',
+        '16d6dd3e5466dd92', '96cdfeed7cde97b9',
+    ),
+    'conifold-1x4': (
+        '5e954c75a2d27015', '11090d3bcafeb54e', '82fc0ae0caf11f1c',
+        '1a43d024fba0983c', '650114661007462e',
+    ),
+    'conifold-2x1': (
+        '2ff188fe60bd64de', '7f8a389ee895e22c', 'cff702933f08c80e',
+        '3c4e93bb2ca8961d', 'c33f45ceba1f5d6c',
+    ),
+    'conifold-2x2': (
+        '176cd0163dde3ec3', '51cfb8d3734f7c14', '0df4e862065a5c04',
+        '7d2437b85bf086a7', '81b0b06bb7e245fb',
+    ),
+    'conifold-3x1': (
+        '6fc05ddf38808896', 'c48499065fd1a42a', 'a39d2767b02c90dd',
+        'abca6e366e930712', 'c9e3bf9f6c3aad04',
+    ),
+    'conifold-4x1': (
+        'a41727ef5ae53563', 'c45c8472369a9ccf', '55513106e8b1c8d0',
+        '17917b21d0edf159', 'c33f45ceba1f5d6c',
+    ),
+    'honeycomb-1x1': (
+        '3354a085cc6575cf', '74a6906f3425654b', 'c5b11da68dfacb04',
+        'a7d442dbc8f2bb37', '8a803a9e0dd2785c',
+    ),
+    'honeycomb-1x2': (
+        '65a5d6baee492e2f', 'e993735cc2b95010', '488d019c2d23e075',
+        'a8628e117d1cfd99', 'f492627240f68272',
+    ),
+    'honeycomb-1x3': (
+        '45a62e26983e34ea', 'f517c9279006dea5', 'f77b77e24ade9b46',
+        'c01b5c4ae0a4e862', '8a803a9e0dd2785c',
+    ),
+    'honeycomb-1x4': (
+        '01103ae134743f92', '64979368bafafc6d', 'ecaaa4974699e4f1',
+        'ec4a48ec0644a801', 'f492627240f68272',
+    ),
+    'honeycomb-1x5': (
+        'f032613d339f1226', '473b9020d50a5092', '4403b822c495673e',
+        '9a2e01f597348652', '8a803a9e0dd2785c',
+    ),
+    'honeycomb-2x1': (
+        '48b3c563ff1735f1', '73a3b8f014952ebb', '2024ba82e7acb9c4',
+        'ff1a717f27c753f4', 'f289f2443b8d5150',
+    ),
+    'honeycomb-2x2': (
+        '10b086420cae86a6', '15f9cc813ebb82fc', 'ea780ba8601431d2',
+        '724d26c4a551bd46', '3b2f425e3be64a6d',
+    ),
+    'honeycomb-3x1': (
+        '548ff3bd5302ab63', '6ab79e649dac9313', '8aca2d70e3c9745d',
+        'd1c35a2dd16b6627', 'f246878656b5702a',
+    ),
+    'honeycomb-4x1': (
+        '1317a2c320c4681a', '99761b76796ea560', 'dff8f511bebbe705',
+        '9c32126030f5b589', 'f289f2443b8d5150',
+    ),
+    'honeycomb-5x1': (
+        '668fb514e25002d7', '02abb9e75eba51ff', '3207bb7df804d216',
+        '7fb0892a7118dd8f', 'f246878656b5702a',
+    ),
+    'fzero-1x1': (
+        '7cdf7c6e348fcdbc', 'fb9b50825b5cab03', '6b71bda48a422b9d',
+        '5fd1d45d164394f7', '3fe5c06b5a9bb0a1',
+    ),
+    'fzero-1x2': (
+        '7d780ef83411e997', 'c741187f870dd758', 'ed84ea8d8ee4e180',
+        'bd9d7a84b031f667', '8a803a9e0dd2785c',
+    ),
+    'fzero-2x1': (
+        'b13ff017d8e24392', '43bbdbd10309c47e', 'a76e8e79efc2ebae',
+        'b2b71722c30f8211', '8a803a9e0dd2785c',
+    ),
+    'conifold-4x4': (
+        'ef35ff9c7137f215', 'dd8cc197273bd286', 'eba0aa52ef51db26',
+        '33673abb52a4f8cf', '8ec163cc58254069',
+    ),
+    'honeycomb-5x5': (
+        'ea0e30931efc4612', '276d0286468b9587', 'ce374cf43a002535',
+        '3a46e429d7504fd5', 'f739a4a0391400ee',
+    ),
+    'honeycomb-4x4': (
+        '685349ac1ce7867d', '9948f20f27f06b49', '7759588d7fb85de5',
+        '982b9d2aee621f46', '3b2f425e3be64a6d',
+    ),
+    'fzero-2x2': (
+        '34f3535af06a97a9', '5c908131328e17d3', 'ee0b95f191e68504',
+        '910ea58769edc206', '3fe5c06b5a9bb0a1',
+    ),
+    'conifold-4x2': (
+        '82c03b2fd306c9b8', '334774d365461a5e', 'd8b2f7fe6850d13a',
+        '75d9a116b66ea410', '42f4b5d727f79582',
+    ),
 }
 
 
@@ -308,14 +454,16 @@ def test_lattice_values_pinned():
         quiver = quiver_of(model)
         lat = cochar_lattice(quiver)
         pms = perfect_matchings(model)
-        split = None
+        pairings = iso = None
         if pms:
             sp = split_by_reference(quiver, pms[0])
-            split = (sp.pi_x, sp.pi_y, sp.level, sp.iso_det, sp.inverse)
+            pairings, iso = (sp.pi_x, sp.pi_y, sp.level), (sp.iso_det, sp.inverse)
         got = (
             _digest(relations(quiver)),
-            _digest((lat.w_basis, lat.free_basis, lat.torsion, lat.rank)),
-            _digest(split),
+            _digest((lat.w_basis, lat.torsion, lat.rank)),
+            _digest(pairings),
+            _digest(lat.free_basis),
+            _digest(iso),
         )
         assert got == LATTICE_PINS[name], name
 
