@@ -11,10 +11,18 @@ three of them whose heights span a unit triangle of the height polygon
 The complement of a union of matchings keeps both sides of an arrow's
 relation exactly when the arrow lies in all three matchings, and a support
 cycle pairs to zero with two independent height differences, so its cover
-shift vanishes; only stability is tested.  The faces' cells and the chart
-characters are read off a spanning forest of the support
-(``model._spanning_forest``); a support cycle has no cover shift and pairs
-to zero with ``W``, so any other tree gives the same.
+shift vanishes; only stability is tested, and only on proposed supports.
+The stable matchings themselves are never tested.  An integer arrow flow
+whose inflow minus outflow is the weight (``stability._lift``) lifts each
+matching over its height.  A stable matching is the strict, unique least
+lift at its height.  No matching lies below the plane through the lifts
+of a stable triple.  The three matchings of a stable support are stable
+(:func:`enumerate_fixed_candidates` proves all three).  So the proposals
+are the unit triangles of unique least lifts with no least lift below
+their plane.  The faces' cells and the chart characters are read off a
+spanning forest of the support (``model._spanning_forest``); a support
+cycle has no cover shift and pairs to zero with ``W``, so any other tree
+gives the same.
 
 Each candidate glues the lifted faces of the model into a fundamental
 domain whose translates tile the plane.  Its boundary runs along the zero
@@ -57,7 +65,6 @@ from typing import Sequence
 from .exceptions import InternalConsistencyError, InvalidModelError
 from .heights import (
     LatticePolygon,
-    _offset_sum,
     area2,
     char_poly,
     contains_point,
@@ -74,7 +81,7 @@ from .matchings import perfect_matchings
 from .model import Cell, Dart, DimerModel, ValidationCheck, ValidationReport
 from .model import _add_forest_path, _head_cell, _spanning_forest, faces_area2, trace_faces
 from .quiver import Quiver, quiver_of
-from .stability import Theta, is_stable, sample_generic_theta
+from .stability import Theta, _lift, is_stable, sample_generic_theta
 
 CASE_SIX_OPPOSITE = "six-trivalent-opposite-colors"
 
@@ -111,33 +118,80 @@ def enumerate_fixed_candidates(
     A perfect matching ``D`` is θ-stable when the 0/1 representation
     supported on the arrows off ``D`` is.  Every triple of θ-stable
     matchings whose heights span a triangle of ``area2`` 1 proposes the
-    complement of their union as a support.  It is kept when it is stable,
-    which implies that it spans the quiver (a component and its complement
-    would both be closed, of weights summing to zero), so the tree that
-    places the faces is grown for kept supports only: each face's cell is
-    its parent's plus or minus its tree arrow's cover shift.  The
-    relations and the gluing of every support arrow hold by construction
-    (see the module docstring).  The matchings are the model's own
-    enumeration, so ``MATCHING_CAP`` bounds the work, and each
-    :func:`is_stable` test is one flow with no cap; the same recipe serves
-    a non-generic weight.
+    complement of their union as a support, and it is kept when it is
+    stable.  The stable matchings are never tested: the integer lift
+    ``g`` of θ (``stability._lift``) lifts each matching to
+    ``λ(D) = Σ_{a∈D} g(a)`` over its height, and three facts, true for
+    any weight, generic or not, find the triples among the least lifts.
+
+    - Two matchings ``D``, ``D'`` at one height differ by a null-homologous
+      cycle: ``[a∈D'] - [a∈D] = n(t(a)) - n(s(a))`` for an integer ``n``
+      on the faces.  ``n`` never decreases along an arrow off ``D``, so
+      every ``{n >= k}`` is closed, and ``λ(D') - λ(D) = Σ_k θ({n >= k})``,
+      which is positive when ``D``'s complement is stable.  So a stable
+      matching is the strict, unique least lift at its height.
+    - Any other height is ``Σ b_i h(D_i)`` over a unit triangle's three
+      matchings, with integer ``b`` summing to 1, and the same argument on
+      the arrows off ``D₁ ∪ D₂ ∪ D₃`` puts no matching strictly below the
+      plane through the three lifts when their support is stable.
+    - A support stays stable when arrows join it, because fewer sets are
+      closed, so the three matchings of a stable support are stable.
+
+    So the triples of unique least lifts that span a unit triangle with no
+    least lift strictly below their plane are tested, in matching order,
+    and no others.  A kept support spans the quiver (a component and its
+    complement would both be closed, of weights summing to zero), so the
+    tree that places the faces is grown for kept supports only: each
+    face's cell is its parent's plus or minus its tree arrow's cover shift.
+    The relations and the gluing of every support arrow hold by
+    construction (see the module docstring).  The matchings are the
+    model's own enumeration, so ``MATCHING_CAP`` bounds the work, and each
+    :func:`is_stable` test is one flow with no cap.
     """
     q = quiver_of(model)
     pms = perfect_matchings(model)
+    if not pms:
+        return ()
     arrows = frozenset(q.arrow_ids)
-    # a matching's total offset is its height up to sign and one common
-    # translation, neither of which changes a triangle's area
-    stable = [
-        (d, _offset_sum(map(model.edge, d)))
-        for d in pms
-        if is_stable(q, arrows - d, theta)
-    ]
+    lift = _lift(q, theta)
+    # one integer per edge packs its offset, as char_poly packs it, and its
+    # lift below that, each shifted to be nonnegative: a matching's sum
+    # unpacks to its total offset, which is its height up to sign and one
+    # common translation, and its lift plus one common shift, none of which
+    # changes a triangle's area or a plane's side
+    k = len(pms[0])
+    a = max((abs(c) for e in model.edges for c in e.offset), default=0)
+    b = max(map(abs, lift), default=0)
+    m, n = 2 * a * k + 1, 2 * b * k + 1
+    packed = {
+        e.id: ((e.offset[0] + a) * m + e.offset[1] + a) * n + g + b
+        for e, g in zip(model.edges, lift)
+    }
+    least: dict[int, tuple[int, int]] = {}  # height -> (lift, matching or -1 on a tie)
+    for i, d in enumerate(pms):
+        h, lam = divmod(sum(map(packed.__getitem__, d)), n)
+        best = least.get(h)
+        if best is None or lam < best[0]:
+            least[h] = (lam, i)
+        elif lam == best[0]:
+            least[h] = (lam, -1)
+    points = [(*divmod(h, m), lam, i) for h, (lam, i) in least.items()]
+    unique = sorted((i, x, y, lam) for x, y, lam, i in points if i >= 0)
+
     found: list[FixedPointCandidate] = []
-    for (d1, h1), (d2, h2), (d3, h3) in combinations(stable, 3):
-        (x1, y1), (x2, y2), (x3, y3) = h1, h2, h3
-        if abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)) != 1:
+    for (i1, x1, y1, l1), (i2, x2, y2, l2), (i3, x3, y3, l3) in combinations(
+        unique, 3
+    ):
+        det = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+        if abs(det) != 1:
             continue
-        support = arrows - d1 - d2 - d3
+        # the plane through the three lifts is lam = c - cx * x - cy * y
+        cx = det * ((y2 - y1) * (l3 - l1) - (l2 - l1) * (y3 - y1))
+        cy = det * ((l2 - l1) * (x3 - x1) - (x2 - x1) * (l3 - l1))
+        c = cx * x1 + cy * y1 + l1
+        if any(cx * x + cy * y + lam < c for x, y, lam, _ in points):
+            continue
+        support = arrows - pms[i1] - pms[i2] - pms[i3]
         if is_stable(q, support, theta):
             ends, (up, rank) = _support_forest(q, support)
             cells = [(0, 0)] * len(up)

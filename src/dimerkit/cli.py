@@ -58,8 +58,7 @@ def _json_default(x):
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, default=_json_default)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2, default=_json_default) + "\n")
 
 
 def _load(args) -> DimerModel:

@@ -14,7 +14,10 @@ middle: it counts the subset sums of each half of the vertices, at most
 
 The weights of interest are built from a perfect matching ``D`` and positive
 rationals ``xi`` on the arrows off ``D``: each vertex receives the ``xi`` it
-absorbs minus the ``xi`` it emits.
+absorbs minus the ``xi`` it emits.  Any weight is absorbed minus emitted by
+some integer arrow flow, its lift, which a spanning tree carries; a perfect
+matching's lift is what its arrows carry, the height over the polygon of
+:func:`~dimerkit.charts.enumerate_fixed_candidates`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from math import lcm
 from typing import Iterable, Mapping
 
 from .exceptions import CapacityError, InvalidModelError
-from .model import rational_from_json
+from .model import _spanning_forest, rational_from_json
 from .quiver import Quiver, check_support
 
 VERTEX_CAP = 20  # each half of the genericity check sums 2^VERTEX_CAP subsets
@@ -94,6 +97,28 @@ def _weights(q: Quiver, theta: Theta) -> list[int]:
     if scaled.keys() != q.vertex_pos.keys():
         raise InvalidModelError("weight vertices do not match the quiver")
     return [scaled[v] for v in q.vertices]
+
+
+def _lift(q: Quiver, theta: Theta) -> list[int]:
+    """One integer per arrow, in arrow order: a flow whose inflow minus
+    outflow is ``theta._scaled`` at every vertex, carried by the quiver's
+    spanning forest (``model._spanning_forest``); an arrow walked against
+    its direction carries a negative amount, and an arrow off the forest
+    carries nothing.  Each tree arrow carries what the subtree below it
+    weighs.  On a disconnected quiver a root may keep its tree's weight,
+    and no support is stable there anyway.
+    """
+    w = _weights(q, theta)
+    pos = q.vertex_pos
+    ends = [(pos[a.source], pos[a.target]) for a in q.arrows]
+    up, rank = _spanning_forest(len(w), ends)
+    lift = [0] * len(ends)
+    for v in sorted(range(len(w)), key=rank.__getitem__, reverse=True):
+        if up[v] >= 0:  # the subtree at v takes in w[v] through its tree arrow
+            s, t = ends[up[v]]
+            lift[up[v]] = w[v] if v == t else -w[v]
+            w[s + t - v] += w[v]
+    return lift
 
 
 def _flow(succ: list[list[int]], w: list[int]) -> list[dict[int, int]] | None:

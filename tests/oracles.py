@@ -13,22 +13,28 @@ characteristic polynomial and the edge charges by a loop over the
 enumerated matchings, the canonical order of the matchings by sorting their
 position tuples, spanning trees grown in passes with one path tuple per
 face, the weight lattice's forest with a depth array, connectivity by a
-depth-first search, and King stability by one min cut per source component
-of the support over dense reach sets.
+depth-first search, King stability by one min cut per source component
+of the support over dense reach sets, and the fixed-point candidates by one
+stability test per matching and a scan of the unit triangles.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from dimerkit import (
     DegenerateModelError,
+    FixedPointCandidate,
     InternalConsistencyError,
     InvalidModelError,
     PathSeq,
     RelationPair,
     from_model,
+    is_stable,
     laurent_from_counts,
+    perfect_matchings,
+    quiver_of,
     relations,
 )
 from dimerkit.heights import _check_matching, _offset_sum
@@ -641,3 +647,34 @@ def king_by_reach_sets(q, support, theta, strict=True):
     if strict:
         w = [(len(w) + 1) * x - 1 for x in w]
     return _closures_nonnegative(succ, w)
+
+
+def fixed_candidates_by_enumeration(model, theta):
+    """``charts.enumerate_fixed_candidates`` by testing every matching.
+
+    One :func:`is_stable` per perfect matching's complement keeps the
+    θ-stable matchings; every triple of them whose heights span a unit
+    triangle proposes the complement of its union, kept when stable, with
+    each face's cell the cover shift of its tree path from the first face.
+    """
+    q = quiver_of(model)
+    pms = perfect_matchings(model)
+    arrows = frozenset(q.arrow_ids)
+    stable = [
+        (d, _offset_sum(map(model.edge, d)))
+        for d in pms
+        if is_stable(q, arrows - d, theta)
+    ]
+    found = []
+    for (d1, h1), (d2, h2), (d3, h3) in combinations(stable, 3):
+        (x1, y1), (x2, y2), (x3, y3) = h1, h2, h3
+        if abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)) != 1:
+            continue
+        support = arrows - d1 - d2 - d3
+        if is_stable(q, support, theta):
+            paths = tree_paths(q, [a for a in q.arrow_ids if a in support])
+            cells = tuple((v, vector_shift(q, paths[v])) for v in q.vertices)
+            found.append(FixedPointCandidate(support, cells))
+    pos = q.arrow_pos
+    found.sort(key=lambda c: tuple(sorted(pos[aid] for aid in c.support)))
+    return tuple(found)

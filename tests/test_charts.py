@@ -50,6 +50,8 @@ from conftest import CERTIFY_COVERS, cover, deletion_corpus, sweep_corpus
 from oracles import (
     chart_transition,
     det_int,
+    fixed_candidates_by_enumeration,
+    king_by_reach_sets,
     rep_satisfies_relations,
     tree_cycle,
     tree_paths,
@@ -59,6 +61,7 @@ from oracles import (
 from dimerkit import charts
 from dimerkit import model as model_module
 from dimerkit.model import _add_forest_path, _spanning_forest, faces_area2, per_object
+from dimerkit.stability import _lift
 
 conifold = example("conifold")
 honeycomb = example("honeycomb")
@@ -828,3 +831,103 @@ def test_cells_and_rows_do_not_depend_on_the_tree(name):
                 for i, c in zip(order, cyc):
                     char[ids[i]] += c
                 assert express_functional(quiver, split, char) == row, (seed, eid)
+
+
+PIN_MODELS = {
+    name: model for name, model in SWEEP.items() if len(perfect_matchings(model)) <= 10_000
+} | deletion_corpus()
+
+
+def test_candidates_match_the_enumeration_route():
+    # the route that tested every matching, as oracle: same supports, cells
+    # and order over the sweep corpus without its cover of over 10 000
+    # matchings, and the edge deletions; sampled weights (seeds 0-3) and
+    # three seeded integer weights in -2..2, often not generic
+    pinned = 0
+    for name, model in PIN_MODELS.items():
+        quiver = quiver_of(model)
+        pms = perfect_matchings(model)
+        thetas = [
+            sample_generic_theta(quiver, pms[0], random.Random(seed))[0]
+            for seed in range(4 if pms else 0)
+        ]
+        rng = random.Random(name)
+        for _ in range(3):
+            head = [rng.randint(-2, 2) for _ in quiver.vertices[1:]]
+            thetas.append(make_theta(quiver, dict(zip(quiver.vertices, head + [-sum(head)]))))
+        for k, theta in enumerate(thetas):
+            found = enumerate_fixed_candidates(model, theta)
+            assert found == fixed_candidates_by_enumeration(model, theta), (name, k)
+            pinned += len(found)
+    assert pinned > 1000
+
+
+@pytest.mark.parametrize("name", ["conifold", "honeycomb", "fzero"] + sorted(CORPUS))
+def test_one_stability_test_per_candidate(name, monkeypatch):
+    # the lift proposes only supports that pass: a generic weight tests
+    # each returned candidate once and nothing else
+    model = CORPUS.get(name) or example(name)
+    tested = []
+
+    def spy(quiver, support, theta):
+        tested.append(support)
+        return is_stable(quiver, support, theta)
+
+    monkeypatch.setattr(charts, "is_stable", spy)
+    quiver = quiver_of(model)
+    base = perfect_matchings(model)[0]
+    for seed in range(4):
+        theta = sample_generic_theta(quiver, base, random.Random(seed))[0]
+        tested.clear()
+        found = enumerate_fixed_candidates(model, theta)
+        assert Counter(tested) == Counter(c.support for c in found), seed
+
+
+LIFT_MODELS = {
+    name: model
+    for name, model in PIN_MODELS.items()
+    if 0 < len(perfect_matchings(model)) <= 30
+}
+
+
+def _lifted_matchings(name, data):
+    """A drawn integer weight, generic or not, and each matching with its
+    height and its lift, the sum of ``stability._lift`` over its arrows."""
+    model = LIFT_MODELS[name]
+    quiver = quiver_of(model)
+    r = data.draw(st.sampled_from((1, 2, 5, 40)))
+    n = len(quiver.vertices)
+    head = data.draw(st.lists(st.integers(-r, r), min_size=n - 1, max_size=n - 1))
+    theta = make_theta(quiver, dict(zip(quiver.vertices, head + [-sum(head)])))
+    lift = dict(zip(quiver.arrow_ids, _lift(quiver, theta)))
+    pms = perfect_matchings(model)
+    lifted = [(d, height_change(model, d, pms[0]), sum(lift[a] for a in d)) for d in pms]
+    return quiver, theta, lifted
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(LIFT_MODELS)), data=st.data())
+def test_stable_matching_is_the_strict_least_lift(name, data):
+    quiver, theta, lifted = _lifted_matchings(name, data)
+    arrows = frozenset(quiver.arrow_ids)
+    for d, h, lam in lifted:
+        if king_by_reach_sets(quiver, arrows - d, theta):
+            assert all(lam < other for e, g, other in lifted if g == h and e != d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(LIFT_MODELS)), data=st.data())
+def test_no_matching_below_a_stable_triple(name, data):
+    # every height has integer barycentric coordinates in a unit triangle
+    quiver, theta, lifted = _lifted_matchings(name, data)
+    arrows = frozenset(quiver.arrow_ids)
+    for (d1, (x1, y1), l1), (d2, (x2, y2), l2), (d3, (x3, y3), l3) in combinations(
+        lifted, 3
+    ):
+        det = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+        if abs(det) != 1 or not king_by_reach_sets(quiver, arrows - d1 - d2 - d3, theta):
+            continue
+        for d, (x, y), lam in lifted:
+            b2 = det * ((x - x1) * (y3 - y1) - (x3 - x1) * (y - y1))
+            b3 = det * ((x2 - x1) * (y - y1) - (x - x1) * (y2 - y1))
+            assert lam >= (1 - b2 - b3) * l1 + b2 * l2 + b3 * l3, sorted(d)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import cover, sweep_corpus
 from oracles import king_by_reach_sets, tree_paths
 from dimerkit import (
@@ -16,9 +17,7 @@ from dimerkit import (
     CapacityError,
     InvalidModelError,
     Quiver,
-    charts,
     draw_xi,
-    enumerate_fixed_candidates,
     example,
     is_generic,
     is_semistable,
@@ -30,6 +29,7 @@ from dimerkit import (
     sardo_infirri_theta,
     stability,
 )
+from dimerkit.model import _spanning_forest
 
 q = quiver_of(example("conifold"))
 
@@ -405,9 +405,11 @@ def test_flow_ships_every_deficit_or_none(data):
 
 
 def test_stability_matches_reach_sets_on_candidate_supports(monkeypatch):
-    # every support enumerate_fixed_candidates tests over the sweep corpus,
-    # seeds 0-3, with the weight assemble_fan samples; the two covers with
-    # over 10 000 matchings take a seeded sample of matching complements
+    # every support the enumeration oracle tests over the sweep corpus,
+    # seeds 0-3, with the weight assemble_fan samples: each matching's
+    # complement, then each unit triangle's of stable matchings; the cover
+    # with over 10 000 matchings takes a seeded sample of matching
+    # complements
     tested = []
 
     def spy(quiver, support, theta):
@@ -415,7 +417,7 @@ def test_stability_matches_reach_sets_on_candidate_supports(monkeypatch):
         tested.append((quiver, support, theta, verdict))
         return verdict
 
-    monkeypatch.setattr(charts, "is_stable", spy)
+    monkeypatch.setattr(oracles, "is_stable", spy)
     for name, model in sweep_corpus().items():
         pms = perfect_matchings(model)
         if not pms:
@@ -425,13 +427,56 @@ def test_stability_matches_reach_sets_on_candidate_supports(monkeypatch):
         for seed in range(4):
             theta, _, _ = sample_generic_theta(quiver, pms[0], random.Random(seed))
             if len(pms) <= 10_000:
-                enumerate_fixed_candidates(model, theta)
+                oracles.fixed_candidates_by_enumeration(model, theta)
             else:
                 for d in random.Random(seed).sample(pms, 100):
                     spy(quiver, arrows - d, theta)
     assert len(tested) > 8000
     for quiver, support, theta, verdict in tested:
         assert verdict == king_by_reach_sets(quiver, support, theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stability_is_monotone_in_the_support(data):
+    # an added arrow closes no new set, so a stable support stays stable:
+    # the three matchings of a stable candidate support are stable
+    n = data.draw(st.integers(1, 6))
+    index = st.integers(0, n - 1)
+    quiver = _digraph(n, data.draw(st.lists(st.tuples(index, index), max_size=12)))
+    vals = data.draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
+    theta = make_theta(quiver, dict(zip(quiver.vertices, vals + [-sum(vals)])))
+    ids = [a.id for a in quiver.arrows]
+    subsets = st.frozensets(st.sampled_from(ids)) if ids else st.just(frozenset())
+    small = data.draw(subsets)
+    large = small | data.draw(subsets)
+    if is_stable(quiver, small, theta):
+        assert is_stable(quiver, large, theta)
+
+
+SWEEP = sweep_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_lift_is_a_flow_on_the_spanning_forest(name):
+    # inflow minus outflow is the scaled weight at every face, and only the
+    # arrows of the quiver's spanning forest carry any
+    quiver = quiver_of(SWEEP[name])
+    rng = random.Random(name)
+    pos = quiver.vertex_pos
+    ends = [(pos[a.source], pos[a.target]) for a in quiver.arrows]
+    up, _ = _spanning_forest(len(quiver.vertices), ends)
+    for _ in range(4):
+        vals = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in pos]
+        vals[0] -= sum(vals)
+        theta = make_theta(quiver, dict(zip(quiver.vertices, vals)))
+        lift = stability._lift(quiver, theta)
+        net = [0] * len(pos)
+        for (s, t), g in zip(ends, lift):
+            net[t] += g
+            net[s] -= g
+        assert net == [theta._scaled[v] for v in quiver.vertices]
+        assert all(g == 0 or i in up for i, g in enumerate(lift))
 
 
 @pytest.mark.parametrize("name", ["honeycomb", "conifold"])
