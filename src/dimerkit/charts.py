@@ -65,6 +65,7 @@ from typing import Sequence
 from .exceptions import InternalConsistencyError, InvalidModelError
 from .heights import (
     LatticePolygon,
+    _cross,
     area2,
     char_poly,
     contains_point,
@@ -552,11 +553,7 @@ def verify_crepant(polygon: LatticePolygon, charts: Sequence[Chart]) -> Validati
         )
     )
 
-    def tri_area2(t):
-        (x0, y0), (x1, y1), (x2, y2) = t
-        return (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-
-    total = sum(tri_area2(t) for t in tris)
+    total = sum(_cross(*t) for t in tris)
     want = area2(polygon)
     checks.append(
         ValidationCheck(

@@ -40,7 +40,7 @@ from .matchings import (
     perfect_matchings,
     r_charge_average,
 )
-from .model import DimerModel, load_model, read_json, validate_model
+from .model import DimerModel, _frac_to_json, load_model, read_json, validate_model
 from .quiver import quiver_of, relations
 from .stability import make_theta, sample_generic_theta
 
@@ -53,12 +53,17 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout closed before the output ended
 
 def _json_default(x):
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
+        return _frac_to_json(x)
     raise TypeError(f"not JSON-serialisable: {x!r}")
 
 
 def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, default=_json_default) + "\n")
+
+
+def _check_index(flag: str, i: int, n: int) -> None:
+    if not 0 <= i < n:
+        raise InvalidModelError(f"{flag} {i} out of range 0..{n - 1}")
 
 
 def _load(args) -> DimerModel:
@@ -179,10 +184,7 @@ def _cmd_matchings(args) -> int:
 def _cmd_charpoly(args) -> int:
     model = _load_valid(args)
     pms = _matchings(model)
-    if not 0 <= args.ref < len(pms):
-        raise InvalidModelError(
-            f"--ref {args.ref} out of range 0..{len(pms) - 1}"
-        )
+    _check_index("--ref", args.ref, len(pms))
     z = char_poly(model, base=pms[args.ref])
     _emit(
         [
@@ -232,10 +234,7 @@ def _cmd_theta(args) -> int:
     count = _count(g)  # a sweep that lists no matching
     if not count:
         raise DegenerateModelError("no perfect matchings")
-    if not 0 <= args.matching < count:
-        raise InvalidModelError(
-            f"--matching {args.matching} out of range 0..{count - 1}"
-        )
+    _check_index("--matching", args.matching, count)
     if args.matching:
         base = perfect_matchings(model)[args.matching]
     else:  # the first matching, found without enumerating
@@ -336,10 +335,7 @@ def _cmd_render(args) -> int:
         matching = None
         if args.index is not None:
             pms = _matchings(model)
-            if not 0 <= args.index < len(pms):
-                raise InvalidModelError(
-                    f"--index {args.index} out of range 0..{len(pms) - 1}"
-                )
+            _check_index("--index", args.index, len(pms))
             matching = pms[args.index]
         svg = render.render_model(model, matching, cells=args.cells)
     elif args.what == "polygon":
@@ -351,10 +347,7 @@ def _cmd_render(args) -> int:
         if not cands:
             raise DegenerateModelError("no fixed points for this weight")
         idx = args.index if args.index is not None else 0
-        if not 0 <= idx < len(cands):
-            raise InvalidModelError(
-                f"--index {idx} out of range 0..{len(cands) - 1}"
-            )
+        _check_index("--index", idx, len(cands))
         svg = render.render_domain(model, cands[idx])
     if args.out:
         with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:

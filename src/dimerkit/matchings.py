@@ -6,7 +6,9 @@ provided: one perfect matching, which decides every edge at once
 (``per-edge``), averaged charges from the number of matchings through each
 edge (``r-charge``), and the strict Hall condition on both sides
 (``strong-marriage``).  On connected graphs with both colors present they
-agree; the count- and subset-based tests carry capacity bounds.
+agree; the count- and subset-based tests carry capacity bounds.  The
+strict Hall test streams the neighbour unions of each side's subsets from
+the package's one subset scan (``model._subset_folds``).
 
 Each graph numbers its two sides once and orders its blacks once, so that
 the frontier of half-used whites stays narrow.  One routine, ``_tables``,
@@ -44,7 +46,7 @@ from .exceptions import (
     InternalConsistencyError,
     InvalidModelError,
 )
-from .model import DimerModel, per_object
+from .model import DimerModel, _subset_folds, per_object
 
 SUBSET_CAP = 20  # strong-marriage enumerates subsets of one side
 MATCHING_CAP = 200_000  # enumeration bails out beyond this many matchings
@@ -441,15 +443,13 @@ def _strong_marriage(g: BipartiteGraph) -> bool:
             f"cap is 2^{SUBSET_CAP}, use method 'per-edge' instead"
         )
     _, black_nbrs, white_nbrs = g._numbered
-    for nbrs in (black_nbrs, white_nbrs):  # strict Hall on both sides
-        for mask in range(1, (1 << n) - 1):
-            nb, m = 0, mask
-            while m:
-                nb |= nbrs[(m & -m).bit_length() - 1]
-                m &= m - 1
-            if nb.bit_count() <= mask.bit_count():
-                return False
-    return True
+    full = (1 << n) - 1
+    return not any(  # strict Hall on both sides
+        u.bit_count() <= m.bit_count()
+        for nbrs in (black_nbrs, white_nbrs)
+        for m, u in enumerate(_subset_folds(nbrs, or_))
+        if 0 < m < full
+    )
 
 
 def is_non_degenerate(g: BipartiteGraph, method: str = "per-edge") -> bool:

@@ -24,7 +24,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
-from typing import Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Sequence
 
 from .exceptions import InvalidModelError
 
@@ -313,6 +314,26 @@ def _spanning_forest(
                     rank[u], up[u], found = found, i, found + 1
                     queue.append(u)
     return up, rank
+
+
+def _subset_folds(
+    values: Sequence[int], op: Callable[[int, int], int]
+) -> Iterator[int]:
+    """``op`` folded over each subset of ``values``, from 0, one at a time.
+
+    Each half's folds are listed by doubling; the first half's run outer
+    and the second half's inner, so the ``m``-th fold is over a subset of
+    ``m.bit_count()`` values, the 0th over none and the last over all, and
+    only the two lists, at most 2 * 2^ceil(n/2) folds, are held at once.
+    Every subset scan of the package streams this.
+    """
+    k = len(values) // 2
+    head, tail = [0], [0]
+    for half, part in ((head, values[:k]), (tail, values[k:])):
+        for x in part:
+            half += [op(s, x) for s in half]
+    for h in head:
+        yield from map(op, repeat(h, len(tail)), tail)
 
 
 def _add_forest_path(

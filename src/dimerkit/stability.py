@@ -10,7 +10,8 @@ so semistability is one flow; stability is that flow plus one
 strong-connectivity test, two searches from one vertex.  Neither has a cap.
 Genericity, no zero-weight nonempty proper subset at all, meets in the
 middle: it counts the subset sums of each half of the vertices, at most
-2 * 2^ceil(n/2) of them, and is capped at twice ``VERTEX_CAP`` vertices.
+2 * 2^ceil(n/2) of them, streamed by the package's one subset scan
+(``model._subset_folds``), and is capped at twice ``VERTEX_CAP`` vertices.
 
 The weights of interest are built from a perfect matching ``D`` and positive
 rationals ``xi`` on the arrows off ``D``: each vertex receives the ``xi`` it
@@ -28,10 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping
 
 from .exceptions import CapacityError, InvalidModelError
-from .model import _spanning_forest, rational_from_json
+from .model import _spanning_forest, _subset_folds, rational_from_json
 from .quiver import Quiver, check_support
 
 VERTEX_CAP = 20  # each half of the genericity check sums 2^VERTEX_CAP subsets
@@ -218,23 +220,6 @@ def is_semistable(q: Quiver, support: Iterable[str], theta: Theta) -> bool:
     return _flow(_successors(q, support), _weights(q, theta)) is not None
 
 
-def _sums(values: list[int]) -> list[int]:
-    sums = [0]
-    for x in values:
-        sums += [s + x for s in sums]
-    return sums
-
-
-def _subset_sums(values: list[int]):
-    """Every subset's sum, one at a time: each sum over the first half of
-    ``values`` runs past the listed sums of the second half, so at most
-    2^ceil(n/2) sums are held at once."""
-    k = len(values) // 2
-    tail = _sums(values[k:])
-    for h in _sums(values[:k]):
-        yield from [h + s for s in tail]
-
-
 def is_generic(q: Quiver, theta: Theta) -> bool:
     """No nonempty proper vertex subset has weight zero.
 
@@ -253,8 +238,8 @@ def is_generic(q: Quiver, theta: Theta) -> bool:
             f"genericity check over {n} vertices exceeds the cap of {2 * VERTEX_CAP}"
         )
     w = _weights(q, theta)
-    left = Counter(_subset_sums(w[: n // 2]))
-    return sum(left.get(-s, 0) for s in _subset_sums(w[n // 2 :])) <= 2
+    left = Counter(_subset_folds(w[: n // 2], add))
+    return sum(left.get(-s, 0) for s in _subset_folds(w[n // 2 :], add)) <= 2
 
 
 def sardo_infirri_theta(

@@ -11,8 +11,9 @@ each relation cut out of its cycle arrow by arrow, a JSON rational read by
 ``Fraction(str)`` on the spellings every Python reads alike, the
 characteristic polynomial and the edge charges by a loop over the
 enumerated matchings, the canonical order of the matchings by sorting their
-position tuples, spanning trees grown in passes with one path tuple per
-face, the weight lattice's forest with a depth array, connectivity by a
+position tuples, the strict Hall condition by one bit loop per subset
+mask, spanning trees grown in passes with one path tuple per face, the
+weight lattice's forest with a depth array, connectivity by a
 depth-first search, King stability by one min cut per source component
 of the support over dense reach sets, and the fixed-point candidates by one
 stability test per matching and a scan of the unit triangles.
@@ -400,6 +401,30 @@ def r_charges_by_matchings(g):
     return {
         eid: Fraction(2 * k, len(found)) for (eid, _, _), k in zip(g.edges, through)
     }
+
+
+def strong_marriage_by_masks(g):
+    """The strict Hall condition on both sides, one mask at a time: each
+    nonempty proper subset of a side ORs its neighbour masks bit by bit
+    and must reach more vertices than it has."""
+    n = len(g.blacks)
+    if n != len(g.whites):
+        return False
+    bpos = {b: i for i, b in enumerate(g.blacks)}
+    wpos = {w: i for i, w in enumerate(g.whites)}
+    black_nbrs, white_nbrs = [0] * n, [0] * n
+    for _, b, w in g.edges:
+        black_nbrs[bpos[b]] |= 1 << wpos[w]
+        white_nbrs[wpos[w]] |= 1 << bpos[b]
+    for nbrs in (black_nbrs, white_nbrs):
+        for mask in range(1, (1 << n) - 1):
+            nb, m = 0, mask
+            while m:
+                nb |= nbrs[(m & -m).bit_length() - 1]
+                m &= m - 1
+            if nb.bit_count() <= mask.bit_count():
+                return False
+    return True
 
 
 def tree_paths(q, arrows):

@@ -259,6 +259,18 @@ def test_check_agreement(capsys):
     assert set(data["methods"].values()) == {False}
 
 
+def test_check_at_the_cap_gives_every_verdict(capsys, tmp_path):
+    # exactly 20 blacks: strong-marriage streams all 2^20 subsets of a side
+    path = tmp_path / "honeycomb-4x5.json"
+    dump_model(cover(example("honeycomb"), 4, 5), str(path))
+    code, data = run_json(capsys, "check", str(path))
+    assert code == 0
+    assert data == {
+        "methods": {"per-edge": True, "r-charge": True, "strong-marriage": True},
+        "agree": True,
+    }
+
+
 def test_check_past_a_cap_reports_null(capsys, tmp_path):
     # 21 blacks: strong-marriage would scan 2^21 subsets, so it gives no
     # verdict; the others agree and per-edge sets the exit code

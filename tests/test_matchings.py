@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from conftest import cover, random_connected, sweep_corpus
+from conftest import cover, deletion_corpus, random_connected, sweep_corpus
 from hypothesis import example as hyp_example
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +14,7 @@ from oracles import (
     matching_positions,
     matchings_by_positions,
     r_charges_by_matchings,
+    strong_marriage_by_masks,
     weight_counts_by_matchings,
 )
 
@@ -24,6 +25,7 @@ from dimerkit import (
     DegenerateModelError,
     InvalidModelError,
     NON_DEGENERACY_METHODS,
+    SUBSET_CAP,
     enumerate_matchings,
     example,
     from_model,
@@ -135,6 +137,25 @@ def test_methods_agree_on_random_corpus():
         nondeg += answers[0]
     # the corpus is not vacuous: both verdicts occur
     assert 0 < nondeg < 200
+
+
+def test_strong_marriage_matches_mask_loop():
+    # the streamed subset fold against one bit loop per mask: random
+    # graphs, the catalog, tests/data, the certify and spectrum covers and
+    # the edge-deletion corpus, all within the cap
+    nondeg = 0
+    for seed in range(300):
+        g = random_connected(seed)
+        want = strong_marriage_by_masks(g)
+        assert is_non_degenerate(g, "strong-marriage") == want, seed
+        nondeg += want
+    assert 0 < nondeg < 300  # both verdicts occur
+    models = {**sweep_corpus(), **deletion_corpus()}
+    assert not is_non_degenerate(from_model(models["degenerate"]), "strong-marriage")
+    for name, model in models.items():
+        g = from_model(model)
+        if len(g.blacks) <= SUBSET_CAP:
+            assert is_non_degenerate(g, "strong-marriage") == strong_marriage_by_masks(g), name
 
 
 def test_unknown_method_rejected():

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from operator import add, or_
 
 import pytest
 from hypothesis import example as hyp_example
@@ -29,6 +30,7 @@ from dimerkit.model import (
     _add_forest_path,
     _connected,
     _spanning_forest,
+    _subset_folds,
     faces_area2,
     rational_from_json,
 )
@@ -565,3 +567,16 @@ def test_turn_table_on_shuffled_rotations(case, data):
     shuffled = DimerModel(model.vertices, model.edges, rotation)
     assert validate_model(shuffled).check("rotation").ok
     _assert_turn_table(shuffled)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9), st.randoms(use_true_random=False))
+def test_subset_folds_stream_every_subset_once(n, rng):
+    # OR over distinct bits in any order names each subset: every subset
+    # comes once, the m-th of m.bit_count() values; sums fold the same order
+    bits = [1 << i for i in range(n)]
+    rng.shuffle(bits)
+    unions = list(_subset_folds(bits, or_))
+    assert sorted(unions) == list(range(1 << n))
+    assert [u.bit_count() for u in unions] == [m.bit_count() for m in range(1 << n)]
+    assert list(_subset_folds(bits, add)) == unions

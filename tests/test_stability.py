@@ -524,7 +524,7 @@ def test_genericity_cap(monkeypatch):
     assert n == 42 > 2 * VERTEX_CAP
     theta = make_theta(quiver, _tilted(quiver))
     built = []
-    monkeypatch.setattr(stability, "_subset_sums", built.append)
+    monkeypatch.setattr(stability, "_subset_folds", lambda *args: built.append(args))
     with pytest.raises(CapacityError, match="over 42 vertices exceeds the cap of 40"):
         is_generic(quiver, theta)
     assert built == []
