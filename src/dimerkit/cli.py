@@ -1,9 +1,13 @@
 """Command-line interface.
 
 ``dimer <command> <model.json> [options]`` — ``--example NAME`` substitutes
-a catalog model for the file argument.
+a catalog model for the file argument.  A call builds one parser, ``dimer
+<command>``, and the whole ``dimer`` parser only for what that one leaves
+over or for an argv that names no command.
 
-Every command prints JSON on stdout (SVG where a drawing is requested).
+Every command prints JSON on stdout (SVG where a drawing is requested):
+the bytes of ``json.dumps(payload, indent=2)``, written without ``json``'s
+pure-Python encoder, which ``indent`` selects.
 Exit codes separate the four ways a run can end: ``0`` success, ``1`` an
 internal cross-check failed (a bug), ``2`` the input was unusable, ``3``
 the computation finished with a negative verdict (failed validation,
@@ -14,12 +18,12 @@ closes stdout early, as ``head`` does, ends the run with ``141``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import catalog, render
 from .charts import assemble_fan, enumerate_fixed_candidates
@@ -57,8 +61,40 @@ def _json_default(x):
     raise TypeError(f"not JSON-serialisable: {x!r}")
 
 
+def _json_text(x, indent: str) -> str:
+    """``x`` as ``json.dumps(x, indent=2, default=_json_default)`` writes
+    it at the depth whose lines begin with ``indent``, a newline and spaces.
+    Joins and json's C string encoder stand in for the pure-Python
+    generators that ``indent`` puts ``json.dumps`` on."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = indent + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        items = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in x.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return _json_text(_json_default(x), indent)
+
+
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, default=_json_default) + "\n")
+    sys.stdout.write(_json_text(payload, "\n") + "\n")
 
 
 def _check_index(flag: str, i: int, n: int) -> None:
@@ -417,8 +453,21 @@ _COMMANDS = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``dimer`` parser with every command, or with ``command`` alone."""
+def _add_command(p: argparse.ArgumentParser, fn, arguments) -> None:
+    """Give ``p`` a command's arguments and handler."""
+    p.add_argument("model", nargs="?", help="model JSON file")
+    p.add_argument(
+        "--example",
+        choices=catalog.example_names(),
+        help="use a built-in model instead of a file",
+    )
+    for flag, kwargs in arguments:
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(fn=fn)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``dimer`` parser with every command."""
     ap = argparse.ArgumentParser(
         prog="dimer",
         description="dimer models on the torus: tilings, quivers, matchings, "
@@ -426,29 +475,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name, fn, help_, arguments in _COMMANDS:
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("model", nargs="?", help="model JSON file")
-        p.add_argument(
-            "--example",
-            choices=catalog.example_names(),
-            help="use a built-in model instead of a file",
-        )
-        for flag, kwargs in arguments:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
+        _add_command(sub.add_parser(name, help=help_), fn, arguments)
     return ap
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named command's parser alone; anything it leaves over
-    goes to the whole parser, whose error and usage line list every
-    command, as does every argv that names no command."""
-    if argv and any(argv[0] == c[0] for c in _COMMANDS):
-        args, rest = build_parser(argv[0]).parse_known_args(argv)
-        if not rest:
-            return args
+    """Parse with one parser, ``dimer <command>``, built for the named
+    command alone, as the whole parser's subparser for it would be; anything
+    it leaves over goes to the whole parser, whose error and usage line list
+    every command, as does every argv that names no command."""
+    for name, fn, _, arguments in _COMMANDS:
+        if argv[:1] == [name]:
+            p = argparse.ArgumentParser(prog="dimer " + name)
+            _add_command(p, fn, arguments)
+            args, rest = p.parse_known_args(argv[1:])
+            if not rest:
+                return args
     return build_parser().parse_args(argv)
 
 

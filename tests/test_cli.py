@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example as hyp_example
@@ -22,7 +23,7 @@ from dimerkit import (
     DimerEdge, DimerModel, InvalidModelError, dump_model, example, load_model,
     model_from_dict, model_to_dict, quiver_of,
 )
-from dimerkit.cli import _COMMANDS, build_parser, main
+from dimerkit.cli import _COMMANDS, _emit, _json_default, build_parser, main
 from dimerkit.model import _connected
 from oracles import connected_by_dfs
 
@@ -735,9 +736,10 @@ def _exits(capsys, call):
 
 
 def _usage_argvs():
-    """Parser-level argvs: no command, help, an unknown command, and per
+    """Parser-level argvs: no command, help, an unknown command, per
     command its help, a bad --example, a bad int option and an extra
-    positional."""
+    positional, then another command's flag and an option missing its
+    value."""
     yield []
     yield ["-h"]
     yield ["bogus"]
@@ -749,6 +751,8 @@ def _usage_argvs():
                 yield [name, "--example", "conifold", flag, "x"]
                 break
         yield [name, "model.json", "extra"]
+    yield ["fixed-points", "--example", "fzero", "--ref", "1"]
+    yield ["theta", "--example", "fzero", "--seed"]
 
 
 @pytest.mark.parametrize("argv", list(_usage_argvs()), ids=" ".join)
@@ -758,32 +762,32 @@ def test_one_command_parser_matches_whole_parser(capsys, monkeypatch, argv):
     assert _exits(capsys, lambda: main(argv)) == whole
 
 
-def _count_add_parser(monkeypatch):
-    """The names of the command parsers built from here on."""
+def _count_parsers(monkeypatch):
+    """The progs of the argument parsers built from here on."""
     calls = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counted(self, name, **kwargs):
-        calls.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        calls.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     return calls
 
 
 def test_call_builds_only_its_own_command(capsys, monkeypatch):
-    calls = _count_add_parser(monkeypatch)
+    calls = _count_parsers(monkeypatch)
     assert main(["fixed-points", "--example", "conifold"]) == 0
-    assert calls == ["fixed-points"]
+    assert calls == ["dimer fixed-points"]
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
     # the path the dimer console script takes
-    calls = _count_add_parser(monkeypatch)
+    calls = _count_parsers(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["dimer", "validate", "--example", "fzero"])
     assert main() == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
-    assert calls == ["validate"]
+    assert calls == ["dimer validate"]
 
 
 def test_argparse_errors_exit_2():
@@ -812,6 +816,50 @@ def test_emissions_byte_deterministic(capsys):
         second_code, second = run(capsys, *argv)
         assert first_code == second_code
         assert first == second, argv
+
+
+# the leaves a CLI payload holds, with the strings JSON must escape
+_JSON_LEAVES = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001d11e"]),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+)
+
+
+def _emitted(payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=20,
+))
+@hyp_example(payload={"": [[], {}, ()], "a": {"b": [{}, [[]]]}, "c": ()})
+@hyp_example(payload=[True, False, None, 1, -2**70, 2**64 + 1])
+@hyp_example(payload={"x\U0001d11e\u00e9\n": [Fraction(4), Fraction(-1, 3)]})
+@hyp_example(payload="\\\"\x00")
+def test_emit_writes_the_bytes_of_json_dumps(payload):
+    assert _emitted(payload) == json.dumps(
+        payload, indent=2, default=_json_default
+    ) + "\n"
+
+
+def test_emit_refuses_an_unknown_leaf():
+    with pytest.raises(TypeError, match="^not JSON-serialisable: <object object"):
+        _emitted({"a": [1, object()]})
 
 
 def test_certify_ops_reproduce_recorded_digests(capsys, monkeypatch, tmp_path):
