@@ -19,10 +19,11 @@ lift at its height.  No matching lies below the plane through the lifts
 of a stable triple.  The three matchings of a stable support are stable
 (:func:`enumerate_fixed_candidates` proves all three).  So the proposals
 are the unit triangles of unique least lifts with no least lift below
-their plane.  The faces' cells and the chart characters are read off a
-spanning forest of the support (``model._spanning_forest``); a support
-cycle has no cover shift and pairs to zero with ``W``, so any other tree
-gives the same.
+their plane.  The faces' cells and the chart characters are read off one
+spanning forest of the support (``model._spanning_forest``), grown for a
+kept candidate and kept in its instance ``__dict__``; a support cycle has
+no cover shift and pairs to zero with ``W``, so any other tree gives the
+same.
 
 Each candidate glues the lifted faces of the model into a fundamental
 domain whose translates tile the plane.  Its boundary runs along the zero
@@ -36,7 +37,11 @@ walk runs counterclockwise exactly when the edge offsets wrap the faces
 once around the torus with the rotation's orientation, which one integer
 per model decides: the faces' signed cell area
 (:func:`~dimerkit.model.faces_area2`), the same one that validation's
-``homology-span`` reads.
+``homology-span`` reads.  Domains are built on integer dart numbers, an
+index built on a model's first domain: an edge is interior when its two
+darts lift to one cell, and since that is its only interior lift, the
+walk's spin test at cell ``c`` asks whether the dart's edge is interior
+and ``c`` is the dart's own tail cell.
 
 The coordinate functions of a chart are read off at the first boundary
 corner: one character per zero edge there, gauge-normalised to vanish on
@@ -60,6 +65,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from types import SimpleNamespace
 from typing import Sequence
 
 from .exceptions import InternalConsistencyError, InvalidModelError
@@ -80,7 +86,7 @@ from .lattice import (
 )
 from .matchings import perfect_matchings
 from .model import Cell, Dart, DimerModel, ValidationCheck, ValidationReport
-from .model import _add_forest_path, _head_cell, _spanning_forest, faces_area2, trace_faces
+from .model import _add_forest_path, _spanning_forest, faces_area2, per_object, trace_faces
 from .quiver import Quiver, quiver_of
 from .stability import Theta, _lift, is_stable, sample_generic_theta
 
@@ -109,6 +115,11 @@ def _support_forest(q: Quiver, support: frozenset[str]):
         for a in q.arrows
     ]
     return ends, _spanning_forest(len(vpos), ends)
+
+
+# a kept candidate's (quiver, support forest), in its instance __dict__ as
+# per_object keeps a memo: outside its fields, and freed with it
+_FOREST = f"{__name__}._support_forest"
 
 
 def enumerate_fixed_candidates(
@@ -143,7 +154,8 @@ def enumerate_fixed_candidates(
     and no others.  A kept support spans the quiver (a component and its
     complement would both be closed, of weights summing to zero), so the
     tree that places the faces is grown for kept supports only: each
-    face's cell is its parent's plus or minus its tree arrow's cover shift.
+    face's cell is its parent's plus or minus its tree arrow's cover shift,
+    and the tree stays on the candidate for :func:`chart_characters`.
     The relations and the gluing of every support arrow hold by
     construction (see the module docstring).  The matchings are the
     model's own enumeration, so ``MATCHING_CAP`` bounds the work, and each
@@ -194,13 +206,14 @@ def enumerate_fixed_candidates(
             continue
         support = arrows - pms[i1] - pms[i2] - pms[i3]
         if is_stable(q, support, theta):
-            ends, (up, rank) = _support_forest(q, support)
+            forest = ends, (up, rank) = _support_forest(q, support)
             cells = [(0, 0)] * len(up)
             for v in sorted(range(len(up)), key=rank.__getitem__)[1:]:
                 s, t = ends[up[v]]
                 (x, y), (dx, dy) = cells[s + t - v], q.shift(q.arrow_ids[up[v]])
                 cells[v] = (x + dx, y + dy) if v == t else (x - dx, y - dy)
             found.append(FixedPointCandidate(support, tuple(zip(q.vertices, cells))))
+            found[-1].__dict__[_FOREST] = (q, forest)
 
     pos = q.arrow_pos
     found.sort(key=lambda c: tuple(sorted(pos[aid] for aid in c.support)))
@@ -209,6 +222,91 @@ def enumerate_fixed_candidates(
 
 # ---------------------------------------------------------------------------
 # fundamental domains
+
+
+@per_object
+def _dart_index(model: DimerModel) -> SimpleNamespace:
+    """A model's darts numbered in face order, with per dart its ``face``
+    position, its tail's ``cell`` in that face's trace, its ``step`` to its
+    head's cell, its successor (``next``), its reverse (``rev``) and its
+    ``key``, ``(arrow position, 0 on +1 or 1 on -1)``; per edge its ``+1``
+    dart (``plus``) and its ``(black, white)`` vertex positions (``ends``),
+    so a dart's tail vertex is ``ends[key[0]][key[1]]``."""
+    tr = trace_faces(model)
+    darts = [d for f in tr.faces for d in f.darts]
+    num = {d: i for i, d in enumerate(darts)}
+    faces = {f.id: k for k, f in enumerate(tr.faces)}
+    pos = {e.id: i for i, e in enumerate(model.edges)}
+    vpos = {v.id: k for k, v in enumerate(model.vertices)}
+    off = [model.edge(eid).offset for eid, _ in darts]
+    return SimpleNamespace(
+        darts=darts,
+        faces=faces,
+        face=[faces[tr.dart_face[d]] for d in darts],
+        cell=[tr.dart_cell[d] for d in darts],
+        step=[(x, y) if s > 0 else (-x, -y) for (_, s), (x, y) in zip(darts, off)],
+        next=[num[tr.dart_next[d]] for d in darts],
+        rev=[num[(eid, -s)] for eid, s in darts],
+        key=[(pos[eid], 0 if s > 0 else 1) for eid, s in darts],
+        plus=[num[(e.id, 1)] for e in model.edges],
+        ends=[(vpos[e.black], vpos[e.white]) for e in model.edges],
+    )
+
+
+def _domain(model: DimerModel, candidate: FixedPointCandidate) -> tuple:
+    """The candidate's domain on the model's dart index: each dart's tail
+    cell, whether its edge is interior, and the boundary walk as dart
+    numbers.  The faces on an edge's two sides glue when each of its darts
+    ends at the cell its reverse starts from; then its black end, the
+    ``+1`` dart's tail, has one cell, and the lift there is interior."""
+    if faces_area2(model) != 2:
+        raise InvalidModelError(
+            "edge offsets do not wrap the faces once counterclockwise around "
+            "the torus: the model fails homology-span"
+        )
+    ix = _dart_index(model)
+    cells = dict(candidate.cells)
+    if cells.keys() != ix.faces.keys():
+        raise InvalidModelError("candidate cells do not match the faces")
+    fc = [cells[f] for f in ix.faces]
+    tc = [(x + u, y + v) for (x, y), (u, v) in zip(ix.cell, map(fc.__getitem__, ix.face))]
+    hc = [(x + u, y + v) for (x, y), (u, v) in zip(tc, ix.step)]
+    inner = [h == tc[r] for h, r in zip(hc, ix.rev)]
+    support, ids = candidate.support, quiver_of(model).arrow_ids
+    for eid, p in zip(ids, ix.plus):
+        if not inner[p] and eid in support:
+            raise InternalConsistencyError(
+                f"support edge {eid!r} fails to glue its face lifts"
+            )
+
+    # the walk starts at the least boundary dart, which is the +1 dart of
+    # the first edge off the interior; an edge has at most one interior
+    # lift, and a dart's lift at cell c is that lift exactly when c is the
+    # dart's own tail cell
+    start = next((p for p in ix.plus if not inner[p]), None)
+    if start is None:
+        raise InternalConsistencyError("domain has no boundary")
+    nxt, rev, rim, spin = ix.next, ix.rev, inner.count(False), range(len(ix.next))
+    walk: list[int] = []
+    d = start
+    while True:
+        walk.append(d)
+        c, d = hc[d], nxt[d]
+        for _ in spin:  # clockwise past glued edges
+            if not (inner[d] and tc[d] == c):
+                break
+            d = nxt[rev[d]]
+        else:
+            raise InternalConsistencyError("walk trapped at an interior vertex")
+        if tc[d] != c:
+            raise InternalConsistencyError("boundary walk left the domain")
+        if d == start:
+            break
+        if len(walk) > rim:
+            raise InternalConsistencyError("boundary walk does not close")
+    if len(walk) != rim:
+        raise InternalConsistencyError("boundary is not a single circuit")
+    return ix, tc, inner, walk
 
 
 @dataclass(frozen=True)
@@ -241,72 +339,13 @@ def fundamental_domain(
     faces once counterclockwise around the torus (:func:`faces_area2` is
     2), as validation's ``homology-span`` demands.
     """
-    if faces_area2(model) != 2:
-        raise InvalidModelError(
-            "edge offsets do not wrap the faces once counterclockwise around "
-            "the torus: the model fails homology-span"
-        )
-    tr = trace_faces(model)
+    ix, tc, inner, walk = _domain(model, candidate)
     cells = dict(candidate.cells)
-    if set(cells) != {f.id for f in tr.faces}:
-        raise InvalidModelError("candidate cells do not match the faces")
-    support = candidate.support
-
-    def lift(d: Dart, tail: Cell) -> tuple[str, Cell]:  # (edge, black end)
-        return (d[0], tail if d[1] > 0 else _head_cell(model, d, tail))
-
-    edge_lift: dict[Dart, tuple[str, Cell]] = {}
-    tail_cell: dict[Dart, Cell] = {}
-    for f in tr.faces:
-        cf = cells[f.id]
-        for d in f.darts:
-            u = tr.dart_cell[d]
-            tail_cell[d] = tail = (u[0] + cf[0], u[1] + cf[1])
-            edge_lift[d] = lift(d, tail)
-
-    interior: set[tuple[str, Cell]] = set()
-    for e in model.edges:
-        plus, minus = edge_lift[(e.id, +1)], edge_lift[(e.id, -1)]
-        if plus == minus:
-            interior.add(plus)
-        elif e.id in support:
-            raise InternalConsistencyError(
-                f"support edge {e.id!r} fails to glue its face lifts"
-            )
-
-    edge_pos = quiver_of(model).arrow_pos
-    boundary_darts = [d for d in edge_lift if edge_lift[d] not in interior]
-    if not boundary_darts:
-        raise InternalConsistencyError("domain has no boundary")
-    start = min(
-        boundary_darts,
-        key=lambda d: (edge_pos[d[0]], 0 if d[1] > 0 else 1, tail_cell[d]),
-    )
-
-    walk: list[tuple[Dart, Cell]] = []
-    d, tc = start, tail_cell[start]
-    while True:
-        walk.append((d, tc))
-        d, tc = tr.dart_next[d], _head_cell(model, d, tc)
-        for _ in range(len(tr.dart_next)):  # spin clockwise past glued edges
-            if lift(d, tc) not in interior:
-                break
-            d = tr.dart_next[(d[0], -d[1])]
-        else:
-            raise InternalConsistencyError("walk trapped at an interior vertex")
-        if tail_cell.get(d) != tc:
-            raise InternalConsistencyError("boundary walk left the domain")
-        if (d, tc) == (start, tail_cell[start]):
-            break
-        if len(walk) > len(boundary_darts):
-            raise InternalConsistencyError("boundary walk does not close")
-    if len(walk) != len(boundary_darts):
-        raise InternalConsistencyError("boundary is not a single circuit")
-
+    ids = quiver_of(model).arrow_ids
     return FundamentalDomain(
-        tuple((f.id, cells[f.id]) for f in tr.faces),
-        tuple(sorted(interior, key=lambda x: (edge_pos[x[0]], x[1]))),
-        tuple(walk),
+        tuple((f, cells[f]) for f in ix.faces),
+        tuple((eid, tc[p]) for eid, p in zip(ids, ix.plus) if inner[p]),
+        tuple((ix.darts[d], tc[d]) for d in walk),
     )
 
 
@@ -338,51 +377,42 @@ def classify_chart(
     corner a boundary edge, so the coordinate edges at the first corner
     number its valency, 3: the module docstring derives the one census.
     """
-    dom = fundamental_domain(model, candidate)
-    support = candidate.support
-    zeros = [e for e in model.edges if e.id not in support]
-    zero_deg = Counter(v for e in zeros for v in (e.black, e.white))
-    boundary_ids = dom.boundary_edge_ids
-    for e in zeros:
-        crowded = zero_deg[e.black] >= 2 or zero_deg[e.white] >= 2
-        if crowded != (e.id in boundary_ids):
+    ix, tc, inner, walk = _domain(model, candidate)
+    support, ids = candidate.support, quiver_of(model).arrow_ids
+    zero_deg = [0] * len(model.vertices)
+    for eid, (b, w) in zip(ids, ix.ends):
+        if eid not in support:
+            zero_deg[b] += 1
+            zero_deg[w] += 1
+    # the walk passes every dart off the interior edges, so those are the
+    # boundary edges
+    for eid, (b, w), p in zip(ids, ix.ends, ix.plus):
+        if eid not in support and (zero_deg[b] >= 2 or zero_deg[w] >= 2) == inner[p]:
             raise InternalConsistencyError(
-                f"zero edge {e.id!r} disagrees with the boundary translates"
+                f"zero edge {eid!r} disagrees with the boundary translates"
             )
 
     # Past that check a rim vertex's boundary edges are its zero edges, so
     # its valency is its zero degree.  Valency-2 visits sit inside a
     # straight run of the zero locus; they are not corners of the tiling,
     # so the census smooths them away.
-    visits: list[tuple[str, Cell, int]] = []
-    for d, tc in dom.boundary:
-        e = model.edge(d[0])
-        vid = e.black if d[1] > 0 else e.white
-        visits.append((vid, tc, zero_deg[vid]))
-    corner_idx = [i for i, (_, _, n) in enumerate(visits) if n >= 3]
-    census = dict(Counter(visits[i][2] for i in corner_idx))
+    key, ends = ix.key, ix.ends
+    tails = [ends[key[d][0]][key[d][1]] for d in walk]
+    corners = [d for d, v in zip(walk, tails) if zero_deg[v] >= 3]
+    census = dict(Counter(zero_deg[v] for v in tails if zero_deg[v] >= 3))
     if census != {3: 6}:
         raise InternalConsistencyError(f"impossible boundary census {census}")
 
-    edge_pos = quiver_of(model).arrow_pos
-    start_i = min(
-        corner_idx,
-        key=lambda i: (
-            edge_pos[dom.boundary[i][0][0]],
-            0 if dom.boundary[i][0][1] > 0 else 1,
-            dom.boundary[i][1],
-        ),
-    )
-    start_dart, start_cell = dom.boundary[start_i]
-    v1 = visits[start_i][0]
+    d = min(corners, key=key.__getitem__)  # keys are distinct
+    v1 = model.vertices[ends[key[d][0]][key[d][1]]].id
     rot = model.rotation_at(v1)
-    j = rot.index(start_dart[0])
+    j = rot.index(ix.darts[d][0])
     coord_edges = [
         eid
         for eid in (rot[(j + k) % len(rot)] for k in range(len(rot)))
         if eid not in support
     ]
-    return ChartClassification(((3, 6),), (v1, start_cell), tuple(coord_edges))
+    return ChartClassification(((3, 6),), (v1, tc[d]), tuple(coord_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +433,9 @@ def chart_characters(
     pairs to zero with each of them, so any spanning tree gives the same
     functional.
     """
-    ends, (up, rank) = _support_forest(q, candidate.support)
+    kept = candidate.__dict__.get(_FOREST)  # what the search grew, if on q
+    forest = kept[1] if kept and kept[0] is q else _support_forest(q, candidate.support)
+    ends, (up, rank) = forest
     if up.count(-1) != 1:
         raise InternalConsistencyError("support does not span the quiver")
     vpos = q.vertex_pos
@@ -445,8 +477,7 @@ def chart_cone(rows: Sequence[Vec3]) -> ChartCone:
         raise InternalConsistencyError(
             f"chart rows are not unimodular (determinant {d})"
         )
-    rays = tuple(tuple(inv[i][j] for i in range(3)) for j in range(3))
-    return ChartCone(rays, d)
+    return ChartCone(tuple(zip(*inv)), d)  # the columns
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ matrix is totally unimodular, so ``N`` has no torsion, and a second
 spanning forest, grown over the faces along the chords, gives its basis:
 the level vectors and the cycles of the chords that forest leaves out.
 The lattice is kept on the quiver; the splitting keeps the inverse of its
-matrix, so expressing a functional is one product.
+matrix and, once it expresses a functional, each arrow's row of the free
+basis times that inverse, so a functional is the sum of its nonzero
+entries times their rows.
 """
 
 from __future__ import annotations
@@ -59,13 +61,12 @@ HILBERT_CAP = 10_000
 def adjugate3(m: Sequence[Sequence[int]]) -> list[list[int]]:
     """Adjugate of a 3x3 matrix, ``m @ adj = det(m) I``: divided by a
     determinant of +-1, the integer inverse."""
-    def cof(i: int, j: int) -> int:
-        return (
-            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-        )
-
-    return [[cof(j, i) for j in range(3)] for i in range(3)]
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return [
+        [e * i - f * h, c * h - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
 
 
 def _unimodular_inverse(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix | None]:
@@ -82,19 +83,14 @@ def _unimodular_inverse(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix | No
 # the cocharacter lattice
 
 
-def _vec(q: Quiver, weights: Mapping[str, object]) -> tuple:
-    if set(weights) != set(q.arrow_ids):
-        raise InvalidModelError("weights must cover exactly the arrows")
-    return tuple(weights[aid] for aid in q.arrow_ids)
-
-
-def _kills_gauge(q: Quiver, vec: Sequence[int]) -> bool:
-    """Whether the arrow-indexed ``vec`` kills the gauge subgroup: as a
-    flow on the arrows, its net inflow at every vertex is 0."""
-    net = dict.fromkeys(q.vertices, 0)
-    for a, x in zip(q.arrows, vec):
-        net[a.target] += x
-        net[a.source] -= x
+def _kills_gauge(q: Quiver, entries: Iterable[tuple[int, int]]) -> bool:
+    """Whether the ``(arrow position, weight)`` entries kill the gauge
+    subgroup: as a flow on the arrows, their net inflow at every vertex is
+    0.  Entries left out weigh 0."""
+    net, arrows = dict.fromkeys(q.vertices, 0), q.arrows
+    for i, x in entries:
+        net[arrows[i].target] += x
+        net[arrows[i].source] -= x
     return not any(net.values())
 
 
@@ -277,7 +273,7 @@ def split_by_reference(q: Quiver, base: Iterable[str]) -> Splitting:
     sy = sum(q.offsets[pos[aid]][1] for aid in b)
     pi_x = tuple(sx * l - o[0] for l, o in zip(lev, q.offsets))
     pi_y = tuple(sy * l - o[1] for l, o in zip(lev, q.offsets))
-    if not all(_kills_gauge(q, f) for f in (pi_x, pi_y, lev)):
+    if not all(_kills_gauge(q, enumerate(f)) for f in (pi_x, pi_y, lev)):
         raise InternalConsistencyError(
             "splitting does not kill the gauge subgroup"
         )
@@ -300,31 +296,52 @@ def split_by_reference(q: Quiver, base: Iterable[str]) -> Splitting:
     return Splitting(b, q.arrow_ids, pi_x, pi_y, lev, d, inverse)
 
 
+_TABLE = f"{__name__}._arrow_table"  # a splitting's (quiver, table)
+
+
+def _arrow_table(q: Quiver, split: Splitting) -> list[Vec3]:
+    """Per arrow, its row of ``free_basis``ᵀ · ``inverse``, built on first
+    use and kept in the splitting's instance ``__dict__`` for one quiver,
+    as :func:`~dimerkit.model.per_object` keeps a memo."""
+    kept = split.__dict__.get(_TABLE)
+    if kept is None or kept[0] is not q:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = split.inverse
+        table = [
+            (x * a0 + y * b0 + z * c0, x * a1 + y * b1 + z * c1, x * a2 + y * b2 + z * c2)
+            for x, y, z in zip(*cochar_lattice(q).free_basis)
+        ]
+        kept = split.__dict__[_TABLE] = (q, table)
+    return kept[1]
+
+
 def express_functional(
     q: Quiver, split: Splitting, functional: Mapping[str, int]
 ) -> Vec3:
     """Coefficients of an N-functional over ``(pi_x, pi_y, level)``.
 
-    The input must kill the gauge subgroup, and the splitting must be one
-    of ``q``'s (its arrow order is checked): its inverse is taken on
-    ``q``'s free basis.  The result ``(a, b, c)`` satisfies
-    ``f = a pi_x + b pi_y + c level`` on all of ``W``.  Both sides kill the
-    gauge subgroup ``B`` and agree on the lattice's free basis, and ``W`` is
-    spanned by that basis and ``B``.
+    The input must cover exactly the arrows and kill the gauge subgroup,
+    and the splitting must be one of ``q``'s (its arrow order is checked):
+    its inverse is taken on ``q``'s free basis.  The result ``(a, b, c)``
+    satisfies ``f = a pi_x + b pi_y + c level`` on all of ``W``.  Both
+    sides kill the gauge subgroup ``B`` and agree on the lattice's free
+    basis, and ``W`` is spanned by that basis and ``B``.  The gauge test
+    and the product read only the nonzero entries: a chart character is
+    one arrow and a tree path.
     """
     if split.arrow_order != q.arrow_ids:
         raise InvalidModelError("splitting belongs to another quiver")
-    fvec = _vec(q, functional)
-    if not _kills_gauge(q, fvec):
+    if functional.keys() != q.arrow_pos.keys():
+        raise InvalidModelError("weights must cover exactly the arrows")
+    nonzero = [(q.arrow_pos[aid], x) for aid, x in functional.items() if x]
+    if not _kills_gauge(q, nonzero):
         raise InvalidModelError("functional does not kill the gauge subgroup")
-    lat = cochar_lattice(q)
-    if lat.rank != 3:
+    if cochar_lattice(q).rank != 3:
         raise DegenerateModelError("cocharacter lattice is not free of rank 3")
-    rhs = [sum(f * n for f, n in zip(fvec, fb)) for fb in lat.free_basis]
-    # u . T = rhs for the splitting's matrix T, so u = rhs . T^-1
-    inv = split.inverse
-    u = [sum(rhs[k] * inv[k][c] for k in range(3)) for c in range(3)]
-    return (u[0], u[1], u[2])
+    table, a, b, c = _arrow_table(q, split), 0, 0, 0
+    for i, x in nonzero:  # u = f . T^-1 for the splitting's matrix T
+        r = table[i]
+        a, b, c = a + x * r[0], b + x * r[1], c + x * r[2]
+    return (a, b, c)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from .exceptions import (
 )
 from .model import DimerModel, _subset_folds, per_object
 
-SUBSET_CAP = 20  # strong-marriage enumerates subsets of one side
+SUBSET_CAP = 22  # strong-marriage enumerates subsets of one side
 MATCHING_CAP = 200_000  # enumeration bails out beyond this many matchings
 STATE_CAP = 200_000  # and the search beyond this many states at one step
 

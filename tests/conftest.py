@@ -54,6 +54,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises: a
+    route and its oracle must agree on both."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def random_connected(seed: int) -> BipartiteGraph:
     """Deterministic connected bipartite multigraph, at most 12+12 vertices.
 

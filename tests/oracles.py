@@ -15,24 +15,31 @@ position tuples, the strict Hall condition by one bit loop per subset
 mask, spanning trees grown in passes with one path tuple per face, the
 weight lattice's forest with a depth array, connectivity by a
 depth-first search, King stability by one min cut per source component
-of the support over dense reach sets, and the fixed-point candidates by one
-stability test per matching and a scan of the unit triangles.
+of the support over dense reach sets, the fixed-point candidates by one
+stability test per matching and a scan of the unit triangles, a
+fundamental domain and its chart by dicts keyed by ``(edge id, sign)``
+darts with one edge lookup per dart, and a functional's coordinates under
+a splitting by dense passes over all the arrows.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from dimerkit import (
+    ChartClassification,
     DegenerateModelError,
     FixedPointCandidate,
+    FundamentalDomain,
     InternalConsistencyError,
     InvalidModelError,
     PathSeq,
     RelationPair,
     from_model,
     is_stable,
+    cochar_lattice,
     laurent_from_counts,
     perfect_matchings,
     quiver_of,
@@ -41,7 +48,7 @@ from dimerkit import (
 from dimerkit.heights import _check_matching, _offset_sum
 from dimerkit.lattice import adjugate3
 from dimerkit.matchings import enumerate_matchings
-from dimerkit.model import BLACK, per_object
+from dimerkit.model import BLACK, _head_cell, faces_area2, per_object, trace_faces
 
 
 def _identity(n):
@@ -703,3 +710,140 @@ def fixed_candidates_by_enumeration(model, theta):
     pos = q.arrow_pos
     found.sort(key=lambda c: tuple(sorted(pos[aid] for aid in c.support)))
     return tuple(found)
+
+
+def fundamental_domain_by_dicts(model, candidate):
+    """``charts.fundamental_domain`` on dicts keyed by ``(edge id, sign)``
+    darts: each dart's tail cell and edge lift from one edge lookup, the
+    interior lifts as a set, and the spin test a set membership."""
+    if faces_area2(model) != 2:
+        raise InvalidModelError(
+            "edge offsets do not wrap the faces once counterclockwise around "
+            "the torus: the model fails homology-span"
+        )
+    tr = trace_faces(model)
+    cells = dict(candidate.cells)
+    if set(cells) != {f.id for f in tr.faces}:
+        raise InvalidModelError("candidate cells do not match the faces")
+
+    def lift(d, tail):  # (edge, black end)
+        return (d[0], tail if d[1] > 0 else _head_cell(model, d, tail))
+
+    edge_lift, tail_cell = {}, {}
+    for f in tr.faces:
+        cf = cells[f.id]
+        for d in f.darts:
+            u = tr.dart_cell[d]
+            tail_cell[d] = tail = (u[0] + cf[0], u[1] + cf[1])
+            edge_lift[d] = lift(d, tail)
+    interior = set()
+    for e in model.edges:
+        plus, minus = edge_lift[(e.id, +1)], edge_lift[(e.id, -1)]
+        if plus == minus:
+            interior.add(plus)
+        elif e.id in candidate.support:
+            raise InternalConsistencyError(
+                f"support edge {e.id!r} fails to glue its face lifts"
+            )
+
+    edge_pos = quiver_of(model).arrow_pos
+    boundary_darts = [d for d in edge_lift if edge_lift[d] not in interior]
+    if not boundary_darts:
+        raise InternalConsistencyError("domain has no boundary")
+    start = min(
+        boundary_darts,
+        key=lambda d: (edge_pos[d[0]], 0 if d[1] > 0 else 1, tail_cell[d]),
+    )
+    walk = []
+    d, tc = start, tail_cell[start]
+    while True:
+        walk.append((d, tc))
+        d, tc = tr.dart_next[d], _head_cell(model, d, tc)
+        for _ in range(len(tr.dart_next)):  # spin clockwise past glued edges
+            if lift(d, tc) not in interior:
+                break
+            d = tr.dart_next[(d[0], -d[1])]
+        else:
+            raise InternalConsistencyError("walk trapped at an interior vertex")
+        if tail_cell.get(d) != tc:
+            raise InternalConsistencyError("boundary walk left the domain")
+        if (d, tc) == (start, tail_cell[start]):
+            break
+        if len(walk) > len(boundary_darts):
+            raise InternalConsistencyError("boundary walk does not close")
+    if len(walk) != len(boundary_darts):
+        raise InternalConsistencyError("boundary is not a single circuit")
+    return FundamentalDomain(
+        tuple((f.id, cells[f.id]) for f in tr.faces),
+        tuple(sorted(interior, key=lambda x: (edge_pos[x[0]], x[1]))),
+        tuple(walk),
+    )
+
+
+def classify_chart_by_dicts(model, candidate):
+    """``charts.classify_chart`` on :func:`fundamental_domain_by_dicts`:
+    zero degrees counted by vertex id, the boundary edges a set of ids, and
+    each rim vertex looked up by edge."""
+    dom = fundamental_domain_by_dicts(model, candidate)
+    support = candidate.support
+    zeros = [e for e in model.edges if e.id not in support]
+    zero_deg = Counter(v for e in zeros for v in (e.black, e.white))
+    boundary_ids = dom.boundary_edge_ids
+    for e in zeros:
+        crowded = zero_deg[e.black] >= 2 or zero_deg[e.white] >= 2
+        if crowded != (e.id in boundary_ids):
+            raise InternalConsistencyError(
+                f"zero edge {e.id!r} disagrees with the boundary translates"
+            )
+    visits = []
+    for d, tc in dom.boundary:
+        e = model.edge(d[0])
+        vid = e.black if d[1] > 0 else e.white
+        visits.append((vid, tc, zero_deg[vid]))
+    corner_idx = [i for i, (_, _, n) in enumerate(visits) if n >= 3]
+    census = dict(Counter(visits[i][2] for i in corner_idx))
+    if census != {3: 6}:
+        raise InternalConsistencyError(f"impossible boundary census {census}")
+    edge_pos = quiver_of(model).arrow_pos
+    start_i = min(
+        corner_idx,
+        key=lambda i: (
+            edge_pos[dom.boundary[i][0][0]],
+            0 if dom.boundary[i][0][1] > 0 else 1,
+            dom.boundary[i][1],
+        ),
+    )
+    start_dart, start_cell = dom.boundary[start_i]
+    v1 = visits[start_i][0]
+    rot = model.rotation_at(v1)
+    j = rot.index(start_dart[0])
+    coord_edges = [
+        eid
+        for eid in (rot[(j + k) % len(rot)] for k in range(len(rot)))
+        if eid not in support
+    ]
+    return ChartClassification(((3, 6),), (v1, start_cell), tuple(coord_edges))
+
+
+def express_functional_dense(q, split, functional):
+    """``lattice.express_functional`` by dense passes over every arrow: the
+    arrow-set check on two sets, the gauge test and the free-basis products
+    over all entries, then one product with the splitting's inverse."""
+    if split.arrow_order != q.arrow_ids:
+        raise InvalidModelError("splitting belongs to another quiver")
+    if set(functional) != set(q.arrow_ids):
+        raise InvalidModelError("weights must cover exactly the arrows")
+    fvec = tuple(functional[aid] for aid in q.arrow_ids)
+    net = dict.fromkeys(q.vertices, 0)
+    for a, x in zip(q.arrows, fvec):
+        net[a.target] += x
+        net[a.source] -= x
+    if any(net.values()):
+        raise InvalidModelError("functional does not kill the gauge subgroup")
+    lat = cochar_lattice(q)
+    if lat.rank != 3:
+        raise DegenerateModelError("cocharacter lattice is not free of rank 3")
+    rhs = [sum(f * n for f, n in zip(fvec, fb)) for fb in lat.free_basis]
+    inv = split.inverse
+    u = [sum(rhs[k] * inv[k][c] for k in range(3)) for c in range(3)]
+    return (u[0], u[1], u[2])

@@ -261,9 +261,9 @@ def test_check_agreement(capsys):
 
 
 def test_check_at_the_cap_gives_every_verdict(capsys, tmp_path):
-    # exactly 20 blacks: strong-marriage streams all 2^20 subsets of a side
-    path = tmp_path / "honeycomb-4x5.json"
-    dump_model(cover(example("honeycomb"), 4, 5), str(path))
+    # exactly 22 blacks: strong-marriage streams all 2^22 subsets of a side
+    path = tmp_path / "honeycomb-11x2.json"
+    dump_model(cover(example("honeycomb"), 11, 2), str(path))
     code, data = run_json(capsys, "check", str(path))
     assert code == 0
     assert data == {
@@ -273,10 +273,10 @@ def test_check_at_the_cap_gives_every_verdict(capsys, tmp_path):
 
 
 def test_check_past_a_cap_reports_null(capsys, tmp_path):
-    # 21 blacks: strong-marriage would scan 2^21 subsets, so it gives no
+    # 23 blacks: strong-marriage would scan 2^23 subsets, so it gives no
     # verdict; the others agree and per-edge sets the exit code
-    path = tmp_path / "honeycomb-7x3.json"
-    dump_model(cover(example("honeycomb"), 7, 3), str(path))
+    path = tmp_path / "honeycomb-23x1.json"
+    dump_model(cover(example("honeycomb"), 23, 1), str(path))
     code, data = run_json(capsys, "check", str(path))
     assert code == 0
     assert data == {

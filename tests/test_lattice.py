@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CERTIFY_COVERS, TILING_COVERS, cover, deletion_corpus, sweep_corpus
+from conftest import (
+    CERTIFY_COVERS, TILING_COVERS, cover, deletion_corpus, outcome, sweep_corpus,
+)
 from dimerkit import (
     CapacityError,
     DegenerateModelError,
@@ -31,10 +33,12 @@ from dimerkit import (
     split_by_reference,
 )
 from dimerkit import lattice
+from dimerkit.lattice import Splitting
 from dimerkit.model import _spanning_forest
 from oracles import (
     constraint_matrix,
     det_int,
+    express_functional_dense,
     forest_basis_by_depth,
     kernel,
     smith_normal_form,
@@ -62,10 +66,14 @@ def test_smith_normal_form_frozen():
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_unimodular_inverse_matches_elimination(m):
-    # the determinant read off the adjugate is the eliminated one, and the
-    # inverse is given exactly when it is a unit
+    # the determinant read off the adjugate is the eliminated one, the
+    # adjugate times the matrix is that determinant times the identity, and
+    # the inverse is given exactly when it is a unit
     d, inv = lattice._unimodular_inverse(m)
     assert d == det_int(m)
+    adj = lattice.adjugate3(m)
+    scaled = [[sum(m[i][k] * adj[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    assert scaled == [[d * int(i == j) for j in range(3)] for i in range(3)]
     if d not in (1, -1):
         assert inv is None
         return
@@ -512,6 +520,74 @@ def test_express_functional_recovers_coefficients(data):
             express_functional(
                 quiver, sp, dict(zip(sp.arrow_order, (x + y for x, y in zip(f, gauge))))
             )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_express_functional_matches_the_dense_route(data):
+    # the dense passes over every arrow, as oracle, on random functionals:
+    # integer combinations of the vertex cycles, which kill the gauge
+    # subgroup, often plus a random dense vector, which mostly does not,
+    # and sometimes with an arrow missing, an extra key, both, or a foreign
+    # splitting
+    quiver, sp = data.draw(st.sampled_from(SPLITS))
+    ids = quiver.arrow_ids
+    f = dict.fromkeys(ids, 0)
+    for cycles, _ in quiver.cycles:
+        for cycle in cycles:
+            r = data.draw(st.integers(-3, 3))
+            for i in cycle:
+                f[ids[i]] += r
+    noise = data.draw(st.booleans())
+    if noise:
+        for aid in ids:
+            f[aid] += data.draw(st.integers(-2, 2))
+    change = data.draw(st.sampled_from(("none", "none", "drop", "extra", "swap", "split")))
+    if change in ("drop", "swap"):
+        del f[data.draw(st.sampled_from(ids))]
+    if change in ("extra", "swap"):
+        f["not-an-arrow"] = data.draw(st.integers(-2, 2))
+    elif change == "split":
+        sp = data.draw(st.sampled_from([s for qq, s in SPLITS if qq is not quiver]))
+    want = outcome(express_functional_dense, quiver, sp, f)
+    assert outcome(express_functional, quiver, sp, f) == want
+    if change == "none" and not noise:
+        assert len(want) == 3 and all(type(x) is int for x in want)
+
+
+def test_express_functional_refusals():
+    # each of the four checks still refuses, with the dense route's message
+    quiver, sp = SPLITS[0]
+    good = dict(zip(sp.arrow_order, sp.pi_x))
+    other = SPLITS[1][1]
+    missing = dict(list(good.items())[1:])
+    extra = good | {"not-an-arrow": 0}
+    swapped = missing | {"not-an-arrow": 0}  # as many keys as arrows
+    gauge = dict(good)
+    gauge[quiver.arrow_ids[0]] += 1
+    for split, f, exc, msg in (
+        (other, good, InvalidModelError, "splitting belongs to another quiver"),
+        (sp, missing, InvalidModelError, "weights must cover exactly the arrows"),
+        (sp, extra, InvalidModelError, "weights must cover exactly the arrows"),
+        (sp, swapped, InvalidModelError, "weights must cover exactly the arrows"),
+        (sp, gauge, InvalidModelError, "functional does not kill the gauge subgroup"),
+    ):
+        assert outcome(express_functional_dense, quiver, split, f) == (exc, msg)
+        with pytest.raises(exc, match=f"^{msg}$"):
+            express_functional(quiver, split, f)
+
+    # rank 2: the dice tiling's lattice, under a splitting made by hand for
+    # its arrow order, since split_by_reference refuses it
+    dice = quiver_of(sweep_corpus()["dice.json"])
+    assert cochar_lattice(dice).rank == 2
+    zeros = (0,) * len(dice.arrows)
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    hand = Splitting(frozenset(), dice.arrow_ids, zeros, zeros, zeros, 1, unit)
+    f = dict.fromkeys(dice.arrow_ids, 0)
+    msg = "cocharacter lattice is not free of rank 3"
+    assert outcome(express_functional_dense, dice, hand, f) == (DegenerateModelError, msg)
+    with pytest.raises(DegenerateModelError, match=f"^{msg}$"):
+        express_functional(dice, hand, f)
 
 
 def test_conifold_cone_and_dual():

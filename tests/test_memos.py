@@ -3,25 +3,34 @@
 import contextlib
 import gc
 import io
+import random
+import types
 import weakref
 
 from dimerkit import (
     BipartiteGraph,
     DimerModel,
+    FixedPointCandidate,
     Quiver,
+    Splitting,
     assemble_fan,
     char_poly,
+    chart_characters,
+    chart_rows,
+    classify_chart,
     cochar_lattice,
+    enumerate_fixed_candidates,
     example,
     from_model,
     perfect_matchings,
     quiver_of,
     r_charge_average,
     relations,
+    sample_generic_theta,
     split_by_reference,
     validate_model,
 )
-from dimerkit import cli, matchings, quiver
+from dimerkit import charts, cli, lattice, matchings, quiver
 from oracles import constraint_matrix
 
 
@@ -46,16 +55,62 @@ def test_model_and_quiver_freed_after_pipeline():
 
 
 def test_pipeline_never_hashes_model_or_quiver(monkeypatch):
+    # nor a splitting, which keeps its arrow table the same way
     def unhashable(self):
         raise AssertionError(f"{type(self).__name__} hashed")
 
     monkeypatch.setattr(DimerModel, "__hash__", unhashable)
     monkeypatch.setattr(Quiver, "__hash__", unhashable)
     monkeypatch.setattr(BipartiteGraph, "__hash__", unhashable)
+    monkeypatch.setattr(Splitting, "__hash__", unhashable)
     model = example("conifold")
     q = _pipeline(model)
     assert quiver_of(model) is q
     assert from_model(model) is from_model(model)
+    _chart(example("fzero"))
+
+
+def _chart(model):
+    """One chart's rows built by hand, with the splitting they went through."""
+    q = quiver_of(model)
+    split = split_by_reference(q, perfect_matchings(model)[0])
+    theta = sample_generic_theta(q, split.base, random.Random(0))[0]
+    cand = enumerate_fixed_candidates(model, theta)[0]
+    cls = classify_chart(model, cand)
+    rows = chart_rows(q, split, chart_characters(q, cand, cls.coordinate_edges))
+    return cand, split, rows
+
+
+def test_chart_indexes_freed_with_their_owners():
+    # the dart index lives on its model, the support forest on its
+    # candidate and the arrow table on its splitting, each in the owner's
+    # instance __dict__ and held by nothing else: freed together with it
+    model = example("fzero")
+    cand, split, _ = _chart(model)
+    for owner, key in (
+        (model, "dimerkit.charts._dart_index"),
+        (cand, charts._FOREST),
+        (split, lattice._TABLE),
+    ):
+        memo = owner.__dict__[key]
+        holders = [
+            r for r in gc.get_referrers(memo)
+            if r is not owner.__dict__ and not isinstance(r, types.FrameType)
+        ]
+        assert holders == [], key
+    refs = weakref.ref(model), weakref.ref(cand), weakref.ref(split)
+    del model, cand, split, memo, owner
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
+def test_candidate_forest_is_not_a_field():
+    # the forest kept on a candidate changes neither eq, hash nor repr
+    cand, _, _ = _chart(example("fzero"))
+    bare = FixedPointCandidate(cand.support, cand.cells)
+    assert charts._FOREST in cand.__dict__ and charts._FOREST not in bare.__dict__
+    assert cand == bare and hash(cand) == hash(bare) and repr(cand) == repr(bare)
+    assert list(vars(bare)) == ["support", "cells"]
 
 
 def test_one_search_per_model(monkeypatch):
