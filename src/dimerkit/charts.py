@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from types import SimpleNamespace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exceptions import InternalConsistencyError, InvalidModelError
 from .heights import (
@@ -309,8 +309,7 @@ def _domain(model: DimerModel, candidate: FixedPointCandidate) -> tuple:
     return ix, tc, inner, walk
 
 
-@dataclass(frozen=True)
-class FundamentalDomain:
+class FundamentalDomain(NamedTuple):
     """Lifted faces of a candidate glued along its support.
 
     ``interior_edges`` are the edge lifts with the domain on both sides:
@@ -353,8 +352,7 @@ def fundamental_domain(
 # chart classification
 
 
-@dataclass(frozen=True)
-class ChartClassification:
+class ChartClassification(NamedTuple):
     """A chart read off its domain boundary.  ``case``, ``smooth`` and
     ``fixed_locus`` are class constants: the construction allows one case."""
 
@@ -492,8 +490,7 @@ class Chart:
     cone: ChartCone
 
 
-@dataclass(frozen=True)
-class FanResult:
+class FanResult(NamedTuple):
     base: tuple[str, ...]
     theta: Theta
     polygon: LatticePolygon

@@ -12,7 +12,8 @@ Exit codes separate the four ways a run can end: ``0`` success, ``1`` an
 internal cross-check failed (a bug), ``2`` the input was unusable, ``3``
 the computation finished with a negative verdict (failed validation,
 degenerate model, failed certificate, non-generic weight).  A reader that
-closes stdout early, as ``head`` does, ends the run with ``141``.
+closes stdout early, as ``head`` does, ends the run with ``141``; a stdout
+that refuses output otherwise, as a full device does, with ``2``.
 """
 
 from __future__ import annotations
@@ -93,8 +94,23 @@ def _json_text(x, indent: str) -> str:
     return _json_text(_json_default(x), indent)
 
 
+class _StdoutRefused(Exception):
+    """stdout refused a write or a flush, and not as a closed pipe does."""
+
+
+def _stdout(method: str, *args) -> None:
+    """Call a method of ``sys.stdout``.  A refusal other than a closed
+    pipe's (a full device, say) is unusable output, as for a file: exit 2."""
+    try:
+        getattr(sys.stdout, method)(*args)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _StdoutRefused(exc.strerror or exc) from None
+
+
 def _emit(payload) -> None:
-    sys.stdout.write(_json_text(payload, "\n") + "\n")
+    _stdout("write", _json_text(payload, "\n") + "\n")
 
 
 def _check_index(flag: str, i: int, n: int) -> None:
@@ -234,7 +250,7 @@ def _cmd_charpoly(args) -> int:
 def _cmd_polygon(args) -> int:
     poly = newton_polygon(char_poly(_load_valid(args)))
     if args.svg:
-        sys.stdout.write(render.render_polygon(poly))
+        _stdout("write", render.render_polygon(poly))
     else:
         _emit([list(v) for v in poly.vertices])
     return EXIT_OK
@@ -389,7 +405,7 @@ def _cmd_render(args) -> int:
         with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     else:
-        sys.stdout.write(svg)
+        _stdout("write", svg)
     return EXIT_OK
 
 
@@ -500,13 +516,17 @@ def main(argv: list[str] | None = None) -> int:
             args = _parse(sys.argv[1:] if argv is None else argv)
             return args.fn(args)
         finally:
-            # a closed pipe fails here, not at interpreter exit, also after
-            # the SystemExit that follows help
-            sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left: send the interpreter's final flush to devnull
+            # a closed pipe or a full device fails here, not at interpreter
+            # exit, also after the SystemExit that follows help
+            _stdout("flush")
+    except (BrokenPipeError, _StdoutRefused) as exc:
+        # stdout takes no more: send what it holds, and the interpreter's
+        # final flush, to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except (InvalidModelError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -13,8 +13,7 @@ not depend on ``MATCHING_CAP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exceptions import DegenerateModelError, InvalidModelError
 from .matchings import _least_matching, _weight_counts, from_model
@@ -64,8 +63,7 @@ def height_change(
     return (sb[0] - sm[0], sb[1] - sm[1])
 
 
-@dataclass(frozen=True)
-class LaurentPoly2:
+class LaurentPoly2(NamedTuple):
     """Integer Laurent polynomial in two variables, sparse and sorted."""
 
     terms: tuple[tuple[Cell, int], ...]
@@ -130,8 +128,7 @@ def char_poly(
 # lattice polygons
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(NamedTuple):
     """Convex lattice polygon: vertices counterclockwise from the least one.
 
     May be degenerate (a single point or a segment), in which case it has

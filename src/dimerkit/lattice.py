@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exceptions import (
     CapacityError,
@@ -94,8 +94,7 @@ def _kills_gauge(q: Quiver, entries: Iterable[tuple[int, int]]) -> bool:
     return not any(net.values())
 
 
-@dataclass(frozen=True)
-class CocharLattice:
+class CocharLattice(NamedTuple):
     """The lattice ``N = W / B`` with a basis.
 
     ``w_basis`` spans the relation-compatible weights ``W`` inside
@@ -348,8 +347,7 @@ def express_functional(
 # cones over polygons
 
 
-@dataclass(frozen=True)
-class Cone3:
+class Cone3(NamedTuple):
     """A pointed full 3-dimensional cone; rays primitive, cyclically ordered."""
 
     rays: tuple[Vec3, ...]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .exceptions import InvalidModelError
 
@@ -39,10 +39,12 @@ Dart = tuple[str, int]  # (edge id, +1 black->white / -1 white->black)
 def per_object(fn):
     """Memoize a one-argument function on its argument.
 
-    The result is kept in the argument's instance ``__dict__`` (frozen
-    dataclasses still have one), outside its fields: eq, hash and repr are
-    unchanged, the argument is never hashed, and the result is freed
-    together with it.  Exceptions are not memoized.
+    The result is kept in the argument's instance ``__dict__``, outside its
+    fields: eq, hash and repr are unchanged, the argument is never hashed,
+    and the result is freed together with it.  Exceptions are not memoized.
+    The frozen dataclasses it is applied to (``DimerModel``, ``Quiver`` and
+    ``BipartiteGraph``) have a ``__dict__``; the ``NamedTuple`` records have
+    none.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
 
@@ -56,15 +58,13 @@ def per_object(fn):
     return memoized
 
 
-@dataclass(frozen=True)
-class DimerVertex:
+class DimerVertex(NamedTuple):
     id: str
     color: str
     pos: tuple[Fraction, Fraction] | None = None
 
 
-@dataclass(frozen=True)
-class DimerEdge:
+class DimerEdge(NamedTuple):
     """An edge from ``black`` at cell ``m`` to ``white`` at cell ``m + offset``."""
 
     id: str
@@ -73,8 +73,7 @@ class DimerEdge:
     offset: Cell
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face of the torus map; ``darts`` is its counterclockwise boundary."""
 
     id: str
@@ -260,15 +259,13 @@ def face_gluing_shifts(model: DimerModel) -> dict[str, Cell]:
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
+class ValidationCheck(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[ValidationCheck, ...]
 
     @property
@@ -461,8 +458,7 @@ def validate_model(model: DimerModel) -> ValidationReport:
 # universal-cover patches
 
 
-@dataclass(frozen=True)
-class CoverFragment:
+class CoverFragment(NamedTuple):
     """Lifts of the model to the cells ``[-radius, radius]^2`` of the cover.
 
     Vertex lifts are ``(vertex id, cell)`` pairs.  Edge lifts are

@@ -31,21 +31,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exceptions import InternalConsistencyError, InvalidModelError
 from .model import Cell, DimerModel, face_gluing_shifts, per_object, trace_faces
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     id: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class PathSeq:
+class PathSeq(NamedTuple):
     """A composable run of arrows in composition order (rightmost first)."""
 
     arrows: tuple[str, ...]
@@ -53,8 +51,7 @@ class PathSeq:
     target: str
 
 
-@dataclass(frozen=True)
-class RelationPair:
+class RelationPair(NamedTuple):
     """The two sides ``p_plus = p_minus`` of the relation attached to an arrow."""
 
     arrow: str

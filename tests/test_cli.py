@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import importlib.util
@@ -18,11 +19,12 @@ from hypothesis import example as hyp_example
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cover
+from conftest import cover, sweep_corpus
 from dimerkit import (
     DimerEdge, DimerModel, InvalidModelError, dump_model, example, load_model,
     model_from_dict, model_to_dict, quiver_of,
 )
+from dimerkit import catalog, cli
 from dimerkit.cli import _COMMANDS, _emit, _json_default, build_parser, main
 from dimerkit.model import _connected
 from oracles import connected_by_dfs
@@ -726,6 +728,124 @@ def test_closed_stdout_exits_141(tmp_path, large):
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (141, b""), argv
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: ``refuse`` names the call that raises."""
+
+    def __init__(self, refuse: str, fd: int):
+        super().__init__()
+        self.refuse, self.fd = refuse, fd
+
+    def write(self, text):
+        if self.refuse == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.refuse == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("refuse, argv", [
+    (refuse, argv)
+    for refuse in ("write", "flush")
+    for argv in (
+        ["quiver", "--example", "conifold"],
+        ["polygon", "--example", "fzero", "--svg"],
+        ["render", "--example", "honeycomb"],
+    )
+] + [("flush", ["-h"])], ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_full_stdout_is_unusable_output(capsys, monkeypatch, tmp_path, refuse, argv):
+    # exit 2 and one line, as for an output file; what stdout still holds
+    # goes to devnull, not to the interpreter's final flush
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _FullStdout(refuse, fd))
+        assert main(argv) == 2
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_dev_full_stdout_exits_2(tmp_path, unbuffered):
+    # the conifold 4x4 matchings overflow stdout's buffer while the command
+    # runs; the quiver and the help text fail only when flushed, unless
+    # stdout is unbuffered; argparse drops its own failed help writes
+    path = tmp_path / "conifold-4x4.json"
+    dump_model(cover(example("conifold"), 4, 4), str(path))
+    argvs = [["matchings", str(path)], ["quiver", "--example", "conifold"]]
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        argvs.append(["fixed-points", "-h"])
+    for argv in argvs:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dimerkit.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (
+            2, b"error: cannot write stdout: No space left on device\n"
+        ), argv
+
+
+def _plain(x, where="payload"):
+    """Fail unless ``x`` is built of dicts with string keys, lists and
+    tuples (exactly those types) over JSON leaves and fractions."""
+    if type(x) is dict:
+        for k, v in x.items():
+            assert type(k) is str, where
+            _plain(v, f"{where}[{k!r}]")
+    elif type(x) in (list, tuple):
+        for i, v in enumerate(x):
+            _plain(v, f"{where}[{i}]")
+    else:
+        assert type(x) in (str, int, bool, type(None), Fraction), (
+            f"{where} is a {type(x).__name__}"
+        )
+
+
+def test_payloads_hold_no_record(capsys, monkeypatch, tmp_path):
+    # a record is a tuple, which _emit would write as a list without a word
+    payloads = []
+    emit = cli._emit
+
+    def spy(payload):
+        payloads.append(payload)
+        emit(payload)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    runs = [
+        [name, "--example", model]
+        for model in catalog.example_names()
+        for name, _, _, _ in _COMMANDS
+    ]
+    corpus = sweep_corpus()
+    for key in ("conifold-2x2", "honeycomb-2x2", "fzero-2x1"):
+        path = str(tmp_path / f"{key}.json")
+        dump_model(corpus[key], path)
+        runs.append(["check", path])  # which takes no seed
+        runs += [
+            [*argv, path, "--seed", str(seed)]
+            for argv in (["fixed-points"], ["render", "--what", "domain"], ["theta"])
+            for seed in (0, 1)
+        ]
+    for argv in runs:
+        before = len(payloads)
+        main(argv)
+        json_out = capsys.readouterr().out.startswith(("{", "["))
+        assert len(payloads) - before == json_out, argv  # SVG goes around _emit
+    for payload in payloads:
+        _plain(payload)
 
 
 def _exits(capsys, call):

@@ -1,33 +1,62 @@
 """Derived indexes live on the object they describe and die with it."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import random
 import types
 import weakref
 
+import pytest
+
 from dimerkit import (
+    Arrow,
     BipartiteGraph,
+    Chart,
+    ChartClassification,
+    ChartCone,
+    CocharLattice,
+    Cone3,
+    CoverFragment,
+    DimerEdge,
     DimerModel,
+    DimerVertex,
+    Face,
+    FaceTrace,
+    FanResult,
     FixedPointCandidate,
+    FundamentalDomain,
+    LatticePolygon,
+    LaurentPoly2,
+    PathSeq,
     Quiver,
+    RelationPair,
     Splitting,
+    Theta,
+    ValidationCheck,
+    ValidationReport,
     assemble_fan,
     char_poly,
     chart_characters,
     chart_rows,
     classify_chart,
     cochar_lattice,
+    cone_over_polygon,
+    dual_cone,
     enumerate_fixed_candidates,
     example,
     from_model,
+    fundamental_domain,
+    lift_patch,
+    newton_polygon,
     perfect_matchings,
     quiver_of,
     r_charge_average,
     relations,
     sample_generic_theta,
     split_by_reference,
+    trace_faces,
     validate_model,
 )
 from dimerkit import charts, cli, lattice, matchings, quiver
@@ -201,3 +230,66 @@ def test_fan_builds_no_relation_paths(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.main(["fixed-points", "--example", "fzero", "--seed", "1"]) == 0
     assert len(walks) == 2 and built == []
+
+
+# value records: built in bulk, read a few times, no memo of their own
+RECORDS = (
+    DimerVertex, DimerEdge, Face, ValidationCheck, ValidationReport, CoverFragment,
+    Arrow, PathSeq, RelationPair, LaurentPoly2, LatticePolygon, CocharLattice,
+    Cone3, FundamentalDomain, ChartClassification, FanResult,
+)
+# the owners of memos in their instance __dict__, and the chart's two classes
+OWNERS = (
+    DimerModel, FaceTrace, Quiver, BipartiteGraph, Theta, Splitting,
+    FixedPointCandidate, ChartCone, Chart,
+)
+
+
+def _built(model):
+    """The records the pipeline returns on ``model``, and one instance of
+    each memo owner."""
+    q = quiver_of(model)
+    rels = relations(q)
+    poly = newton_polygon(char_poly(model))
+    report = validate_model(model)
+    fan = assemble_fan(model, seed=0)
+    chart = fan.charts[0]
+    records = [
+        *model.vertices, *model.edges, *trace_faces(model).faces,
+        report, *report.checks, lift_patch(model, 1), *q.arrows, *rels,
+        *(p for r in rels for p in (r.plus, r.minus)), char_poly(model),
+        poly, cochar_lattice(q), cone_over_polygon(poly),
+        dual_cone(cone_over_polygon(poly)),
+        fundamental_domain(model, chart.candidate),
+        *(c.classification for c in fan.charts), fan,
+    ]
+    owners = [
+        model, trace_faces(model), q, from_model(model), fan.theta,
+        split_by_reference(q, fan.base), chart.candidate, chart.cone, chart,
+    ]
+    return records, owners
+
+
+@pytest.mark.parametrize("name", ["conifold", "honeycomb", "fzero"])
+def test_records_are_tuples_and_owners_keep_a_dict(name):
+    records, owners = _built(example(name))
+    assert {type(r) for r in records} == set(RECORDS)
+    assert [type(o) for o in owners] == list(OWNERS)
+    for r in records:
+        fields = tuple(getattr(r, f) for f in r._fields)
+        assert isinstance(r, tuple) and not hasattr(r, "__dict__")
+        assert r == fields and hash(r) == hash(fields), type(r).__name__
+    for o in owners:
+        assert dataclasses.is_dataclass(o) and isinstance(vars(o), dict)
+
+
+def test_record_repr_unchanged():
+    assert repr(DimerEdge("e1", "b1", "w1", (0, 1))) == (
+        "DimerEdge(id='e1', black='b1', white='w1', offset=(0, 1))"
+    )
+    assert repr(ValidationCheck("euler", False, "V - E + F = 1")) == (
+        "ValidationCheck(name='euler', ok=False, detail='V - E + F = 1')"
+    )
+    assert repr(ValidationCheck("rotation", True)) == (
+        "ValidationCheck(name='rotation', ok=True, detail='')"
+    )
