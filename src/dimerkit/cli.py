@@ -11,7 +11,8 @@ pure-Python encoder, which ``indent`` selects.
 Exit codes separate the four ways a run can end: ``0`` success, ``1`` an
 internal cross-check failed (a bug), ``2`` the input was unusable, ``3``
 the computation finished with a negative verdict (failed validation,
-degenerate model, failed certificate, non-generic weight).  A reader that
+degenerate model, failed certificate: a non-generic weight fails it, or
+finds no fixed points for ``render --what domain``).  A reader that
 closes stdout early, as ``head`` does, ends the run with ``141``; a stdout
 that refuses output otherwise, as a full device does, with ``2``.
 """
@@ -360,7 +361,6 @@ def _cmd_toric(args) -> int:
 
     sums: dict[tuple, list[list[int]]] = {}
     for i in range(len(basis)):
-        sums.setdefault(basis[i], []).append([i])
         for j in range(i, len(basis)):
             s = tuple(a + b for a, b in zip(basis[i], basis[j]))
             sums.setdefault(s, []).append([i, j])
@@ -469,6 +469,15 @@ _COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints help with no file through :func:`_stdout`, which reports a refusal."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            return _stdout("write", self.format_help())
+        super().print_help(file)
+
+
 def _add_command(p: argparse.ArgumentParser, fn, arguments) -> None:
     """Give ``p`` a command's arguments and handler."""
     p.add_argument("model", nargs="?", help="model JSON file")
@@ -484,7 +493,7 @@ def _add_command(p: argparse.ArgumentParser, fn, arguments) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``dimer`` parser with every command."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dimer",
         description="dimer models on the torus: tilings, quivers, matchings, "
         "stability, toric charts",
@@ -502,7 +511,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     every command, as does every argv that names no command."""
     for name, fn, _, arguments in _COMMANDS:
         if argv[:1] == [name]:
-            p = argparse.ArgumentParser(prog="dimer " + name)
+            p = _Parser(prog="dimer " + name)
             _add_command(p, fn, arguments)
             args, rest = p.parse_known_args(argv[1:])
             if not rest:

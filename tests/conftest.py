@@ -96,26 +96,33 @@ def random_connected(seed: int) -> BipartiteGraph:
     return BipartiteGraph(tuple(blacks), tuple(whites), named)
 
 
-def cover(model: DimerModel, a: int, b: int) -> DimerModel:
-    """The cover of a model under the sublattice ``aZ x bZ``.
+def hnf_cover(model: DimerModel, p: int, r: int, s: int) -> DimerModel:
+    """The cover of a model under the sublattice spanned by ``(p, 0)`` and
+    ``(r, s)``, ``0 <= r < p`` (its Hermite normal form; index ``p * s``).
 
-    Every vertex and edge gets one copy per cell ``(i, j)``, ``0 <= i < a``,
-    ``0 <= j < b``.  An edge lifted at a cell leaves the black copy there and
-    reaches the white copy in the cell its offset points to, reduced mod
-    ``(a, b)``; the quotient is the lifted offset.  Rotations lift edge by
-    edge and positions shrink into the new unit cell.
+    Every vertex and edge gets one copy per cell ``(i, j)``, ``0 <= i < p``,
+    ``0 <= j < s``.  An edge lifted at a cell leaves the black copy there and
+    reaches the white copy in the cell its offset points to, reduced by the
+    sublattice; the quotient, in the basis ``(p, 0), (r, s)``, is the lifted
+    offset.  That basis keeps the orientation, so rotations lift edge by
+    edge, and positions are written in it.
     """
-    cells = [(i, j) for i in range(a) for j in range(b)]
+    cells = [(i, j) for i in range(p) for j in range(s)]
 
     def vid(v: str, c) -> str:
         return f"{v}_{c[0]}_{c[1]}"
 
+    def reduce(x: int, y: int):
+        qy, j = divmod(y, s)
+        qx, i = divmod(x - qy * r, p)
+        return (i, j), (qx, qy)
+
+    def place(c, pos):
+        x, y = c[0] + pos[0], c[1] + pos[1]
+        return ((x - r * y / s) / p, y / s)
+
     vertices = tuple(
-        DimerVertex(
-            vid(v.id, c),
-            v.color,
-            None if v.pos is None else ((c[0] + v.pos[0]) / a, (c[1] + v.pos[1]) / b),
-        )
+        DimerVertex(vid(v.id, c), v.color, None if v.pos is None else place(c, v.pos))
         for c in cells
         for v in model.vertices
     )
@@ -123,12 +130,9 @@ def cover(model: DimerModel, a: int, b: int) -> DimerModel:
     lift = {}  # (edge, end vertex, cell of that end) -> lifted edge id
     for c in cells:
         for e in model.edges:
-            wx, wy = c[0] + e.offset[0], c[1] + e.offset[1]
-            wc = (wx % a, wy % b)
+            wc, offset = reduce(c[0] + e.offset[0], c[1] + e.offset[1])
             eid = vid(e.id, c)
-            edges.append(
-                DimerEdge(eid, vid(e.black, c), vid(e.white, wc), (wx // a, wy // b))
-            )
+            edges.append(DimerEdge(eid, vid(e.black, c), vid(e.white, wc), offset))
             lift[e.id, e.black, c] = lift[e.id, e.white, wc] = eid
     rotation = tuple(
         (vid(v, c), tuple(lift[eid, v, c] for eid in rot))
@@ -136,6 +140,11 @@ def cover(model: DimerModel, a: int, b: int) -> DimerModel:
         for v, rot in model.rotation
     )
     return DimerModel(vertices, tuple(edges), rotation)
+
+
+def cover(model: DimerModel, a: int, b: int) -> DimerModel:
+    """The cover of a model under the sublattice ``aZ x bZ``."""
+    return hnf_cover(model, a, 0, b)
 
 
 def sweep_corpus() -> dict[str, DimerModel]:

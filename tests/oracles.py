@@ -18,8 +18,9 @@ depth-first search, King stability by one min cut per source component
 of the support over dense reach sets, the fixed-point candidates by one
 stability test per matching and a scan of the unit triangles, a
 fundamental domain and its chart by dicts keyed by ``(edge id, sign)``
-darts with one edge lookup per dart, and a functional's coordinates under
-a splitting by dense passes over all the arrows.
+darts with one edge lookup per dart, a functional's coordinates under a
+splitting by dense passes over all the arrows, and a cone's Hilbert basis
+by testing every pair of its lattice points in the rays' box.
 """
 
 import re
@@ -847,3 +848,29 @@ def express_functional_dense(q, split, functional):
     inv = split.inverse
     u = [sum(rhs[k] * inv[k][c] for k in range(3)) for c in range(3)]
     return (u[0], u[1], u[2])
+
+
+def hilbert_basis_by_definition(cone):
+    """``lattice.hilbert_basis`` by its definition, as a set: the cone's
+    nonzero lattice points ``p`` in the box its rays bound such that no
+    other of them, ``q``, leaves ``p - q`` in the cone minus 0.  The facet
+    normals are every cross product of two rays that pairs non-negatively
+    with all of them, found without the rays' cyclic order."""
+    rays = cone.rays
+    dot = lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    normals = []
+    for r, s in combinations(rays, 2):
+        n = (r[1] * s[2] - r[2] * s[1], r[2] * s[0] - r[0] * s[2], r[0] * s[1] - r[1] * s[0])
+        for m in (n, tuple(-x for x in n)):
+            if any(m) and all(dot(m, t) >= 0 for t in rays):
+                normals.append(m)
+    inside = lambda p: any(p) and all(dot(p, n) >= 0 for n in normals)
+    box = [
+        range(sum(min(0, r[k]) for r in rays), sum(max(0, r[k]) for r in rays) + 1)
+        for k in range(3)
+    ]
+    points = [(x, y, z) for x in box[0] for y in box[1] for z in box[2] if inside((x, y, z))]
+    return {
+        p for p in points
+        if not any(inside((p[0] - q[0], p[1] - q[1], p[2] - q[2])) for q in points)
+    }

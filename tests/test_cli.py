@@ -472,6 +472,36 @@ def test_fixed_points_theta_file(capsys, tmp_path):
     assert supports == {frozenset({"e1"}), frozenset({"e3"})}
 
 
+@pytest.mark.parametrize("a, name, theta, charts, failed", [
+    (3, "honeycomb", {"f1": -1, "f2": 0, "f3": 1}, 1, {
+        "triangles-disjoint": "unpaired (0, 1) -> (0, 2); unpaired (0, 2) -> "
+        "(0, 3); unpaired (0, 3) -> (1, 0); unpaired (1, 0) -> (0, 1)",
+        "area-covered": "triangles cover 1/2, polygon is 3/2",
+    }),
+    (1, "conifold", {"f1": 0, "f2": 0}, 0, {
+        "charts-smooth": "no charts at all",
+        "cones-unimodular": "no smooth charts",
+        "triangles-disjoint": "unpaired (0, 0) -> (0, 1); unpaired (0, 1) -> "
+        "(1, 1); unpaired (1, 0) -> (0, 0); unpaired (1, 1) -> (1, 0)",
+        "area-covered": "triangles cover 0/2, polygon is 2/2",
+    }),
+], ids=["honeycomb-3x1", "conifold"])
+def test_non_generic_weight_fails_the_certificate(
+    capsys, tmp_path, a, name, theta, charts, failed
+):
+    # a weight on a wall ends in exit 3 through these entries alone: the
+    # 215 certificates that fail among the 304 integer weights in -2..2 on
+    # eight covers of at most four faces fail in one of these two patterns,
+    # none of them through triangles-inside
+    path, weights = tmp_path / "model.json", tmp_path / "theta.json"
+    dump_model(cover(example(name), a, 1), str(path))
+    weights.write_text(json.dumps(theta))
+    code, data = run_json(capsys, "fixed-points", str(path), "--theta", str(weights))
+    checks = data["certificate"]["checks"]
+    assert (code, len(data["fixed_points"])) == (3, charts)
+    assert {c["name"]: c["detail"] for c in checks if not c["ok"]} == failed
+
+
 def test_fixed_points_degenerate_is_negative(capsys):
     code, data = run_json(capsys, "fixed-points", "--example", "degenerate",
                           "--theta", "auto", "--seed", "0")
@@ -776,17 +806,19 @@ def test_full_stdout_is_unusable_output(capsys, monkeypatch, tmp_path, refuse, a
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_dev_full_stdout_exits_2(tmp_path, unbuffered):
     # the conifold 4x4 matchings overflow stdout's buffer while the command
-    # runs; the quiver and the help text fail only when flushed, unless
-    # stdout is unbuffered; argparse drops its own failed help writes
+    # runs; the quiver and the help texts fail only when flushed, unless
+    # stdout is unbuffered, where the help is written past argparse's own
+    # write, which drops a refusal
     path = tmp_path / "conifold-4x4.json"
     dump_model(cover(example("conifold"), 4, 4), str(path))
-    argvs = [["matchings", str(path)], ["quiver", "--example", "conifold"]]
+    argvs = [
+        ["matchings", str(path)], ["quiver", "--example", "conifold"],
+        ["-h"], ["toric", "-h"], ["fixed-points", "-h"],
+    ]
     env = _cli_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    else:
-        argvs.append(["fixed-points", "-h"])
     for argv in argvs:
         with open("/dev/full", "w") as full:
             proc = subprocess.run(

@@ -1,6 +1,7 @@
 """Integer linear algebra, the cocharacter lattice, cones and Hilbert bases."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    CERTIFY_COVERS, TILING_COVERS, cover, deletion_corpus, outcome, sweep_corpus,
+    CERTIFY_COVERS, TILING_COVERS, cover, deletion_corpus, hnf_cover, outcome,
+    sweep_corpus,
 )
 from dimerkit import (
     CapacityError,
@@ -40,6 +42,7 @@ from oracles import (
     det_int,
     express_functional_dense,
     forest_basis_by_depth,
+    hilbert_basis_by_definition,
     kernel,
     smith_normal_form,
     solve_integer,
@@ -670,3 +673,59 @@ def test_hilbert_basis_cap():
     d = dual_cone(cone_over_polygon(convex_hull([(0, 0), (1, 0), (0, 100)])))
     with pytest.raises(CapacityError, match="30906 candidate points exceed the cap of 10000"):
         hilbert_basis(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=3, max_size=6))
+def test_hilbert_basis_is_the_irreducibles(points):
+    # on a primal and a dual cone: exactly the points no other splits off,
+    # each once, in the order of their pairing with the rays' sum
+    polygon = convex_hull(points)
+    if len(polygon.vertices) < 3:
+        return
+    primal = cone_over_polygon(polygon)
+    for c in (primal, dual_cone(primal)):
+        hb = hilbert_basis(c)
+        grading = [sum(x * y for r in c.rays for x, y in zip(p, r)) for p in hb]
+        assert len(set(hb)) == len(hb)
+        assert set(hb) == hilbert_basis_by_definition(c)
+        assert sorted(zip(grading, hb)) == list(zip(grading, hb))
+
+
+def test_dual_cone_refuses_cones_not_pointed_and_full():
+    # rays in a plane, and a wedge with two opposite rays on its edge line
+    for rays in (((1, 0, 0), (0, 1, 0), (-1, -1, 0)),
+                 ((0, 0, 1), (1, 0, 0), (0, 0, -1), (0, 1, 0))):
+        with pytest.raises(InvalidModelError, match="^rays span no pointed 3-dimensional cone$"):
+            dual_cone(lattice.Cone3(rays))
+
+
+def test_toric_generators_count_the_invariant_ring():
+    # a cover under an index-n sublattice L of the honeycomb is C^3 / (Z^2 / L):
+    # its ring generators are the minimal exponents (a, b, c) >= 0 with
+    # a chi_1 + b chi_2 + c chi_3 in L, chi_k the differences of the
+    # honeycomb's consecutive edge offsets, each in [0, n]^3 since n kills
+    # Z^2 / L; every L of index at most 12
+    offsets = [e.offset for e in honeycomb.edges]
+    chi = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(offsets, offsets[1:] + offsets[:1])]
+    seen = 0
+    for n in range(1, 13):
+        for p in (p for p in range(1, n + 1) if n % p == 0):
+            s = n // p
+            for r in range(p):
+                exponents = sorted(
+                    (m for m in itertools.product(range(n + 1), repeat=3) if any(m)),
+                    key=sum,
+                )
+                minimal = []
+                for m in exponents:
+                    x = sum(k * c[0] for k, c in zip(m, chi))
+                    y = sum(k * c[1] for k, c in zip(m, chi))
+                    in_l = y % s == 0 and (x - y // s * r) % p == 0
+                    if in_l and not any(all(map(int.__le__, k, m)) for k in minimal):
+                        minimal.append(m)
+                polygon = newton_polygon(char_poly(hnf_cover(honeycomb, p, r, s)))
+                hb = hilbert_basis(dual_cone(cone_over_polygon(polygon)))
+                assert len(hb) == len(minimal), (p, r, s)
+                seen += 1
+    assert seen == 127
