@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from types import SimpleNamespace
@@ -86,14 +85,15 @@ from .lattice import (
 )
 from .matchings import perfect_matchings
 from .model import Cell, Dart, DimerModel, ValidationCheck, ValidationReport
-from .model import _add_forest_path, _spanning_forest, faces_area2, per_object, trace_faces
+from .model import _add_forest_path, _frozen, _spanning_forest, faces_area2
+from .model import per_object, trace_faces
 from .quiver import Quiver, quiver_of
 from .stability import Theta, _lift, is_stable, sample_generic_theta
 
 CASE_SIX_OPPOSITE = "six-trivalent-opposite-colors"
 
 
-@dataclass(frozen=True)
+@_frozen
 class FixedPointCandidate:
     """A 0/1 representation that can carry a torus-fixed point.
 
@@ -455,7 +455,7 @@ def chart_rows(
     return tuple(express_functional(q, split, c) for c in characters)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ChartCone:
     """Rays of a chart's cone: columns of the inverse row matrix."""
 
@@ -482,7 +482,7 @@ def chart_cone(rows: Sequence[Vec3]) -> ChartCone:
 # the fan certificate
 
 
-@dataclass(frozen=True)
+@_frozen
 class Chart:
     candidate: FixedPointCandidate
     classification: ChartClassification

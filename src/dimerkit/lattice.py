@@ -34,7 +34,6 @@ entries times their rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -45,7 +44,7 @@ from .exceptions import (
     InvalidModelError,
 )
 from .heights import LatticePolygon
-from .model import _add_forest_path, _spanning_forest, per_object
+from .model import _add_forest_path, _frozen, _spanning_forest, per_object
 from .quiver import Quiver, check_support
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -230,7 +229,7 @@ def _level_vector(q: Quiver) -> tuple[int, ...]:
 # splitting by a reference matching
 
 
-@dataclass(frozen=True)
+@_frozen
 class Splitting:
     """Coordinates ``(pi_x, pi_y, level)`` identifying ``N`` with ``Z^3``.
 
@@ -386,11 +385,15 @@ def dual_cone(cone: Cone3) -> Cone3:
 
     Facets of a pointed 3-cone with cyclically ordered rays are spanned by
     consecutive ray pairs; their inward normals generate the dual.  A ray
-    that pairs with the normals' sum to 0, as rays in a plane do, is refused.
+    listed twice (up to a positive multiple), as in an order that doubles
+    back along an edge, is refused, and so is a ray that pairs with the
+    normals' sum to 0, as rays in a plane do.
     """
     rays = cone.rays
     if len(rays) < 3:
         raise InvalidModelError("cone needs at least three rays")
+    if len(set(map(_primitive, rays))) < len(rays):
+        raise InvalidModelError("a ray is listed twice")
     gens = []
     for i, r in enumerate(rays):
         n = _cross(r, rays[(i + 1) % len(rays)])

@@ -32,7 +32,6 @@ arbitrary multigraphs, not just graphs that embed in the torus.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -46,7 +45,7 @@ from .exceptions import (
     InternalConsistencyError,
     InvalidModelError,
 )
-from .model import DimerModel, _subset_folds, per_object
+from .model import DimerModel, _frozen, _subset_folds, per_object
 
 SUBSET_CAP = 22  # strong-marriage enumerates subsets of one side
 MATCHING_CAP = 200_000  # enumeration bails out beyond this many matchings
@@ -55,7 +54,7 @@ STATE_CAP = 200_000  # and the search beyond this many states at one step
 NON_DEGENERACY_METHODS = ("per-edge", "r-charge", "strong-marriage")
 
 
-@dataclass(frozen=True)
+@_frozen
 class BipartiteGraph:
     blacks: tuple[str, ...]
     whites: tuple[str, ...]

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .exceptions import InvalidModelError
@@ -42,9 +42,11 @@ def per_object(fn):
     The result is kept in the argument's instance ``__dict__``, outside its
     fields: eq, hash and repr are unchanged, the argument is never hashed,
     and the result is freed together with it.  Exceptions are not memoized.
-    The frozen dataclasses it is applied to (``DimerModel``, ``Quiver`` and
-    ``BipartiteGraph``) have a ``__dict__``; the ``NamedTuple`` records have
-    none.
+    The classes it is applied to (``DimerModel``, ``Quiver`` and
+    ``BipartiteGraph``) are frozen value classes with an instance
+    ``__dict__``, compared and hashed by their field tuple (see
+    :func:`_frozen`), and ``dataclasses`` introspection does not apply to
+    them; the ``NamedTuple`` records have no ``__dict__``.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
 
@@ -56,6 +58,66 @@ def per_object(fn):
         return memo[key]
 
     return memoized
+
+
+def _frozen(cls):
+    """Make ``cls`` a frozen value class; the methods its body defines stay.
+
+    The fields are the class's own annotations, in order, and a class-level
+    value is a field's default.  ``__init__`` takes the fields positionally
+    or by keyword, sets them through ``object.__setattr__`` and then calls
+    ``__post_init__`` if the class defines one.  Writing to ``self.__dict__``
+    there would materialise the dict, and on CPython 3.11 attribute reads
+    from such an instance took about three times as long.  Instances compare
+    and hash by their field tuple (``__eq__`` returns ``NotImplemented``
+    against another class), repr as ``Name(field=value, ...)`` and refuse to
+    set or delete an attribute; memos write to ``__dict__`` directly.  The
+    ``dataclasses`` functions do not apply to these classes.
+    """
+    names = tuple(cls.__dict__["__annotations__"])
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = cls.__dict__.get("__post_init__")
+
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            given = {**defaults, **dict(zip(names, args)), **kwargs}
+            if (
+                len(args) > len(names)
+                or given.keys() != set(names)
+                or not kwargs.keys().isdisjoint(names[: len(args)])
+            ):
+                raise TypeError(f"{cls.__name__}() takes the fields {names}")
+            args = [given[n] for n in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    return cls
 
 
 class DimerVertex(NamedTuple):
@@ -80,7 +142,7 @@ class Face(NamedTuple):
     darts: tuple[Dart, ...]
 
 
-@dataclass(frozen=True)
+@_frozen
 class DimerModel:
     vertices: tuple[DimerVertex, ...]
     edges: tuple[DimerEdge, ...]
@@ -176,16 +238,23 @@ def _soundness(model: DimerModel) -> tuple[list[str], list[str] | None]:
 # face tracing
 
 
-@dataclass(frozen=True, eq=False)
+@_frozen
 class FaceTrace:
     """Faces, and per dart its face, its tail's cell in that face's trace
     and its successor under the turn rule: a permutation whose cycles are
-    the faces' dart tuples."""
+    the faces' dart tuples.  Compared and hashed by identity, and shown by
+    its faces alone."""
 
     faces: tuple[Face, ...]
-    dart_face: dict[Dart, str] = field(repr=False)
-    dart_cell: dict[Dart, Cell] = field(repr=False)
-    dart_next: dict[Dart, Dart] = field(repr=False)
+    dart_face: dict[Dart, str]
+    dart_cell: dict[Dart, Cell]
+    dart_next: dict[Dart, Dart]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        return f"FaceTrace(faces={self.faces!r})"
 
 
 def _head_cell(model: DimerModel, dart: Dart, tail_cell: Cell) -> Cell:

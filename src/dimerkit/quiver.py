@@ -29,12 +29,11 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .exceptions import InternalConsistencyError, InvalidModelError
-from .model import Cell, DimerModel, face_gluing_shifts, per_object, trace_faces
+from .model import Cell, DimerModel, _frozen, face_gluing_shifts, per_object, trace_faces
 
 
 class Arrow(NamedTuple):
@@ -64,7 +63,7 @@ class RelationPair(NamedTuple):
 Cycles = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@_frozen
 class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -33,14 +32,14 @@ from operator import add
 from typing import Iterable, Mapping
 
 from .exceptions import CapacityError, InvalidModelError
-from .model import _spanning_forest, _subset_folds, rational_from_json
+from .model import _frozen, _spanning_forest, _subset_folds, rational_from_json
 from .quiver import Quiver, check_support
 
 VERTEX_CAP = 20  # each half of the genericity check sums 2^VERTEX_CAP subsets
 _THETA_DRAWS = 1000  # draws before sample_generic_theta gives up
 
 
-@dataclass(frozen=True)
+@_frozen
 class Theta:
     """Rational vertex weights summing to zero."""
 

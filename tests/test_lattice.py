@@ -700,6 +700,49 @@ def test_dual_cone_refuses_cones_not_pointed_and_full():
             dual_cone(lattice.Cone3(rays))
 
 
+def test_dual_cone_refuses_a_repeated_ray():
+    # the square cone's rays doubling back along an edge, and a ray with a
+    # multiple of itself
+    for rays in (((0, 0, 1), (1, 0, 1), (1, 1, 1), (1, 0, 1), (0, 0, 1), (0, 1, 1)),
+                 ((0, 0, 1), (1, 0, 1), (2, 0, 2), (0, 1, 1))):
+        with pytest.raises(InvalidModelError, match="^a ray is listed twice$"):
+            dual_cone(lattice.Cone3(rays))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=3, max_size=6),
+    st.data(),
+)
+def test_dual_cone_of_reordered_rays(points, data):
+    # the rays shuffled, or walked around the polygon with turns back, then
+    # sometimes with a ray repeated: refused, or the ordered cone's normals;
+    # a rotation or reversal of the order is never refused
+    polygon = convex_hull(points)
+    if len(polygon.vertices) < 3:
+        return
+    ordered = cone_over_polygon(polygon).rays
+    n = len(ordered)
+    if data.draw(st.booleans()):
+        rays = list(data.draw(st.permutations(ordered)))
+    else:
+        start = data.draw(st.integers(0, n - 1))
+        steps = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n - 1, max_size=n + 2))
+        rays = [ordered[i % n] for i in itertools.accumulate(steps, initial=start)]
+    if data.draw(st.booleans()):
+        rays.insert(data.draw(st.integers(0, len(rays))), data.draw(st.sampled_from(ordered)))
+    turns = [ordered[k:] + ordered[:k] for k in range(n)]
+    repeated = len(set(rays)) < len(rays)
+    cyclic = not repeated and (tuple(rays) in turns or tuple(rays[::-1]) in turns)
+    try:
+        normals = dual_cone(lattice.Cone3(tuple(rays))).rays
+    except InvalidModelError:
+        assert not cyclic
+        return
+    assert not repeated
+    assert sorted(normals) == sorted(dual_cone(lattice.Cone3(ordered)).rays)
+
+
 def test_toric_generators_count_the_invariant_ring():
     # a cover under an index-n sublattice L of the honeycomb is C^3 / (Z^2 / L):
     # its ring generators are the minimal exponents (a, b, c) >= 0 with

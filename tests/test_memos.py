@@ -1,12 +1,13 @@
 """Derived indexes live on the object they describe and die with it."""
 
 import contextlib
-import dataclasses
+import copy
 import gc
 import io
 import random
 import types
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -243,6 +244,22 @@ OWNERS = (
     DimerModel, FaceTrace, Quiver, BipartiteGraph, Theta, Splitting,
     FixedPointCandidate, ChartCone, Chart,
 )
+# their fields, in constructor order
+OWNER_FIELDS = {
+    DimerModel: ("vertices", "edges", "rotation"),
+    FaceTrace: ("faces", "dart_face", "dart_cell", "dart_next"),
+    Quiver: (
+        "vertices", "arrows", "shifts", "white_next", "black_next", "offsets"
+    ),
+    BipartiteGraph: ("blacks", "whites", "edges"),
+    Theta: ("values",),
+    Splitting: (
+        "base", "arrow_order", "pi_x", "pi_y", "level", "iso_det", "inverse"
+    ),
+    FixedPointCandidate: ("support", "cells"),
+    ChartCone: ("rays", "det"),
+    Chart: ("candidate", "classification", "rows", "cone"),
+}
 
 
 def _built(model):
@@ -280,7 +297,68 @@ def test_records_are_tuples_and_owners_keep_a_dict(name):
         assert isinstance(r, tuple) and not hasattr(r, "__dict__")
         assert r == fields and hash(r) == hash(fields), type(r).__name__
     for o in owners:
-        assert dataclasses.is_dataclass(o) and isinstance(vars(o), dict)
+        assert isinstance(vars(o), dict)
+
+
+@pytest.mark.parametrize("name", ["conifold", "honeycomb", "fzero"])
+def test_owners_are_frozen_and_compare_by_fields(name):
+    _, owners = _built(example(name))
+    for o in owners:
+        cls, names = type(o), OWNER_FIELDS[type(o)]
+        fields = tuple(getattr(o, f) for f in names)
+        for f in names:
+            with pytest.raises(AttributeError):
+                setattr(o, f, None)
+            with pytest.raises(AttributeError):
+                delattr(o, f)
+        with pytest.raises(AttributeError):
+            o.extra = None
+        assert tuple(getattr(o, f) for f in names) == fields
+        positional, by_name = cls(*fields), cls(**dict(zip(names, fields)))
+        if cls is FaceTrace:  # by identity
+            assert o == o and o != positional and o != copy.copy(o)
+            assert hash(o) == object.__hash__(o)
+            continue
+        assert o == positional == by_name == copy.copy(o), cls.__name__
+        assert positional is not o and o != fields and fields != o
+        assert hash(o) == hash(positional) == hash(fields), cls.__name__
+
+
+def test_quiver_fields_default_to_none():
+    q = quiver_of(example("conifold"))
+    bare = Quiver(q.vertices, q.arrows, shifts=q.shifts)
+    assert (bare.white_next, bare.black_next, bare.offsets) == (None, None, None)
+    assert bare != q
+    with pytest.raises(TypeError):
+        Quiver(q.vertices, q.arrows)
+    with pytest.raises(TypeError):
+        Quiver(q.vertices, q.arrows, q.shifts, colour=None)
+
+
+def test_owner_repr_unchanged():
+    model = example("conifold")
+    assert repr(model) == (
+        "DimerModel(vertices=(DimerVertex(id='b1', color='black', "
+        "pos=(Fraction(0, 1), Fraction(0, 1))), DimerVertex(id='w1', "
+        "color='white', pos=(Fraction(1, 2), Fraction(1, 2)))), "
+        "edges=(DimerEdge(id='e1', black='b1', white='w1', offset=(0, 0)), "
+        "DimerEdge(id='e2', black='b1', white='w1', offset=(-1, 0)), "
+        "DimerEdge(id='e3', black='b1', white='w1', offset=(-1, -1)), "
+        "DimerEdge(id='e4', black='b1', white='w1', offset=(0, -1))), "
+        "rotation=(('b1', ('e1', 'e2', 'e3', 'e4')), "
+        "('w1', ('e3', 'e4', 'e1', 'e2'))))"
+    )
+    assert repr(Theta((("f1", Fraction(-1, 2)), ("f2", Fraction(1, 2))))) == (
+        "Theta(values=(('f1', Fraction(-1, 2)), ('f2', Fraction(1, 2))))"
+    )
+    assert repr(ChartCone(((0, 0, 1), (1, 1, 1), (0, 1, 1)), 1)) == (
+        "ChartCone(rays=((0, 0, 1), (1, 1, 1), (0, 1, 1)), det=1)"
+    )
+    assert repr(trace_faces(model)) == (
+        "FaceTrace(faces=(Face(id='f1', darts=(('e1', 1), ('e4', -1), "
+        "('e3', 1), ('e2', -1))), Face(id='f2', darts=(('e1', -1), "
+        "('e4', 1), ('e3', -1), ('e2', 1)))))"
+    )
 
 
 def test_record_repr_unchanged():
