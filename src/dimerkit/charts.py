@@ -37,11 +37,11 @@ walk runs counterclockwise exactly when the edge offsets wrap the faces
 once around the torus with the rotation's orientation, which one integer
 per model decides: the faces' signed cell area
 (:func:`~dimerkit.model.faces_area2`), the same one that validation's
-``homology-span`` reads.  Domains are built on integer dart numbers, an
-index built on a model's first domain: an edge is interior when its two
-darts lift to one cell, and since that is its only interior lift, the
-walk's spin test at cell ``c`` asks whether the dart's edge is interior
-and ``c`` is the dart's own tail cell.
+``homology-span`` reads.  Domains are built on the face trace's dart
+numbers (``model.trace_faces``): an edge is interior when its two darts
+lift to one cell, and since that is its only interior lift, the walk's
+spin test at cell ``c`` asks whether the dart's edge is interior and
+``c`` is the dart's own tail cell.
 
 The coordinate functions of a chart are read off at the first boundary
 corner: one character per zero edge there, gauge-normalised to vanish on
@@ -64,13 +64,13 @@ import random
 from collections import Counter
 from itertools import combinations
 from math import gcd
-from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from .exceptions import InternalConsistencyError, InvalidModelError
 from .heights import (
     LatticePolygon,
     _cross,
+    _packed_offsets,
     area2,
     char_poly,
     contains_point,
@@ -85,8 +85,8 @@ from .lattice import (
 )
 from .matchings import perfect_matchings
 from .model import Cell, Dart, DimerModel, ValidationCheck, ValidationReport
-from .model import _add_forest_path, _frozen, _spanning_forest, faces_area2
-from .model import per_object, trace_faces
+from .model import _add_forest_path, _dart_steps, _frozen, _spanning_forest
+from .model import faces_area2, trace_faces
 from .quiver import Quiver, quiver_of
 from .stability import Theta, _lift, is_stable, sample_generic_theta
 
@@ -168,18 +168,15 @@ def enumerate_fixed_candidates(
     arrows = frozenset(q.arrow_ids)
     lift = _lift(q, theta)
     # one integer per edge packs its offset, as char_poly packs it, and its
-    # lift below that, each shifted to be nonnegative: a matching's sum
-    # unpacks to its total offset, which is its height up to sign and one
-    # common translation, and its lift plus one common shift, none of which
+    # lift below that, shifted to be nonnegative: a matching's sum unpacks
+    # to its total offset, which is its height up to sign and one common
+    # translation, and its lift plus one common shift, none of which
     # changes a triangle's area or a plane's side
     k = len(pms[0])
-    a = max((abs(c) for e in model.edges for c in e.offset), default=0)
+    offsets, m = _packed_offsets(model, k)
     b = max(map(abs, lift), default=0)
-    m, n = 2 * a * k + 1, 2 * b * k + 1
-    packed = {
-        e.id: ((e.offset[0] + a) * m + e.offset[1] + a) * n + g + b
-        for e, g in zip(model.edges, lift)
-    }
+    n = 2 * b * k + 1
+    packed = {e.id: o * n + g + b for e, o, g in zip(model.edges, offsets, lift)}
     least: dict[int, tuple[int, int]] = {}  # height -> (lift, matching or -1 on a tie)
     for i, d in enumerate(pms):
         h, lam = divmod(sum(map(packed.__getitem__, d)), n)
@@ -224,69 +221,40 @@ def enumerate_fixed_candidates(
 # fundamental domains
 
 
-@per_object
-def _dart_index(model: DimerModel) -> SimpleNamespace:
-    """A model's darts numbered in face order, with per dart its ``face``
-    position, its tail's ``cell`` in that face's trace, its ``step`` to its
-    head's cell, its successor (``next``), its reverse (``rev``) and its
-    ``key``, ``(arrow position, 0 on +1 or 1 on -1)``; per edge its ``+1``
-    dart (``plus``) and its ``(black, white)`` vertex positions (``ends``),
-    so a dart's tail vertex is ``ends[key[0]][key[1]]``."""
-    tr = trace_faces(model)
-    darts = [d for f in tr.faces for d in f.darts]
-    num = {d: i for i, d in enumerate(darts)}
-    faces = {f.id: k for k, f in enumerate(tr.faces)}
-    pos = {e.id: i for i, e in enumerate(model.edges)}
-    vpos = {v.id: k for k, v in enumerate(model.vertices)}
-    off = [model.edge(eid).offset for eid, _ in darts]
-    return SimpleNamespace(
-        darts=darts,
-        faces=faces,
-        face=[faces[tr.dart_face[d]] for d in darts],
-        cell=[tr.dart_cell[d] for d in darts],
-        step=[(x, y) if s > 0 else (-x, -y) for (_, s), (x, y) in zip(darts, off)],
-        next=[num[tr.dart_next[d]] for d in darts],
-        rev=[num[(eid, -s)] for eid, s in darts],
-        key=[(pos[eid], 0 if s > 0 else 1) for eid, s in darts],
-        plus=[num[(e.id, 1)] for e in model.edges],
-        ends=[(vpos[e.black], vpos[e.white]) for e in model.edges],
-    )
-
-
 def _domain(model: DimerModel, candidate: FixedPointCandidate) -> tuple:
-    """The candidate's domain on the model's dart index: each dart's tail
-    cell, whether its edge is interior, and the boundary walk as dart
-    numbers.  The faces on an edge's two sides glue when each of its darts
-    ends at the cell its reverse starts from; then its black end, the
-    ``+1`` dart's tail, has one cell, and the lift there is interior."""
+    """The candidate's domain on the model's dart numbers: the face trace,
+    each dart's tail cell, whether its edge is interior, and the boundary
+    walk as dart numbers.  The faces on an edge's two sides glue when each
+    of its darts ends at the cell its reverse starts from; then its black
+    end, the ``+1`` dart's tail, has one cell, and the lift there is
+    interior."""
     if faces_area2(model) != 2:
         raise InvalidModelError(
             "edge offsets do not wrap the faces once counterclockwise around "
             "the torus: the model fails homology-span"
         )
-    ix = _dart_index(model)
+    tr = trace_faces(model)
     cells = dict(candidate.cells)
-    if cells.keys() != ix.faces.keys():
+    if cells.keys() != {f.id for f in tr.faces}:
         raise InvalidModelError("candidate cells do not match the faces")
-    fc = [cells[f] for f in ix.faces]
-    tc = [(x + u, y + v) for (x, y), (u, v) in zip(ix.cell, map(fc.__getitem__, ix.face))]
-    hc = [(x + u, y + v) for (x, y), (u, v) in zip(tc, ix.step)]
-    inner = [h == tc[r] for h, r in zip(hc, ix.rev)]
-    support, ids = candidate.support, quiver_of(model).arrow_ids
-    for eid, p in zip(ids, ix.plus):
-        if not inner[p] and eid in support:
+    fc = [cells[f.id] for f in tr.faces]
+    tc = [(x + u, y + v) for (x, y), (u, v) in zip(tr.cell, map(fc.__getitem__, tr.face))]
+    hc = [(x + u, y + v) for (x, y), (u, v) in zip(tc, _dart_steps(model))]
+    inner = [h == tc[d ^ 1] for d, h in enumerate(hc)]
+    for e, inside in zip(model.edges, inner[0::2]):
+        if not inside and e.id in candidate.support:
             raise InternalConsistencyError(
-                f"support edge {eid!r} fails to glue its face lifts"
+                f"support edge {e.id!r} fails to glue its face lifts"
             )
 
     # the walk starts at the least boundary dart, which is the +1 dart of
     # the first edge off the interior; an edge has at most one interior
     # lift, and a dart's lift at cell c is that lift exactly when c is the
     # dart's own tail cell
-    start = next((p for p in ix.plus if not inner[p]), None)
+    start = next((d for d in range(0, len(inner), 2) if not inner[d]), None)
     if start is None:
         raise InternalConsistencyError("domain has no boundary")
-    nxt, rev, rim, spin = ix.next, ix.rev, inner.count(False), range(len(ix.next))
+    nxt, rim, spin = tr.next, inner.count(False), range(len(inner))
     walk: list[int] = []
     d = start
     while True:
@@ -295,7 +263,7 @@ def _domain(model: DimerModel, candidate: FixedPointCandidate) -> tuple:
         for _ in spin:  # clockwise past glued edges
             if not (inner[d] and tc[d] == c):
                 break
-            d = nxt[rev[d]]
+            d = nxt[d ^ 1]
         else:
             raise InternalConsistencyError("walk trapped at an interior vertex")
         if tc[d] != c:
@@ -306,7 +274,7 @@ def _domain(model: DimerModel, candidate: FixedPointCandidate) -> tuple:
             raise InternalConsistencyError("boundary walk does not close")
     if len(walk) != rim:
         raise InternalConsistencyError("boundary is not a single circuit")
-    return ix, tc, inner, walk
+    return tr, tc, inner, walk
 
 
 class FundamentalDomain(NamedTuple):
@@ -338,13 +306,12 @@ def fundamental_domain(
     faces once counterclockwise around the torus (:func:`faces_area2` is
     2), as validation's ``homology-span`` demands.
     """
-    ix, tc, inner, walk = _domain(model, candidate)
-    cells = dict(candidate.cells)
-    ids = quiver_of(model).arrow_ids
+    tr, tc, inner, walk = _domain(model, candidate)
+    cells, edges = dict(candidate.cells), model.edges
     return FundamentalDomain(
-        tuple((f, cells[f]) for f in ix.faces),
-        tuple((eid, tc[p]) for eid, p in zip(ids, ix.plus) if inner[p]),
-        tuple((ix.darts[d], tc[d]) for d in walk),
+        tuple((f.id, cells[f.id]) for f in tr.faces),
+        tuple((e.id, c) for e, c, inside in zip(edges, tc[0::2], inner[0::2]) if inside),
+        tuple(((edges[d >> 1].id, -1 if d & 1 else 1), tc[d]) for d in walk),
     )
 
 
@@ -375,36 +342,37 @@ def classify_chart(
     corner a boundary edge, so the coordinate edges at the first corner
     number its valency, 3: the module docstring derives the one census.
     """
-    ix, tc, inner, walk = _domain(model, candidate)
-    support, ids = candidate.support, quiver_of(model).arrow_ids
-    zero_deg = [0] * len(model.vertices)
-    for eid, (b, w) in zip(ids, ix.ends):
-        if eid not in support:
+    _, tc, inner, walk = _domain(model, candidate)
+    support = candidate.support
+    vpos = {v.id: k for k, v in enumerate(model.vertices)}
+    ends = [(vpos[e.black], vpos[e.white]) for e in model.edges]
+    zero_deg = [0] * len(vpos)
+    for e, (b, w) in zip(model.edges, ends):
+        if e.id not in support:
             zero_deg[b] += 1
             zero_deg[w] += 1
     # the walk passes every dart off the interior edges, so those are the
     # boundary edges
-    for eid, (b, w), p in zip(ids, ix.ends, ix.plus):
-        if eid not in support and (zero_deg[b] >= 2 or zero_deg[w] >= 2) == inner[p]:
+    for e, (b, w), inside in zip(model.edges, ends, inner[0::2]):
+        if e.id not in support and (zero_deg[b] >= 2 or zero_deg[w] >= 2) == inside:
             raise InternalConsistencyError(
-                f"zero edge {eid!r} disagrees with the boundary translates"
+                f"zero edge {e.id!r} disagrees with the boundary translates"
             )
 
     # Past that check a rim vertex's boundary edges are its zero edges, so
     # its valency is its zero degree.  Valency-2 visits sit inside a
     # straight run of the zero locus; they are not corners of the tiling,
     # so the census smooths them away.
-    key, ends = ix.key, ix.ends
-    tails = [ends[key[d][0]][key[d][1]] for d in walk]
+    tails = [ends[d >> 1][d & 1] for d in walk]
     corners = [d for d, v in zip(walk, tails) if zero_deg[v] >= 3]
     census = dict(Counter(zero_deg[v] for v in tails if zero_deg[v] >= 3))
     if census != {3: 6}:
         raise InternalConsistencyError(f"impossible boundary census {census}")
 
-    d = min(corners, key=key.__getitem__)  # keys are distinct
-    v1 = model.vertices[ends[key[d][0]][key[d][1]]].id
+    d = min(corners)
+    v1 = model.vertices[ends[d >> 1][d & 1]].id
     rot = model.rotation_at(v1)
-    j = rot.index(ix.darts[d][0])
+    j = rot.index(model.edges[d >> 1].id)
     coord_edges = [
         eid
         for eid in (rot[(j + k) % len(rot)] for k in range(len(rot)))

@@ -187,17 +187,18 @@ def _writing(path: str):
 # --- commands ---------------------------------------------------------------
 
 
+def _report_json(report) -> dict:
+    """A report of named checks as ``validate`` and the fixed-point
+    certificate print it."""
+    return {
+        "ok": report.ok,
+        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks],
+    }
+
+
 def _cmd_validate(args) -> int:
     report = validate_model(_load(args))
-    _emit(
-        {
-            "ok": report.ok,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail}
-                for c in report.checks
-            ],
-        }
-    )
+    _emit(_report_json(report))
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
@@ -318,13 +319,7 @@ def _cmd_fixed_points(args) -> int:
         "base": list(fan.base),
         "polygon": [list(v) for v in fan.polygon.vertices],
         "fixed_points": [],
-        "certificate": {
-            "ok": fan.report.ok,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail}
-                for c in fan.report.checks
-            ],
-        },
+        "certificate": _report_json(fan.report),
     }
     for i, c in enumerate(fan.charts):
         entry = {

@@ -49,6 +49,18 @@ def _offset_sum(edges: Iterable[DimerEdge]) -> Cell:
     return (x, y)
 
 
+def _packed_offsets(model: DimerModel, k: int) -> tuple[list[int], int]:
+    """Each edge's offset packed into one integer, and the base ``m`` that
+    a sum of ``k`` of them unpacks in.  Each coordinate is shifted by
+    ``a``, the largest coordinate size, into ``0..2a``, and an offset is
+    packed as ``x * m + y`` with ``m = 2a * k + 1``: a sum of ``k`` has
+    coordinates in ``0..m - 1``, so ``divmod(sum, m)`` unpacks it, each
+    coordinate shifted by ``a * k = m // 2``."""
+    a = max((abs(c) for e in model.edges for c in e.offset), default=0)
+    m = 2 * a * k + 1
+    return [(dx + a) * m + dy + a for dx, dy in (e.offset for e in model.edges)], m
+
+
 def height_change(
     model: DimerModel, matching: Iterable[str], base: Iterable[str]
 ) -> Cell:
@@ -100,19 +112,14 @@ def char_poly(
     :class:`DegenerateModelError` when the model has no perfect matching.
 
     The matchings are counted by total edge offset in one sweep that builds
-    none of them, so only ``STATE_CAP`` bounds it.  Each offset coordinate
-    is shifted by ``a``, the largest coordinate size, into ``0..2a``, and an
-    offset is packed as the integer ``x * m + y``.  A matching's sum then
-    has coordinates in ``0..m - 1``, with ``m = 2a * blacks + 1``, so it
-    unpacks uniquely, and the shift added ``a * blacks`` to each.
+    none of them, so only ``STATE_CAP`` bounds it; each offset is one
+    integer (:func:`_packed_offsets`), and a matching's sum unpacks
+    uniquely.
     """
     g = from_model(model)
-    a = max((abs(c) for e in model.edges for c in e.offset), default=0)
-    shift = a * len(g.blacks)
-    m = 2 * shift + 1
-    counts = _weight_counts(
-        g, [(dx + a) * m + dy + a for dx, dy in (e.offset for e in model.edges)]
-    )
+    packed, m = _packed_offsets(model, len(g.blacks))
+    shift = m // 2
+    counts = _weight_counts(g, packed)
     if not counts:
         raise DegenerateModelError("no perfect matchings")
     b = _least_matching(g) if base is None else _check_matching(model, base, "base")

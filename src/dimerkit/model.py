@@ -7,14 +7,17 @@ reaches in the universal cover, and every vertex carries the counterclockwise
 cyclic order of its incident edges.  Faces are never stored; they are traced
 from the rotation system.
 
-Darts. A *dart* is an edge with a direction, written ``(edge_id, sign)``:
-sign ``+1`` runs black-to-white, ``-1`` white-to-black.  The turn rule,
-arrive at the head of a dart and leave along the clockwise-next edge there,
-is tabulated once per model as ``FaceTrace.dart_next``: the faces (each on
-the left of its darts), the quiver's vertex cycles and the domain rims all
-follow it.  While tracing we also accumulate the universal-cover cell of
-each dart's tail vertex, starting at ``(0, 0)``; these cells are what every
-lifting computation downstream is built on.
+Darts. A *dart* is an edge with a direction.  Darts are numbered once per
+model: dart ``2p`` runs along ``edges[p]`` black-to-white and ``2p + 1``
+runs back, so ``d ^ 1`` is the reverse and ``d >> 1`` the edge's position.
+A face lists its darts as ``(edge_id, sign)`` pairs, sign ``+1``
+black-to-white and ``-1`` white-to-black.  The turn rule, arrive at the
+head of a dart and leave along the clockwise-next edge there, is tabulated
+once per model as ``FaceTrace.next``: the faces (each on the left of its
+darts), the quiver's vertex cycles and the domain rims all follow it.
+While tracing we also accumulate the universal-cover cell of each dart's
+tail vertex, starting at ``(0, 0)``; these cells are what every lifting
+computation downstream is built on.
 """
 
 from __future__ import annotations
@@ -240,15 +243,16 @@ def _soundness(model: DimerModel) -> tuple[list[str], list[str] | None]:
 
 @_frozen
 class FaceTrace:
-    """Faces, and per dart its face, its tail's cell in that face's trace
-    and its successor under the turn rule: a permutation whose cycles are
-    the faces' dart tuples.  Compared and hashed by identity, and shown by
-    its faces alone."""
+    """Faces, and three lists by dart number (``2p`` along ``edges[p]``
+    black to white, ``2p + 1`` back): the position in ``faces`` of the
+    dart's face, its tail's cell in that face's trace, and its successor
+    under the turn rule, a permutation whose cycles are the faces' darts.
+    Compared and hashed by identity, and shown by its faces alone."""
 
     faces: tuple[Face, ...]
-    dart_face: dict[Dart, str]
-    dart_cell: dict[Dart, Cell]
-    dart_next: dict[Dart, Dart]
+    face: list[int]
+    cell: list[Cell]
+    next: list[int]
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -257,11 +261,9 @@ class FaceTrace:
         return f"FaceTrace(faces={self.faces!r})"
 
 
-def _head_cell(model: DimerModel, dart: Dart, tail_cell: Cell) -> Cell:
-    off = model.edge(dart[0]).offset
-    if dart[1] > 0:
-        return (tail_cell[0] + off[0], tail_cell[1] + off[1])
-    return (tail_cell[0] - off[0], tail_cell[1] - off[1])
+def _dart_steps(model: DimerModel) -> list[Cell]:
+    """Per dart number, the step in the cover from its tail to its head."""
+    return [s for x, y in (e.offset for e in model.edges) for s in ((x, y), (-x, -y))]
 
 
 @per_object
@@ -270,40 +272,39 @@ def trace_faces(model: DimerModel) -> FaceTrace:
 
     At a vertex with counterclockwise rotation ``r``, the dart arriving
     along ``r[i]`` leaves along ``r[i - 1]``.  Faces are the cycles of that
-    turn, sorted by their least dart (edge position in the model, with
-    ``+1`` before ``-1``) and labelled ``f1, f2, ...`` in that order; each
-    face's dart tuple starts at its least dart.  Raises
+    turn, sorted by their least dart number (edge position in the model,
+    with ``+1`` before ``-1``) and labelled ``f1, f2, ...`` in that order;
+    each face's dart tuple starts at its least dart.  Raises
     :class:`InvalidModelError` if the model is structurally unsound, since
     the trace is meaningless then.
     """
     errs, rerrs = _soundness(model)
     if errs or rerrs:
         raise InvalidModelError("; ".join(errs or rerrs))
-    dart_next: dict[Dart, Dart] = {}
+    plus = {e.id: 2 * p for p, e in enumerate(model.edges)}  # each edge's +1 dart
+    n = 2 * len(model.edges)
+    nxt = [0] * n
     for v in model.vertices:
-        out = +1 if v.color == BLACK else -1  # sign of the darts leaving v
-        rot = model.rotation_at(v.id)
+        out = 0 if v.color == BLACK else 1  # parity of the darts leaving v
+        rot = [plus[eid] for eid in model.rotation_at(v.id)]
         for arrive, leave in zip(rot, rot[-1:] + rot[:-1]):
-            dart_next[(arrive, -out)] = (leave, out)
-    offset = {e.id: e.offset for e in model.edges}
+            nxt[arrive + 1 - out] = leave + out
+    labels = [(e.id, s) for e in model.edges for s in (+1, -1)]
+    step = _dart_steps(model)
     faces: list[Face] = []
-    dart_face: dict[Dart, str] = {}
-    dart_cell: dict[Dart, Cell] = {}
-    for start in ((e.id, sign) for e in model.edges for sign in (+1, -1)):
-        if start in dart_face:
+    face, cell = [-1] * n, [(0, 0)] * n
+    for start in range(n):
+        if face[start] >= 0:
             continue
-        fid = f"f{len(faces) + 1}"
-        darts: list[Dart] = []
+        darts: list[int] = []
         d, x, y = start, 0, 0
-        while d not in dart_face:
+        while face[d] < 0:
             darts.append(d)
-            dart_face[d] = fid
-            dart_cell[d] = (x, y)
-            dx, dy = offset[d[0]]
-            x, y = (x + dx, y + dy) if d[1] > 0 else (x - dx, y - dy)
-            d = dart_next[d]
-        faces.append(Face(fid, tuple(darts)))
-    return FaceTrace(tuple(faces), dart_face, dart_cell, dart_next)
+            face[d], cell[d] = len(faces), (x, y)
+            dx, dy = step[d]
+            x, y, d = x + dx, y + dy, nxt[d]
+        faces.append(Face(f"f{len(faces) + 1}", tuple(map(labels.__getitem__, darts))))
+    return FaceTrace(tuple(faces), face, cell, nxt)
 
 
 def face_gluing_shifts(model: DimerModel) -> dict[str, Cell]:
@@ -315,13 +316,11 @@ def face_gluing_shifts(model: DimerModel) -> dict[str, Cell]:
     two traces disagree about where the edge actually sits in the cover; it
     is exactly the translation needed to glue lifted faces along ``e``.
     """
-    tr = trace_faces(model)
-    out: dict[str, Cell] = {}
-    for e in model.edges:
-        um = tr.dart_cell[(e.id, -1)]
-        up = tr.dart_cell[(e.id, +1)]
-        out[e.id] = (um[0] - up[0] - e.offset[0], um[1] - up[1] - e.offset[1])
-    return out
+    cell = trace_faces(model).cell
+    return {
+        e.id: (xm - xp - e.offset[0], ym - yp - e.offset[1])
+        for e, (xp, yp), (xm, ym) in zip(model.edges, cell[0::2], cell[1::2])
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +444,8 @@ def faces_area2(model: DimerModel) -> int:
     positions would give the same sum.
     """
     tr = trace_faces(model)
-    s = 0
-    for f in tr.faces:
-        pts = [tr.dart_cell[d] for d in f.darts]
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
-            s += x0 * y1 - x1 * y0
-    return s
+    cell = tr.cell
+    return sum(x * cell[d][1] - cell[d][0] * y for (x, y), d in zip(cell, tr.next))
 
 
 def validate_model(model: DimerModel) -> ValidationReport:
@@ -499,12 +494,15 @@ def validate_model(model: DimerModel) -> ValidationReport:
                 f"V - E + F = {v} - {e} + {f} = {euler}",
             )
         )
-        bad_faces = []
-        for face in tr.faces:
-            last = face.darts[-1]
-            end = _head_cell(model, last, tr.dart_cell[last])
-            if end != (0, 0):
-                bad_faces.append(f"{face.id} closes with shift {end}")
+        # a face fails to close where a dart's head is not its successor's
+        # tail: at the dart that ends its trace
+        cell, step = tr.cell, _dart_steps(model)
+        bad = sorted(
+            (tr.face[d], (x + dx - cell[e][0], y + dy - cell[e][1]))
+            for d, ((x, y), (dx, dy), e) in enumerate(zip(cell, step, tr.next))
+            if (x + dx, y + dy) != cell[e]
+        )
+        bad_faces = [f"{tr.faces[k].id} closes with shift {s}" for k, s in bad]
         checks.append(ValidationCheck("face-offsets", not bad_faces, "; ".join(bad_faces)))
         torus = conn and euler == 0 and not bad_faces
     else:

@@ -7,16 +7,16 @@ dart, so that arrows cross their edges with the white vertex on the left.
 
 Around every white vertex the arrows dual to its edges in clockwise order
 form a directed cycle, and likewise counterclockwise around every black
-vertex.  Both next-maps are read off the face trace's dart successor map
-(``FaceTrace.dart_next``): the white one is its turn at the white end, the
-black one the inverse of its turn at the black end.  Each cycle is walked
-once per quiver (``Quiver.cycles``), which checks that it closes and that
-each arrow's target is the next arrow's source.  Dropping the arrow ``a``
-from its white cycle leaves the path ``p_plus(a)``, dropping it from its
-black cycle leaves ``p_minus(a)``; the relations of the quiver algebra
-identify these two paths, one pair per arrow.  :func:`relations` reads them
-off the walk, and ``p_plus`` and ``p_minus`` look them up; the weight
-lattice reads the walk directly.
+vertex.  Both next-maps are read off the face trace's dart successors
+(``FaceTrace.next``, by dart number): the white one is its turn at the
+white end, the black one the inverse of its turn at the black end.  Each
+cycle is walked once per quiver (``Quiver.cycles``), which checks that it
+closes and that each arrow's target is the next arrow's source.  Dropping
+the arrow ``a`` from its white cycle leaves the path ``p_plus(a)``,
+dropping it from its black cycle leaves ``p_minus(a)``; the relations of
+the quiver algebra identify these two paths, one pair per arrow.
+:func:`relations` reads them off the walk, and ``p_plus`` and ``p_minus``
+look them up; the weight lattice reads the walk directly.
 
 Paths are stored in composition order: ``arrows[-1]`` is traversed first.
 Each arrow also carries a shift in ``Z^2`` (the face-gluing shift of its
@@ -161,19 +161,17 @@ def quiver_of(model: DimerModel) -> Quiver:
     """The quiver dual to a dimer model, with its cycle maps, shifts and
     edge offsets."""
     tr = trace_faces(model)
+    fids = tuple(f.id for f in tr.faces)
+    ids = [e.id for e in model.edges]
     arrows = tuple(
-        Arrow(e.id, tr.dart_face[(e.id, -1)], tr.dart_face[(e.id, +1)])
-        for e in model.edges
+        Arrow(eid, fids[s], fids[t]) for eid, s, t in zip(ids, tr.face[1::2], tr.face[0::2])
     )
     shifts = tuple(face_gluing_shifts(model).items())
     # the face walk turns clockwise at a black vertex, its cycle the other way
-    black_prev = {tr.dart_next[(e.id, -1)][0]: e.id for e in model.edges}
-    wn = tuple((e.id, tr.dart_next[(e.id, +1)][0]) for e in model.edges)
-    bn = tuple((e.id, black_prev[e.id]) for e in model.edges)
-    return Quiver(
-        tuple(f.id for f in tr.faces), arrows, shifts, wn, bn,
-        tuple(e.offset for e in model.edges),
-    )
+    black_prev = {d >> 1: p for p, d in enumerate(tr.next[1::2])}
+    wn = tuple((eid, ids[d >> 1]) for eid, d in zip(ids, tr.next[0::2]))
+    bn = tuple((eid, ids[black_prev[p]]) for p, eid in enumerate(ids))
+    return Quiver(fids, arrows, shifts, wn, bn, tuple(e.offset for e in model.edges))
 
 
 @per_object

@@ -49,7 +49,7 @@ from dimerkit import (
 from dimerkit.heights import _check_matching, _offset_sum
 from dimerkit.lattice import adjugate3
 from dimerkit.matchings import enumerate_matchings
-from dimerkit.model import BLACK, _head_cell, faces_area2, per_object, trace_faces
+from dimerkit.model import BLACK, faces_area2, per_object, trace_faces
 
 
 def _identity(n):
@@ -713,10 +713,21 @@ def fixed_candidates_by_enumeration(model, theta):
     return tuple(found)
 
 
+def head_cell(model, dart, tail):
+    """The cell of an ``(edge id, sign)`` dart's head, from its tail's cell
+    and its edge's offset."""
+    off = model.edge(dart[0]).offset
+    if dart[1] > 0:
+        return (tail[0] + off[0], tail[1] + off[1])
+    return (tail[0] - off[0], tail[1] - off[1])
+
+
 def fundamental_domain_by_dicts(model, candidate):
     """``charts.fundamental_domain`` on dicts keyed by ``(edge id, sign)``
-    darts: each dart's tail cell and edge lift from one edge lookup, the
-    interior lifts as a set, and the spin test a set membership."""
+    darts: each dart's tail cell from a walk along its face's darts with the
+    edge offsets, its edge lift from one edge lookup, its successor from the
+    rotation, the interior lifts as a set, and the spin test a set
+    membership."""
     if faces_area2(model) != 2:
         raise InvalidModelError(
             "edge offsets do not wrap the faces once counterclockwise around "
@@ -728,15 +739,15 @@ def fundamental_domain_by_dicts(model, candidate):
         raise InvalidModelError("candidate cells do not match the faces")
 
     def lift(d, tail):  # (edge, black end)
-        return (d[0], tail if d[1] > 0 else _head_cell(model, d, tail))
+        return (d[0], tail if d[1] > 0 else head_cell(model, d, tail))
 
     edge_lift, tail_cell = {}, {}
     for f in tr.faces:
-        cf = cells[f.id]
+        tail = cells[f.id]
         for d in f.darts:
-            u = tr.dart_cell[d]
-            tail_cell[d] = tail = (u[0] + cf[0], u[1] + cf[1])
+            tail_cell[d] = tail
             edge_lift[d] = lift(d, tail)
+            tail = head_cell(model, d, tail)
     interior = set()
     for e in model.edges:
         plus, minus = edge_lift[(e.id, +1)], edge_lift[(e.id, -1)]
@@ -759,11 +770,11 @@ def fundamental_domain_by_dicts(model, candidate):
     d, tc = start, tail_cell[start]
     while True:
         walk.append((d, tc))
-        d, tc = tr.dart_next[d], _head_cell(model, d, tc)
-        for _ in range(len(tr.dart_next)):  # spin clockwise past glued edges
+        d, tc = next_dart_by_rotation(model, d), head_cell(model, d, tc)
+        for _ in range(len(tail_cell)):  # spin clockwise past glued edges
             if lift(d, tc) not in interior:
                 break
-            d = tr.dart_next[(d[0], -d[1])]
+            d = next_dart_by_rotation(model, (d[0], -d[1]))
         else:
             raise InternalConsistencyError("walk trapped at an interior vertex")
         if tail_cell.get(d) != tc:
@@ -874,3 +885,56 @@ def hilbert_basis_by_definition(cone):
         p for p in points
         if not any(inside((p[0] - q[0], p[1] - q[1], p[2] - q[2])) for q in points)
     }
+
+
+def ghilb_supports(q, root):
+    """The supports of G-Hilb's torus-fixed points, from the staircases of
+    ``C[x, y, z]`` (Nakamura), as a sorted list with one per staircase.
+
+    ``q`` is the quiver of a cover of ``honeycomb`` (``conftest.hnf_cover``),
+    the McKay quiver of an abelian G in SL(3, C).  An arrow's type is the
+    base edge its id starts with: ``e1``, ``e2`` or ``e3`` multiplies by
+    ``x``, ``y`` or ``z``.  The monomial 1 lies on ``root``, and ``x_k * m``
+    on the target of the type-k arrow out of ``m``'s face.  A staircase is
+    a set of ``n`` monomials, ``n`` the number of faces, closed under
+    division and on distinct faces; its support is, for each ``m`` with
+    ``m`` and ``x_k * m`` in it, the type-k arrow out of ``m``'s face.
+    Staircases are grown by adding monomials in increasing ``(degree,
+    exponents)`` order, which lists each one once.
+    """
+    n = len(q.vertices)
+    out = {}  # (face, type) -> arrow
+    for a in q.arrows:
+        out[a.source, ("e1", "e2", "e3").index(a.id.split("_")[0])] = a
+    assert len(out) == len(q.arrows) == 3 * n
+    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def times(m, k):
+        return tuple(c + s for c, s in zip(m, steps[k]))
+
+    def rank(m):
+        return (sum(m), m)
+
+    found = []
+
+    def grow(face, last):
+        if len(face) == n:
+            found.append(frozenset(
+                out[face[m], k].id for m in face for k in range(3) if times(m, k) in face
+            ))
+            return
+        corners = {times(m, k) for m in face for k in range(3)} - face.keys()
+        for c in sorted(corners, key=rank):
+            if rank(c) < rank(last):
+                continue
+            below = [(tuple(x - s for x, s in zip(c, steps[k])), k) for k in range(3) if c[k]]
+            if not all(m in face for m, _ in below):
+                continue
+            targets = {out[face[m], k].target for m, k in below}
+            assert len(targets) == 1  # the characters commute
+            f = targets.pop()
+            if f not in face.values():
+                grow({**face, c: f}, c)
+
+    grow({(0, 0, 0): root}, (0, 0, 0))
+    return sorted(found, key=sorted)

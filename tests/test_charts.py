@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dimerkit import (
     CASE_SIX_OPPOSITE,
+    Arrow,
     Chart,
     ChartClassification,
     DimerEdge,
@@ -22,6 +23,7 @@ from dimerkit import (
     FixedPointCandidate,
     InternalConsistencyError,
     InvalidModelError,
+    Quiver,
     Theta,
     area2,
     assemble_fan,
@@ -49,7 +51,7 @@ from dimerkit import (
     validate_model,
     verify_crepant,
 )
-from conftest import CERTIFY_COVERS, cover, deletion_corpus, outcome, sweep_corpus
+from conftest import CERTIFY_COVERS, cover, deletion_corpus, hnf_cover, outcome, sweep_corpus
 from oracles import (
     chart_transition,
     classify_chart_by_dicts,
@@ -57,6 +59,7 @@ from oracles import (
     express_functional_dense,
     fixed_candidates_by_enumeration,
     fundamental_domain_by_dicts,
+    ghilb_supports,
     king_by_reach_sets,
     rep_satisfies_relations,
     tree_cycle,
@@ -1051,3 +1054,36 @@ def test_no_matching_below_a_stable_triple(name, data):
             b2 = det * ((x - x1) * (y3 - y1) - (x3 - x1) * (y - y1))
             b3 = det * ((x2 - x1) * (y - y1) - (x - x1) * (y2 - y1))
             assert lam >= (1 - b2 - b3) * l1 + b2 * l2 + b3 * l3, sorted(d)
+
+
+def test_zero_generated_chamber_is_ghilb():
+    # McKay: a cover under an index-n sublattice L of the honeycomb has the
+    # McKay quiver of G = Z^2 / L in SL(3, C), and at theta_0 = -(n - 1) at
+    # the root face, 1 elsewhere, the moduli space is G-Hilb, whose fixed
+    # points are the staircases (oracles.ghilb_supports); at -theta_0 they
+    # are the dual staircases, each type-k arrow into -char(m), which are
+    # the staircases of the reversed quiver; every L of index at most 12,
+    # the sublattices of test_toric_generators_count_the_invariant_ring
+    seen = 0
+    for n in range(1, 13):
+        for p in (p for p in range(1, n + 1) if n % p == 0):
+            s = n // p
+            for r in range(p):
+                model = hnf_cover(honeycomb, p, r, s)
+                qm = quiver_of(model)
+                root = qm.vertices[0]
+                weights = {v: -(n - 1) if v == root else 1 for v in qm.vertices}
+                reversed_q = Quiver(
+                    qm.vertices,
+                    tuple(Arrow(a.id, a.target, a.source) for a in qm.arrows),
+                    qm.shifts,
+                )
+                for sign, oracle_q in ((1, qm), (-1, reversed_q)):
+                    theta = make_theta(qm, {v: sign * w for v, w in weights.items()})
+                    fan = assemble_fan(model, theta)
+                    assert fan.report.ok, (p, r, s, sign)
+                    assert len(fan.charts) == n, (p, r, s, sign)
+                    supports = sorted((c.candidate.support for c in fan.charts), key=sorted)
+                    assert supports == ghilb_supports(oracle_q, root), (p, r, s, sign)
+                seen += 1
+    assert seen == 127

@@ -112,13 +112,13 @@ def _chart(model):
 
 
 def test_chart_indexes_freed_with_their_owners():
-    # the dart index lives on its model, the support forest on its
+    # the face trace lives on its model, the support forest on its
     # candidate and the arrow table on its splitting, each in the owner's
     # instance __dict__ and held by nothing else: freed together with it
     model = example("fzero")
     cand, split, _ = _chart(model)
     for owner, key in (
-        (model, "dimerkit.charts._dart_index"),
+        (model, "dimerkit.model.trace_faces"),
         (cand, charts._FOREST),
         (split, lattice._TABLE),
     ):
@@ -247,7 +247,7 @@ OWNERS = (
 # their fields, in constructor order
 OWNER_FIELDS = {
     DimerModel: ("vertices", "edges", "rotation"),
-    FaceTrace: ("faces", "dart_face", "dart_cell", "dart_next"),
+    FaceTrace: ("faces", "face", "cell", "next"),
     Quiver: (
         "vertices", "arrows", "shifts", "white_next", "black_next", "offsets"
     ),

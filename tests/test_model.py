@@ -47,20 +47,28 @@ conifold = example("conifold")
 honeycomb = example("honeycomb")
 
 
+def _num(model, dart):
+    """The number of an ``(edge id, sign)`` dart: ``2p`` runs along
+    ``edges[p]`` black to white, ``2p + 1`` back."""
+    p = [e.id for e in model.edges].index(dart[0])
+    return 2 * p + (dart[1] < 0)
+
+
 def test_conifold_faces_and_cells():
     tr = trace_faces(conifold)
     assert [f.id for f in tr.faces] == ["f1", "f2"]
     f1, f2 = tr.faces
     assert f1.darts == (("e1", 1), ("e4", -1), ("e3", 1), ("e2", -1))
     assert f2.darts == (("e1", -1), ("e4", 1), ("e3", -1), ("e2", 1))
-    assert tr.dart_cell[("e1", 1)] == (0, 0)
-    assert tr.dart_cell[("e4", -1)] == (0, 0)
-    assert tr.dart_cell[("e3", 1)] == (0, 1)
-    assert tr.dart_cell[("e2", -1)] == (-1, 0)
-    assert tr.dart_cell[("e3", -1)] == (0, -1)
-    assert tr.dart_cell[("e2", 1)] == (1, 0)
-    assert tr.dart_face[("e3", 1)] == "f1"
-    assert tr.dart_face[("e3", -1)] == "f2"
+    assert [_num(conifold, d) for d in f1.darts + f2.darts] == [0, 7, 4, 3, 1, 6, 5, 2]
+    assert tr.cell[_num(conifold, ("e1", 1))] == (0, 0)
+    assert tr.cell[_num(conifold, ("e4", -1))] == (0, 0)
+    assert tr.cell[_num(conifold, ("e3", 1))] == (0, 1)
+    assert tr.cell[_num(conifold, ("e2", -1))] == (-1, 0)
+    assert tr.cell[_num(conifold, ("e3", -1))] == (0, -1)
+    assert tr.cell[_num(conifold, ("e2", 1))] == (1, 0)
+    assert tr.faces[tr.face[_num(conifold, ("e3", 1))]].id == "f1"
+    assert tr.faces[tr.face[_num(conifold, ("e3", -1))]].id == "f2"
 
 
 def test_honeycomb_single_hexagon():
@@ -70,9 +78,9 @@ def test_honeycomb_single_hexagon():
     assert f.darts == (
         ("e1", 1), ("e3", -1), ("e2", 1), ("e1", -1), ("e3", 1), ("e2", -1)
     )
-    assert tr.dart_cell[("e2", 1)] == (0, 1)
-    assert tr.dart_cell[("e1", -1)] == (-1, 1)
-    assert tr.dart_cell[("e2", -1)] == (-1, 0)
+    assert tr.cell[_num(honeycomb, ("e2", 1))] == (0, 1)
+    assert tr.cell[_num(honeycomb, ("e1", -1))] == (-1, 1)
+    assert tr.cell[_num(honeycomb, ("e2", -1))] == (-1, 0)
 
 
 def test_gluing_shifts():
@@ -196,6 +204,26 @@ def test_broken_face_offsets():
     report = validate_model(bad)
     assert not report.ok
     assert not report.check("face-offsets").ok
+    assert report.check("homology-span").detail == "not evaluated"
+
+
+@pytest.mark.parametrize(
+    "name, eid, move, detail",
+    [
+        ("conifold", "e1", (1, 0), "f1 closes with shift (1, 0); f2 closes with shift (-1, 0)"),
+        ("fzero", "e4", (0, -2), "f3 closes with shift (0, -2); f4 closes with shift (0, 2)"),
+    ],
+)
+def test_face_offsets_name_each_open_face(name, eid, move, detail):
+    # each face whose trace does not close is named, in face order, with
+    # the cell its trace ends at
+    model = example(name)
+    edges = tuple(
+        e._replace(offset=(e.offset[0] + move[0], e.offset[1] + move[1])) if e.id == eid else e
+        for e in model.edges
+    )
+    report = validate_model(DimerModel(model.vertices, edges, model.rotation))
+    assert report.check("face-offsets") == ("face-offsets", False, detail)
     assert report.check("homology-span").detail == "not evaluated"
 
 
@@ -525,16 +553,17 @@ def test_faces_area2_is_twice_the_degree(name, keep_pos, matrix):
 
 
 def _assert_turn_table(model):
-    # dart_next is the rotation's turn dart by dart, a permutation of all
-    # 2E darts whose cycles are exactly the faces; the quiver's cycle maps
+    # next is the rotation's turn dart by dart, a permutation of all 2E
+    # darts whose cycles are exactly the faces; the quiver's cycle maps
     # read off it are the rotation's
     tr = trace_faces(model)
-    darts = [(e.id, sign) for e in model.edges for sign in (+1, -1)]
-    assert tr.dart_next == {d: next_dart_by_rotation(model, d) for d in darts}
-    assert sorted(tr.dart_next.values()) == sorted(darts)
+    darts = [(e.id, sign) for e in model.edges for sign in (+1, -1)]  # by number
+    assert [darts[d] for d in tr.next] == [next_dart_by_rotation(model, d) for d in darts]
+    assert sorted(tr.next) == list(range(len(darts)))
     assert sorted(d for f in tr.faces for d in f.darts) == sorted(darts)
     for f in tr.faces:
-        assert [tr.dart_next[d] for d in f.darts] == list(f.darts[1:] + f.darts[:1])
+        nums = [_num(model, d) for d in f.darts]
+        assert [tr.next[d] for d in nums] == nums[1:] + nums[:1]
     q = quiver_of(model)
     assert (q.white_next, q.black_next) == cycle_maps_by_rotation(model)
 
