@@ -19,11 +19,11 @@ lift at its height.  No matching lies below the plane through the lifts
 of a stable triple.  The three matchings of a stable support are stable
 (:func:`enumerate_fixed_candidates` proves all three).  So the proposals
 are the unit triangles of unique least lifts with no least lift below
-their plane.  The faces' cells and the chart characters are read off one
-spanning forest of the support (``model._spanning_forest``), grown for a
-kept candidate and kept in its instance ``__dict__``; a support cycle has
-no cover shift and pairs to zero with ``W``, so any other tree gives the
-same.
+their plane.  The faces' cells and the chart characters are read off a
+spanning forest of the support (``model._spanning_forest``), grown from
+the arrows' ends (``Quiver.ends``) for a kept candidate and again for its
+chart; a support cycle has no cover shift and pairs to zero with ``W``, so
+any other tree gives the same.
 
 Each candidate glues the lifted faces of the model into a fundamental
 domain whose translates tile the plane.  Its boundary runs along the zero
@@ -85,7 +85,7 @@ from .lattice import (
 )
 from .matchings import perfect_matchings
 from .model import Cell, Dart, DimerModel, ValidationCheck, ValidationReport
-from .model import _add_forest_path, _dart_steps, _frozen, _spanning_forest
+from .model import _add_forest_path, _dart_steps, _edge_ends, _frozen, _spanning_forest
 from .model import faces_area2, trace_faces
 from .quiver import Quiver, quiver_of
 from .stability import Theta, _lift, is_stable, sample_generic_theta
@@ -107,19 +107,10 @@ class FixedPointCandidate:
 
 
 def _support_forest(q: Quiver, support: frozenset[str]):
-    """The arrows as ``(source, target)`` vertex positions, ``None`` off the
-    support, and the spanning forest of the support they grow."""
-    vpos = q.vertex_pos
-    ends = [
-        (vpos[a.source], vpos[a.target]) if a.id in support else None
-        for a in q.arrows
-    ]
-    return ends, _spanning_forest(len(vpos), ends)
-
-
-# a kept candidate's (quiver, support forest), in its instance __dict__ as
-# per_object keeps a memo: outside its fields, and freed with it
-_FOREST = f"{__name__}._support_forest"
+    """The arrows' ends (``Quiver.ends``), ``None`` off the support, and the
+    spanning forest of the support they grow."""
+    ends = [e if aid in support else None for aid, e in zip(q.arrow_ids, q.ends)]
+    return ends, _spanning_forest(len(q.vertices), ends)
 
 
 def enumerate_fixed_candidates(
@@ -154,8 +145,7 @@ def enumerate_fixed_candidates(
     and no others.  A kept support spans the quiver (a component and its
     complement would both be closed, of weights summing to zero), so the
     tree that places the faces is grown for kept supports only: each
-    face's cell is its parent's plus or minus its tree arrow's cover shift,
-    and the tree stays on the candidate for :func:`chart_characters`.
+    face's cell is its parent's plus or minus its tree arrow's cover shift.
     The relations and the gluing of every support arrow hold by
     construction (see the module docstring).  The matchings are the
     model's own enumeration, so ``MATCHING_CAP`` bounds the work, and each
@@ -203,14 +193,13 @@ def enumerate_fixed_candidates(
             continue
         support = arrows - pms[i1] - pms[i2] - pms[i3]
         if is_stable(q, support, theta):
-            forest = ends, (up, rank) = _support_forest(q, support)
+            ends, (up, rank) = _support_forest(q, support)
             cells = [(0, 0)] * len(up)
             for v in sorted(range(len(up)), key=rank.__getitem__)[1:]:
                 s, t = ends[up[v]]
-                (x, y), (dx, dy) = cells[s + t - v], q.shift(q.arrow_ids[up[v]])
+                (x, y), (_, (dx, dy)) = cells[s + t - v], q.shifts[up[v]]
                 cells[v] = (x + dx, y + dy) if v == t else (x - dx, y - dy)
             found.append(FixedPointCandidate(support, tuple(zip(q.vertices, cells))))
-            found[-1].__dict__[_FOREST] = (q, forest)
 
     pos = q.arrow_pos
     found.sort(key=lambda c: tuple(sorted(pos[aid] for aid in c.support)))
@@ -343,10 +332,8 @@ def classify_chart(
     number its valency, 3: the module docstring derives the one census.
     """
     _, tc, inner, walk = _domain(model, candidate)
-    support = candidate.support
-    vpos = {v.id: k for k, v in enumerate(model.vertices)}
-    ends = [(vpos[e.black], vpos[e.white]) for e in model.edges]
-    zero_deg = [0] * len(vpos)
+    support, ends = candidate.support, _edge_ends(model)
+    zero_deg = [0] * len(model.vertices)
     for e, (b, w) in zip(model.edges, ends):
         if e.id not in support:
             zero_deg[b] += 1
@@ -399,19 +386,17 @@ def chart_characters(
     pairs to zero with each of them, so any spanning tree gives the same
     functional.
     """
-    kept = candidate.__dict__.get(_FOREST)  # what the search grew, if on q
-    forest = kept[1] if kept and kept[0] is q else _support_forest(q, candidate.support)
-    ends, (up, rank) = forest
+    ends, (up, rank) = _support_forest(q, candidate.support)
     if up.count(-1) != 1:
         raise InternalConsistencyError("support does not span the quiver")
-    vpos = q.vertex_pos
     out = []
     for eid in coordinate_edges:
         if eid in candidate.support:
             raise InvalidModelError(f"coordinate edge {eid!r} lies in the support")
-        a, cyc = q.arrow(eid), [0] * len(ends)
-        cyc[q.arrow_pos[eid]] = 1  # then back from its target to its source
-        _add_forest_path(ends, up, rank, vpos[a.target], vpos[a.source], cyc)
+        i, cyc = q.arrow_pos[q.arrow(eid).id], [0] * len(ends)
+        cyc[i] = 1  # then back from its target to its source
+        s, t = q.ends[i]
+        _add_forest_path(ends, up, rank, t, s, cyc)
         out.append(dict(zip(q.arrow_ids, cyc)))
     return tuple(out)
 

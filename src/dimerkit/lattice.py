@@ -26,10 +26,9 @@ directed graph on the faces whose edges are the chords.  An incidence
 matrix is totally unimodular, so ``N`` has no torsion, and a second
 spanning forest, grown over the faces along the chords, gives its basis:
 the level vectors and the cycles of the chords that forest leaves out.
-The lattice is kept on the quiver; the splitting keeps the inverse of its
-matrix and, once it expresses a functional, each arrow's row of the free
-basis times that inverse, so a functional is the sum of its nonzero
-entries times their rows.
+The lattice is kept on the quiver and the splitting keeps the inverse of
+its matrix, so a functional pairs its nonzero entries with the free basis
+and multiplies by that inverse once.
 """
 
 from __future__ import annotations
@@ -86,11 +85,12 @@ def _kills_gauge(q: Quiver, entries: Iterable[tuple[int, int]]) -> bool:
     """Whether the ``(arrow position, weight)`` entries kill the gauge
     subgroup: as a flow on the arrows, their net inflow at every vertex is
     0.  Entries left out weigh 0."""
-    net, arrows = dict.fromkeys(q.vertices, 0), q.arrows
+    net, ends = [0] * len(q.vertices), q.ends
     for i, x in entries:
-        net[arrows[i].target] += x
-        net[arrows[i].source] -= x
-    return not any(net.values())
+        s, t = ends[i]
+        net[t] += x
+        net[s] -= x
+    return not any(net)
 
 
 class CocharLattice(NamedTuple):
@@ -185,11 +185,9 @@ def cochar_lattice(q: Quiver) -> CocharLattice:
     left-out chords, with no torsion.
     """
     w_basis, chords = _forest_basis(q)
-    vpos = q.vertex_pos
     ends: list[tuple[int, int] | None] = [None] * len(q.arrows)
     for i in chords:
-        a = q.arrows[i]
-        ends[i] = (vpos[a.source], vpos[a.target])
+        ends[i] = q.ends[i]
     up, _ = _spanning_forest(len(q.vertices), ends)
     spanned = set(up)
     basis = tuple(map(tuple, w_basis))
@@ -294,24 +292,6 @@ def split_by_reference(q: Quiver, base: Iterable[str]) -> Splitting:
     return Splitting(b, q.arrow_ids, pi_x, pi_y, lev, d, inverse)
 
 
-_TABLE = f"{__name__}._arrow_table"  # a splitting's (quiver, table)
-
-
-def _arrow_table(q: Quiver, split: Splitting) -> list[Vec3]:
-    """Per arrow, its row of ``free_basis``ᵀ · ``inverse``, built on first
-    use and kept in the splitting's instance ``__dict__`` for one quiver,
-    as :func:`~dimerkit.model.per_object` keeps a memo."""
-    kept = split.__dict__.get(_TABLE)
-    if kept is None or kept[0] is not q:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = split.inverse
-        table = [
-            (x * a0 + y * b0 + z * c0, x * a1 + y * b1 + z * c1, x * a2 + y * b2 + z * c2)
-            for x, y, z in zip(*cochar_lattice(q).free_basis)
-        ]
-        kept = split.__dict__[_TABLE] = (q, table)
-    return kept[1]
-
-
 def express_functional(
     q: Quiver, split: Splitting, functional: Mapping[str, int]
 ) -> Vec3:
@@ -323,8 +303,8 @@ def express_functional(
     satisfies ``f = a pi_x + b pi_y + c level`` on all of ``W``.  Both
     sides kill the gauge subgroup ``B`` and agree on the lattice's free
     basis, and ``W`` is spanned by that basis and ``B``.  The gauge test
-    and the product read only the nonzero entries: a chart character is
-    one arrow and a tree path.
+    and the pairings with the free basis read only the nonzero entries: a
+    chart character is one arrow and a tree path.
     """
     if split.arrow_order != q.arrow_ids:
         raise InvalidModelError("splitting belongs to another quiver")
@@ -333,13 +313,12 @@ def express_functional(
     nonzero = [(q.arrow_pos[aid], x) for aid, x in functional.items() if x]
     if not _kills_gauge(q, nonzero):
         raise InvalidModelError("functional does not kill the gauge subgroup")
-    if cochar_lattice(q).rank != 3:
+    lat = cochar_lattice(q)
+    if lat.rank != 3:
         raise DegenerateModelError("cocharacter lattice is not free of rank 3")
-    table, a, b, c = _arrow_table(q, split), 0, 0, 0
-    for i, x in nonzero:  # u = f . T^-1 for the splitting's matrix T
-        r = table[i]
-        a, b, c = a + x * r[0], b + x * r[1], c + x * r[2]
-    return (a, b, c)
+    # u = f . T^-1 for the splitting's matrix T, with f on the free basis
+    f0, f1, f2 = (sum(x * fb[i] for i, x in nonzero) for fb in lat.free_basis)
+    return tuple(f0 * a + f1 * b + f2 * c for a, b, c in zip(*split.inverse))
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,7 @@ class FaceTrace:
         return f"FaceTrace(faces={self.faces!r})"
 
 
+@per_object
 def _dart_steps(model: DimerModel) -> list[Cell]:
     """Per dart number, the step in the cover from its tail to its head."""
     return [s for x, y in (e.offset for e in model.edges) for s in ((x, y), (-x, -y))]
@@ -420,13 +421,17 @@ def _add_forest_path(
             b = t + h - b
 
 
+@per_object
+def _edge_ends(model: DimerModel) -> tuple[tuple[int, int], ...]:
+    """Each edge's ``(black, white)`` as vertex positions, in edge order."""
+    index = {v.id: k for k, v in enumerate(model.vertices)}
+    return tuple((index[e.black], index[e.white]) for e in model.edges)
+
+
 def _connected(model: DimerModel) -> bool:
     """Whether the graph is nonempty and one piece: its spanning forest has
     one root."""
-    index = {v.id: k for k, v in enumerate(model.vertices)}
-    up, _ = _spanning_forest(
-        len(index), [(index[e.black], index[e.white]) for e in model.edges]
-    )
+    up, _ = _spanning_forest(len(model.vertices), _edge_ends(model))
     return up.count(-1) == 1
 
 

@@ -24,7 +24,8 @@ edge); summing shifts over a cycle gives the cycle's displacement in the
 universal cover, zero exactly for the cycles that bound.  The quiver also
 keeps its edges' offsets, aligned with ``arrows``: summed over a perfect
 matching they give its height, and the lattice splitting is built from
-them.
+them.  Every walk over the arrows reads their ends as vertex positions
+(``Quiver.ends``), built once per quiver.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ Cycles = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
-    shifts: tuple[tuple[str, Cell], ...]
+    shifts: tuple[tuple[str, Cell], ...]  # (arrow id, shift); in arrow order from quiver_of
     # duals of the clockwise-next edge at the white / counterclockwise-next
     # at the black endpoint; None on a quiver built without a model, which
     # has no cycle structure
@@ -83,13 +84,23 @@ class Quiver:
 
     @cached_property
     def arrow_pos(self) -> dict[str, int]:
-        """Each arrow's position in ``arrows``."""
-        return {aid: i for i, aid in enumerate(self.arrow_ids)}
+        """Each arrow's position in ``arrows``; refuses an id used twice."""
+        return _positions(self.arrow_ids, "arrow id")
 
     @cached_property
     def vertex_pos(self) -> dict[str, int]:
-        """Each vertex's position in ``vertices``."""
-        return {v: i for i, v in enumerate(self.vertices)}
+        """Each vertex's position in ``vertices``; refuses a name used twice."""
+        return _positions(self.vertices, "vertex")
+
+    @cached_property
+    def ends(self) -> tuple[tuple[int, int], ...]:
+        """Each arrow's ``(source, target)`` as vertex positions, in arrow
+        order; refuses an arrow at a vertex the quiver does not list."""
+        pos = self.vertex_pos
+        for a in self.arrows:
+            if a.source not in pos or a.target not in pos:
+                raise InvalidModelError(f"arrow {a.id!r} joins an unknown vertex")
+        return tuple((pos[a.source], pos[a.target]) for a in self.arrows)
 
     @cached_property
     def _shift_by_id(self) -> dict[str, Cell]:
@@ -116,6 +127,14 @@ class Quiver:
         return _walk_cycles(self)
 
 
+def _positions(names: tuple[str, ...], what: str) -> dict[str, int]:
+    pos = {name: i for i, name in enumerate(names)}
+    if len(pos) != len(names):
+        twice = next(name for i, name in enumerate(names) if pos[name] != i)
+        raise InvalidModelError(f"duplicate {what} {twice!r}")
+    return pos
+
+
 def _walk_cycles(q: Quiver) -> tuple[Cycles, Cycles]:
     """Walk each white and each black vertex cycle once.
 
@@ -125,8 +144,7 @@ def _walk_cycles(q: Quiver) -> tuple[Cycles, Cycles]:
     """
     if q.white_next is None or q.black_next is None:
         raise InvalidModelError("quiver has no cycle structure")
-    ids, pos = q.arrow_ids, q.arrow_pos
-    source, target = [a.source for a in q.arrows], [a.target for a in q.arrows]
+    ids, pos, ends = q.arrow_ids, q.arrow_pos, q.ends
 
     def walk(pairs: tuple[tuple[str, str], ...]) -> Cycles:
         nxt = dict(pairs)
@@ -145,10 +163,11 @@ def _walk_cycles(q: Quiver) -> tuple[Cycles, Cycles]:
                 cycle.append(at)
                 at = pos.get(nxt.get(ids[at]), -1)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                if target[a] != source[b]:
+                if ends[a][1] != ends[b][0]:
+                    t, s = q.vertices[ends[a][1]], q.vertices[ends[b][0]]
                     raise InternalConsistencyError(
                         f"cycle through {ids[start]!r} breaks at {ids[b]!r}: "
-                        f"{ids[a]!r} ends at {target[a]!r}, {ids[b]!r} leaves {source[b]!r}"
+                        f"{ids[a]!r} ends at {t!r}, {ids[b]!r} leaves {s!r}"
                     )
             cycles.append(tuple(cycle))
         return tuple(cycles), tuple(num)

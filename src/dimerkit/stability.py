@@ -83,12 +83,11 @@ def make_theta(q: Quiver, weights: Mapping[str, object]) -> Theta:
 def _successors(q: Quiver, support: Iterable[str]) -> list[list[int]]:
     """Each vertex's supported successors, by vertex position, once per
     supported arrow."""
-    pos = q.vertex_pos
     sup = check_support(q, support)
     succ: list[list[int]] = [[] for _ in q.vertices]
-    for a in q.arrows:
-        if a.id in sup:
-            succ[pos[a.source]].append(pos[a.target])
+    for aid, (s, t) in zip(q.arrow_ids, q.ends):
+        if aid in sup:
+            succ[s].append(t)
     return succ
 
 
@@ -109,9 +108,7 @@ def _lift(q: Quiver, theta: Theta) -> list[int]:
     weighs.  On a disconnected quiver a root may keep its tree's weight,
     and no support is stable there anyway.
     """
-    w = _weights(q, theta)
-    pos = q.vertex_pos
-    ends = [(pos[a.source], pos[a.target]) for a in q.arrows]
+    w, ends = _weights(q, theta), q.ends
     up, rank = _spanning_forest(len(w), ends)
     lift = [0] * len(ends)
     for v in sorted(range(len(w)), key=rank.__getitem__, reverse=True):
@@ -256,14 +253,15 @@ def sardo_infirri_theta(
         raise InvalidModelError(
             "xi must weight exactly the arrows off the matching"
         )
-    acc = {v: Fraction(0) for v in q.vertices}
+    acc = [Fraction(0)] * len(q.vertices)
     for aid in off:
         x = Fraction(xi[aid])
         if x <= 0:
             raise InvalidModelError(f"xi[{aid!r}] must be positive")
-        acc[q.target(aid)] += x
-        acc[q.source(aid)] -= x
-    return Theta(tuple((v, acc[v]) for v in q.vertices))
+        s, t = q.ends[q.arrow_pos[aid]]
+        acc[t] += x
+        acc[s] -= x
+    return Theta(tuple(zip(q.vertices, acc)))
 
 
 def draw_xi(

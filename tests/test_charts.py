@@ -40,6 +40,7 @@ from dimerkit import (
     express_functional,
     fundamental_domain,
     height_change,
+    is_generic,
     is_stable,
     load_model,
     make_theta,
@@ -718,8 +719,8 @@ def test_one_stable_matching_per_lattice_point(name):
 def test_trees_grown_for_returned_candidates_only(name, monkeypatch):
     # stability implies that a support spans the quiver, so the search
     # grows one spanning forest per candidate it returns and none for a
-    # proposal it refuses; the fan grows none more: each chart's characters
-    # are closed through the forest kept on its candidate
+    # proposal it refuses; the fan grows exactly one more per chart, through
+    # which the chart's characters are closed
     model = CORPUS.get(name) or example(name)
     ids = quiver_of(model).arrow_ids
     grown = []
@@ -736,7 +737,7 @@ def test_trees_grown_for_returned_candidates_only(name, monkeypatch):
         grown.clear()
         fan = assemble_fan(model, theta=theta)
         supports = Counter(c.candidate.support for c in fan.charts)
-        assert Counter(grown) == supports, seed
+        assert Counter(grown) == supports + supports, seed
 
 
 SWEEP = sweep_corpus()
@@ -1087,3 +1088,30 @@ def test_zero_generated_chamber_is_ghilb():
                     assert supports == ghilb_supports(oracle_q, root), (p, r, s, sign)
                 seen += 1
     assert seen == 127
+
+
+def test_zero_generated_chamber_certifies_on_other_covers():
+    # theta_0 = -(F - 1) at the first face, 1 elsewhere, is generic on any
+    # quiver with F faces: a nonempty proper subset weighs |S| or |S| - F;
+    # at +-theta_0, every sublattice of conifold up to index 8 and of fzero
+    # up to index 4 certifies with charts = area2, weights no sampler draws
+    seen = 0
+    for base, top in ((conifold, 8), (example("fzero"), 4)):
+        for n in range(1, top + 1):
+            for p in (p for p in range(1, n + 1) if n % p == 0):
+                s = n // p
+                for r in range(p):
+                    model = hnf_cover(base, p, r, s)
+                    qm = quiver_of(model)
+                    faces = len(qm.vertices)
+                    for sign in (1, -1):
+                        theta = make_theta(qm, {
+                            v: sign * (1 - faces if k == 0 else 1)
+                            for k, v in enumerate(qm.vertices)
+                        })
+                        assert is_generic(qm, theta), (p, r, s, sign)
+                        fan = assemble_fan(model, theta)
+                        assert fan.report.ok, (p, r, s, sign)
+                        assert len(fan.charts) == area2(fan.polygon), (p, r, s, sign)
+                    seen += 1
+    assert seen == 56 + 15

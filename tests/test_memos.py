@@ -60,7 +60,7 @@ from dimerkit import (
     trace_faces,
     validate_model,
 )
-from dimerkit import charts, cli, lattice, matchings, quiver
+from dimerkit import cli, matchings, quiver
 from oracles import constraint_matrix
 
 
@@ -85,7 +85,7 @@ def test_model_and_quiver_freed_after_pipeline():
 
 
 def test_pipeline_never_hashes_model_or_quiver(monkeypatch):
-    # nor a splitting, which keeps its arrow table the same way
+    # nor a graph or a splitting
     def unhashable(self):
         raise AssertionError(f"{type(self).__name__} hashed")
 
@@ -112,35 +112,22 @@ def _chart(model):
 
 
 def test_chart_indexes_freed_with_their_owners():
-    # the face trace lives on its model, the support forest on its
-    # candidate and the arrow table on its splitting, each in the owner's
-    # instance __dict__ and held by nothing else: freed together with it
+    # the face trace, the dart steps and the edge ends a chart reads live on
+    # their model, in its instance __dict__ and held by nothing else: freed
+    # together with it
     model = example("fzero")
     cand, split, _ = _chart(model)
-    for owner, key in (
-        (model, "dimerkit.model.trace_faces"),
-        (cand, charts._FOREST),
-        (split, lattice._TABLE),
-    ):
-        memo = owner.__dict__[key]
+    for key in ("trace_faces", "_dart_steps", "_edge_ends"):
+        memo = model.__dict__[f"dimerkit.model.{key}"]
         holders = [
             r for r in gc.get_referrers(memo)
-            if r is not owner.__dict__ and not isinstance(r, types.FrameType)
+            if r is not model.__dict__ and not isinstance(r, types.FrameType)
         ]
         assert holders == [], key
     refs = weakref.ref(model), weakref.ref(cand), weakref.ref(split)
-    del model, cand, split, memo, owner
+    del model, cand, split, memo
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
-
-
-def test_candidate_forest_is_not_a_field():
-    # the forest kept on a candidate changes neither eq, hash nor repr
-    cand, _, _ = _chart(example("fzero"))
-    bare = FixedPointCandidate(cand.support, cand.cells)
-    assert charts._FOREST in cand.__dict__ and charts._FOREST not in bare.__dict__
-    assert cand == bare and hash(cand) == hash(bare) and repr(cand) == repr(bare)
-    assert list(vars(bare)) == ["support", "cells"]
 
 
 def test_one_search_per_model(monkeypatch):
@@ -209,6 +196,7 @@ def test_quiver_indexes_built_once(monkeypatch):
     assert constraint_matrix(q) is constraint_matrix(q)
     assert q.arrow_ids is q.arrow_ids
     assert q.arrow_pos is q.arrow_pos
+    assert q.ends is q.ends
     assert [q.arrow_pos[aid] for aid in q.arrow_ids] == list(range(len(q.arrows)))
 
 
@@ -239,7 +227,9 @@ RECORDS = (
     Arrow, PathSeq, RelationPair, LaurentPoly2, LatticePolygon, CocharLattice,
     Cone3, FundamentalDomain, ChartClassification, FanResult,
 )
-# the owners of memos in their instance __dict__, and the chart's two classes
+# the frozen value classes: the model, the quiver, the graph and the weight
+# own memos in their instance __dict__; the face trace, the splitting, the
+# candidate and the chart's two classes keep none
 OWNERS = (
     DimerModel, FaceTrace, Quiver, BipartiteGraph, Theta, Splitting,
     FixedPointCandidate, ChartCone, Chart,

@@ -7,18 +7,25 @@ from hypothesis import strategies as st
 
 from conftest import TILING_COVERS, cover, sweep_corpus
 from dimerkit import (
+    Arrow,
     InternalConsistencyError,
     InvalidModelError,
     Quiver,
     cochar_lattice,
     example,
     example_names,
+    is_semistable,
+    is_stable,
+    make_theta,
     p_minus,
     p_plus,
     pm_cocharacter,
     quiver_of,
     relations,
+    sardo_infirri_theta,
+    trace_faces,
 )
+from dimerkit import stability
 from oracles import (
     path_class,
     path_weight,
@@ -313,3 +320,55 @@ def test_broken_cycle_maps_are_refused(side, bad_next, message):
         bad = Quiver(q.vertices, q.arrows, q.shifts, maps["white"], maps["black"], q.offsets)
         with pytest.raises(InternalConsistencyError, match=message):
             fn(bad)
+
+
+def test_arrow_ends_follow_the_face_trace():
+    # the arrow dual to edge p runs from the face of dart 2p + 1 to the face
+    # of dart 2p, and the quiver lists the faces in trace order
+    for name, model in sweep_corpus().items():
+        tr = trace_faces(model)
+        assert quiver_of(model).ends == tuple(zip(tr.face[1::2], tr.face[0::2])), name
+
+
+def test_arrow_ends_of_hand_built_quivers():
+    # the reversed quiver of the G-Hilb oracle, and the vertices relisted
+    for model in (cover(example("honeycomb"), 2, 3), example("fzero")):
+        qm = quiver_of(model)
+        flipped = tuple(Arrow(a.id, a.target, a.source) for a in qm.arrows)
+        for built in (
+            Quiver(qm.vertices, flipped, qm.shifts),
+            Quiver(qm.vertices[::-1], qm.arrows, qm.shifts),
+        ):
+            pos = built.vertex_pos
+            assert built.ends == tuple(
+                (pos[a.source], pos[a.target]) for a in built.arrows
+            )
+        assert Quiver(qm.vertices, flipped, qm.shifts).ends == tuple(
+            (t, s) for s, t in qm.ends
+        )
+
+
+def test_arrow_at_an_unlisted_vertex_is_refused():
+    bad = Quiver(("f1", "f2"), (Arrow("a", "f1", "f9"), Arrow("b", "f2", "f1")), ())
+    theta = make_theta(bad, {"f1": -1, "f2": 1})
+    for read in (
+        lambda: bad.ends,
+        lambda: is_stable(bad, ["a", "b"], theta),
+        lambda: is_semistable(bad, ["b"], theta),
+        lambda: stability._lift(bad, theta),
+        lambda: sardo_infirri_theta(bad, ["b"], {"a": 1}),
+    ):
+        with pytest.raises(InvalidModelError, match="^arrow 'a' joins an unknown vertex$"):
+            read()
+
+
+@pytest.mark.parametrize("vertices, ids, read, message", [
+    (("f1", "f2"), ("a", "a"), lambda b: b.arrow("a"), "^duplicate arrow id 'a'$"),
+    (("f1", "f2"), ("a", "a"), lambda b: b.arrow_pos, "^duplicate arrow id 'a'$"),
+    (("f1", "f2", "f1"), ("a", "b"), lambda b: b.vertex_pos, "^duplicate vertex 'f1'$"),
+    (("f1", "f2", "f1"), ("a", "b"), lambda b: b.ends, "^duplicate vertex 'f1'$"),
+], ids=["arrow", "arrow_pos", "vertex_pos", "ends"])
+def test_names_used_twice_are_refused(vertices, ids, read, message):
+    arrows = (Arrow(ids[0], "f1", "f2"), Arrow(ids[1], "f2", "f1"))
+    with pytest.raises(InvalidModelError, match=message):
+        read(Quiver(vertices, arrows, ()))
