@@ -29,12 +29,13 @@ from dimerkit.cli import _COMMANDS, _emit, _json_default, build_parser, main
 from dimerkit.model import _connected
 from oracles import connected_by_dfs
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
 # the dice lattice: a valid tiling of the torus with two blacks, one white
 # and hence no perfect matching
-DICE = os.path.join(os.path.dirname(__file__), "data", "dice.json")
+DICE = os.path.join(DATA, "dice.json")
 # the honeycomb with e3's offset moved to (2, 1): its edge offsets wind the
 # faces clockwise around the torus against the rotation system
-WOUND = os.path.join(os.path.dirname(__file__), "data", "honeycomb_wound.json")
+WOUND = os.path.join(DATA, "honeycomb_wound.json")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
@@ -1043,6 +1044,30 @@ def test_certify_ops_reproduce_recorded_digests(capsys, monkeypatch, tmp_path):
             )
             checked += 1
     assert checked == 72
+
+
+def test_cli_reproduces_recorded_digests(monkeypatch, tmp_path):
+    # the sweep of tests/data/record_cli_digests.py, replayed: every call
+    # gives the exit code, stdout digest and stderr the file records
+    monkeypatch.delenv("DIMER_SEED", raising=False)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # tests/data stays as checked in
+    spec = importlib.util.spec_from_file_location(
+        "record_cli_digests", os.path.join(DATA, "record_cli_digests.py")
+    )
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    with open(recorder.RECORD, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    got = recorder.sweep(str(tmp_path))
+    assert got.keys() == recorded.keys()
+    changed = [
+        (name, command, recorded[name].get(command), result)
+        for name, calls in got.items()
+        for command, result in calls.items()
+        if recorded[name].get(command) != result
+    ]
+    assert not changed, changed[:5]
+    assert sum(map(len, got.values())) == 2132
 
 
 def _value_paths(data, prefix=()):
