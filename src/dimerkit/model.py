@@ -566,30 +566,12 @@ def lift_patch(model: DimerModel, radius: int) -> CoverFragment:
 _RATIONAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?)\s*")
 
 
-def _rational(x: object) -> Fraction | None:
-    """An int, or a ``p/q`` string of ASCII digits with an optional leading
-    ``-`` and a denominator without a leading zero (what :func:`dump_model`
-    writes), read without a regular expression; None for anything else,
-    which :func:`rational_from_json` decides."""
-    if type(x) is int:
-        return Fraction(x)
-    if type(x) is str and x.isascii():
-        p, _, q = x.partition("/")
-        if q.isdigit() and q[0] != "0" and p.removeprefix("-").isdigit():
-            try:
-                return Fraction(int(p), int(q))
-            except ValueError:  # past the interpreter's digit limit
-                return None
-    return None
-
-
 def rational_from_json(x: object, what: str) -> Fraction:
     """A JSON rational: an int, or a string in one fixed grammar on every
     Python (``_RATIONAL``); an exponent, digit-group underscores and spaces
     around the ``/`` are refused."""
-    r = _rational(x)
-    if r is not None:
-        return r
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, str):
         m = _RATIONAL.fullmatch(x)
         try:
@@ -637,11 +619,24 @@ def _str_problem(obj: dict, keys: tuple[str, ...]) -> str:
     return f"{key!r} must be a non-empty string"
 
 
+def _new_pos(p: list, read: dict[str, Fraction], raw: dict) -> tuple[Fraction, ...]:
+    """A vertex's ``pos`` with a coordinate not in ``read``: an int converts,
+    a new string is parsed and kept in ``read``, and anything else is refused."""
+    try:
+        x, y = (rational_from_json(c, "") for c in p)
+    except InvalidModelError:  # refused: parse again, naming the vertex
+        what = _what("vertex", raw)
+        x, y = (rational_from_json(c, what) for c in p)
+    return tuple(read.setdefault(c, q) if type(c) is str else q for c, q in zip(p, (x, y)))
+
+
 def model_from_dict(data: object) -> DimerModel:
     """Build a model from plain JSON data, rejecting anything off-schema.
 
     Each entry is checked once, field by field; an error names the entry
-    and its first bad field.
+    and its first bad field.  Each distinct coordinate string is read once
+    per call, and the vertices that spell a coordinate alike share its
+    ``Fraction``.
     """
     if not isinstance(data, dict) or data.keys() != _MODEL_KEYS:
         raise InvalidModelError(f"model: {_key_problem(data, _MODEL_KEYS, _MODEL_KEYS)}")
@@ -651,6 +646,7 @@ def model_from_dict(data: object) -> DimerModel:
         raise InvalidModelError("model: 'edges' must be a list")
 
     vertices = []
+    read: dict[str, Fraction] = {}  # each coordinate string met so far, parsed
     for raw in data["vertices"]:
         if not isinstance(raw, dict) or raw.keys() not in _VERTEX_KEYS:
             raise _bad("vertex", raw, _key_problem(raw, *_VERTEX_KEYS))
@@ -664,11 +660,10 @@ def model_from_dict(data: object) -> DimerModel:
             p = raw["pos"]
             if not isinstance(p, list) or len(p) != 2:
                 raise _bad("vertex", raw, "'pos' must be a pair")
-            x, y = _rational(p[0]), _rational(p[1])
-            if x is None or y is None:
-                what = _what("vertex", raw)
-                x, y = rational_from_json(p[0], what), rational_from_json(p[1], what)
-            pos = (x, y)
+            try:
+                pos = read[p[0]], read[p[1]]
+            except (KeyError, TypeError):  # a new string, or not a string
+                pos = _new_pos(p, read, raw)
         vertices.append(DimerVertex(vid, color, pos))
 
     vids = [v.id for v in vertices]

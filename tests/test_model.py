@@ -390,6 +390,42 @@ def test_schema_rejections():
         assert str(err.value) == message, path
 
 
+@pytest.mark.parametrize("later", [True, 1.0, [1], {"1": 0}, None])
+@pytest.mark.parametrize("earlier", [1, "1"])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_coordinate_read_before_does_not_admit_an_equal_value(axis, earlier, later):
+    # a coordinate read once is looked up by its string alone: True and 1.0
+    # equal 1 and hash alike, and a list or dict cannot be hashed, yet each
+    # is refused as the first coordinate of the model would be
+    data = model_to_dict(conifold)
+    data["vertices"][0]["pos"] = [earlier, earlier]
+    data["vertices"][1]["pos"] = [earlier, earlier]
+    data["vertices"][1]["pos"][axis] = later
+    with pytest.raises(InvalidModelError) as err:
+        model_from_dict(data)
+    assert str(err.value) == f"vertex 'w1': expected int or 'p/q' string, got {later!r}"
+
+
+def test_coordinate_spellings_load_as_one_value():
+    spellings = ["1/2", "2/4", " 1/2 ", "0.5"]
+    data = model_to_dict(cover(conifold, 2, 1))
+    for i, (v, x) in enumerate(zip(data["vertices"], spellings, strict=True)):
+        v["pos"] = [x, i]
+    m = model_from_dict(data)
+    assert [v.pos for v in m.vertices] == [(F(1, 2), i) for i in range(4)]
+    assert [v["pos"] for v in model_to_dict(m)["vertices"]] == [["1/2", i] for i in range(4)]
+
+
+def test_each_coordinate_string_is_read_once(tmp_path):
+    # the 400 coordinates of the honeycomb 10x10 cover are spelled 20 ways,
+    # and the vertices that spell one alike share its Fraction
+    path = tmp_path / "honeycomb-10x10.json"
+    dump_model(cover(honeycomb, 10, 10), path)
+    coordinates = [c for v in load_model(path).vertices for c in v.pos]
+    assert len(coordinates) == 400
+    assert len({id(c) for c in coordinates}) == 20
+
+
 def _read(fn, x, what):
     try:
         return fn(x, what)
