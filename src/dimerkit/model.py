@@ -562,8 +562,9 @@ def lift_patch(model: DimerModel, radius: int) -> CoverFragment:
 
 
 # Python 3.10's ``fractions`` grammar without its exponent: a sign, then
-# digits with an optional ``/q`` or decimal part, whitespace only around it
-_RATIONAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?)\s*")
+# digits with an optional ``/q`` or decimal part, whitespace only around it;
+# ``p/q``, what dump_model writes, is matched first
+_RATIONAL = re.compile(r"\s*(?:([-+]?\d+)/(\d+)|([-+]?)(?=\d|\.\d)(\d*)(?:\.(\d*))?)\s*")
 
 
 def rational_from_json(x: object, what: str) -> Fraction:
@@ -577,10 +578,12 @@ def rational_from_json(x: object, what: str) -> Fraction:
         try:
             if m is None:
                 raise ValueError(x)
-            sign, num, den, dec = m.groups()
-            p, q = int(num or "0"), int(den or "1")
+            p, q, sign, num, dec = m.groups()
+            if q:
+                return Fraction(int(p), int(q))
+            p, q = int(num or "0"), 10 ** len(dec or "")
             if dec:
-                p, q = p * 10 ** len(dec) + int(dec), 10 ** len(dec)
+                p = p * q + int(dec)
             return Fraction(-p if sign == "-" else p, q)
         except (ValueError, ZeroDivisionError) as exc:  # past the digit limit, q = 0
             raise InvalidModelError(f"{what}: bad rational {x!r}") from exc
@@ -619,15 +622,13 @@ def _str_problem(obj: dict, keys: tuple[str, ...]) -> str:
     return f"{key!r} must be a non-empty string"
 
 
-def _new_pos(p: list, read: dict[str, Fraction], raw: dict) -> tuple[Fraction, ...]:
-    """A vertex's ``pos`` with a coordinate not in ``read``: an int converts,
-    a new string is parsed and kept in ``read``, and anything else is refused."""
-    try:
-        x, y = (rational_from_json(c, "") for c in p)
-    except InvalidModelError:  # refused: parse again, naming the vertex
-        what = _what("vertex", raw)
-        x, y = (rational_from_json(c, what) for c in p)
-    return tuple(read.setdefault(c, q) if type(c) is str else q for c, q in zip(p, (x, y)))
+def _coordinate(c: object, read: dict[str, Fraction], raw: dict) -> Fraction:
+    """A vertex coordinate not in ``read``: a new string is parsed and kept
+    in ``read``, an int converts, and anything else is refused."""
+    q = rational_from_json(c, _what("vertex", raw))
+    if type(c) is str:
+        read[c] = q
+    return q
 
 
 def model_from_dict(data: object) -> DimerModel:
@@ -660,10 +661,9 @@ def model_from_dict(data: object) -> DimerModel:
             p = raw["pos"]
             if not isinstance(p, list) or len(p) != 2:
                 raise _bad("vertex", raw, "'pos' must be a pair")
-            try:
-                pos = read[p[0]], read[p[1]]
-            except (KeyError, TypeError):  # a new string, or not a string
-                pos = _new_pos(p, read, raw)
+            x, y = p
+            pos = (read[x] if type(x) is str and x in read else _coordinate(x, read, raw),
+                   read[y] if type(y) is str and y in read else _coordinate(y, read, raw))
         vertices.append(DimerVertex(vid, color, pos))
 
     vids = [v.id for v in vertices]

@@ -1,13 +1,13 @@
 """Record the CLI's output on the test corpus, one entry per call.
 
-    python3 tests/data/record_cli_digests.py
+    python3 tests/cli_record/record_cli_digests.py
 
 Every model of ``conftest.sweep_corpus()`` and ``conftest.deletion_corpus()``
 is written with ``dump_model`` to a temporary file, so every call reads its
 coordinates through ``load_model``, and each of ``COMMANDS`` is run on it in
-process.  For each call ``tests/data/cli_digests.json`` stores the exit code,
-the first 16 hex digits of stdout's SHA-256 and stderr, with the temporary
-directory replaced by ``TMP``.  ``test_cli_reproduces_recorded_digests``
+process.  For each call ``tests/cli_record/cli_digests.json`` stores the exit
+code, the first 16 hex digits of stdout's SHA-256 and stderr, with the
+temporary directory replaced by ``TMP``.  ``test_cli_reproduces_recorded_digests``
 replays the sweep against that file, so a change that moves the CLI's bytes
 on purpose records it again and names the entries that changed.
 """

@@ -43,9 +43,6 @@ DELETION_COVERS = (
     ("honeycomb", 2, 2), ("fzero", 2, 1),
 )
 
-# the model files in tests/data, beside the CLI's recorded output
-MODEL_FILES = ("dice.json", "honeycomb_wound.json")
-
 # one line per acceptance criterion, filled in by tests/test_acceptance.py
 ACCEPTANCE_LINES: list[str] = []
 
@@ -151,13 +148,12 @@ def cover(model: DimerModel, a: int, b: int) -> DimerModel:
 
 
 def sweep_corpus() -> dict[str, DimerModel]:
-    """By name: the catalog models, the model files of ``tests/data`` and
-    the certify and spectrum covers, for pinning the matching sweeps to
-    their oracles."""
+    """By name: the catalog models, ``tests/data/*`` and the certify and
+    spectrum covers, for pinning the matching sweeps to their oracles."""
     data = os.path.join(os.path.dirname(__file__), "data")
     names = ("conifold", "honeycomb", "fzero", "degenerate")
     models = {name: example(name) for name in names}
-    models.update((f, load_model(os.path.join(data, f))) for f in MODEL_FILES)
+    models.update((f, load_model(os.path.join(data, f))) for f in sorted(os.listdir(data)))
     models.update(
         (f"{n}-{a}x{b}", cover(example(n), a, b))
         for n, a, b in CERTIFY_COVERS + SPECTRUM_COVERS

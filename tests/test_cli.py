@@ -1047,12 +1047,12 @@ def test_certify_ops_reproduce_recorded_digests(capsys, monkeypatch, tmp_path):
 
 
 def test_cli_reproduces_recorded_digests(monkeypatch, tmp_path):
-    # the sweep of tests/data/record_cli_digests.py, replayed: every call
-    # gives the exit code, stdout digest and stderr the file records
+    # the sweep of tests/cli_record/record_cli_digests.py, replayed: every
+    # call gives the exit code, stdout digest and stderr the file records
     monkeypatch.delenv("DIMER_SEED", raising=False)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # tests/data stays as checked in
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # tests/cli_record stays as checked in
     spec = importlib.util.spec_from_file_location(
-        "record_cli_digests", os.path.join(DATA, "record_cli_digests.py")
+        "record_cli_digests", os.path.join(ROOT, "tests", "cli_record", "record_cli_digests.py")
     )
     recorder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(recorder)
